@@ -44,11 +44,11 @@ from .construction import (
     bound_w,
     clock_initial_policy,
     derive_params,
-    exact_w,
     initial_policy,
     make_params,
 )
 from .lp import (
+    Lockstep,
     basis_from_policy,
     check_pi_simplex_equivalence,
     dual_and_reduced_costs,
@@ -56,6 +56,7 @@ from .lp import (
     simplex_dantzig_step,
 )
 from .verify import (
+    ClockAuditor,
     ClockOracle,
     audit_appeal_catalog,
     check_all_transitions,
@@ -65,6 +66,7 @@ from .verify import (
     check_final,
     check_phase_transition,
     clock_expected_values,
+    decide_mdp,
     end_to_end,
     gray_code,
     run_annotated,

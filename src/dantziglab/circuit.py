@@ -64,10 +64,6 @@ def parse_bits(text: str) -> BitString:
     return tuple(int(ch) for ch in text)
 
 
-def format_bits(bits: Sequence[int]) -> str:
-    return "".join(str(b) for b in bits)
-
-
 @dataclass(frozen=True)
 class Circuit:
     n: int

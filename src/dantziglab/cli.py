@@ -31,16 +31,21 @@ from .lp import check_pi_simplex_equivalence, lp_manifest, lp_to_text, mdp_to_pr
 from .mdp import (
     IterationBudgetExceededError,
     TieBreak,
+    mdp_to_json,
     parse_tiebreak,
+    run_policy_iteration,
     trace_to_jsonl,
 )
 from .numerics import rat
 from .turing import compile_machine, load_machine
 from .verify import (
+    ClockAuditor,
+    Report,
+    TraceAnnotator,
     audit_appeal_catalog,
     check_all_transitions,
     check_clock_trace,
-    end_to_end,
+    decide_mdp,
     run_annotated,
 )
 from .circuit import decide_bitswitch, decide_circuitvalue
@@ -192,8 +197,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     config = _parse_config(args)
     instance = _load_instance(args)
     cons = _build(instance, config)
-    from .mdp import mdp_to_json
-
     _write_json(config, "manifest.json", manifest(cons))
     _write_json(config, "mdp.json", mdp_to_json(cons.mdp))
     lp = mdp_to_primal(cons.mdp, cons.index.si())
@@ -228,31 +231,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+AUDIT_NEEDS = {"clock": "clock", "catalog": "circuit", "transition": "circuit"}
+
+
 def _verify_reports(instance: Instance, config: RunConfig, which: str) -> list:
-    reports = []
+    """Every requested audit, made on one run that carries all of their watchers."""
+    if AUDIT_NEEDS.get(which, instance.kind) != instance.kind:
+        raise InputError(f"{which} verification needs a {AUDIT_NEEDS[which]} instance")
+    wants = {
+        name
+        for name in ("clock", "catalog", "transition", "equivalence")
+        if which in ("all", name) and AUDIT_NEEDS.get(name, instance.kind) == instance.kind
+    }
     cons = _build(instance, config)
     policy = _start_policy(cons, instance)
     budget = _budget(cons, config)
-    wants = ("clock", "catalog", "transition", "equivalence") if which == "all" else (which,)
-
-    result = None
-    if {"clock", "catalog", "transition"} & set(wants):
-        result = run_annotated(cons, policy, tie=config.tie, budget=budget)
-    if "clock" in wants:
-        if instance.kind == "clock":
-            reports.append(check_clock_trace(result, cons))
-        elif which != "all":
-            raise InputError("clock verification needs a clock instance (--builtin clock:n=K)")
-    if "catalog" in wants:
-        if instance.kind == "circuit":
-            reports.append(audit_appeal_catalog(result, cons))
-        elif which != "all":
-            raise InputError("catalog verification needs a circuit instance")
-    if "transition" in wants:
-        if instance.kind == "circuit":
-            reports.append(check_all_transitions(result, cons))
-        elif which != "all":
-            raise InputError("transition verification needs a circuit instance")
+    clock = ClockAuditor(cons) if "clock" in wants else None
+    watchers = [clock] if clock is not None else []
+    if wants & {"catalog", "transition"}:
+        watchers.append(TraceAnnotator(cons))
     if "equivalence" in wants:
         eq = check_pi_simplex_equivalence(
             cons.mdp,
@@ -261,17 +258,22 @@ def _verify_reports(instance: Instance, config: RunConfig, which: str) -> list:
             tie=config.tie,
             budget=budget,
             raise_on_divergence=False,
+            watchers=watchers,
         )
-        from .verify import Report
+        result = eq.run
+    else:
+        result = run_policy_iteration(cons.mdp, policy, tie=config.tie, budget=budget, watchers=watchers)
 
-        reports.append(
-            Report(
-                "equivalence",
-                eq.ok,
-                [] if eq.ok else [f"diverged at iteration {eq.first_divergence}"],
-                eq.as_dict(),
-            )
-        )
+    reports = []
+    if clock is not None:
+        reports.append(check_clock_trace(result, clock))
+    if "catalog" in wants:
+        reports.append(audit_appeal_catalog(result, cons))
+    if "transition" in wants:
+        reports.append(check_all_transitions(result, cons))
+    if "equivalence" in wants:
+        failures = [] if eq.ok else [f"diverged at iteration {eq.first_divergence}"]
+        reports.append(Report("equivalence", eq.ok, failures, eq.as_dict()))
     return reports
 
 
@@ -313,25 +315,25 @@ def cmd_decide(args: argparse.Namespace) -> int:
         print(f"circuitvalue: {str(verdict).lower()}")
         return EXIT_OK if verdict else EXIT_FALSE
 
+    if bits[z - 1] != 1:
+        raise InputError("the MDP-side problems need bit z of the start string set")
     if 2**raw.n > 64 and config.budget is None:
         raise InputError(
             f"{raw.n}-bit instance means 2^{raw.n} phases; that is beyond desk scale "
             "for the MDP-side problems (set --budget explicitly to force it, or use "
             "the bitswitch/circuitvalue oracles)"
         )
-    report = end_to_end(
+    verdict = decide_mdp(
         raw,
         bits,
         z,
+        problem,
         tie=config.tie,
         w_mode=config.w_mode,
         budget=config.budget,
         **config.overrides(),
     )
-    if problem == "actionswitch":
-        verdict, oracle = report.action_switch, report.oracle_bitswitch
-    else:
-        verdict, oracle = report.dantzig_sol, report.oracle_circuitvalue
+    oracle = (decide_bitswitch if problem == "actionswitch" else decide_circuitvalue)(raw, bits, z)
     agree = "agrees with" if verdict == oracle else "DISAGREES with"
     print(f"{problem}: {str(verdict).lower()} ({agree} the circuit oracle: {str(oracle).lower()})")
     if verdict != oracle:

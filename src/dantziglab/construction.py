@@ -40,13 +40,10 @@ from .circuit import Circuit, KIND_INPUT, KIND_NOT, KIND_OR
 from .mdp import (
     Mdp,
     Policy,
-    TieBreak,
     add_gadget,
     default_budget,
-    evaluate_values,
     make_policy,
     mdp_to_json,
-    run_policy_iteration,
 )
 from .numerics import ONE, ZERO, format_rational, rat
 
@@ -115,10 +112,6 @@ class ConstructionParams:
     @property
     def p7(self) -> Fraction:
         return self.ro / (self.t / 2 + self.high[self.d_c] - self.low[0])
-
-    def clock_appeal(self, i: int) -> Fraction:
-        """Appeal at which clock state i switches (calibrated mode)."""
-        return HALF - Fraction(1, 4 * i)
 
     def stage3_rehome_appeal(self) -> Fraction:
         """Exact appeal of the late re-homing of a compute-side input bit."""
@@ -324,9 +317,9 @@ class ConstructionIndex:
 class _Builder:
     """Adds named states and actions to an Mdp while recording the index."""
 
-    def __init__(self) -> None:
-        self.mdp = Mdp()
-        self.index = ConstructionIndex()
+    def __init__(self, mdp: Mdp, index: ConstructionIndex) -> None:
+        self.mdp = mdp
+        self.index = index
 
     def state(self, name: str, info: StateInfo) -> int:
         if name in self.index.states:
@@ -423,7 +416,7 @@ def build_clock(n: int, params: ConstructionParams | None = None) -> "Constructi
         params = make_params(n, 0)
     if params.n != n:
         raise ConstructionError("params built for a different bit count")
-    builder = _Builder()
+    builder = _Builder(Mdp(), ConstructionIndex())
     build_clock_into(builder, params)
     builder.mdp.validate()
     return Construction(builder.mdp, builder.index, params, None)
@@ -500,16 +493,8 @@ class Construction:
     z: int | None = None
     w: Fraction | None = None
 
-    @property
-    def n(self) -> int:
-        return self.params.n
-
     def budget(self) -> int:
         return default_budget(self.params.n, self.mdp.num_states)
-
-    def gate_kind(self, i: int) -> str:
-        assert self.circuit is not None
-        return self.circuit.gate(i).kind
 
     def input_bits(self) -> range:
         assert self.circuit is not None
@@ -527,7 +512,7 @@ class Construction:
 def build_construction(circuit: Circuit, **overrides) -> Construction:
     """Build the full machine for a normalized, output-negated circuit."""
     params = derive_params(circuit, **overrides)
-    builder = _Builder()
+    builder = _Builder(Mdp(), ConstructionIndex())
     build_clock_into(builder, params)
     for j in (0, 1):
         for i in range(1, circuit.size + 1):
@@ -549,7 +534,8 @@ def build_construction_z(circuit: Circuit, z: int, *, w: Fraction, **overrides) 
     """The decision variant: a freeze gadget pins the choice at o0_z at the end.
 
     ``w`` must be at least the largest state value an optimal policy attains
-    on the plain construction; see ``exact_w`` and ``bound_w``.
+    on the plain construction: exactly, the top state value at the end of
+    the plain run (``PIResult.values``), or the bound ``bound_w``.
 
     The escape from l0_z is a deterministic zero-reward edge, but the escape
     from r0_z is a probability-1/2 zero-reward detour.  The halving makes
@@ -562,63 +548,20 @@ def build_construction_z(circuit: Circuit, z: int, *, w: Fraction, **overrides) 
     if not 1 <= z <= circuit.n:
         raise ConstructionError(f"bit index {z} outside 1..{circuit.n}")
     cons = build_construction(circuit, **overrides)
-    mdp, index = cons.mdp, cons.index
     w = rat(w)
     if w <= 0:
         raise ConstructionError("w must be positive")
-    b1 = mdp.add_state("b1")
-    index.states["b1"] = b1
-    index.state_info[b1] = StateInfo("b", i=1)
-    b2 = mdp.add_state("b2")
-    index.states["b2"] = b2
-    index.state_info[b2] = StateInfo("b", i=2)
-    si = index.si()
-
-    def register(aid: int, name: str, target: int, kind: str) -> None:
-        index.actions[name] = aid
-        index.action_info[aid] = ActionInfo(mdp.actions[aid].state, target, kind)
-
-    register(mdp.add_action(b1, {si: ONE}, 2 * w, "b1->si"), "b1->si", si, "det")
-    register(mdp.add_action(b2, {si: ONE}, 0, "b2->si"), "b2->si", si, "det")
-    entry = add_gadget(
-        mdp,
-        b2,
-        b1,
-        0,
-        0,
-        Fraction(1, 5) / (2 * w),
-        intermediate_name="(b2,b1)",
-        entry_name="b2~>b1",
-        exit_name="(b2,b1)->b1",
-    )
-    mid = mdp.num_states - 1
-    index.states["(b2,b1)"] = mid
-    index.state_info[mid] = StateInfo("detour")
-    register(entry, "b2~>b1", b1, "detour")
-    register(mdp.state_actions[mid][0], "(b2,b1)->b1", b1, "exit")
-    l_state = index.state(f"l0_{z}")
-    register(
-        mdp.add_action(l_state, {b2: ONE}, 0, f"l0_{z}->b2"), f"l0_{z}->b2", b2, "det"
-    )
-    r_state = index.state(f"r0_{z}")
-    r_entry = add_gadget(
-        mdp,
-        r_state,
-        b2,
-        0,
-        0,
-        HALF,
-        intermediate_name=f"(r0_{z},b2)",
-        entry_name=f"r0_{z}~>b2",
-        exit_name=f"(r0_{z},b2)->b2",
-    )
-    r_mid = mdp.num_states - 1
-    index.states[f"(r0_{z},b2)"] = r_mid
-    index.state_info[r_mid] = StateInfo("detour")
-    register(r_entry, f"r0_{z}~>b2", b2, "detour")
-    register(mdp.state_actions[r_mid][0], f"(r0_{z},b2)->b2", b2, "exit")
-    mdp.validate()
-    return Construction(mdp, index, cons.params, circuit, z=z, w=w)
+    builder = _Builder(cons.mdp, cons.index)
+    si = cons.index.si()
+    b1 = builder.state("b1", StateInfo("b", i=1))
+    b2 = builder.state("b2", StateInfo("b", i=2))
+    builder.det(b1, si, 2 * w)
+    builder.det(b2, si, 0)
+    builder.detour(b2, b1, 0, 0, Fraction(1, 5) / (2 * w))
+    builder.det(cons.index.state(f"l0_{z}"), b2, 0)
+    builder.detour(cons.index.state(f"r0_{z}"), b2, 0, 0, HALF)
+    cons.mdp.validate()
+    return Construction(cons.mdp, cons.index, cons.params, circuit, z=z, w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -680,26 +623,8 @@ def initial_policy(construction: Construction, b_init: Sequence[int]) -> Policy:
 # The freeze-gadget scale constant
 
 
-def exact_w(
-    circuit: Circuit,
-    b_init: Sequence[int],
-    *,
-    tie: TieBreak | None = None,
-    budget: int | None = None,
-    **overrides,
-) -> Fraction:
-    """Largest optimal state value on the plain construction, found by running it."""
-    cons = build_construction(circuit, **overrides)
-    policy = initial_policy(cons, b_init)
-    result = run_policy_iteration(
-        cons.mdp, policy, tie=tie, budget=budget if budget is not None else cons.budget()
-    )
-    values = evaluate_values(cons.mdp, result.policy)
-    return max(values)
-
-
 def bound_w(params: ConstructionParams) -> Fraction:
-    """Closed-form upper bound on any state value: safe in place of exact_w."""
+    """Closed-form upper bound on any state value: safe in place of the exact w."""
     return params.t * 2 ** (params.n + 2)
 
 

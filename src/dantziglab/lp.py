@@ -9,8 +9,12 @@ right-hand side is uniformly 1/n.
 A policy corresponds to the basis of its chosen columns.  The basis defines
 a dual solution equal to the policy's state values, and reduced costs equal
 to the appeals, so greedy largest-coefficient pivoting retraces greedy
-largest-appeal switching step for step.  ``check_pi_simplex_equivalence``
-verifies that correspondence at every iteration, exactly.
+largest-appeal switching step for step.  ``Lockstep`` verifies that
+correspondence exactly, as a watcher on the policy-iteration run it is
+attached to: at every switch it compares its own basis, duals and reduced
+costs with the policy and values the run hands it, then makes its own
+pivot.  The LP side draws ties from its own generator and never evaluates
+a policy, so it stays independent of the engine it audits.
 
 The basis inverse is recomputed from scratch at every pivot.  That is
 deliberate: no product-form update, no chance of drift, and the instances
@@ -22,9 +26,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .mdp import Mdp, Policy, TieBreak, appeals, evaluate_values
+from .mdp import Mdp, PIResult, Policy, TieBreak, TraceEvent, Watcher, appeals, run_policy_iteration
+# The LP side never evaluates a policy.  The alias stays importable only
+# because the benchmark's tracer test (perfbench/test_harness.py) restores
+# it by name; it goes when that test is mended.
+from .mdp import evaluate_values  # noqa: F401
 from .numerics import Matrix, ONE, ZERO, SingularMatrixError, format_rational, inverse
 
 
@@ -190,17 +198,20 @@ def simplex_dantzig_step(
     basis: Basis,
     tie: TieBreak,
     rng: random.Random | None = None,
+    reduced: Sequence[Fraction] | None = None,
 ) -> SimplexStep | None:
     """One largest-reduced-cost pivot, or None at optimality.
 
-    The ratio test must have a unique minimizer, and the leaving column
-    must be the basic action at the entering column's state; both are
-    structural facts here, so their failure aborts loudly rather than
-    falling back to an anti-cycling rule.
+    ``reduced`` may carry the basis's reduced costs when the caller has
+    already computed them.  The ratio test must have a unique minimizer,
+    and the leaving column must be the basic action at the entering
+    column's state; both are structural facts here, so their failure
+    aborts loudly rather than falling back to an anti-cycling rule.
     """
     if rng is None:
         rng = tie.make_rng()
-    _, reduced = dual_and_reduced_costs(lp, basis)
+    if reduced is None:
+        _, reduced = dual_and_reduced_costs(lp, basis)
     best: Fraction | None = None
     candidates: list[tuple[int, int]] = []
     for j, rc in enumerate(reduced):
@@ -253,6 +264,7 @@ class EquivalenceReport:
     ok: bool = True
     first_divergence: int | None = None
     pivots: int = 0
+    run: PIResult | None = None  # the audited run, when the checker drove it
 
     def as_dict(self) -> dict:
         return {
@@ -263,63 +275,56 @@ class EquivalenceReport:
         }
 
 
-def check_pi_simplex_equivalence(
-    mdp: Mdp,
-    policy: Policy,
-    sink: int,
-    *,
-    tie: TieBreak | None = None,
-    budget: int,
-    raise_on_divergence: bool = True,
-) -> EquivalenceReport:
-    """Drive switching and pivoting in lockstep and compare everything.
+class Lockstep:
+    """Watcher that mirrors every switch of a run with one simplex pivot.
 
-    Per iteration: the basis equals the policy's chosen columns, the dual
-    solution equals the state values, every reduced cost equals the
-    corresponding appeal, and both rules pick the same entering action
-    under the shared tie-break.  Exact comparisons throughout.
+    At each switch, and once more at the final policy (``finish``), it
+    compares exactly: the basis equals the policy's chosen columns, the
+    dual solution equals the state values, every reduced cost equals the
+    corresponding appeal, and the pivot enters the switched-in action,
+    drops the switched-out one and has the switch's appeal as its reduced
+    cost (at the final policy: no pivot at all).  Once the two sides
+    cannot both move on, the lockstep stops comparing.
     """
-    if tie is None:
-        tie = TieBreak.lowest()
-    lp = mdp_to_primal(mdp, sink)
-    basis = basis_from_policy(lp, policy)
-    rng_pi = tie.make_rng()
-    rng_lp = tie.make_rng()
-    report = EquivalenceReport()
 
-    from .mdp import dantzig_step
+    def __init__(
+        self, mdp: Mdp, policy: Policy, sink: int, *, tie: TieBreak | None = None, raise_on_divergence: bool = True
+    ):
+        self.mdp = mdp
+        self.lp = mdp_to_primal(mdp, sink)
+        self.basis = basis_from_policy(self.lp, policy)
+        self.tie = tie if tie is not None else TieBreak.lowest()
+        self.rng = self.tie.make_rng()
+        self.raise_on_divergence = raise_on_divergence
+        self.report = EquivalenceReport()
+        self.stopped = False
 
-    iteration = 0
-    while True:
-        if iteration > budget:
-            raise LpError(f"no optimum within {budget} pivots")
-        values = evaluate_values(mdp, policy)
-        gains = appeals(mdp, policy, values)
+    def finish(self, result: PIResult) -> EquivalenceReport:
+        self(None, result.policy, result.values)
+        return self.report
+
+    def __call__(self, event: TraceEvent | None, policy: Policy, values: Sequence[Fraction]) -> None:
+        """Compare at one switch, or at the final policy when ``event`` is None."""
+        if self.stopped:
+            return
+        lp, basis, report = self.lp, self.basis, self.report
+        iteration = len(report.iterations)
         y, reduced = dual_and_reduced_costs(lp, basis)
-        entry: dict = {"iteration": iteration}
-        entry["basis_match"] = basis.action_ids() == frozenset(
-            policy.choice[s] for s in lp.rows
-        )
-        entry["dual_match"] = all(
-            y[lp.row_of[s]] == values[s] for s in lp.rows
-        ) and values[sink] == 0
-        entry["reduced_cost_match"] = all(
-            reduced[j] == gains[lp.cols[j]] for j in range(lp.num_cols)
-        )
-
-        pi_step = dantzig_step(mdp, policy, tie, rng_pi, values)
-        lp_step = simplex_dantzig_step(lp, basis, tie, rng_lp)
-        if (pi_step is None) != (lp_step is None):
-            entry["same_entering"] = False
-        elif pi_step is None:
-            entry["same_entering"] = True
+        gains = appeals(self.mdp, policy, values)
+        entry: dict = {
+            "iteration": iteration,
+            "basis_match": basis.action_ids() == frozenset(policy.choice[s] for s in lp.rows),
+            "dual_match": all(y[lp.row_of[s]] == values[s] for s in lp.rows) and values[lp.sink] == 0,
+            "reduced_cost_match": all(reduced[j] == gains[lp.cols[j]] for j in range(lp.num_cols)),
+        }
+        step = simplex_dantzig_step(lp, basis, self.tie, self.rng, reduced)
+        if event is None or step is None:
+            entry["same_entering"] = event is None and step is None
         else:
-            _, event = pi_step
-            assert lp_step is not None
             entry["same_entering"] = (
-                lp.cols[lp_step.entering] == event.new_action
-                and lp.cols[lp_step.leaving] == event.old_action
-                and lp_step.reduced_cost == event.appeal
+                lp.cols[step.entering] == event.new_action
+                and lp.cols[step.leaving] == event.old_action
+                and step.reduced_cost == event.appeal
             )
         entry["ok"] = all(
             entry[k] for k in ("basis_match", "dual_match", "reduced_cost_match", "same_entering")
@@ -328,16 +333,38 @@ def check_pi_simplex_equivalence(
         if not entry["ok"] and report.first_divergence is None:
             report.ok = False
             report.first_divergence = iteration
-            if raise_on_divergence:
+            if self.raise_on_divergence:
                 raise EquivalenceViolationError(
                     f"solvers diverged at iteration {iteration}: {entry}", report
                 )
-        if pi_step is None or lp_step is None:
-            break
-        policy = pi_step[0]
-        basis = lp_step.basis
-        iteration += 1
-    report.pivots = iteration
+        if event is None or step is None:
+            self.stopped = True
+            return
+        self.basis = step.basis
+        report.pivots += 1
+
+
+def check_pi_simplex_equivalence(
+    mdp: Mdp,
+    policy: Policy,
+    sink: int,
+    *,
+    tie: TieBreak | None = None,
+    budget: int,
+    raise_on_divergence: bool = True,
+    watchers: Iterable[Watcher] = (),
+) -> EquivalenceReport:
+    """Run greedy policy iteration once, with a ``Lockstep`` auditing that run.
+
+    At every switch, and at the final policy, the lockstep compares its own
+    basis, duals, reduced costs and pivot with what the run hands it; its
+    ties come from its own generator, seeded like the run's.  ``watchers``
+    ride along on the same run, and the report keeps the run as ``run``.
+    """
+    lockstep = Lockstep(mdp, policy, sink, tie=tie, raise_on_divergence=raise_on_divergence)
+    result = run_policy_iteration(mdp, policy, tie=tie, budget=budget, watchers=[*watchers, lockstep])
+    report = lockstep.finish(result)
+    report.run = result
     return report
 
 

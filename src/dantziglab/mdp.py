@@ -147,9 +147,6 @@ def add_gadget(
 class Policy:
     choice: tuple[int, ...]
 
-    def action_at(self, state: int) -> int:
-        return self.choice[state]
-
     def with_switch(self, state: int, action: int) -> "Policy":
         updated = list(self.choice)
         updated[state] = action
@@ -485,6 +482,7 @@ class PIResult:
     trace: list[TraceEvent]
     iterations: int
     optimal: bool
+    values: list[Fraction]  # of the final policy
 
     def policies(self) -> list[Policy]:
         """Replay the trace: the policy before each switch, plus the final one."""
@@ -512,7 +510,12 @@ def run_policy_iteration(
     budget: int,
     watchers: Iterable[Watcher] = (),
 ) -> PIResult:
-    """Greedy single-switch policy iteration to optimality, with a full trace."""
+    """Greedy single-switch policy iteration to optimality, with a full trace.
+
+    This is the only loop that evaluates policies.  Each watcher sees every
+    switch as (event, policy before the switch, that policy's values); the
+    final policy and its values come back on the result.
+    """
     if budget <= 0:
         raise MdpError("iteration budget must be positive")
     if tie is None:
@@ -526,7 +529,7 @@ def run_policy_iteration(
         values = evaluate_values(mdp, policy)
         step = dantzig_step(mdp, policy, tie, rng, values)
         if step is None:
-            return PIResult(initial, policy, trace, iteration, True)
+            return PIResult(initial, policy, trace, iteration, True, values)
         if iteration >= budget:
             raise IterationBudgetExceededError(f"no optimum within {budget} switches")
         new_policy, event = step

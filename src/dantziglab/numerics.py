@@ -44,9 +44,6 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-parse_rational = rat
-
-
 class Matrix:
     """Dense row-major matrix of exact rationals."""
 
@@ -77,14 +74,8 @@ class Matrix:
             flat.extend(r)
         return cls(nrows, ncols, flat)
 
-    def at(self, i: int, j: int) -> Fraction:
-        return self._e[i * self.cols + j]
-
     def row(self, i: int) -> list[Fraction]:
         return self._e[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
         out = [ZERO] * (self.rows * self.cols)

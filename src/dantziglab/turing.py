@@ -131,9 +131,6 @@ class _LogicBuilder:
         self._false: int | None = None
         self._true: int | None = None
 
-    def var(self, i: int) -> int:
-        return i
-
     def emit(self, gate: Gate) -> int:
         self.gates.append(gate)
         return len(self.gates)
@@ -201,9 +198,10 @@ def compile_machine(machine: Machine, input_bits: tuple[int, ...], space: int) -
     n_bits = cells + head_w + state_w
 
     b = _LogicBuilder(n_bits)
-    tape_vars = [b.var(i + 1) for i in range(cells)]
-    head_vars = [b.var(cells + i + 1) for i in range(head_w)]
-    state_vars = [b.var(cells + head_w + i + 1) for i in range(state_w)]
+    # Input gate k is bit k of the configuration: tape cells, head, state.
+    tape_vars = list(range(1, cells + 1))
+    head_vars = list(range(cells + 1, cells + head_w + 1))
+    state_vars = list(range(cells + head_w + 1, n_bits + 1))
 
     def match(vars_: list[int], value: int) -> int:
         return b.and_all([b.literal(v, bool(value >> t & 1)) for t, v in enumerate(vars_)])

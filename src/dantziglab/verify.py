@@ -4,7 +4,8 @@ Nothing in this module feeds the solvers; everything here recomputes
 expected behaviour by an independent route and compares:
 
 * a closed-form clock oracle (reflected binary Gray code plus explicit
-  value formulas) checked against exact policy evaluation;
+  value formulas), checked against the policies and exact values of the
+  run it watches;
 * a trace annotator that tags every greedy switch with the phase it
   happened in and the gadget role it plays;
 * an appeal-catalog auditor asserting each tagged switch fired at its
@@ -13,7 +14,8 @@ expected behaviour by an independent route and compares:
   values, and finality (no appeal above 7/2 anywhere in a finished gate);
 * a phase-transition auditor asserting the scripted event classes complete
   in order across each clock tick and hand over a clean start policy;
-* an end-to-end harness comparing the machine's verdicts and its decoded
+* the MDP-side decisions, running only the reductions each one reads, and
+  an end-to-end harness comparing the machine's verdicts and its decoded
   per-phase bit-strings against direct circuit iteration.
 """
 
@@ -23,12 +25,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .circuit import BitString, Circuit, KIND_INPUT, decide_bitswitch, decide_circuitvalue, evaluate, iterate
+from .circuit import BitString, Circuit, KIND_INPUT, decide_bitswitch, decide_circuitvalue, evaluate
+from .circuit import negated_form, normalize_depths
 from .construction import (
     Construction,
     bound_w,
     build_construction,
     build_construction_z,
+    derive_params,
     initial_policy,
 )
 from .mdp import (
@@ -86,10 +90,6 @@ def bit_of(x: int, i: int) -> int:
     return (x >> (i - 1)) & 1
 
 
-def shift_right(x: int, i: int) -> int:
-    return x >> i
-
-
 def least_significant_zero(j: int) -> int:
     i = 1
     while bit_of(j, i):
@@ -118,20 +118,17 @@ class ClockOracle:
     def f(self, i: int) -> int:
         return self.n - i + 1
 
-    def gray(self, j: int) -> BitString:
-        return gray_code(self.n, j)
-
     def flip_position(self, j: int) -> int:
         """The clock state switched when leaving the j-th policy."""
         return self.f(least_significant_zero(j))
 
     def x(self, j: int, i: int) -> Fraction:
         f = self.f(i)
-        return Fraction(2**f + shift_right(j, f + 1) * 2 ** (f + 1))
+        return Fraction(2**f + (j >> (f + 1)) * 2 ** (f + 1))
 
     def y(self, j: int, i: int) -> Fraction:
         f = self.f(i)
-        return Fraction(shift_right(j + 2 ** (f - 1), f) * 2**f)
+        return Fraction(((j + 2 ** (f - 1)) >> f) * 2**f)
 
     def switch_appeal(self, i: int) -> Fraction:
         return HALF - Fraction(1, 4 * i)
@@ -142,8 +139,8 @@ class ClockOracle:
             "si": ZERO,
             "si'": Fraction(2 ** (self.n + 1)),
             "0": ZERO,
-            "c1": Fraction(1 + 2 * shift_right(j, 1)),
-            "c0": Fraction(2 * shift_right(j + 1, 1)),
+            "c1": Fraction(1 + 2 * (j >> 1)),
+            "c0": Fraction(2 * ((j + 1) >> 1)),
         }
         for i in range(1, self.n + 1):
             vals[f"{i}'"] = self.x(j, i)
@@ -195,8 +192,59 @@ def clock_expected_values(n: int, j: int) -> dict[str, Fraction]:
     return ClockOracle(n).values(j)
 
 
-def check_clock_trace(result: PIResult, construction: Construction) -> Report:
-    """Audit a standalone-clock run against the Gray-code oracle.
+class ClockAuditor:
+    """Watcher that checks a standalone-clock run against the Gray-code oracle.
+
+    At every switch it checks the policy the run hands it against the
+    Gray-code sequence, that policy's values against the value formulas,
+    and the switch itself; ``check_clock_trace`` checks the final policy
+    and writes the report.
+    """
+
+    def __init__(self, construction: Construction):
+        self.construction = construction
+        self.oracle = ClockOracle(construction.params.n)
+        self.orientation = resolve_gray_orientation(construction)
+        self.policy_failures: list[str] = []
+        self.switch_failures: list[str] = []
+        self.band_failures: list[str] = []
+
+    def __call__(self, event: TraceEvent, policy: Policy, values: Sequence[Fraction]) -> None:
+        j = event.iteration
+        self.check_policy(j, policy, values)
+        info = self.construction.index.state_info[event.state]
+        if info.kind != "clock":
+            name = self.construction.mdp.state_names[event.state]
+            self.switch_failures.append(f"step {j}: switch outside the clock at {name}")
+            return
+        if info.i != self.oracle.flip_position(j):
+            self.switch_failures.append(
+                f"step {j}: switched state {info.i}, expected {self.oracle.flip_position(j)}"
+            )
+        expected_appeal = self.oracle.switch_appeal(info.i)
+        if event.appeal != expected_appeal:
+            self.band_failures.append(f"step {j}: appeal {event.appeal} != {expected_appeal}")
+        if not Fraction(1, 4) <= event.appeal < HALF:
+            self.band_failures.append(f"step {j}: appeal {event.appeal} outside [1/4, 1/2)")
+
+    def check_policy(self, j: int, policy: Policy, values: Sequence[Fraction]) -> None:
+        """The j-th policy and its values; steps past the last Gray word go unchecked."""
+        cons = self.construction
+        n = cons.params.n
+        if j >= 2**n:
+            return
+        expected_policy = clock_gray_policy(cons, j, self.orientation)
+        for i in range(1, n + 1):
+            sid = cons.index.clock(i)
+            if policy.choice[sid] != expected_policy.choice[sid]:
+                self.policy_failures.append(f"step {j}: state {i} off the Gray-code sequence")
+        for name, scaled in self.oracle.values(j).items():
+            if values[cons.index.state(name)] != cons.params.t * scaled:
+                self.policy_failures.append(f"step {j}: value of {name} differs from the oracle")
+
+
+def check_clock_trace(result: PIResult, auditor: ClockAuditor) -> Report:
+    """Finish a clock audit on the run the auditor watched.
 
     Hard checks: 2^n - 1 switches, the exact policy sequence, exact values
     at every step, and each switch at appeal exactly 1/2 - 1/(4i) inside
@@ -204,56 +252,25 @@ def check_clock_trace(result: PIResult, construction: Construction) -> Report:
     appeal checks fail by design; the report marks that as an expected
     failure so comparison runs can be told apart from real regressions.
     """
-    params = construction.params
-    n = params.n
-    oracle = ClockOracle(n)
-    mdp = construction.mdp
-    index = construction.index
-    failures: list[str] = []
-    band_failures: list[str] = []
-
-    if len(result.trace) != 2**n - 1:
-        failures.append(f"expected {2 ** n - 1} switches, saw {len(result.trace)}")
-    orientation = resolve_gray_orientation(construction)
-    policies = result.policies()
-    for j, policy in enumerate(policies):
-        if j >= 2**n:
-            break
-        expected_policy = clock_gray_policy(construction, j, orientation)
-        for i in range(1, n + 1):
-            sid = index.clock(i)
-            if policy.choice[sid] != expected_policy.choice[sid]:
-                failures.append(f"step {j}: state {i} off the Gray-code sequence")
-        values = evaluate_values(mdp, policy)
-        for name, scaled in oracle.values(j).items():
-            if values[index.state(name)] != params.t * scaled:
-                failures.append(f"step {j}: value of {name} differs from the oracle")
-    for j, ev in enumerate(result.trace):
-        info = index.state_info[ev.state]
-        if info.kind != "clock":
-            failures.append(f"step {j}: switch outside the clock at {mdp.state_names[ev.state]}")
-            continue
-        if info.i != oracle.flip_position(j):
-            failures.append(f"step {j}: switched state {info.i}, expected {oracle.flip_position(j)}")
-        expected_appeal = oracle.switch_appeal(info.i)
-        if ev.appeal != expected_appeal:
-            band_failures.append(f"step {j}: appeal {ev.appeal} != {expected_appeal}")
-        if not Fraction(1, 4) <= ev.appeal < HALF:
-            band_failures.append(f"step {j}: appeal {ev.appeal} outside [1/4, 1/2)")
-
-    ok = not failures and not band_failures
-    expected_fail = bool(band_failures) and not failures and params.alpha_mode == "printed"
+    params = auditor.construction.params
+    switches = len(result.trace)
+    auditor.check_policy(switches, result.policy, result.values)
+    failures = []
+    if switches != 2**params.n - 1:
+        failures.append(f"expected {2 ** params.n - 1} switches, saw {switches}")
+    failures += auditor.policy_failures + auditor.switch_failures
+    band_failures = auditor.band_failures
     return Report(
         "clock",
-        ok,
+        not failures and not band_failures,
         failures + band_failures,
         {
-            "orientation": orientation,
-            "iterations": len(result.trace),
+            "orientation": auditor.orientation,
+            "iterations": switches,
             "alpha_mode": params.alpha_mode,
             "band_ok": not band_failures,
         },
-        expected_fail,
+        bool(band_failures) and not failures and params.alpha_mode == "printed",
     )
 
 
@@ -774,6 +791,62 @@ def decode_phases(result: PIResult, construction: Construction, b_init: Sequence
     return decoded
 
 
+def _reduction_run(
+    negated: Circuit,
+    b_init: Sequence[int],
+    z: int,
+    w: Fraction | None,
+    tie: TieBreak | None,
+    budget: int | None,
+    overrides: dict,
+) -> tuple[Construction, PIResult, bool]:
+    """Build and run one reduction: the plain one, or the decision variant when ``w`` is given.
+
+    The verdict is about the query action o0_z -> r0_z: whether the plain
+    run ever uses it (ActionSwitch), or whether the decision variant's
+    optimum keeps it (DantzigSol).
+    """
+    if w is None:
+        cons = build_construction(negated, **overrides)
+    else:
+        cons = build_construction_z(negated, z, w=w, **overrides)
+    result = run_annotated(cons, initial_policy(cons, b_init), tie=tie, budget=budget)
+    query = cons.index.action(f"o0_{z}->r0_{z}")
+    if w is None:
+        return cons, result, result.used_action(query)
+    return cons, result, result.policy.choice[cons.mdp.actions[query].state] == query
+
+
+def decide_mdp(
+    circuit_f: Circuit,
+    b_init: Sequence[int],
+    z: int,
+    problem: str,
+    *,
+    tie: TieBreak | None = None,
+    w_mode: str = "exact",
+    budget: int | None = None,
+    **overrides,
+) -> bool:
+    """Answer ``actionswitch`` or ``dantzigsol`` with only the runs the answer reads.
+
+    ``actionswitch`` reads the plain run.  ``dantzigsol`` reads the
+    decision variant's run; exact ``w`` is the top state value at the end
+    of the plain run, while the closed-form bound needs no plain run.
+    """
+    if b_init[z - 1] != 1:
+        raise ValueError("bit z of the start string must be 1")
+    negated = negated_form(normalize_depths(circuit_f))
+    if problem == "dantzigsol" and w_mode == "bound":
+        w = bound_w(derive_params(negated, **overrides))
+    else:
+        _, plain, action_switch = _reduction_run(negated, b_init, z, None, tie, budget, overrides)
+        if problem == "actionswitch":
+            return action_switch
+        w = max(plain.values)
+    return _reduction_run(negated, b_init, z, w, tie, budget, overrides)[2]
+
+
 def end_to_end(
     circuit_f: Circuit,
     b_init: Sequence[int],
@@ -790,36 +863,18 @@ def end_to_end(
     negated); the start string must have bit z set, since the query action
     must be unused initially.
     """
-    from .circuit import negated_form, normalize_depths
-
     if b_init[z - 1] != 1:
         raise ValueError("bit z of the start string must be 1")
     negated = negated_form(normalize_depths(circuit_f))
-    cons = build_construction(negated, **overrides)
-    policy = initial_policy(cons, b_init)
-    result = run_annotated(cons, policy, tie=tie, budget=budget)
-    query = cons.index.action(f"o0_{z}->r0_{z}")
-    action_switch = result.used_action(query)
-    phases = decode_phases(result, cons, b_init)
-
-    if w_mode == "exact":
-        w = max(evaluate_values(cons.mdp, result.policy))
-    elif w_mode == "bound":
-        w = bound_w(cons.params)
-    else:
-        raise ValueError(f"unknown w mode {w_mode!r}")
-    cons_z = build_construction_z(negated, z, w=w, **overrides)
-    policy_z = initial_policy(cons_z, b_init)
-    result_z = run_annotated(cons_z, policy_z, tie=tie, budget=budget)
-    query_z = cons_z.index.action(f"o0_{z}->r0_{z}")
-    dantzig_sol = result_z.policy.choice[cons_z.mdp.actions[query_z].state] == query_z
-
+    cons, result, action_switch = _reduction_run(negated, b_init, z, None, tie, budget, overrides)
+    w = bound_w(cons.params) if w_mode == "bound" else max(result.values)
+    cons_z, result_z, dantzig_sol = _reduction_run(negated, b_init, z, w, tie, budget, overrides)
     return EndToEndReport(
         action_switch=action_switch,
         dantzig_sol=dantzig_sol,
         oracle_bitswitch=decide_bitswitch(circuit_f, b_init, z),
         oracle_circuitvalue=decide_circuitvalue(circuit_f, b_init, z),
-        phases_decoded=phases,
+        phases_decoded=decode_phases(result, cons, b_init),
         run=result,
         run_z=result_z,
         construction=cons,

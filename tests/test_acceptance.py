@@ -45,14 +45,15 @@ from dantziglab.mdp import (
     evaluate_values,
     make_policy,
     parse_tiebreak,
+    run_policy_iteration,
 )
 from dantziglab.turing import compile_machine, simulate
 from dantziglab.verify import (
+    ClockAuditor,
     ClockOracle,
     audit_appeal_catalog,
     check_clock_trace,
     end_to_end,
-    run_annotated,
 )
 
 ONE = Fraction(1)
@@ -87,9 +88,12 @@ def test_criterion_1_clock_reproduction():
     started = time.monotonic()
     for n in range(1, 9):
         cons = build_clock(n)
-        result = run_annotated(cons, clock_initial_policy(cons))
+        auditor = ClockAuditor(cons)
+        result = run_policy_iteration(
+            cons.mdp, clock_initial_policy(cons), budget=cons.budget(), watchers=[auditor]
+        )
         assert len(result.trace) == 2**n - 1
-        report = check_clock_trace(result, cons)
+        report = check_clock_trace(result, auditor)
         assert report.ok, report.failures[:3]
         oracle = ClockOracle(n)
         t = cons.params.t
@@ -258,12 +262,18 @@ def test_criterion_9_machine_pipeline():
 
 def test_criterion_10_calibration_regression():
     calibrated = build_clock(3)
-    result = run_annotated(calibrated, clock_initial_policy(calibrated))
-    assert check_clock_trace(result, calibrated).ok
+    auditor = ClockAuditor(calibrated)
+    result = run_policy_iteration(
+        calibrated.mdp, clock_initial_policy(calibrated), budget=calibrated.budget(), watchers=[auditor]
+    )
+    assert check_clock_trace(result, auditor).ok
 
     printed = build_clock(3, make_params(3, 0, alpha_mode="printed"))
-    result = run_annotated(printed, clock_initial_policy(printed))
-    report = check_clock_trace(result, printed)
+    auditor = ClockAuditor(printed)
+    result = run_policy_iteration(
+        printed.mdp, clock_initial_policy(printed), budget=printed.budget(), watchers=[auditor]
+    )
+    report = check_clock_trace(result, auditor)
     assert not report.ok
     assert report.expected_fail
     assert not report.details["band_ok"]

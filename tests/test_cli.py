@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 
-from dantziglab.circuit import save_circuit
+from dantziglab import mdp
+from dantziglab.circuit import decide_bitswitch, save_circuit
 from dantziglab.cli import main
-from dantziglab.library import rotation_circuit
+from dantziglab.library import identity_circuit, rotation_circuit
 from dantziglab.library import writer_machine
 from dantziglab.turing import machine_to_json
 
@@ -112,6 +114,11 @@ def test_decide_verdicts_and_exit_codes(tmp_path):
                    "--problem", "actionswitch", "--out", out) == 0
     assert run_cli("decide", "--builtin", "rot2", "--bits", "11", "--z", "1",
                    "--problem", "dantzigsol", "--out", out) == 1
+    # The closed-form w: dantzigsol then runs the decision variant alone.
+    assert run_cli("decide", "--builtin", "rot2", "--bits", "11", "--z", "1",
+                   "--problem", "actionswitch", "--w-mode", "bound", "--out", out) == 0
+    assert run_cli("decide", "--builtin", "rot2", "--bits", "11", "--z", "1",
+                   "--problem", "dantzigsol", "--w-mode", "bound", "--out", out) == 1
 
 
 def test_decide_on_machine_instance(tmp_path):
@@ -168,3 +175,52 @@ def test_no_decimals_anywhere_in_outputs(tmp_path):
     assert run_cli("run", "--builtin", "rot2", "--bits", "10", "--out", out) == 0
     for name in os.listdir(out):
         assert not DECIMAL.search(read(os.path.join(out, name))), name
+
+
+def test_decide_with_query_bit_unset_is_input_error(tmp_path):
+    assert run_cli("decide", "--builtin", "rot2", "--bits", "01", "--z", "1",
+                   "--problem", "actionswitch", "--out", str(tmp_path)) == 2
+
+
+def test_equivalence_budget_exceeded_exit_code(tmp_path):
+    assert run_cli("verify", "--builtin", "clock:n=3", "--which", "equivalence",
+                   "--budget", "2", "--out", str(tmp_path)) == 3
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Rebind ``original`` in every dantziglab module that refers to it."""
+    for name, module in list(sys.modules.items()):
+        if name == "dantziglab" or name.startswith("dantziglab."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
+def test_verify_all_evaluates_each_policy_once(tmp_path, monkeypatch):
+    evaluated = []
+    original = mdp.evaluate_values
+
+    def counting(m, policy):
+        evaluated.append(policy)
+        return original(m, policy)
+
+    _patch_everywhere(monkeypatch, original, counting)
+    out = str(tmp_path / "ver")
+    assert run_cli("verify", "--builtin", "clock:n=3", "--which", "all", "--out", out) == 0
+    report = json.loads(read(os.path.join(out, "report.json")))
+    assert [r["name"] for r in report["reports"]] == ["clock", "equivalence"]
+    # One evaluation per policy of the 7-switch run, plus one to fix the
+    # Gray-code orientation.
+    assert len(evaluated) == 8 + 1
+
+
+def test_decide_actionswitch_builds_no_decision_variant(tmp_path, monkeypatch):
+    from dantziglab import construction
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("actionswitch never reads the decision variant")
+
+    _patch_everywhere(monkeypatch, construction.build_construction_z, forbidden)
+    expected = decide_bitswitch(identity_circuit(2), (1, 1), 1)
+    assert run_cli("decide", "--builtin", "identity2", "--bits", "11", "--z", "1",
+                   "--problem", "actionswitch", "--out", str(tmp_path)) == (0 if expected else 1)

@@ -12,7 +12,6 @@ from dantziglab.construction import (
     build_construction,
     build_construction_z,
     derive_params,
-    exact_w,
     initial_policy,
     make_params,
     manifest,
@@ -173,7 +172,9 @@ def test_decision_gadget_arm_appeal_is_one_fifth_independent_of_w():
 
 
 def test_decision_gadget_freeze_values_and_indifference():
-    w = exact_w(IDENT1, (1,))
+    plain = build_construction(IDENT1)
+    run = run_policy_iteration(plain.mdp, initial_policy(plain, (1,)), budget=plain.budget())
+    w = max(run.values)
     cons = build_construction_z(IDENT1, 1, w=w)
     policy = initial_policy(cons, (1,))
     # Move the gadget into its fired position by hand.
@@ -195,8 +196,8 @@ def test_exact_w_is_the_top_state_value():
     policy = initial_policy(cons, (1,))
     result = run_policy_iteration(cons.mdp, policy, budget=cons.budget())
     values = evaluate_values(cons.mdp, result.policy)
-    w = exact_w(IDENT1, (1,))
-    assert w == max(values)
+    assert result.values == values
+    w = max(result.values)
     assert w == cons.params.t * 2 ** (cons.params.n + 1)
     assert bound_w(cons.params) >= w
 

@@ -13,6 +13,8 @@ from dantziglab.construction import (
 )
 from dantziglab.library import identity_circuit
 from dantziglab.lp import (
+    EquivalenceViolationError,
+    Lockstep,
     NoSinkError,
     SingularBasisError,
     basis_from_policy,
@@ -31,6 +33,7 @@ from dantziglab.mdp import (
     dantzig_step,
     evaluate_values,
     make_policy,
+    run_policy_iteration,
 )
 
 ONE = Fraction(1)
@@ -225,6 +228,45 @@ def test_divergence_raises_with_report():
         raise_on_divergence=False,
     )
     assert report.ok  # shared deterministic tie-break keeps them aligned
+
+
+def test_lockstep_flags_a_run_made_under_another_tie_rule():
+    # The run breaks the exact tie towards `high`, the lockstep towards `mid`.
+    m, sink, s, low, high = tiny_mdp()
+    mid = m.add_action(s, {sink: ONE}, 4)
+    policy = make_policy(m, [0, low])
+    lockstep = Lockstep(m, policy, sink, tie=TieBreak.highest(), raise_on_divergence=False)
+    result = run_policy_iteration(m, policy, tie=TieBreak.lowest(), budget=10, watchers=[lockstep])
+    assert result.trace[0].new_action == high
+    report = lockstep.finish(result)
+    assert report.ok is False
+    assert report.first_divergence == 0
+    first = report.iterations[0]
+    assert first["basis_match"] and first["dual_match"] and first["reduced_cost_match"]
+    assert first["same_entering"] is False and first["ok"] is False
+
+    strict = Lockstep(m, policy, sink, tie=TieBreak.highest())
+    with pytest.raises(EquivalenceViolationError) as raised:
+        run_policy_iteration(m, policy, tie=TieBreak.lowest(), budget=10, watchers=[strict])
+    assert raised.value.report.first_divergence == 0
+    assert raised.value.report.iterations == [first]
+
+
+def test_lockstep_computes_reduced_costs_once_per_pivot(monkeypatch):
+    import dantziglab.lp as lp_module
+
+    calls = []
+    original = lp_module.dual_and_reduced_costs
+    monkeypatch.setattr(
+        lp_module, "dual_and_reduced_costs", lambda *args: calls.append(1) or original(*args)
+    )
+    cons = build_clock(2)
+    report = check_pi_simplex_equivalence(
+        cons.mdp, clock_initial_policy(cons), cons.index.si(), budget=cons.budget()
+    )
+    assert report.ok and report.pivots == 3
+    assert len(calls) == report.pivots + 1  # one per pivot, plus the optimum's check
+    assert len(report.run.trace) == report.pivots
 
 
 def test_lockstep_with_seeded_ties():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dantziglab.circuit import iterate, negated_form, normalize_depths
+from dantziglab.circuit import decide_bitswitch, decide_circuitvalue, iterate, negated_form, normalize_depths
 from dantziglab.construction import (
     build_clock,
     build_construction,
@@ -13,8 +13,9 @@ from dantziglab.construction import (
     make_params,
 )
 from dantziglab.library import identity_circuit, rotation_circuit
-from dantziglab.mdp import evaluate_values
+from dantziglab.mdp import evaluate_values, run_policy_iteration
 from dantziglab.verify import (
+    ClockAuditor,
     ClockOracle,
     audit_appeal_catalog,
     check_all_transitions,
@@ -27,6 +28,7 @@ from dantziglab.verify import (
     clock_gray_policy,
     decode_input_bits,
     decode_phases,
+    decide_mdp,
     end_to_end,
     gray_code,
     least_significant_zero,
@@ -96,8 +98,11 @@ def test_orientation_resolution_is_down_on_one():
 
 def test_check_clock_trace_counts_and_appeals():
     cons = build_clock(3)
-    result = run_annotated(cons, clock_initial_policy(cons))
-    report = check_clock_trace(result, cons)
+    auditor = ClockAuditor(cons)
+    result = run_policy_iteration(
+        cons.mdp, clock_initial_policy(cons), budget=cons.budget(), watchers=[auditor]
+    )
+    report = check_clock_trace(result, auditor)
     assert report.ok
     appeals_seen = {ev.appeal for ev in result.trace}
     assert appeals_seen == {Fraction(1, 4), Fraction(3, 8), Fraction(5, 12)}
@@ -105,15 +110,21 @@ def test_check_clock_trace_counts_and_appeals():
 
 def test_check_clock_trace_n1():
     cons = build_clock(1)
-    result = run_annotated(cons, clock_initial_policy(cons))
+    auditor = ClockAuditor(cons)
+    result = run_policy_iteration(
+        cons.mdp, clock_initial_policy(cons), budget=cons.budget(), watchers=[auditor]
+    )
     assert len(result.trace) == 1
-    assert check_clock_trace(result, cons).ok
+    assert check_clock_trace(result, auditor).ok
 
 
 def test_printed_alpha_is_an_expected_fail():
     cons = build_clock(2, make_params(2, 0, alpha_mode="printed"))
-    result = run_annotated(cons, clock_initial_policy(cons))
-    report = check_clock_trace(result, cons)
+    auditor = ClockAuditor(cons)
+    result = run_policy_iteration(
+        cons.mdp, clock_initial_policy(cons), budget=cons.budget(), watchers=[auditor]
+    )
+    report = check_clock_trace(result, auditor)
     assert not report.ok
     assert report.expected_fail
     assert not report.details["band_ok"]
@@ -283,6 +294,17 @@ def test_end_to_end_w_bound_mode_agrees():
     exact = end_to_end(rotation_circuit(2), (1, 1), 2, w_mode="exact")
     bound = end_to_end(rotation_circuit(2), (1, 1), 2, w_mode="bound")
     assert exact.dantzig_sol == bound.dantzig_sol == exact.oracle_circuitvalue
+
+
+@pytest.mark.parametrize("circuit", [identity_circuit(2), rotation_circuit(2)], ids=["identity2", "rot2"])
+def test_decide_mdp_runs_only_what_it_reads_and_agrees(circuit):
+    bits = (1, 1)
+    assert decide_mdp(circuit, bits, 1, "actionswitch") == decide_bitswitch(circuit, bits, 1)
+    for w_mode in ("exact", "bound"):
+        verdict = decide_mdp(circuit, bits, 1, "dantzigsol", w_mode=w_mode)
+        assert verdict == decide_circuitvalue(circuit, bits, 1), w_mode
+    with pytest.raises(ValueError):
+        decide_mdp(circuit, (0, 1), 1, "actionswitch")
 
 
 def test_end_to_end_three_bit_instance_with_true_decision():
