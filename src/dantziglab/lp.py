@@ -12,13 +12,15 @@ to the appeals, so greedy largest-coefficient pivoting retraces greedy
 largest-appeal switching step for step.  ``Lockstep`` verifies that
 correspondence exactly, as a watcher on the policy-iteration run it is
 attached to: at every switch it compares its own basis, duals and reduced
-costs with the policy and values the run hands it, then makes its own
-pivot.  The LP side draws ties from its own generator and never evaluates
-a policy, so it stays independent of the engine it audits.
+costs with the policy, values and appeals the run hands it (the very
+appeals the run picks its switch from), then makes its own pivot.  The LP
+side draws ties from its own generator and never evaluates a policy or
+computes an appeal, so it stays independent of the engine it audits.
 
-The basis inverse is recomputed from scratch at every pivot.  That is
-deliberate: no product-form update, no chance of drift, and the instances
-are desk-scale.
+The basis inverse is recomputed from scratch at every pivot.  In exact
+``Fraction`` arithmetic a product-form update could not drift either; the
+rebuild is kept only because it is the least code, and the instances are
+desk-scale.  An exact update is the known way to make pivots cheaper.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .mdp import Mdp, PIResult, Policy, TieBreak, TraceEvent, Watcher, appeals, run_policy_iteration
+from .mdp import Mdp, PIResult, Policy, TieBreak, TraceEvent, Watcher, run_policy_iteration
 # The LP side never evaluates a policy.  The alias stays importable only
 # because the benchmark's tracer test (perfbench/test_harness.py) restores
 # it by name; it goes when that test is mended.
@@ -281,16 +283,15 @@ class Lockstep:
     At each switch, and once more at the final policy (``finish``), it
     compares exactly: the basis equals the policy's chosen columns, the
     dual solution equals the state values, every reduced cost equals the
-    corresponding appeal, and the pivot enters the switched-in action,
-    drops the switched-out one and has the switch's appeal as its reduced
-    cost (at the final policy: no pivot at all).  Once the two sides
-    cannot both move on, the lockstep stops comparing.
+    appeal the run computed for that action, and the pivot enters the
+    switched-in action, drops the switched-out one and has the switch's
+    appeal as its reduced cost (at the final policy: no pivot at all).
+    Once the two sides cannot both move on, the lockstep stops comparing.
     """
 
     def __init__(
         self, mdp: Mdp, policy: Policy, sink: int, *, tie: TieBreak | None = None, raise_on_divergence: bool = True
     ):
-        self.mdp = mdp
         self.lp = mdp_to_primal(mdp, sink)
         self.basis = basis_from_policy(self.lp, policy)
         self.tie = tie if tie is not None else TieBreak.lowest()
@@ -300,17 +301,18 @@ class Lockstep:
         self.stopped = False
 
     def finish(self, result: PIResult) -> EquivalenceReport:
-        self(None, result.policy, result.values)
+        self(None, result.policy, result.values, result.appeals)
         return self.report
 
-    def __call__(self, event: TraceEvent | None, policy: Policy, values: Sequence[Fraction]) -> None:
+    def __call__(
+        self, event: TraceEvent | None, policy: Policy, values: Sequence[Fraction], gains: Sequence[Fraction]
+    ) -> None:
         """Compare at one switch, or at the final policy when ``event`` is None."""
         if self.stopped:
             return
         lp, basis, report = self.lp, self.basis, self.report
         iteration = len(report.iterations)
         y, reduced = dual_and_reduced_costs(lp, basis)
-        gains = appeals(self.mdp, policy, values)
         entry: dict = {
             "iteration": iteration,
             "basis_match": basis.action_ids() == frozenset(policy.choice[s] for s in lp.rows),

@@ -219,14 +219,17 @@ def _sccs(succ: list[list[int]]) -> list[list[int]]:
 
 
 def _chain_structure(mdp: Mdp, policy: Policy) -> tuple[list[int], list[list[int]]]:
-    """Absorbing states of the policy chain; errors on any other recurrent class.
+    """Absorbing states and SCCs of the policy chain; errors on any other recurrent class.
 
-    Returns (absorbing, successors).  A recurrent class here is an SCC of
-    the policy graph with no outgoing edge.
+    Returns (absorbing, sccs).  A recurrent class here is an SCC of the
+    policy graph with no outgoing edge.  Tarjan emits the SCCs in reverse
+    topological order: each component comes after every component it
+    reaches.
     """
     succ = _successors(mdp, policy)
+    sccs = _sccs(succ)
     absorbing: list[int] = []
-    for comp in _sccs(succ):
+    for comp in sccs:
         members = set(comp)
         closed = all(t in members for v in comp for t in succ[v])
         if not closed:
@@ -235,59 +238,32 @@ def _chain_structure(mdp: Mdp, policy: Policy) -> tuple[list[int], list[list[int
             names = [mdp.state_names[v] for v in comp]
             raise UnsupportedChainStructureError(f"recurrent class with {len(comp)} states: {names}")
         absorbing.append(comp[0])
-    return absorbing, succ
+    return absorbing, sccs
 
 
 def _pinned_expectation(
     mdp: Mdp,
     policy: Policy,
-    absorbing: list[int],
-    succ: list[list[int]],
+    sccs: list[list[int]],
     pinned: dict[int, Fraction],
     step_reward: Callable[[int], Fraction],
 ) -> list[Fraction]:
-    """Solve v(s) = step_reward(s) + sum p(s'|s) v(s') with absorbing states pinned.
+    """Solve v(s) = step_reward(s) + sum p(s'|s) v(s') with the absorbing states pinned.
 
-    Uses back-substitution along the topological order of the policy graph
-    when it is acyclic apart from self-loops (the common case here, where a
-    self-loop arises only as a detour's return mass); otherwise assembles
-    and solves the transient linear system exactly.
+    ``sccs`` are the policy graph's components in reverse topological
+    order, as ``_chain_structure`` finds them.  When every component is a
+    single state (the graph is acyclic apart from self-loops, which arise
+    here only as a detour's return mass), the values follow by
+    back-substitution along that order; otherwise the transient linear
+    system is assembled and solved exactly.
     """
     n = mdp.num_states
     values: list[Fraction | None] = [None] * n
     for s, v in pinned.items():
         values[s] = v
 
-    is_absorbing = [False] * n
-    for s in absorbing:
-        is_absorbing[s] = True
-    transient = [s for s in range(n) if not is_absorbing[s]]
-
-    # Cycle test ignoring self-loops: any non-singleton SCC forces the dense path.
-    loop_free = all(
-        len(comp) == 1 for comp in _sccs([[t for t in succ[s] if t != s] for s in range(n)])
-    )
-    if loop_free:
-        order: list[int] = []
-        seen = [False] * n
-        for root in range(n):
-            if seen[root]:
-                continue
-            stack = [(root, iter([t for t in succ[root] if t != root]))]
-            seen[root] = True
-            while stack:
-                v, it = stack[-1]
-                pushed = False
-                for w in it:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append((w, iter([t for t in succ[w] if t != w])))
-                        pushed = True
-                        break
-                if not pushed:
-                    order.append(v)
-                    stack.pop()
-        for s in order:
+    if all(len(comp) == 1 for comp in sccs):
+        for (s,) in sccs:
             if values[s] is not None:
                 continue
             act = mdp.actions[policy.choice[s]]
@@ -298,8 +274,9 @@ def _pinned_expectation(
                     continue
                 acc += p * values[t]  # type: ignore[operator]
             values[s] = acc / (1 - self_mass)
-        return [v if v is not None else ZERO for v in values]
+        return values  # type: ignore[return-value]
 
+    transient = [s for s in range(n) if s not in pinned]
     idx = {s: i for i, s in enumerate(transient)}
     m = len(transient)
     entries = [ZERO] * (m * m)
@@ -318,7 +295,7 @@ def _pinned_expectation(
     solution = solve_linear_system(Matrix(m, m, entries), rhs)
     for s, i in idx.items():
         values[s] = solution[i]
-    return [v if v is not None else ZERO for v in values]
+    return values  # type: ignore[return-value]
 
 
 def evaluate_values(mdp: Mdp, policy: Policy) -> list[Fraction]:
@@ -327,25 +304,23 @@ def evaluate_values(mdp: Mdp, policy: Policy) -> list[Fraction]:
     Requires every recurrent class to be a single absorbing zero-reward
     state; those states are pinned to value 0.
     """
-    absorbing, succ = _find_absorbing_or_raise(mdp, policy, require_zero_reward=True)
+    absorbing, sccs = _find_absorbing_or_raise(mdp, policy, require_zero_reward=True)
     pinned = {s: ZERO for s in absorbing}
-    return _pinned_expectation(
-        mdp, policy, absorbing, succ, pinned, lambda s: mdp.actions[policy.choice[s]].reward
-    )
+    return _pinned_expectation(mdp, policy, sccs, pinned, lambda s: mdp.actions[policy.choice[s]].reward)
 
 
 def evaluate_gain(mdp: Mdp, policy: Policy) -> list[Fraction]:
     """Expected average reward per state: the absorbed self-loop reward, in expectation."""
-    absorbing, succ = _find_absorbing_or_raise(mdp, policy, require_zero_reward=False)
+    absorbing, sccs = _find_absorbing_or_raise(mdp, policy, require_zero_reward=False)
     pinned = {s: mdp.actions[policy.choice[s]].reward for s in absorbing}
-    return _pinned_expectation(mdp, policy, absorbing, succ, pinned, lambda s: ZERO)
+    return _pinned_expectation(mdp, policy, sccs, pinned, lambda s: ZERO)
 
 
 def _find_absorbing_or_raise(
     mdp: Mdp, policy: Policy, *, require_zero_reward: bool
 ) -> tuple[list[int], list[list[int]]]:
     try:
-        absorbing, succ = _chain_structure(mdp, policy)
+        absorbing, sccs = _chain_structure(mdp, policy)
     except UnsupportedChainStructureError:
         if require_zero_reward:
             raise NonZeroGainPolicyError("recurrent class with more than one state")
@@ -357,7 +332,7 @@ def _find_absorbing_or_raise(
                 raise NonZeroGainPolicyError(
                     f"absorbing state {mdp.state_names[s]} loops with reward {reward}"
                 )
-    return absorbing, succ
+    return absorbing, sccs
 
 
 def appeals(mdp: Mdp, policy: Policy, values: Sequence[Fraction]) -> list[Fraction]:
@@ -442,7 +417,9 @@ class TraceEvent:
     annotations: dict = field(default_factory=dict)
 
 
-Watcher = Callable[[TraceEvent, Policy, Sequence[Fraction]], None]
+# Sees each switch of a run as (event, policy before the switch, that
+# policy's values, its appeals): the very numbers the run picked it from.
+Watcher = Callable[[TraceEvent, Policy, Sequence[Fraction], Sequence[Fraction]], None]
 
 
 def dantzig_step(
@@ -450,14 +427,17 @@ def dantzig_step(
     policy: Policy,
     tie: TieBreak,
     rng: random.Random | None = None,
-    values: Sequence[Fraction] | None = None,
+    gains: Sequence[Fraction] | None = None,
 ) -> tuple[Policy, TraceEvent] | None:
-    """One greedy switch: the action of maximal positive appeal, or None at optimum."""
-    if values is None:
-        values = evaluate_values(mdp, policy)
+    """One greedy switch: the action of maximal positive appeal, or None at optimum.
+
+    ``gains`` may carry the policy's appeals when the caller has already
+    computed them.
+    """
+    if gains is None:
+        gains = appeals(mdp, policy, evaluate_values(mdp, policy))
     if rng is None:
         rng = tie.make_rng()
-    gains = appeals(mdp, policy, values)
     best: Fraction | None = None
     candidates: list[tuple[int, int]] = []
     for aid, appeal in enumerate(gains):
@@ -483,15 +463,27 @@ class PIResult:
     iterations: int
     optimal: bool
     values: list[Fraction]  # of the final policy
+    appeals: list[Fraction]  # of the final policy
 
     def policies(self) -> list[Policy]:
         """Replay the trace: the policy before each switch, plus the final one."""
-        seq = [self.initial]
-        cur = self.initial
-        for ev in self.trace:
-            cur = cur.with_switch(ev.state, ev.new_action)
-            seq.append(cur)
-        return seq
+        return self.policies_at(range(len(self.trace) + 1))
+
+    def policies_at(self, positions: Sequence[int]) -> list[Policy]:
+        """The policy before switch k for each position k, in the order given.
+
+        One replay of the trace that keeps only the requested positions;
+        position ``len(trace)`` is the final policy.
+        """
+        wanted = set(positions)
+        taken: dict[int, Policy] = {}
+        choice = list(self.initial.choice)
+        for k, ev in enumerate(self.trace):
+            if k in wanted:
+                taken[k] = Policy(tuple(choice))
+            choice[ev.state] = ev.new_action
+        taken[len(self.trace)] = Policy(tuple(choice))
+        return [taken[k] for k in positions]
 
     def used_action(self, aid: int) -> bool:
         return any(ev.new_action == aid for ev in self.trace)
@@ -512,9 +504,10 @@ def run_policy_iteration(
 ) -> PIResult:
     """Greedy single-switch policy iteration to optimality, with a full trace.
 
-    This is the only loop that evaluates policies.  Each watcher sees every
-    switch as (event, policy before the switch, that policy's values); the
-    final policy and its values come back on the result.
+    This is the only loop that evaluates policies, and it computes each
+    policy's values and appeals once.  Each watcher sees every switch as
+    (event, policy before the switch, that policy's values, its appeals);
+    the final policy, its values and its appeals come back on the result.
     """
     if budget <= 0:
         raise MdpError("iteration budget must be positive")
@@ -527,15 +520,16 @@ def run_policy_iteration(
     iteration = 0
     while True:
         values = evaluate_values(mdp, policy)
-        step = dantzig_step(mdp, policy, tie, rng, values)
+        gains = appeals(mdp, policy, values)
+        step = dantzig_step(mdp, policy, tie, rng, gains)
         if step is None:
-            return PIResult(initial, policy, trace, iteration, True, values)
+            return PIResult(initial, policy, trace, iteration, True, values, gains)
         if iteration >= budget:
             raise IterationBudgetExceededError(f"no optimum within {budget} switches")
         new_policy, event = step
         event.iteration = iteration
         for watch in watchers:
-            watch(event, policy, values)
+            watch(event, policy, values, gains)
         trace.append(event)
         policy = new_policy
         iteration += 1

@@ -197,8 +197,8 @@ class ClockAuditor:
 
     At every switch it checks the policy the run hands it against the
     Gray-code sequence, that policy's values against the value formulas,
-    and the switch itself; ``check_clock_trace`` checks the final policy
-    and writes the report.
+    and the switch itself (the appeals it is handed go unread);
+    ``check_clock_trace`` checks the final policy and writes the report.
     """
 
     def __init__(self, construction: Construction):
@@ -209,7 +209,9 @@ class ClockAuditor:
         self.switch_failures: list[str] = []
         self.band_failures: list[str] = []
 
-    def __call__(self, event: TraceEvent, policy: Policy, values: Sequence[Fraction]) -> None:
+    def __call__(
+        self, event: TraceEvent, policy: Policy, values: Sequence[Fraction], gains: Sequence[Fraction]
+    ) -> None:
         j = event.iteration
         self.check_policy(j, policy, values)
         info = self.construction.index.state_info[event.state]
@@ -305,7 +307,9 @@ class TraceAnnotator:
     def __init__(self, construction: Construction):
         self.construction = construction
 
-    def __call__(self, event: TraceEvent, policy: Policy, values: Sequence[Fraction]) -> None:
+    def __call__(
+        self, event: TraceEvent, policy: Policy, values: Sequence[Fraction], gains: Sequence[Fraction]
+    ) -> None:
         phase = phase_from_values(self.construction, values)
         event.annotations["phase"] = phase
         role, extra = classify_event(self.construction, event, phase)
@@ -600,7 +604,7 @@ def check_final(construction: Construction, policy: Policy, phase: int) -> dict[
 STAGE_ORDER = ("s1", "s2", "s3a", "s3b", "s4a", "s4b", "s4c")
 
 
-def _segments(result: PIResult, construction: Construction) -> list[tuple[int, int]]:
+def _segments(result: PIResult) -> list[tuple[int, int]]:
     """Half-open trace ranges, one per phase of work, split at clock switches."""
     bounds = []
     start = 0
@@ -626,16 +630,16 @@ def check_phase_transition(result: PIResult, construction: Construction, boundar
     """
     circuit = construction.circuit
     assert circuit is not None
-    segments = _segments(result, construction)
+    segments = _segments(result)
     if boundary < 1 or boundary > len(segments) - 1:
         raise ValueError(f"no phase boundary {boundary} in this trace")
     start, end = segments[boundary - 1]
-    segment = list(enumerate(result.trace))[start:end]
-    policies = result.policies()
+    segment = [(pos, result.trace[pos]) for pos in range(start, end)]
+    before, after = result.policies_at([start, end])
     failures: list[str] = []
 
     phase = result.trace[start].annotations["phase"] if start < len(result.trace) else 0
-    bits_held = decode_input_bits(construction, policies[start], phase)
+    bits_held = decode_input_bits(construction, before, phase)
     next_bits = _apply_negated(circuit, bits_held)
 
     positions: dict[str, list[int]] = {}
@@ -684,7 +688,6 @@ def check_phase_transition(result: PIResult, construction: Construction, boundar
             if info.kind == "o" and circuit.gate(info.gate).kind == KIND_INPUT and info.copy == 1 - phase:
                 failures.append(f"holding state o{1 - phase}_{info.gate} switched during the hand-over")
 
-    after = policies[end]
     new_phase = 1 - phase
     coherent = check_coherent(construction, after, new_phase)
     if not coherent.ok:
@@ -728,7 +731,7 @@ def _apply_negated(circuit: Circuit, bits: Sequence[int]) -> BitString:
 
 def check_all_transitions(result: PIResult, construction: Construction) -> Report:
     reports = []
-    boundaries = len(_segments(result, construction)) - 1
+    boundaries = len(_segments(result)) - 1
     for b in range(1, boundaries + 1):
         reports.append(check_phase_transition(result, construction, b))
     failures = [f"boundary {r.details['boundary']}: {msg}" for r in reports for msg in r.failures]
@@ -768,18 +771,15 @@ def decode_phases(result: PIResult, construction: Construction, b_init: Sequence
     iterate is fully delivered, just before end-game cleanup re-homes it).
     """
     index = construction.index
-    policies = result.policies()
+    clocks = [pos for pos, ev in enumerate(result.trace) if ev.annotations.get("role") == "clock"]
+    tail = range(clocks[-1] + 1 if clocks else 0, len(result.trace) + 1)
+    policies = result.policies_at([pos + 1 for pos in clocks] + list(tail))
     decoded: list[BitString] = [tuple(b_init)]
-    clock_seen = 0
-    last_clock_pos = -1
-    for pos, ev in enumerate(result.trace):
-        if ev.annotations.get("role") == "clock":
-            clock_seen += 1
-            last_clock_pos = pos
-            decoded.append(decode_input_bits(construction, policies[pos + 1], clock_seen % 2))
+    for k, policy in enumerate(policies[: len(clocks)], start=1):
+        decoded.append(decode_input_bits(construction, policy, k % 2))
     assert construction.circuit is not None
     c0 = index.c(0)
-    for policy in policies[last_clock_pos + 1 :]:
+    for policy in policies[len(clocks) :]:
         settled = all(
             _chooses(construction, policy, index.l(0, i), c0)
             and _chooses(construction, policy, index.r(0, i), c0)

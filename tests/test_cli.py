@@ -198,20 +198,39 @@ def _patch_everywhere(monkeypatch, original, replacement):
 
 def test_verify_all_evaluates_each_policy_once(tmp_path, monkeypatch):
     evaluated = []
-    original = mdp.evaluate_values
+    appealed = []
+    original_values, original_appeals = mdp.evaluate_values, mdp.appeals
 
-    def counting(m, policy):
+    def counting_values(m, policy):
         evaluated.append(policy)
-        return original(m, policy)
+        return original_values(m, policy)
 
-    _patch_everywhere(monkeypatch, original, counting)
+    def counting_appeals(m, policy, values):
+        appealed.append(policy)
+        return original_appeals(m, policy, values)
+
+    _patch_everywhere(monkeypatch, original_values, counting_values)
+    _patch_everywhere(monkeypatch, original_appeals, counting_appeals)
     out = str(tmp_path / "ver")
     assert run_cli("verify", "--builtin", "clock:n=3", "--which", "all", "--out", out) == 0
     report = json.loads(read(os.path.join(out, "report.json")))
     assert [r["name"] for r in report["reports"]] == ["clock", "equivalence"]
     # One evaluation per policy of the 7-switch run, plus one to fix the
-    # Gray-code orientation.
+    # Gray-code orientation; one appeal pass per policy, which the engine
+    # and the lockstep share.
     assert len(evaluated) == 8 + 1
+    assert len(appealed) == 8
+
+
+def test_verify_all_never_builds_the_full_policy_list(tmp_path, monkeypatch):
+    def forbidden(self):
+        raise AssertionError("the audits replay only the policies they read")
+
+    monkeypatch.setattr(mdp.PIResult, "policies", forbidden)
+    out = str(tmp_path / "ver")
+    assert run_cli("verify", "--builtin", "identity1", "--bits", "1", "--which", "all", "--out", out) == 0
+    report = json.loads(read(os.path.join(out, "report.json")))
+    assert [r["name"] for r in report["reports"]] == ["catalog", "transitions", "equivalence"]
 
 
 def test_decide_actionswitch_builds_no_decision_variant(tmp_path, monkeypatch):

@@ -197,9 +197,25 @@ def test_exact_w_is_the_top_state_value():
     result = run_policy_iteration(cons.mdp, policy, budget=cons.budget())
     values = evaluate_values(cons.mdp, result.policy)
     assert result.values == values
+    assert result.appeals == appeals(cons.mdp, result.policy, values)
     w = max(result.values)
     assert w == cons.params.t * 2 ** (cons.params.n + 1)
     assert bound_w(cons.params) >= w
+
+
+def test_watchers_are_handed_the_values_and_appeals_of_their_policy():
+    cons = build_construction(IDENT1)
+    seen = []
+
+    def watch(event, policy, values, gains):
+        fresh = evaluate_values(cons.mdp, policy)
+        assert values == fresh
+        assert gains == appeals(cons.mdp, policy, fresh)
+        assert gains[event.new_action] == event.appeal == max(gains)
+        seen.append(event.iteration)
+
+    result = run_policy_iteration(cons.mdp, initial_policy(cons, (1,)), budget=cons.budget(), watchers=[watch])
+    assert seen == list(range(result.iterations)) and result.iterations > 0
 
 
 def test_detour_denominators_positive():

@@ -5,7 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dantziglab import mdp as mdp_module
 from dantziglab.mdp import (
     BadProbabilityError,
     IterationBudgetExceededError,
@@ -13,6 +15,8 @@ from dantziglab.mdp import (
     NonZeroGainPolicyError,
     TieBreak,
     UnsupportedChainStructureError,
+    _sccs,
+    _successors,
     add_gadget,
     appeals,
     dantzig_step,
@@ -204,6 +208,71 @@ def test_values_satisfy_the_value_equation_by_substitution():
             act = m.action(policy.choice[state])
             lookahead = act.reward + sum(p * values[tgt] for tgt, p in act.transitions.items())
             assert values[state] == lookahead
+
+
+@st.composite
+def policy_graphs(draw):
+    """A one-action-per-state MDP whose state ids are shuffled against its topological order.
+
+    Transient state k of the order moves to sinks and earlier transient
+    states, with an optional self-loop of mass below 1.  A drawn cycle adds
+    one edge back up the order between two transient states; the lower one
+    still exits, so the cycle stays transient.  Returns (mdp, policy, cyclic).
+    """
+    n_sinks = draw(st.integers(1, 2))
+    n_transient = draw(st.integers(1, 7))
+    ids = draw(st.permutations(range(n_sinks + n_transient)))
+    sinks, order = ids[:n_sinks], ids[n_sinks:]
+    weights = st.integers(1, 4)
+    edges: list[dict[int, int]] = []
+    for k, s in enumerate(order):
+        below = st.sampled_from([*sinks, *order[:k]])
+        edges.append({t: draw(weights) for t in draw(st.lists(below, min_size=1, max_size=3, unique=True))})
+        if draw(st.booleans()):
+            edges[k][s] = draw(weights)
+    cyclic = n_transient >= 2 and draw(st.booleans())
+    if cyclic:
+        lo, hi = sorted(draw(st.lists(st.integers(0, n_transient - 1), min_size=2, max_size=2, unique=True)))
+        edges[hi].setdefault(order[lo], draw(weights))
+        edges[lo][order[hi]] = draw(weights)
+    actions = {s: ({s: ONE}, 0) for s in sinks}
+    for s, out in zip(order, edges):
+        total = sum(out.values())
+        actions[s] = ({t: Fraction(w, total) for t, w in out.items()}, draw(st.integers(-5, 5)))
+    m = Mdp()
+    for s in range(len(ids)):
+        m.add_state()
+    for s in range(len(ids)):
+        m.add_action(s, *actions[s])
+    return m, make_policy(m, list(range(len(ids)))), cyclic
+
+
+@settings(max_examples=200, deadline=None)
+@given(policy_graphs())
+def test_evaluation_solves_the_value_equation_on_shuffled_graphs(graph):
+    m, policy, cyclic = graph
+    # Cyclic graphs take the dense solve, the others back-substitution.
+    assert cyclic == any(len(comp) > 1 for comp in _sccs(_successors(m, policy)))
+    values = evaluate_values(m, policy)
+    for state in range(m.num_states):
+        act = m.action(policy.choice[state])
+        assert values[state] == act.reward + sum(p * values[t] for t, p in act.transitions.items())
+    assert evaluate_gain(m, policy) == [0] * m.num_states
+
+
+def test_evaluation_makes_one_scc_pass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(mdp_module, "_sccs", lambda succ: calls.append(1) or _sccs(succ))
+    m, sink = sink_mdp()
+    u = m.add_state("u")
+    v = m.add_state("v")
+    m.add_action(u, {v: Fraction(1, 3), u: Fraction(2, 3)}, 1)
+    m.add_action(v, {sink: ONE}, 2)
+    m.add_action(v, {u: Fraction(1, 2), sink: Fraction(1, 2)}, 1)
+    for picks in ([0, 1, 2], [0, 1, 3]):  # back-substitution, then the dense solve
+        calls.clear()
+        evaluate_values(m, make_policy(m, picks))
+        assert len(calls) == 1
 
 
 def two_action_mdp(r_good=1, r_bad=0):

@@ -257,6 +257,21 @@ def test_catalog_flags_corrupted_appeal(rot2_run):
     assert not report.ok
 
 
+def test_policies_at_replays_the_requested_positions(rot2_run):
+    _, _, result = rot2_run
+    policies = result.policies()
+    last = len(result.trace)
+    assert len(policies) == last + 1
+    positions = [last, 17, 0, 17, last - 1, 3, last]
+    assert result.policies_at(positions) == [policies[k] for k in positions]
+    assert result.policies_at([]) == []
+    assert result.policies_at([last]) == [result.policy]
+    with pytest.raises(KeyError):
+        result.policies_at([last + 1])
+    with pytest.raises(KeyError):
+        result.policies_at([-1])
+
+
 def test_decode_phases_follows_iteration(rot2_run):
     cons, _, result = rot2_run
     phases = decode_phases(result, cons, (1, 1))
