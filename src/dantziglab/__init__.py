@@ -65,8 +65,6 @@ from .verify import (
     check_coherent,
     check_final,
     check_phase_transition,
-    clock_expected_values,
-    decide_mdp,
     end_to_end,
     gray_code,
     run_annotated,

@@ -45,7 +45,7 @@ from .verify import (
     audit_appeal_catalog,
     check_all_transitions,
     check_clock_trace,
-    decide_mdp,
+    end_to_end,
     run_annotated,
 )
 from .circuit import decide_bitswitch, decide_circuitvalue
@@ -85,8 +85,7 @@ class RunConfig:
 class Instance:
     kind: str  # "clock" | "circuit"
     n: int
-    circuit: Circuit | None = None
-    circuit_raw: Circuit | None = None  # before normalize/negate (the function itself)
+    circuit: Circuit | None = None  # as loaded: the iterated function itself
     bits: tuple[int, ...] | None = None
     z: int | None = None
     label: str = ""
@@ -146,7 +145,6 @@ def _load_instance(args: argparse.Namespace) -> Instance:
         raw, start, cell = compile_machine(machine, tape, args.space)
         bits = start
         z = cell
-    circuit = negated_form(normalize_depths(raw))
     if bits is not None and len(bits) != raw.n:
         raise InputError(f"instance has {raw.n} bits, got start string of length {len(bits)}")
     if z is not None and not 1 <= z <= raw.n:
@@ -154,8 +152,7 @@ def _load_instance(args: argparse.Namespace) -> Instance:
     return Instance(
         "circuit",
         raw.n,
-        circuit=circuit,
-        circuit_raw=raw,
+        circuit=raw,
         bits=bits,
         z=z,
         label=args.builtin or args.circuit or args.tm,
@@ -166,7 +163,7 @@ def _build(instance: Instance, config: RunConfig) -> Construction:
     if instance.kind == "clock":
         return build_clock(instance.n, make_params(instance.n, 0, alpha_mode=config.alpha_mode))
     assert instance.circuit is not None
-    return build_construction(instance.circuit, **config.overrides())
+    return build_construction(negated_form(normalize_depths(instance.circuit)), **config.overrides())
 
 
 def _start_policy(cons: Construction, instance: Instance):
@@ -301,39 +298,30 @@ def cmd_decide(args: argparse.Namespace) -> int:
         raise InputError("decision problems need a circuit or machine instance")
     if instance.bits is None or instance.z is None:
         raise InputError("decision problems need --bits and --z (or a --tm instance)")
-    raw = instance.circuit_raw
-    assert raw is not None and instance.circuit is not None
+    circuit = instance.circuit
+    assert circuit is not None
     bits, z = instance.bits, instance.z
 
     problem = args.problem
     if problem == "bitswitch":
-        verdict = decide_bitswitch(raw, bits, z)
+        verdict = decide_bitswitch(circuit, bits, z)
         print(f"bitswitch: {str(verdict).lower()}")
         return EXIT_OK if verdict else EXIT_FALSE
     if problem == "circuitvalue":
-        verdict = decide_circuitvalue(raw, bits, z)
+        verdict = decide_circuitvalue(circuit, bits, z)
         print(f"circuitvalue: {str(verdict).lower()}")
         return EXIT_OK if verdict else EXIT_FALSE
 
-    if bits[z - 1] != 1:
-        raise InputError("the MDP-side problems need bit z of the start string set")
-    if 2**raw.n > 64 and config.budget is None:
+    report = end_to_end(
+        circuit, bits, z, tie=config.tie, w_mode=config.w_mode, budget=config.budget, **config.overrides()
+    )
+    if 2**circuit.n > 64 and config.budget is None:
         raise InputError(
-            f"{raw.n}-bit instance means 2^{raw.n} phases; that is beyond desk scale "
+            f"{circuit.n}-bit instance means 2^{circuit.n} phases; that is beyond desk scale "
             "for the MDP-side problems (set --budget explicitly to force it, or use "
             "the bitswitch/circuitvalue oracles)"
         )
-    verdict = decide_mdp(
-        raw,
-        bits,
-        z,
-        problem,
-        tie=config.tie,
-        w_mode=config.w_mode,
-        budget=config.budget,
-        **config.overrides(),
-    )
-    oracle = (decide_bitswitch if problem == "actionswitch" else decide_circuitvalue)(raw, bits, z)
+    verdict, oracle = report.verdict(problem)
     agree = "agrees with" if verdict == oracle else "DISAGREES with"
     print(f"{problem}: {str(verdict).lower()} ({agree} the circuit oracle: {str(oracle).lower()})")
     if verdict != oracle:

@@ -535,21 +535,15 @@ def run_policy_iteration(
         iteration += 1
 
 
-def decide_action_switch(
-    mdp: Mdp, policy: Policy, action: int, *, tie: TieBreak | None = None, budget: int
-) -> bool:
-    """Does the greedy rule, started here, ever switch the given action in?"""
-    if policy.choice[mdp.actions[action].state] == action:
+def decide_action_switch(mdp: Mdp, result: PIResult, action: int) -> bool:
+    """Does the greedy run handed here ever switch the given action in?"""
+    if result.initial.choice[mdp.actions[action].state] == action:
         raise MdpError("starting policy already uses the queried action")
-    result = run_policy_iteration(mdp, policy, tie=tie, budget=budget)
     return result.used_action(action)
 
 
-def decide_dantzig_mdp_sol(
-    mdp: Mdp, policy: Policy, action: int, *, tie: TieBreak | None = None, budget: int
-) -> bool:
-    """Does the optimal policy the greedy rule lands on use the given action?"""
-    result = run_policy_iteration(mdp, policy, tie=tie, budget=budget)
+def decide_dantzig_mdp_sol(mdp: Mdp, result: PIResult, action: int) -> bool:
+    """Does the optimal policy the greedy run landed on use the given action?"""
     return result.policy.choice[mdp.actions[action].state] == action
 
 

@@ -14,21 +14,24 @@ expected behaviour by an independent route and compares:
   values, and finality (no appeal above 7/2 anywhere in a finished gate);
 * a phase-transition auditor asserting the scripted event classes complete
   in order across each clock tick and hand over a clean start policy;
-* the MDP-side decisions, running only the reductions each one reads, and
-  an end-to-end harness comparing the machine's verdicts and its decoded
-  per-phase bit-strings against direct circuit iteration.
+* the reduction report of a circuit-iteration instance, the one path to
+  the MDP-side verdicts: it builds and runs each reduction at most once,
+  on first read, and compares the verdicts and the decoded per-phase
+  bit-strings against direct circuit iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .circuit import BitString, Circuit, KIND_INPUT, decide_bitswitch, decide_circuitvalue, evaluate
 from .circuit import negated_form, normalize_depths
 from .construction import (
     Construction,
+    ConstructionError,
     bound_w,
     build_construction,
     build_construction_z,
@@ -41,6 +44,8 @@ from .mdp import (
     TieBreak,
     TraceEvent,
     appeals as action_appeals,
+    decide_action_switch,
+    decide_dantzig_mdp_sol,
     evaluate_values,
     make_policy,
     run_policy_iteration,
@@ -148,11 +153,10 @@ class ClockOracle:
         return vals
 
 
-def clock_gray_policy(construction: Construction, j: int, orientation: str) -> Policy:
-    """The clock policy the oracle predicts at step j, under an orientation.
+def clock_gray_policy(construction: Construction, j: int) -> Policy:
+    """The clock policy the oracle predicts at step j.
 
-    ``down-on-one`` sends state i to i' when its Gray bit is 1;
-    ``right-on-one`` is the opposite reading.
+    State i goes down to i' when its Gray bit is 1, and right to i-1 otherwise.
     """
     n = construction.params.n
     word = gray_code(n, j)
@@ -160,36 +164,9 @@ def clock_gray_policy(construction: Construction, j: int, orientation: str) -> P
     mdp = construction.mdp
     picks = [mdp.state_actions[s][0] for s in range(mdp.num_states)]
     for i in range(1, n + 1):
-        down = word[i - 1] == 1 if orientation == "down-on-one" else word[i - 1] == 0
-        target = f"{i}'" if down else str(i - 1)
+        target = f"{i}'" if word[i - 1] == 1 else str(i - 1)
         picks[index.clock(i)] = index.action(f"{i}~>{target}")
     return make_policy(mdp, picks)
-
-
-def resolve_gray_orientation(construction: Construction) -> str:
-    """Pick the Gray-bit-to-policy reading that reproduces the value formulas.
-
-    The two candidate readings disagree everywhere except at full
-    agreement of the word with its complement, so comparing exact values
-    at step 1 settles it.
-    """
-    oracle = ClockOracle(construction.params.n)
-    t = construction.params.t
-    expected = oracle.values(1)
-    for orientation in ("down-on-one", "right-on-one"):
-        policy = clock_gray_policy(construction, 1, orientation)
-        values = evaluate_values(construction.mdp, policy)
-        if all(
-            values[construction.index.state(name)] == t * scaled
-            for name, scaled in expected.items()
-        ):
-            return orientation
-    raise AssertionError("neither Gray-code orientation matches the clock values")
-
-
-def clock_expected_values(n: int, j: int) -> dict[str, Fraction]:
-    """Scaled clock values at step j (divide actual values by the phase gap)."""
-    return ClockOracle(n).values(j)
 
 
 class ClockAuditor:
@@ -204,7 +181,6 @@ class ClockAuditor:
     def __init__(self, construction: Construction):
         self.construction = construction
         self.oracle = ClockOracle(construction.params.n)
-        self.orientation = resolve_gray_orientation(construction)
         self.policy_failures: list[str] = []
         self.switch_failures: list[str] = []
         self.band_failures: list[str] = []
@@ -235,7 +211,7 @@ class ClockAuditor:
         n = cons.params.n
         if j >= 2**n:
             return
-        expected_policy = clock_gray_policy(cons, j, self.orientation)
+        expected_policy = clock_gray_policy(cons, j)
         for i in range(1, n + 1):
             sid = cons.index.clock(i)
             if policy.choice[sid] != expected_policy.choice[sid]:
@@ -267,7 +243,7 @@ def check_clock_trace(result: PIResult, auditor: ClockAuditor) -> Report:
         not failures and not band_failures,
         failures + band_failures,
         {
-            "orientation": auditor.orientation,
+            "orientation": "down-on-one",
             "iterations": switches,
             "alpha_mode": params.alpha_mode,
             "band_ok": not band_failures,
@@ -616,6 +592,14 @@ def _segments(result: PIResult) -> list[tuple[int, int]]:
     return bounds
 
 
+def _boundary_policies(
+    result: PIResult, segments: list[tuple[int, int]], boundaries: Sequence[int]
+) -> list[tuple[Policy, Policy]]:
+    """The policies that open and close the phase ending at each boundary, from one replay."""
+    policies = result.policies_at([pos for b in boundaries for pos in segments[b - 1]])
+    return list(zip(policies[::2], policies[1::2]))
+
+
 def check_phase_transition(result: PIResult, construction: Construction, boundary: int) -> Report:
     """Audit the scripted hand-over that ends the ``boundary``-th phase.
 
@@ -628,14 +612,26 @@ def check_phase_transition(result: PIResult, construction: Construction, boundar
     interleaving *within* the final three classes is reported, not
     asserted.
     """
-    circuit = construction.circuit
-    assert circuit is not None
     segments = _segments(result)
     if boundary < 1 or boundary > len(segments) - 1:
         raise ValueError(f"no phase boundary {boundary} in this trace")
-    start, end = segments[boundary - 1]
+    (policies,) = _boundary_policies(result, segments, [boundary])
+    return _transition_report(result, construction, boundary, segments[boundary - 1], policies)
+
+
+def _transition_report(
+    result: PIResult,
+    construction: Construction,
+    boundary: int,
+    bounds: tuple[int, int],
+    policies: tuple[Policy, Policy],
+) -> Report:
+    """``check_phase_transition`` on the phase's trace range and its first and last policy."""
+    circuit = construction.circuit
+    assert circuit is not None
+    start, end = bounds
     segment = [(pos, result.trace[pos]) for pos in range(start, end)]
-    before, after = result.policies_at([start, end])
+    before, after = policies
     failures: list[str] = []
 
     phase = result.trace[start].annotations["phase"] if start < len(result.trace) else 0
@@ -730,36 +726,19 @@ def _apply_negated(circuit: Circuit, bits: Sequence[int]) -> BitString:
 
 
 def check_all_transitions(result: PIResult, construction: Construction) -> Report:
-    reports = []
-    boundaries = len(_segments(result)) - 1
-    for b in range(1, boundaries + 1):
-        reports.append(check_phase_transition(result, construction, b))
+    """Audit every phase boundary, segmenting and replaying the trace once."""
+    segments = _segments(result)
+    boundaries = range(1, len(segments))
+    reports = [
+        _transition_report(result, construction, b, segments[b - 1], policies)
+        for b, policies in zip(boundaries, _boundary_policies(result, segments, boundaries))
+    ]
     failures = [f"boundary {r.details['boundary']}: {msg}" for r in reports for msg in r.failures]
-    return Report("transitions", not failures, failures, {"boundaries": boundaries})
+    return Report("transitions", not failures, failures, {"boundaries": len(boundaries)})
 
 
 # ---------------------------------------------------------------------------
 # End to end
-
-
-@dataclass
-class EndToEndReport:
-    action_switch: bool
-    dantzig_sol: bool
-    oracle_bitswitch: bool
-    oracle_circuitvalue: bool
-    phases_decoded: list[BitString]
-    run: PIResult
-    run_z: PIResult
-    construction: Construction
-    construction_z: Construction
-
-    @property
-    def verdicts_agree(self) -> bool:
-        return (
-            self.action_switch == self.oracle_bitswitch
-            and self.dantzig_sol == self.oracle_circuitvalue
-        )
 
 
 def decode_phases(result: PIResult, construction: Construction, b_init: Sequence[int]) -> list[BitString]:
@@ -771,15 +750,16 @@ def decode_phases(result: PIResult, construction: Construction, b_init: Sequence
     iterate is fully delivered, just before end-game cleanup re-homes it).
     """
     index = construction.index
-    clocks = [pos for pos, ev in enumerate(result.trace) if ev.annotations.get("role") == "clock"]
-    tail = range(clocks[-1] + 1 if clocks else 0, len(result.trace) + 1)
-    policies = result.policies_at([pos + 1 for pos in clocks] + list(tail))
+    segments = _segments(result)
+    after_clock = [end for _, end in segments[:-1]]
+    tail = range(segments[-1][0], len(result.trace) + 1)
+    policies = result.policies_at(after_clock + list(tail))
     decoded: list[BitString] = [tuple(b_init)]
-    for k, policy in enumerate(policies[: len(clocks)], start=1):
+    for k, policy in enumerate(policies[: len(after_clock)], start=1):
         decoded.append(decode_input_bits(construction, policy, k % 2))
     assert construction.circuit is not None
     c0 = index.c(0)
-    for policy in policies[len(clocks) :]:
+    for policy in policies[len(after_clock) :]:
         settled = all(
             _chooses(construction, policy, index.l(0, i), c0)
             and _chooses(construction, policy, index.r(0, i), c0)
@@ -791,60 +771,94 @@ def decode_phases(result: PIResult, construction: Construction, b_init: Sequence
     return decoded
 
 
-def _reduction_run(
-    negated: Circuit,
-    b_init: Sequence[int],
-    z: int,
-    w: Fraction | None,
-    tie: TieBreak | None,
-    budget: int | None,
-    overrides: dict,
-) -> tuple[Construction, PIResult, bool]:
-    """Build and run one reduction: the plain one, or the decision variant when ``w`` is given.
+@dataclass
+class EndToEndReport:
+    """Both reductions of one circuit-iteration instance, each run at most once, on first read.
 
-    The verdict is about the query action o0_z -> r0_z: whether the plain
-    run ever uses it (ActionSwitch), or whether the decision variant's
-    optimum keeps it (DantzigSol).
+    The plain construction answers ActionSwitch: does its run ever switch
+    the query action o0_z -> r0_z in.  The decision variant, the plain
+    construction plus the freeze gadget scaled by ``w``, answers
+    DantzigSol: does its run's optimum keep that action.  Exact ``w`` is
+    the top state value at the end of the plain run; the closed-form
+    bound needs no plain run.  Reading a verdict makes only the runs it
+    needs, and each run carries the trace annotator.
     """
-    if w is None:
-        cons = build_construction(negated, **overrides)
-    else:
-        cons = build_construction_z(negated, z, w=w, **overrides)
-    result = run_annotated(cons, initial_policy(cons, b_init), tie=tie, budget=budget)
-    query = cons.index.action(f"o0_{z}->r0_{z}")
-    if w is None:
-        return cons, result, result.used_action(query)
-    return cons, result, result.policy.choice[cons.mdp.actions[query].state] == query
 
+    circuit_f: Circuit
+    b_init: BitString
+    z: int
+    tie: TieBreak | None
+    w_mode: str
+    budget: int | None
+    overrides: dict
 
-def decide_mdp(
-    circuit_f: Circuit,
-    b_init: Sequence[int],
-    z: int,
-    problem: str,
-    *,
-    tie: TieBreak | None = None,
-    w_mode: str = "exact",
-    budget: int | None = None,
-    **overrides,
-) -> bool:
-    """Answer ``actionswitch`` or ``dantzigsol`` with only the runs the answer reads.
+    def __post_init__(self) -> None:
+        if self.b_init[self.z - 1] != 1:
+            raise ConstructionError("the MDP-side problems need bit z of the start string set")
+        self.negated = negated_form(normalize_depths(self.circuit_f))
 
-    ``actionswitch`` reads the plain run.  ``dantzigsol`` reads the
-    decision variant's run; exact ``w`` is the top state value at the end
-    of the plain run, while the closed-form bound needs no plain run.
-    """
-    if b_init[z - 1] != 1:
-        raise ValueError("bit z of the start string must be 1")
-    negated = negated_form(normalize_depths(circuit_f))
-    if problem == "dantzigsol" and w_mode == "bound":
-        w = bound_w(derive_params(negated, **overrides))
-    else:
-        _, plain, action_switch = _reduction_run(negated, b_init, z, None, tie, budget, overrides)
+    def _run(self, construction: Construction) -> PIResult:
+        start = initial_policy(construction, self.b_init)
+        return run_annotated(construction, start, tie=self.tie, budget=self.budget)
+
+    def _query(self, construction: Construction) -> int:
+        return construction.index.action(f"o0_{self.z}->r0_{self.z}")
+
+    @cached_property
+    def construction(self) -> Construction:
+        return build_construction(self.negated, **self.overrides)
+
+    @cached_property
+    def run(self) -> PIResult:
+        return self._run(self.construction)
+
+    @cached_property
+    def w(self) -> Fraction:
+        if self.w_mode == "bound":
+            return bound_w(derive_params(self.negated, **self.overrides))
+        return max(self.run.values)
+
+    @cached_property
+    def construction_z(self) -> Construction:
+        return build_construction_z(self.negated, self.z, w=self.w, **self.overrides)
+
+    @cached_property
+    def run_z(self) -> PIResult:
+        return self._run(self.construction_z)
+
+    @cached_property
+    def action_switch(self) -> bool:
+        return decide_action_switch(self.construction.mdp, self.run, self._query(self.construction))
+
+    @cached_property
+    def dantzig_sol(self) -> bool:
+        cons = self.construction_z
+        return decide_dantzig_mdp_sol(cons.mdp, self.run_z, self._query(cons))
+
+    @cached_property
+    def oracle_bitswitch(self) -> bool:
+        return decide_bitswitch(self.circuit_f, self.b_init, self.z)
+
+    @cached_property
+    def oracle_circuitvalue(self) -> bool:
+        return decide_circuitvalue(self.circuit_f, self.b_init, self.z)
+
+    @cached_property
+    def phases_decoded(self) -> list[BitString]:
+        return decode_phases(self.run, self.construction, self.b_init)
+
+    def verdict(self, problem: str) -> tuple[bool, bool]:
+        """The machine's answer to ``actionswitch`` or ``dantzigsol``, and the circuit oracle's."""
         if problem == "actionswitch":
-            return action_switch
-        w = max(plain.values)
-    return _reduction_run(negated, b_init, z, w, tie, budget, overrides)[2]
+            return self.action_switch, self.oracle_bitswitch
+        return self.dantzig_sol, self.oracle_circuitvalue
+
+    @property
+    def verdicts_agree(self) -> bool:
+        return (
+            self.action_switch == self.oracle_bitswitch
+            and self.dantzig_sol == self.oracle_circuitvalue
+        )
 
 
 def end_to_end(
@@ -857,26 +871,10 @@ def end_to_end(
     budget: int | None = None,
     **overrides,
 ) -> EndToEndReport:
-    """Run both reductions on a circuit-iteration instance and compare oracles.
+    """The reduction report of a circuit-iteration instance; its runs are made on first read.
 
     ``circuit_f`` implements the iterated function directly (not yet
     negated); the start string must have bit z set, since the query action
     must be unused initially.
     """
-    if b_init[z - 1] != 1:
-        raise ValueError("bit z of the start string must be 1")
-    negated = negated_form(normalize_depths(circuit_f))
-    cons, result, action_switch = _reduction_run(negated, b_init, z, None, tie, budget, overrides)
-    w = bound_w(cons.params) if w_mode == "bound" else max(result.values)
-    cons_z, result_z, dantzig_sol = _reduction_run(negated, b_init, z, w, tie, budget, overrides)
-    return EndToEndReport(
-        action_switch=action_switch,
-        dantzig_sol=dantzig_sol,
-        oracle_bitswitch=decide_bitswitch(circuit_f, b_init, z),
-        oracle_circuitvalue=decide_circuitvalue(circuit_f, b_init, z),
-        phases_decoded=decode_phases(result, cons, b_init),
-        run=result,
-        run_z=result_z,
-        construction=cons,
-        construction_z=cons_z,
-    )
+    return EndToEndReport(circuit_f, tuple(b_init), z, tie, w_mode, budget, overrides)

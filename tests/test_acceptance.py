@@ -148,9 +148,7 @@ def test_criterion_3_action_switch(name):
     assert report.action_switch == oracle
     cons = report.construction
     query = cons.index.action(f"o0_{z}->r0_{z}")
-    verdict = decide_action_switch(
-        cons.mdp, initial_policy(cons, bits), query, budget=cons.budget()
-    )
+    verdict = decide_action_switch(cons.mdp, report.run, query)
     assert verdict == oracle
     n = circuit.n
     expected = [iterate(circuit, bits, i) for i in range(2**n + 1)]
@@ -174,9 +172,7 @@ def test_criterion_4_dantzig_mdp_sol(name):
         encoded = 1 if target == cons_z.index.l(0, z) else 0
         assert encoded == final_bit
         query = cons_z.index.action(f"o0_{z}->r0_{z}")
-        verdict = decide_dantzig_mdp_sol(
-            cons_z.mdp, initial_policy(cons_z, bits), query, budget=cons_z.budget()
-        )
+        verdict = decide_dantzig_mdp_sol(cons_z.mdp, report.run_z, query)
         assert verdict == oracle
     ok(4, f"{name}: decision verdict matches the iterate bit under both w modes")
 

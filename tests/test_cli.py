@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import sys
 
 from dantziglab import mdp
 from dantziglab.circuit import decide_bitswitch, save_circuit
@@ -187,16 +186,7 @@ def test_equivalence_budget_exceeded_exit_code(tmp_path):
                    "--budget", "2", "--out", str(tmp_path)) == 3
 
 
-def _patch_everywhere(monkeypatch, original, replacement):
-    """Rebind ``original`` in every dantziglab module that refers to it."""
-    for name, module in list(sys.modules.items()):
-        if name == "dantziglab" or name.startswith("dantziglab."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, replacement)
-
-
-def test_verify_all_evaluates_each_policy_once(tmp_path, monkeypatch):
+def test_verify_all_evaluates_each_policy_once(tmp_path, patch_everywhere):
     evaluated = []
     appealed = []
     original_values, original_appeals = mdp.evaluate_values, mdp.appeals
@@ -209,16 +199,15 @@ def test_verify_all_evaluates_each_policy_once(tmp_path, monkeypatch):
         appealed.append(policy)
         return original_appeals(m, policy, values)
 
-    _patch_everywhere(monkeypatch, original_values, counting_values)
-    _patch_everywhere(monkeypatch, original_appeals, counting_appeals)
+    patch_everywhere(original_values, counting_values)
+    patch_everywhere(original_appeals, counting_appeals)
     out = str(tmp_path / "ver")
     assert run_cli("verify", "--builtin", "clock:n=3", "--which", "all", "--out", out) == 0
     report = json.loads(read(os.path.join(out, "report.json")))
     assert [r["name"] for r in report["reports"]] == ["clock", "equivalence"]
-    # One evaluation per policy of the 7-switch run, plus one to fix the
-    # Gray-code orientation; one appeal pass per policy, which the engine
-    # and the lockstep share.
-    assert len(evaluated) == 8 + 1
+    # One evaluation and one appeal pass per policy of the 7-switch run,
+    # which the engine, the clock oracle and the lockstep share.
+    assert len(evaluated) == 8
     assert len(appealed) == 8
 
 
@@ -233,13 +222,41 @@ def test_verify_all_never_builds_the_full_policy_list(tmp_path, monkeypatch):
     assert [r["name"] for r in report["reports"]] == ["catalog", "transitions", "equivalence"]
 
 
-def test_decide_actionswitch_builds_no_decision_variant(tmp_path, monkeypatch):
+def test_decide_actionswitch_builds_no_decision_variant(tmp_path, patch_everywhere):
     from dantziglab import construction
 
     def forbidden(*args, **kwargs):
         raise AssertionError("actionswitch never reads the decision variant")
 
-    _patch_everywhere(monkeypatch, construction.build_construction_z, forbidden)
+    patch_everywhere(construction.build_construction_z, forbidden)
     expected = decide_bitswitch(identity_circuit(2), (1, 1), 1)
     assert run_cli("decide", "--builtin", "identity2", "--bits", "11", "--z", "1",
                    "--problem", "actionswitch", "--out", str(tmp_path)) == (0 if expected else 1)
+
+
+def test_transition_audit_replays_the_trace_once(tmp_path, monkeypatch):
+    requested = []
+    original = mdp.PIResult.policies_at
+
+    def counting(self, positions):
+        requested.append(list(positions))
+        return original(self, positions)
+
+    monkeypatch.setattr(mdp.PIResult, "policies_at", counting)
+    assert run_cli("verify", "--builtin", "identity2", "--bits", "11", "--which", "transition",
+                   "--out", str(tmp_path)) == 0
+    # Three phase boundaries, each read at the start and the end of its phase.
+    assert [len(positions) for positions in requested] == [6]
+
+
+def test_decide_runs_only_the_reductions_its_problem_reads(tmp_path, count_runs):
+    cases = [
+        (["--problem", "actionswitch"], 1),
+        (["--problem", "dantzigsol"], 2),
+        (["--problem", "dantzigsol", "--w-mode", "bound"], 1),
+    ]
+    for extra, runs in cases:
+        count_runs.clear()
+        assert run_cli("decide", "--builtin", "identity1", "--bits", "1", "--z", "1", *extra,
+                       "--out", str(tmp_path)) in (0, 1)
+        assert len(count_runs) == runs, extra

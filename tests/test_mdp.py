@@ -12,6 +12,7 @@ from dantziglab.mdp import (
     BadProbabilityError,
     IterationBudgetExceededError,
     Mdp,
+    MdpError,
     NonZeroGainPolicyError,
     TieBreak,
     UnsupportedChainStructureError,
@@ -385,13 +386,17 @@ def test_tiebreak_rules_pick_expected_candidates():
     )
 
 
+def _run_from(m, start):
+    return run_policy_iteration(m, make_policy(m, [0, start]), budget=10)
+
+
 def test_decide_action_switch_trivial():
     m, sink, s, bad, good = two_action_mdp()
-    assert decide_action_switch(m, make_policy(m, [0, bad]), good, budget=10) is True
+    assert decide_action_switch(m, _run_from(m, bad), good) is True
     m2, sink2, s2, bad2, good2 = two_action_mdp(r_good=-1)
-    assert decide_action_switch(m2, make_policy(m2, [0, bad2]), good2, budget=10) is False
-    with pytest.raises(Exception):
-        decide_action_switch(m, make_policy(m, [0, good]), good, budget=10)
+    assert decide_action_switch(m2, _run_from(m2, bad2), good2) is False
+    with pytest.raises(MdpError, match="already uses the queried action"):
+        decide_action_switch(m, _run_from(m, good), good)
 
 
 def _enumerate_optimal_policies(m, sink):
@@ -423,11 +428,10 @@ def test_decide_dantzig_sol_depends_on_trajectory_but_stays_optimal():
     best, optima = _enumerate_optimal_policies(m, sink)
     assert len(optima) == 2
 
-    assert decide_dantzig_mdp_sol(m, make_policy(m, [0, left]), right, budget=10) is False
-    assert decide_dantzig_mdp_sol(m, make_policy(m, [0, right]), right, budget=10) is True
+    assert decide_dantzig_mdp_sol(m, _run_from(m, left), right) is False
+    assert decide_dantzig_mdp_sol(m, _run_from(m, right), right) is True
     for start in (left, right):
-        result = run_policy_iteration(m, make_policy(m, [0, start]), budget=10)
-        assert tuple(result.policy.choice) in optima
+        assert tuple(_run_from(m, start).policy.choice) in optima
 
 
 def test_json_round_trip():

@@ -24,16 +24,13 @@ from dantziglab.verify import (
     check_coherent,
     check_final,
     check_phase_transition,
-    clock_expected_values,
     clock_gray_policy,
     decode_input_bits,
     decode_phases,
-    decide_mdp,
     end_to_end,
     gray_code,
     least_significant_zero,
     phase_from_values,
-    resolve_gray_orientation,
     run_annotated,
 )
 
@@ -66,7 +63,7 @@ def test_clock_value_formulas_against_exact_evaluation():
         t = cons.params.t
         oracle = ClockOracle(n)
         for j in range(2**n):
-            policy = clock_gray_policy(cons, j, "down-on-one")
+            policy = clock_gray_policy(cons, j)
             values = evaluate_values(cons.mdp, policy)
             for name, scaled in oracle.values(j).items():
                 assert values[cons.index.state(name)] == t * scaled, (n, j, name)
@@ -76,7 +73,7 @@ def test_clock_output_staircase():
     for n in (2, 3):
         oracle = ClockOracle(n)
         for j in range(2**n):
-            vals = clock_expected_values(n, j)
+            vals = oracle.values(j)
             if j % 2 == 0:
                 assert (vals["c0"], vals["c1"]) == (j, j + 1)
             else:
@@ -89,11 +86,6 @@ def test_prime_state_values():
         for j in range(2**n):
             assert oracle.values(j)["1'"] == 2**n
             assert oracle.values(j)["2'"] == 2 ** (n - 1)
-
-
-def test_orientation_resolution_is_down_on_one():
-    cons = build_clock(2)
-    assert resolve_gray_orientation(cons) == "down-on-one"
 
 
 def test_check_clock_trace_counts_and_appeals():
@@ -314,12 +306,25 @@ def test_end_to_end_w_bound_mode_agrees():
 @pytest.mark.parametrize("circuit", [identity_circuit(2), rotation_circuit(2)], ids=["identity2", "rot2"])
 def test_decide_mdp_runs_only_what_it_reads_and_agrees(circuit):
     bits = (1, 1)
-    assert decide_mdp(circuit, bits, 1, "actionswitch") == decide_bitswitch(circuit, bits, 1)
+    assert end_to_end(circuit, bits, 1).action_switch == decide_bitswitch(circuit, bits, 1)
     for w_mode in ("exact", "bound"):
-        verdict = decide_mdp(circuit, bits, 1, "dantzigsol", w_mode=w_mode)
+        verdict = end_to_end(circuit, bits, 1, w_mode=w_mode).dantzig_sol
         assert verdict == decide_circuitvalue(circuit, bits, 1), w_mode
     with pytest.raises(ValueError):
-        decide_mdp(circuit, (0, 1), 1, "actionswitch")
+        end_to_end(circuit, (0, 1), 1)
+
+
+def test_end_to_end_runs_each_reduction_once_on_first_read(count_runs):
+    report = end_to_end(identity_circuit(1), (1,), 1, w_mode="bound")
+    assert count_runs == []
+    assert report.dantzig_sol == report.oracle_circuitvalue
+    assert len(count_runs) == 1
+    assert report.action_switch == report.oracle_bitswitch
+    assert len(count_runs) == 2
+    assert report.run is report.run and report.run_z is report.run_z
+    assert report.phases_decoded == [iterate(identity_circuit(1), (1,), i) for i in range(3)]
+    assert len(count_runs) == 2
+    assert count_runs == [report.construction_z.mdp, report.construction.mdp]
 
 
 def test_end_to_end_three_bit_instance_with_true_decision():
