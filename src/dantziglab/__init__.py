@@ -8,7 +8,7 @@ appeal catalog, the phase transitions, and the LP correspondence on
 desk-scale instances.  Everything is computed in exact rational arithmetic.
 """
 
-from .numerics import Matrix, Rational, SingularMatrixError, inverse, rat, solve_linear_system
+from .numerics import SingularMatrixError, inverse, rat, solve_linear_system
 from .circuit import (
     Circuit,
     decide_bitswitch,

@@ -17,10 +17,12 @@ appeals the run picks its switch from), then makes its own pivot.  The LP
 side draws ties from its own generator and never evaluates a policy or
 computes an appeal, so it stays independent of the engine it audits.
 
-The basis inverse is recomputed from scratch at every pivot.  In exact
-``Fraction`` arithmetic a product-form update could not drift either; the
-rebuild is kept only because it is the least code, and the instances are
-desk-scale.  An exact update is the known way to make pivots cheaper.
+A basis keeps its inverse as plain rows of ``Fraction``, rebuilt from the
+sparse basis columns by one ``numerics.inverse`` call at every pivot.  In
+exact arithmetic a product-form update could not drift either; the rebuild
+is kept only because it is the least code, and the instances are
+desk-scale.  The inverse is mostly zeros, so every product with it (duals,
+basic solution, entering direction) skips its zero entries.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .mdp import Mdp, PIResult, Policy, TieBreak, TraceEvent, Watcher, run_polic
 # because the benchmark's tracer test (perfbench/test_harness.py) restores
 # it by name; it goes when that test is mended.
 from .mdp import evaluate_values  # noqa: F401
-from .numerics import Matrix, ONE, ZERO, SingularMatrixError, format_rational, inverse
+from .numerics import ONE, ZERO, SingularMatrixError, format_rational, inverse
 
 
 class LpError(ValueError):
@@ -124,14 +126,29 @@ def mdp_to_primal(mdp: Mdp, sink: int) -> LinearProgram:
 class Basis:
     lp: LinearProgram
     cols: tuple[int, ...]  # one column index per row, in row order
-    matrix: Matrix
-    inv: Matrix
+    inv: list[list[Fraction]]  # rows of the basis inverse
 
     def action_ids(self) -> frozenset[int]:
         return frozenset(self.lp.cols[j] for j in self.cols)
 
+    def _times(self, entries: Sequence[tuple[int, Fraction]]) -> list[Fraction]:
+        """B^-1 · v for v given by its (row, value) pairs; zeros of B^-1 are skipped."""
+        out = []
+        for row in self.inv:
+            acc = ZERO
+            for i, v in entries:
+                e = row[i]
+                if e:
+                    acc += e * v
+            out.append(acc)
+        return out
+
     def basic_solution(self) -> list[Fraction]:
-        return self.inv.mul_vec(self.lp.rhs)
+        return self._times(list(enumerate(self.lp.rhs)))
+
+    def direction(self, col: int) -> list[Fraction]:
+        """The entering direction B^-1 · a_col of column ``col``."""
+        return self._times(list(self.lp.columns[col].items()))
 
     def objective_value(self) -> Fraction:
         x = self.basic_solution()
@@ -141,26 +158,18 @@ class Basis:
         )
 
 
-def _dense_column(lp: LinearProgram, col: int) -> list[Fraction]:
-    dense = [ZERO] * lp.num_rows
-    for i, v in lp.columns[col].items():
-        dense[i] = v
-    return dense
-
-
 def make_basis(lp: LinearProgram, cols: Sequence[int]) -> Basis:
     if len(cols) != lp.num_rows:
         raise LpError(f"basis needs {lp.num_rows} columns, got {len(cols)}")
-    entries: list[Fraction] = []
-    dense = [_dense_column(lp, j) for j in cols]
-    for i in range(lp.num_rows):
-        entries.extend(dense[j][i] for j in range(len(cols)))
-    matrix = Matrix(lp.num_rows, lp.num_rows, entries)
+    rows = [[ZERO] * len(cols) for _ in cols]
+    for pos, j in enumerate(cols):
+        for i, v in lp.columns[j].items():
+            rows[i][pos] = v
     try:
-        inv = inverse(matrix)
+        inv = inverse(rows)
     except SingularMatrixError as exc:
         raise SingularBasisError(f"dependent basis columns: {exc}") from exc
-    return Basis(lp, tuple(cols), matrix, inv)
+    return Basis(lp, tuple(cols), inv)
 
 
 def basis_from_policy(lp: LinearProgram, policy: Policy) -> Basis:
@@ -176,8 +185,15 @@ def basis_from_policy(lp: LinearProgram, policy: Policy) -> Basis:
 
 def dual_and_reduced_costs(lp: LinearProgram, basis: Basis) -> tuple[list[Fraction], list[Fraction]]:
     """Dual solution y (per row) and reduced costs (per column) of the basis."""
-    c_b = [lp.objective[j] for j in basis.cols]
-    y = basis.inv.transpose().mul_vec(c_b)
+    # y = B^-T · c_B: add up the rows of B^-1 whose basic objective is nonzero.
+    y = [ZERO] * lp.num_rows
+    for row, j in zip(basis.inv, basis.cols):
+        c = lp.objective[j]
+        if not c:
+            continue
+        for i, v in enumerate(row):
+            if v:
+                y[i] += c * v
     reduced = []
     for j in range(lp.num_cols):
         acc = lp.objective[j]
@@ -229,7 +245,7 @@ def simplex_dantzig_step(
     state, aid = tie.select(candidates, rng)
     entering = lp.col_of[aid]
 
-    direction = basis.inv.mul_vec(_dense_column(lp, entering))
+    direction = basis.direction(entering)
     x_b = basis.basic_solution()
     best_ratio: Fraction | None = None
     leaving_pos: int | None = None

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .numerics import Matrix, ZERO, ONE, format_rational, rat, solve_linear_system
+from .numerics import ZERO, ONE, format_rational, rat, solve_linear_system
 
 
 class MdpError(ValueError):
@@ -279,20 +279,21 @@ def _pinned_expectation(
     transient = [s for s in range(n) if s not in pinned]
     idx = {s: i for i, s in enumerate(transient)}
     m = len(transient)
-    entries = [ZERO] * (m * m)
+    rows = []
     rhs = []
     for s in transient:
-        i = idx[s]
-        entries[i * m + i] = ONE
+        row = [ZERO] * m
+        row[idx[s]] = ONE
         act = mdp.actions[policy.choice[s]]
         acc = step_reward(s)
         for t, p in act.transitions.items():
             if t in idx:
-                entries[i * m + idx[t]] -= p
+                row[idx[t]] -= p
             else:
                 acc += p * pinned[t]
+        rows.append(row)
         rhs.append(acc)
-    solution = solve_linear_system(Matrix(m, m, entries), rhs)
+    solution = solve_linear_system(rows, rhs)
     for s, i in idx.items():
         values[s] = solution[i]
     return values  # type: ignore[return-value]

@@ -1,21 +1,22 @@
-"""Exact rational scalars and dense rational linear algebra.
+"""Exact rational scalars and dense rational linear algebra on rows.
 
 Every number in this package is a ``fractions.Fraction``; nothing is ever
 computed in floating point.  The decisive comparisons downstream separate
 constants such as 16/5 and 33/10 after division by quantities of magnitude
 3^(d+6), so exactness is a correctness requirement, not a nicety.
 
-The solver is plain Gaussian elimination over the rationals, pivoting on the
-first nonzero entry in each column.  That is exact, and cubic time is fine at
-the scales that occur here (a few hundred unknowns).
+A square matrix is a plain list of rows, each a list of ``Fraction``.  The
+solver and the inverse copy their input and coerce every entry with ``rat``,
+so a float anywhere raises ``TypeError``.  Both run plain Gauss-Jordan
+elimination over the rationals, pivoting on the first nonzero entry in each
+column.  That is exact, and cubic time is fine at the scales that occur here
+(a few hundred unknowns).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -44,89 +45,12 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-class Matrix:
-    """Dense row-major matrix of exact rationals."""
-
-    __slots__ = ("rows", "cols", "_e")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[Fraction]):
-        if len(entries) != rows * cols:
-            raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self._e = [rat(x) for x in entries]
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        m = cls(n, n, [ZERO] * (n * n))
-        for i in range(n):
-            m._e[i * n + i] = ONE
-        return m
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction]]) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[Fraction] = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(nrows, ncols, flat)
-
-    def row(self, i: int) -> list[Fraction]:
-        return self._e[i * self.cols : (i + 1) * self.cols]
-
-    def transpose(self) -> "Matrix":
-        out = [ZERO] * (self.rows * self.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(self.cols):
-                out[j * self.rows + i] = self._e[base + j]
-        return Matrix(self.cols, self.rows, out)
-
-    def mul_vec(self, v: Sequence[Fraction]) -> list[Fraction]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = ZERO
-            for j, x in enumerate(v):
-                if x:
-                    e = self._e[base + j]
-                    if e:
-                        acc += e * x
-            out.append(acc)
-        return out
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = [ZERO] * (self.rows * other.cols)
-        for i in range(self.rows):
-            for k in range(self.cols):
-                a = self._e[i * self.cols + k]
-                if not a:
-                    continue
-                obase = k * other.cols
-                rbase = i * other.cols
-                for j in range(other.cols):
-                    b = other._e[obase + j]
-                    if b:
-                        out[rbase + j] += a * b
-        return Matrix(self.rows, other.cols, out)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._e == other._e
-        )
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
+def _square(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Fresh exact rows of a square matrix, every entry coerced by ``rat``."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    return [[rat(x) for x in row] for row in rows]
 
 
 def _gauss_jordan(aug: list[list[Fraction]], n: int) -> None:
@@ -160,26 +84,24 @@ def _gauss_jordan(aug: list[list[Fraction]], n: int) -> None:
                     row[j] -= factor * prow[j]
 
 
-def solve_linear_system(a: Matrix, b: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a·x = b exactly for square nonsingular a."""
-    if a.rows != a.cols:
-        raise ValueError("matrix must be square")
-    if len(b) != a.rows:
+def solve_linear_system(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction]:
+    """Solve a·x = b exactly for square nonsingular a, given as rows."""
+    aug = _square(a)
+    n = len(aug)
+    if len(b) != n:
         raise ValueError("right-hand side has wrong length")
-    aug = [a.row(i) + [rat(b[i])] for i in range(a.rows)]
-    _gauss_jordan(aug, a.rows)
-    return [aug[i][a.rows] for i in range(a.rows)]
-
-
-def inverse(a: Matrix) -> Matrix:
-    """Exact inverse of a square nonsingular matrix."""
-    if a.rows != a.cols:
-        raise ValueError("matrix must be square")
-    n = a.rows
-    aug = []
-    for i in range(n):
-        row = a.row(i) + [ZERO] * n
-        row[n + i] = ONE
-        aug.append(row)
+    for row, value in zip(aug, b):
+        row.append(rat(value))
     _gauss_jordan(aug, n)
-    return Matrix(n, n, [aug[i][n + j] for i in range(n) for j in range(n)])
+    return [row[n] for row in aug]
+
+
+def inverse(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Rows of the exact inverse of a square nonsingular matrix, given as rows."""
+    aug = _square(a)
+    n = len(aug)
+    for i, row in enumerate(aug):
+        row.extend([ZERO] * n)
+        row[n + i] = ONE
+    _gauss_jordan(aug, n)
+    return [row[n:] for row in aug]

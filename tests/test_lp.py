@@ -197,6 +197,46 @@ def test_lockstep_full_construction():
     assert report.first_divergence is None
 
 
+def test_lockstep_bases_solve_their_systems_exactly(monkeypatch):
+    # Every basis the identity1 lockstep visits, checked against the LP's own
+    # sparse columns, objective and right-hand side: B·x_B = rhs, Bᵀ·y = c_B,
+    # and B·d = a_q for the direction d of each pivot's entering column q.
+    import dantziglab.lp as lp_module
+
+    visited = []
+    original = lp_module.simplex_dantzig_step
+
+    def recording_step(lp, basis, *args):
+        step = original(lp, basis, *args)
+        visited.append((lp, basis, step))
+        return step
+
+    monkeypatch.setattr(lp_module, "simplex_dantzig_step", recording_step)
+    cons = build_construction(negated_form(normalize_depths(identity_circuit(1))))
+    report = check_pi_simplex_equivalence(
+        cons.mdp, initial_policy(cons, (1,)), cons.index.si(), budget=cons.budget()
+    )
+    assert report.ok and report.pivots == 22
+    assert len(visited) == 23 and visited[-1][2] is None
+
+    def times_b(lp, basis, x):
+        out = [Fraction(0)] * lp.num_rows
+        for pos, j in enumerate(basis.cols):
+            for i, v in lp.columns[j].items():
+                out[i] += v * x[pos]
+        return out
+
+    for lp, basis, step in visited:
+        assert times_b(lp, basis, basis.basic_solution()) == lp.rhs
+        y, _ = dual_and_reduced_costs(lp, basis)
+        for j in basis.cols:
+            assert sum((v * y[i] for i, v in lp.columns[j].items()), start=Fraction(0)) == lp.objective[j]
+        if step is not None:
+            a_q = [lp.columns[step.entering].get(i, Fraction(0)) for i in range(lp.num_rows)]
+            assert times_b(lp, basis, basis.direction(step.entering)) == a_q
+            assert step.basis.cols != basis.cols
+
+
 def test_feasibility_preserved_across_pivots():
     cons = build_clock(2)
     policy = clock_initial_policy(cons)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dantziglab.numerics import (
-    Matrix,
     SingularMatrixError,
     format_rational,
     inverse,
@@ -16,6 +15,19 @@ from dantziglab.numerics import (
 )
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mul_vec(a, x):
+    return [sum((e * xj for e, xj in zip(row, x)), start=Fraction(0)) for row in a]
+
+
+def matmul(a, b):
+    columns = list(zip(*b))
+    return [mul_vec(columns, row) for row in a]
 
 
 def test_rat_accepts_int_str_fraction():
@@ -35,26 +47,39 @@ def test_format_round_trip():
 
 
 def test_solve_identity():
-    a = Matrix.identity(3)
+    a = identity(3)
     assert solve_linear_system(a, [rat(1), rat(2), rat(3)]) == [rat(1), rat(2), rat(3)]
 
 
 def test_solve_hand_elimination():
     # [[2,1],[1,3]] x = (5,10) has the unique solution (1, 3).
-    a = Matrix.from_rows([[rat(2), rat(1)], [rat(1), rat(3)]])
+    a = [[rat(2), rat(1)], [rat(1), rat(3)]]
     assert solve_linear_system(a, [rat(5), rat(10)]) == [rat(1), rat(3)]
 
 
 def test_solve_singular_raises():
-    a = Matrix.from_rows([[rat(1), rat(2)], [rat(2), rat(4)]])
+    a = [[rat(1), rat(2)], [rat(2), rat(4)]]
     with pytest.raises(SingularMatrixError):
         solve_linear_system(a, [rat(1), rat(1)])
 
 
 def test_inverse_identity_and_diagonal():
-    assert inverse(Matrix.identity(4)) == Matrix.identity(4)
-    a = Matrix.from_rows([[rat(2), rat(0)], [rat(0), rat(4)]])
-    assert inverse(a) == Matrix.from_rows([[Fraction(1, 2), rat(0)], [rat(0), Fraction(1, 4)]])
+    assert inverse(identity(4)) == identity(4)
+    a = [[rat(2), rat(0)], [rat(0), rat(4)]]
+    assert inverse(a) == [[Fraction(1, 2), rat(0)], [rat(0), Fraction(1, 4)]]
+
+
+def test_float_and_misshapen_input_is_rejected():
+    ragged = [[rat(1), rat(0)], [rat(0)]]
+    wide = [[rat(1), rat(0), rat(0)], [rat(0), rat(1), rat(0)]]
+    for solve in (inverse, lambda rows: solve_linear_system(rows, [rat(1)] * len(rows))):
+        with pytest.raises(TypeError):
+            solve([[rat(1), 0.5], [rat(0), rat(1)]])
+        for rows in (ragged, wide):
+            with pytest.raises(ValueError, match="matrix must be square"):
+                solve(rows)
+    with pytest.raises(TypeError):
+        solve_linear_system(identity(2), [rat(1), 0.5])
 
 
 def _brute_force_total_reward(chain, rewards, start, sink):
@@ -114,16 +139,14 @@ def test_transient_system_matches_path_sum_oracle():
     states = ["si'", "0", "1'", "1", "hop"]
     idx = {s: i for i, s in enumerate(states)}
     n = len(states)
-    entries = [Fraction(0)] * (n * n)
+    rows = identity(n)
     rhs = []
     for s in states:
-        i = idx[s]
-        entries[i * n + i] += 1
         for t2, p in chain[s].items():
             if t2 in idx:
-                entries[i * n + idx[t2]] -= p
+                rows[idx[s]][idx[t2]] -= p
         rhs.append(rewards[s])
-    solution = solve_linear_system(Matrix(n, n, entries), rhs)
+    solution = solve_linear_system(rows, rhs)
     for s in states:
         assert solution[idx[s]] == _brute_force_total_reward(chain, rewards, s, "si")[s]
 
@@ -134,9 +157,8 @@ def _random_nonsingular(rng, n):
             [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
             for _ in range(n)
         ]
-        a = Matrix.from_rows(rows)
         try:
-            return a, inverse(a)
+            return rows, inverse(rows)
         except SingularMatrixError:
             continue
 
@@ -148,15 +170,15 @@ def test_random_solve_substitutes_back():
             a, _ = _random_nonsingular(rng, n)
             b = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(n)]
             x = solve_linear_system(a, b)
-            assert a.mul_vec(x) == b
+            assert mul_vec(a, x) == b
 
 
 def test_random_inverse_multiplies_to_identity():
     rng = random.Random(7)
     for n in range(1, 9):
         a, inv = _random_nonsingular(rng, n)
-        assert inv.matmul(a) == Matrix.identity(n)
-        assert a.matmul(inv) == Matrix.identity(n)
+        assert matmul(inv, a) == identity(n)
+        assert matmul(a, inv) == identity(n)
 
 
 @given(rationals, rationals, rationals)
