@@ -102,6 +102,8 @@ def mdp_to_primal(mdp: Mdp, sink: int) -> LinearProgram:
         if act.transitions != {sink: ONE} or act.reward != 0:
             raise NoSinkError(f"state {mdp.state_names[sink]} is not an absorbing zero-reward sink")
     rows = [s for s in range(mdp.num_states) if s != sink]
+    if not rows:
+        raise LpError(f"the MDP has no state besides the sink {mdp.state_names[sink]}")
     row_of = {s: i for i, s in enumerate(rows)}
     cols = [aid for s in rows for aid in mdp.actions_at(s)]
     col_of = {aid: j for j, aid in enumerate(cols)}

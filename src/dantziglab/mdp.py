@@ -9,6 +9,10 @@ base such a policy indicates a construction bug, never a case to smooth over.
 
 The switching engine ("greedy single-switch rule") always switches one
 action of maximal positive appeal, with an explicit, reproducible tie-break.
+It evaluates each policy once and computes every appeal in full once per
+run; after a switch it recomputes only the appeals the switch can change.
+The full ``appeals`` pass is also the oracle the tests check those kept
+appeals against.
 """
 
 from __future__ import annotations
@@ -336,18 +340,19 @@ def _find_absorbing_or_raise(
     return absorbing, sccs
 
 
+def _appeal(act: Action, values: Sequence[Fraction]) -> Fraction:
+    acc = act.reward
+    for t, p in act.transitions.items():
+        acc += p * values[t]
+    return acc - values[act.state]
+
+
 def appeals(mdp: Mdp, policy: Policy, values: Sequence[Fraction]) -> list[Fraction]:
     """Appeal of every action: one-step lookahead minus the current value.
 
     Chosen actions come out exactly 0; positive appeal means switchable.
     """
-    out = []
-    for act in mdp.actions:
-        acc = act.reward
-        for t, p in act.transitions.items():
-            acc += p * values[t]
-        out.append(acc - values[act.state])
-    return out
+    return [_appeal(act, values) for act in mdp.actions]
 
 
 @dataclass(frozen=True)
@@ -428,22 +433,25 @@ def dantzig_step(
     policy: Policy,
     tie: TieBreak,
     rng: random.Random | None = None,
-    gains: Sequence[Fraction] | None = None,
+    positive: dict[int, Fraction] | None = None,
 ) -> tuple[Policy, TraceEvent] | None:
     """One greedy switch: the action of maximal positive appeal, or None at optimum.
 
-    ``gains`` may carry the policy's appeals when the caller has already
-    computed them.
+    ``positive`` maps each action of positive appeal under the policy to
+    that appeal.  The engine builds it from its one full appeal pass per
+    run and, after each switch, updates only the appeals the switch
+    changed.  Without it the policy is evaluated and appealed from scratch.
+    The tie rule picks the same action whatever order the candidates come
+    in.
     """
-    if gains is None:
+    if positive is None:
         gains = appeals(mdp, policy, evaluate_values(mdp, policy))
+        positive = {aid: appeal for aid, appeal in enumerate(gains) if appeal > 0}
     if rng is None:
         rng = tie.make_rng()
     best: Fraction | None = None
     candidates: list[tuple[int, int]] = []
-    for aid, appeal in enumerate(gains):
-        if appeal <= 0:
-            continue
+    for aid, appeal in positive.items():
         if best is None or appeal > best:
             best = appeal
             candidates = [(mdp.actions[aid].state, aid)]
@@ -505,10 +513,16 @@ def run_policy_iteration(
 ) -> PIResult:
     """Greedy single-switch policy iteration to optimality, with a full trace.
 
-    This is the only loop that evaluates policies, and it computes each
-    policy's values and appeals once.  Each watcher sees every switch as
+    This is the only loop that evaluates policies.  It evaluates each policy
+    once and computes every action's appeal once per run.  An appeal reads
+    only the values of its action's state and targets, so after a switch it
+    recomputes just the appeals of the actions at a state whose value
+    changed, or with a transition into one.  The switched state is always
+    among those states: a positive-appeal switch raises its value by at
+    least that appeal.  Each watcher sees every switch as
     (event, policy before the switch, that policy's values, its appeals);
     the final policy, its values and its appeals come back on the result.
+    No list handed out is changed afterwards.
     """
     if budget <= 0:
         raise MdpError("iteration budget must be positive")
@@ -519,10 +533,15 @@ def run_policy_iteration(
     initial = policy
     trace: list[TraceEvent] = []
     iteration = 0
+    entering: list[list[int]] = [[] for _ in range(mdp.num_states)]  # actions with a transition into each state
+    for aid, act in enumerate(mdp.actions):
+        for t in act.transitions:
+            entering[t].append(aid)
+    values = evaluate_values(mdp, policy)
+    gains = appeals(mdp, policy, values)
+    positive = {aid: appeal for aid, appeal in enumerate(gains) if appeal > 0}
     while True:
-        values = evaluate_values(mdp, policy)
-        gains = appeals(mdp, policy, values)
-        step = dantzig_step(mdp, policy, tie, rng, gains)
+        step = dantzig_step(mdp, policy, tie, rng, positive)
         if step is None:
             return PIResult(initial, policy, trace, iteration, True, values, gains)
         if iteration >= budget:
@@ -534,6 +553,19 @@ def run_policy_iteration(
         trace.append(event)
         policy = new_policy
         iteration += 1
+        new_values = evaluate_values(mdp, policy)
+        stale: set[int] = set()
+        for s, (new, old) in enumerate(zip(new_values, values)):
+            if new != old:
+                stale.update(mdp.state_actions[s])
+                stale.update(entering[s])
+        values, gains = new_values, list(gains)
+        for aid in stale:
+            appeal = gains[aid] = _appeal(mdp.actions[aid], values)
+            if appeal > 0:
+                positive[aid] = appeal
+            else:
+                positive.pop(aid, None)
 
 
 def decide_action_switch(mdp: Mdp, result: PIResult, action: int) -> bool:

@@ -55,7 +55,6 @@ def _square(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 
 def _gauss_jordan(aug: list[list[Fraction]], n: int) -> None:
     """Reduce the left n columns of the augmented rows to the identity, in place."""
-    width = len(aug[0])
     for col in range(n):
         pivot_row = None
         for r in range(col, n):
@@ -67,6 +66,7 @@ def _gauss_jordan(aug: list[list[Fraction]], n: int) -> None:
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         prow = aug[col]
+        width = len(prow)
         inv = ONE / prow[col]
         if inv != ONE:
             for j in range(col, width):

@@ -17,7 +17,14 @@ from dantziglab.construction import (
     manifest,
 )
 from dantziglab.library import identity_circuit, rotation_circuit
-from dantziglab.mdp import appeals, evaluate_gain, evaluate_values, make_policy, run_policy_iteration
+from dantziglab.mdp import (
+    appeals,
+    evaluate_gain,
+    evaluate_values,
+    make_policy,
+    parse_tiebreak,
+    run_policy_iteration,
+)
 
 
 def negated(circ):
@@ -26,6 +33,7 @@ def negated(circ):
 
 ROT2 = negated(rotation_circuit(2))
 IDENT1 = negated(identity_circuit(1))
+IDENT2 = negated(identity_circuit(2))
 
 
 def test_scale_constants_at_depth_three():
@@ -203,19 +211,35 @@ def test_exact_w_is_the_top_state_value():
     assert bound_w(cons.params) >= w
 
 
-def test_watchers_are_handed_the_values_and_appeals_of_their_policy():
-    cons = build_construction(IDENT1)
-    seen = []
+@pytest.mark.parametrize(
+    "circ, bits, tie",
+    [
+        pytest.param(circ, bits, tie, id=f"{name}-{tie.replace(':', '')}")
+        for name, circ, bits in (("identity1", IDENT1, (1,)), ("identity2", IDENT2, (1, 1)))
+        for tie in ("lowest", "highest", "random:3")
+    ]
+    + [pytest.param(ROT2, (1, 1), "lowest", id="rot2-lowest")],
+)
+def test_watchers_are_handed_the_values_and_appeals_of_their_policy(circ, bits, tie):
+    # The engine keeps its appeals across switches; every list it hands out
+    # must equal a from-scratch pass, and stay equal after the run moves on.
+    cons = build_construction(circ)
+    handed = []
 
     def watch(event, policy, values, gains):
         fresh = evaluate_values(cons.mdp, policy)
         assert values == fresh
         assert gains == appeals(cons.mdp, policy, fresh)
         assert gains[event.new_action] == event.appeal == max(gains)
-        seen.append(event.iteration)
+        handed.append((event.iteration, gains, list(gains)))
 
-    result = run_policy_iteration(cons.mdp, initial_policy(cons, (1,)), budget=cons.budget(), watchers=[watch])
-    assert seen == list(range(result.iterations)) and result.iterations > 0
+    result = run_policy_iteration(
+        cons.mdp, initial_policy(cons, bits), tie=parse_tiebreak(tie), budget=cons.budget(), watchers=[watch]
+    )
+    assert [k for k, _, _ in handed] == list(range(result.iterations)) and result.iterations > 0
+    assert all(gains == snapshot for _, gains, snapshot in handed)
+    assert result.values == evaluate_values(cons.mdp, result.policy)
+    assert result.appeals == appeals(cons.mdp, result.policy, result.values)
 
 
 def test_detour_denominators_positive():

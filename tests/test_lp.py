@@ -15,6 +15,7 @@ from dantziglab.library import identity_circuit
 from dantziglab.lp import (
     EquivalenceViolationError,
     Lockstep,
+    LpError,
     NoSinkError,
     SingularBasisError,
     basis_from_policy,
@@ -64,6 +65,14 @@ def test_no_sink_rejected():
     m.add_action(s, {s: ONE}, 1)  # rewarded loop is not a sink
     with pytest.raises(NoSinkError):
         mdp_to_primal(m, s)
+
+
+def test_sink_only_mdp_rejected():
+    m = Mdp()
+    sink = m.add_state("sink")
+    m.add_action(sink, {sink: ONE}, 0)
+    with pytest.raises(LpError, match="no state besides the sink"):
+        mdp_to_primal(m, sink)
 
 
 def test_detour_column_entry_is_p_at_its_own_row():

@@ -28,6 +28,7 @@ from dantziglab.mdp import (
     make_policy,
     mdp_from_json,
     mdp_to_json,
+    parse_tiebreak,
     run_policy_iteration,
 )
 
@@ -361,6 +362,46 @@ def test_values_never_decrease_along_trace():
     final_values = evaluate_values(m, result.policy)
     final_appeals = appeals(m, result.policy, final_values)
     assert all(g <= 0 for g in final_appeals)
+
+
+def _cyclic_random_mdp(rng):
+    # Two rings of four transient states, a0 -> a1 -> ... -> a0 and likewise b.
+    # Every action exits to the sink with positive probability, so every
+    # policy is proper, and moves on around its ring, so every policy has
+    # two transient cycles.  Ring a may also jump anywhere, ring b only
+    # within b, so a switch can leave some values (and appeals) unchanged.
+    m, sink = sink_mdp()
+    rings = [[m.add_state(f"{name}{i}") for i in range(4)] for name in "ab"]
+    for states, reach in zip(rings, (rings[0] + rings[1], rings[1])):
+        for i, s in enumerate(states):
+            for _ in range(4):
+                exit_p = Fraction(rng.randint(1, 3), 8)
+                transitions = {sink: exit_p, states[(i + 1) % 4]: (1 - exit_p) / 2}
+                other = rng.choice(reach)
+                transitions[other] = transitions.get(other, 0) + (1 - exit_p) / 2
+                m.add_action(s, transitions, Fraction(rng.randint(-10, 30), rng.randint(1, 3)))
+    return m, make_policy(m, [aids[0] for aids in m.state_actions])
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("tie", ["lowest", "highest", "random:3"])
+def test_kept_appeals_equal_a_fresh_pass_on_transient_cycles(seed, tie):
+    m, start = _cyclic_random_mdp(random.Random(seed))
+    switches = []
+
+    def watch(event, policy, values, gains):
+        assert any(len(comp) > 1 for comp in _sccs(_successors(m, policy)))  # the dense solve
+        fresh = evaluate_values(m, policy)
+        assert values == fresh
+        assert gains == appeals(m, policy, fresh)
+        assert gains[event.new_action] == event.appeal == max(gains)
+        switches.append(event)
+
+    result = run_policy_iteration(m, start, tie=parse_tiebreak(tie), budget=500, watchers=[watch])
+    assert len(switches) == result.iterations > 0
+    assert result.values == evaluate_values(m, result.policy)
+    assert result.appeals == appeals(m, result.policy, result.values)
+    assert max(result.appeals) == 0
 
 
 def test_tiebreak_rules_pick_expected_candidates():

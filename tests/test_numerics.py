@@ -69,6 +69,11 @@ def test_inverse_identity_and_diagonal():
     assert inverse(a) == [[Fraction(1, 2), rat(0)], [rat(0), Fraction(1, 4)]]
 
 
+def test_empty_system_and_inverse_are_empty():
+    assert solve_linear_system([], []) == []
+    assert inverse([]) == []
+
+
 def test_float_and_misshapen_input_is_rejected():
     ragged = [[rat(1), rat(0)], [rat(0)]]
     wide = [[rat(1), rat(0), rat(0)], [rat(0), rat(1), rat(0)]]
