@@ -7,12 +7,19 @@ solves the transient part of the value equation exactly.  Policies whose
 chain structure falls outside that regime are rejected loudly: in this code
 base such a policy indicates a construction bug, never a case to smooth over.
 
+When the policy graph is acyclic apart from self-loops, evaluation is
+back-substitution: each action carries its value equation already solved
+for its own state, so a state whose chosen action leaves for a single other
+state costs one addition, or none.  Policies with a transient cycle fall
+back to a dense exact solve of the raw equations.
+
 The switching engine ("greedy single-switch rule") always switches one
 action of maximal positive appeal, with an explicit, reproducible tie-break.
 It evaluates each policy once and computes every appeal in full once per
-run; after a switch it recomputes only the appeals the switch can change.
-The full ``appeals`` pass is also the oracle the tests check those kept
-appeals against.
+run.  After a switch it finds the states whose values changed by walking
+the reverse policy graph back from the switched state, and recomputes only
+the appeals that read those values.  The full ``appeals`` pass is also the
+oracle the tests check those kept appeals against.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .numerics import ZERO, ONE, format_rational, rat, solve_linear_system
@@ -48,10 +56,32 @@ class IterationBudgetExceededError(RuntimeError):
 
 @dataclass
 class Action:
+    """One action: its state, reward and transition probabilities.
+
+    Actions do not change after ``Mdp.add_action``; ``solved`` is computed
+    from them once, on first use, and kept.
+    """
+
     state: int
     reward: Fraction
     transitions: dict[int, Fraction]
     name: str
+
+    @cached_property
+    def solved(self) -> tuple[Fraction, tuple[tuple[int, Fraction], ...]] | None:
+        """The value equation ``v(s) = reward + sum p(t) v(t)`` solved for this state's value.
+
+        Returns ``(base, exits)`` with ``v(s) = base + sum c v(t)`` over the
+        exits ``(t, c)``, ``t != s``: with self-loop mass ``p``, ``base`` is
+        ``reward / (1 - p)`` and each ``c`` is ``p(t) / (1 - p)``.  A pure
+        self-loop fixes no value and gives None.
+        """
+        stay = self.transitions.get(self.state, ZERO)
+        if stay == 1:
+            return None
+        leave = 1 - stay
+        exits = tuple((t, p / leave) for t, p in self.transitions.items() if t != self.state)
+        return self.reward / leave, exits
 
 
 class Mdp:
@@ -171,7 +201,8 @@ def make_policy(mdp: Mdp, choices: dict[int, int] | Sequence[int]) -> Policy:
 
 
 def _successors(mdp: Mdp, policy: Policy) -> list[list[int]]:
-    return [sorted(mdp.actions[policy.choice[s]].transitions) for s in range(mdp.num_states)]
+    actions = mdp.actions
+    return [sorted(actions[aid].transitions) for aid in policy.choice]
 
 
 def _sccs(succ: list[list[int]]) -> list[list[int]]:
@@ -186,39 +217,38 @@ def _sccs(succ: list[list[int]]) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for next_pi in range(pi, len(succ[v])):
-                w = succ[v][next_pi]
+            v, targets = work[-1]
+            for w in targets:
                 if index[w] == -1:
-                    work[-1] = (v, next_pi + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
     return sccs
 
 
@@ -226,22 +256,23 @@ def _chain_structure(mdp: Mdp, policy: Policy) -> tuple[list[int], list[list[int
     """Absorbing states and SCCs of the policy chain; errors on any other recurrent class.
 
     Returns (absorbing, sccs).  A recurrent class here is an SCC of the
-    policy graph with no outgoing edge.  Tarjan emits the SCCs in reverse
-    topological order: each component comes after every component it
-    reaches.
+    policy graph with no outgoing edge: a single state is one exactly when
+    it moves only to itself.  Tarjan emits the SCCs in reverse topological
+    order: each component comes after every component it reaches.
     """
     succ = _successors(mdp, policy)
     sccs = _sccs(succ)
     absorbing: list[int] = []
     for comp in sccs:
-        members = set(comp)
-        closed = all(t in members for v in comp for t in succ[v])
-        if not closed:
+        if len(comp) == 1:
+            v = comp[0]
+            if succ[v] == [v]:
+                absorbing.append(v)
             continue
-        if len(comp) > 1:
+        members = set(comp)
+        if all(t in members for v in comp for t in succ[v]):
             names = [mdp.state_names[v] for v in comp]
             raise UnsupportedChainStructureError(f"recurrent class with {len(comp)} states: {names}")
-        absorbing.append(comp[0])
     return absorbing, sccs
 
 
@@ -250,34 +281,40 @@ def _pinned_expectation(
     policy: Policy,
     sccs: list[list[int]],
     pinned: dict[int, Fraction],
-    step_reward: Callable[[int], Fraction],
+    *,
+    gain: bool,
 ) -> list[Fraction]:
-    """Solve v(s) = step_reward(s) + sum p(s'|s) v(s') with the absorbing states pinned.
+    """Solve v(s) = r(s) + sum p(s'|s) v(s') with the absorbing states pinned.
 
-    ``sccs`` are the policy graph's components in reverse topological
-    order, as ``_chain_structure`` finds them.  When every component is a
-    single state (the graph is acyclic apart from self-loops, which arise
-    here only as a detour's return mass), the values follow by
-    back-substitution along that order; otherwise the transient linear
-    system is assembled and solved exactly.
+    ``r(s)`` is the reward of the action the policy chooses at ``s`` for the
+    values form, and 0 for the gain form (``gain=True``), where the pinned
+    absorbing rewards carry all of it.  ``sccs`` are the policy graph's
+    components in reverse topological order, as ``_chain_structure`` finds
+    them.  When every component is a single state (the graph is acyclic
+    apart from self-loops, which arise here only as a detour's return mass),
+    the values follow by back-substitution along that order, through each
+    action's ``solved`` equation, where a sole exit costs no multiplication.
+    Otherwise the transient linear system is assembled from the raw
+    transitions and solved exactly.
     """
     n = mdp.num_states
+    actions, choice = mdp.actions, policy.choice
     values: list[Fraction | None] = [None] * n
     for s, v in pinned.items():
         values[s] = v
 
-    if all(len(comp) == 1 for comp in sccs):
+    if len(sccs) == n:
         for (s,) in sccs:
             if values[s] is not None:
                 continue
-            act = mdp.actions[policy.choice[s]]
-            self_mass = act.transitions.get(s, ZERO)
-            acc = step_reward(s)
-            for t, p in act.transitions.items():
-                if t == s:
-                    continue
-                acc += p * values[t]  # type: ignore[operator]
-            values[s] = acc / (1 - self_mass)
+            base, exits = actions[choice[s]].solved  # type: ignore[misc]
+            if len(exits) == 1:
+                acc = values[exits[0][0]]  # a sole exit's coefficient is exactly 1
+            else:
+                acc = ZERO
+                for t, c in exits:
+                    acc += c * values[t]  # type: ignore[operator]
+            values[s] = acc + base if base and not gain else acc
         return values  # type: ignore[return-value]
 
     transient = [s for s in range(n) if s not in pinned]
@@ -288,8 +325,8 @@ def _pinned_expectation(
     for s in transient:
         row = [ZERO] * m
         row[idx[s]] = ONE
-        act = mdp.actions[policy.choice[s]]
-        acc = step_reward(s)
+        act = actions[choice[s]]
+        acc = ZERO if gain else act.reward
         for t, p in act.transitions.items():
             if t in idx:
                 row[idx[t]] -= p
@@ -311,14 +348,14 @@ def evaluate_values(mdp: Mdp, policy: Policy) -> list[Fraction]:
     """
     absorbing, sccs = _find_absorbing_or_raise(mdp, policy, require_zero_reward=True)
     pinned = {s: ZERO for s in absorbing}
-    return _pinned_expectation(mdp, policy, sccs, pinned, lambda s: mdp.actions[policy.choice[s]].reward)
+    return _pinned_expectation(mdp, policy, sccs, pinned, gain=False)
 
 
 def evaluate_gain(mdp: Mdp, policy: Policy) -> list[Fraction]:
     """Expected average reward per state: the absorbed self-loop reward, in expectation."""
     absorbing, sccs = _find_absorbing_or_raise(mdp, policy, require_zero_reward=False)
     pinned = {s: mdp.actions[policy.choice[s]].reward for s in absorbing}
-    return _pinned_expectation(mdp, policy, sccs, pinned, lambda s: ZERO)
+    return _pinned_expectation(mdp, policy, sccs, pinned, gain=True)
 
 
 def _find_absorbing_or_raise(
@@ -514,15 +551,18 @@ def run_policy_iteration(
     """Greedy single-switch policy iteration to optimality, with a full trace.
 
     This is the only loop that evaluates policies.  It evaluates each policy
-    once and computes every action's appeal once per run.  An appeal reads
-    only the values of its action's state and targets, so after a switch it
-    recomputes just the appeals of the actions at a state whose value
-    changed, or with a transition into one.  The switched state is always
-    among those states: a positive-appeal switch raises its value by at
-    least that appeal.  Each watcher sees every switch as
-    (event, policy before the switch, that policy's values, its appeals);
-    the final policy, its values and its appeals come back on the result.
-    No list handed out is changed afterwards.
+    once and computes every action's appeal once per run.  The values a
+    switch at ``s`` changes are exactly those of ``s`` and of the states
+    that reach ``s`` under the new policy, since the change is
+    ``(I - P_new)^-1`` applied to the appeal at ``s``.  So the run keeps the
+    reverse policy graph, updates it at every switch, and walks it back from
+    ``s`` to find them.  An appeal reads only the values of its action's
+    state and targets, so the run then recomputes just the appeals of the
+    actions at a changed state, or with a transition into one.  Each
+    watcher sees every switch as (event, policy before the switch, that
+    policy's values, its appeals); the final policy, its values and its
+    appeals come back on the result.  No list handed out is changed
+    afterwards.
     """
     if budget <= 0:
         raise MdpError("iteration budget must be positive")
@@ -537,6 +577,10 @@ def run_policy_iteration(
     for aid, act in enumerate(mdp.actions):
         for t in act.transitions:
             entering[t].append(aid)
+    movers: list[set[int]] = [set() for _ in range(mdp.num_states)]  # states whose chosen action moves into each state
+    for s, aid in enumerate(policy.choice):
+        for t in mdp.actions[aid].transitions:
+            movers[t].add(s)
     values = evaluate_values(mdp, policy)
     gains = appeals(mdp, policy, values)
     positive = {aid: appeal for aid, appeal in enumerate(gains) if appeal > 0}
@@ -553,13 +597,23 @@ def run_policy_iteration(
         trace.append(event)
         policy = new_policy
         iteration += 1
-        new_values = evaluate_values(mdp, policy)
+        switched = event.state
+        for t in mdp.actions[event.old_action].transitions:
+            movers[t].discard(switched)
+        for t in mdp.actions[event.new_action].transitions:
+            movers[t].add(switched)
+        changed = {switched}
+        frontier = [switched]
+        while frontier:
+            for u in movers[frontier.pop()]:
+                if u not in changed:
+                    changed.add(u)
+                    frontier.append(u)
         stale: set[int] = set()
-        for s, (new, old) in enumerate(zip(new_values, values)):
-            if new != old:
-                stale.update(mdp.state_actions[s])
-                stale.update(entering[s])
-        values, gains = new_values, list(gains)
+        for s in changed:
+            stale.update(mdp.state_actions[s])
+            stale.update(entering[s])
+        values, gains = evaluate_values(mdp, policy), list(gains)
         for aid in stale:
             appeal = gains[aid] = _appeal(mdp.actions[aid], values)
             if appeal > 0:

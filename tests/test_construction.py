@@ -227,6 +227,13 @@ def test_watchers_are_handed_the_values_and_appeals_of_their_policy(circ, bits, 
     handed = []
 
     def watch(event, policy, values, gains):
+        # The raw value equation: a bug in ``Action.solved`` would be shared by ``evaluate_values``.
+        for s, aid in enumerate(policy.choice):
+            act = cons.mdp.actions[aid]
+            if act.transitions == {s: 1}:
+                assert values[s] == 0
+            else:
+                assert values[s] == act.reward + sum(p * values[t] for t, p in act.transitions.items())
         fresh = evaluate_values(cons.mdp, policy)
         assert values == fresh
         assert gains == appeals(cons.mdp, policy, fresh)

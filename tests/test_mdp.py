@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dantziglab import mdp as mdp_module
+from dantziglab.circuit import negated_form, normalize_depths
+from dantziglab.construction import build_construction, initial_policy
+from dantziglab.library import identity_circuit, rotation_circuit
 from dantziglab.mdp import (
     BadProbabilityError,
     IterationBudgetExceededError,
@@ -277,6 +280,34 @@ def test_evaluation_makes_one_scc_pass(monkeypatch):
         assert len(calls) == 1
 
 
+def test_solved_form_of_a_detour_entry():
+    m, sink = sink_mdp()
+    s = m.add_state("s")
+    t = m.add_state("t")
+    m.add_action(t, {sink: ONE}, 0)
+    r = Fraction(5, 7)
+    entry = m.actions[add_gadget(m, s, t, r, 0, Fraction(1, 3))]
+    mid = m.num_states - 1
+    assert entry.transitions == {mid: Fraction(1, 3), s: Fraction(2, 3)}
+    assert "solved" not in vars(entry)  # computed on first use, not by add_action
+    assert entry.solved == (3 * r, ((mid, 1),))
+
+
+def test_solved_form_of_a_pure_self_loop_is_none():
+    m, sink = sink_mdp()
+    assert m.actions[0].solved is None
+
+
+def test_solved_form_divides_every_exit_by_the_leaving_mass():
+    m, sink = sink_mdp()
+    s = m.add_state("s")
+    u = m.add_state("u")
+    act = m.actions[m.add_action(s, {u: Fraction(1, 6), s: Fraction(1, 2), sink: Fraction(1, 3)}, 3)]
+    base, exits = act.solved
+    assert base == 6
+    assert dict(exits) == {u: Fraction(1, 3), sink: Fraction(2, 3)}
+
+
 def two_action_mdp(r_good=1, r_bad=0):
     m, sink = sink_mdp()
     s = m.add_state("s")
@@ -402,6 +433,54 @@ def test_kept_appeals_equal_a_fresh_pass_on_transient_cycles(seed, tie):
     assert result.values == evaluate_values(m, result.policy)
     assert result.appeals == appeals(m, result.policy, result.values)
     assert max(result.appeals) == 0
+
+
+def _reaching(m, policy, target):
+    """The states that reach ``target`` under the policy, itself included, read off the raw transitions."""
+    reached = {target}
+    grew = True
+    while grew:
+        grew = False
+        for s, aid in enumerate(policy.choice):
+            if s not in reached and any(t in reached for t in m.actions[aid].transitions):
+                reached.add(s)
+                grew = True
+    return reached
+
+
+def _construction_start(circuit, bits):
+    cons = build_construction(negated_form(normalize_depths(circuit)))
+    return cons.mdp, initial_policy(cons, bits)
+
+
+@pytest.mark.parametrize(
+    "make, tie",
+    [pytest.param(lambda: _construction_start(rotation_circuit(2), (1, 1)), "lowest", id="rot2-lowest")]
+    + [
+        pytest.param(
+            lambda: _construction_start(identity_circuit(2), (1, 1)), tie, id=f"identity2-{tie.replace(':', '')}"
+        )
+        for tie in ("lowest", "highest", "random:3")
+    ]
+    + [
+        pytest.param(lambda seed=seed: _cyclic_random_mdp(random.Random(seed)), "lowest", id=f"rings{seed}-lowest")
+        for seed in range(4)
+    ],
+)
+def test_a_switch_changes_the_values_of_exactly_the_states_that_reach_it(make, tie):
+    # The engine finds the changed values by walking its reverse policy
+    # graph; here fresh evaluations of consecutive policies must differ on
+    # exactly the switched state and the states that reach it afterwards.
+    m, start = make()
+    result = run_policy_iteration(m, start, tie=parse_tiebreak(tie), budget=1000)
+    assert result.iterations > 0
+    policies = result.policies()
+    before = evaluate_values(m, policies[0])
+    for event, policy in zip(result.trace, policies[1:]):
+        after = evaluate_values(m, policy)
+        changed = {s for s, (old, new) in enumerate(zip(before, after)) if old != new}
+        assert changed == _reaching(m, policy, event.state)
+        before = after
 
 
 def test_tiebreak_rules_pick_expected_candidates():
