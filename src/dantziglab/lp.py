@@ -17,12 +17,18 @@ appeals the run picks its switch from), then makes its own pivot.  The LP
 side draws ties from its own generator and never evaluates a policy or
 computes an appeal, so it stays independent of the engine it audits.
 
-A basis keeps its inverse as plain rows of ``Fraction``, rebuilt from the
-sparse basis columns by one ``numerics.inverse`` call at every pivot.  In
-exact arithmetic a product-form update could not drift either; the rebuild
-is kept only because it is the least code, and the instances are
-desk-scale.  The inverse is mostly zeros, so every product with it (duals,
-basic solution, entering direction) skips its zero entries.
+A basis keeps its inverse as sparse rows (dicts from column to nonzero
+``Fraction``), rebuilt from the LP's sparse columns by one
+``numerics.inverse`` call at every pivot.  In exact arithmetic a
+product-form update could not drift either; the rebuild is kept only
+because it is the least code, and the instances are desk-scale.  The basis
+is I - Pᵀ on the non-sink states, so its inverse is the transpose of
+Σ Pᵏ: row i holds column j exactly when row i's state is reachable from
+row j's state under the policy.  Every basis a run visits comes from a
+policy that is acyclic apart from self-loops, so it is triangular under a
+permutation and the inverse's singleton-first elimination stores nothing
+but those entries.  Every product with the inverse (duals, basic solution,
+entering direction) reads only its nonzeros.
 """
 
 from __future__ import annotations
@@ -128,42 +134,35 @@ def mdp_to_primal(mdp: Mdp, sink: int) -> LinearProgram:
 class Basis:
     lp: LinearProgram
     cols: tuple[int, ...]  # one column index per row, in row order
-    inv: list[list[Fraction]]  # rows of the basis inverse
+    inv: list[dict[int, Fraction]]  # sparse rows of the basis inverse
 
     def action_ids(self) -> frozenset[int]:
         return frozenset(self.lp.cols[j] for j in self.cols)
 
-    def _times(self, entries: Sequence[tuple[int, Fraction]]) -> list[Fraction]:
-        """B^-1 · v for v given by its (row, value) pairs; zeros of B^-1 are skipped."""
+    def _times(self, vector: dict[int, Fraction]) -> list[Fraction]:
+        """B^-1 · v for v given by its nonzeros, read over the nonzeros of B^-1."""
         out = []
         for row in self.inv:
             acc = ZERO
-            for i, v in entries:
-                e = row[i]
-                if e:
+            for i, e in row.items():
+                v = vector.get(i)
+                if v:
                     acc += e * v
             out.append(acc)
         return out
 
     def basic_solution(self) -> list[Fraction]:
-        return self._times(list(enumerate(self.lp.rhs)))
+        return self._times(dict(enumerate(self.lp.rhs)))
 
     def direction(self, col: int) -> list[Fraction]:
         """The entering direction B^-1 · a_col of column ``col``."""
-        return self._times(list(self.lp.columns[col].items()))
-
-    def objective_value(self) -> Fraction:
-        x = self.basic_solution()
-        return sum(
-            (self.lp.objective[j] * x[pos] for pos, j in enumerate(self.cols)),
-            start=ZERO,
-        )
+        return self._times(self.lp.columns[col])
 
 
 def make_basis(lp: LinearProgram, cols: Sequence[int]) -> Basis:
     if len(cols) != lp.num_rows:
         raise LpError(f"basis needs {lp.num_rows} columns, got {len(cols)}")
-    rows = [[ZERO] * len(cols) for _ in cols]
+    rows: list[dict[int, Fraction]] = [{} for _ in cols]
     for pos, j in enumerate(cols):
         for i, v in lp.columns[j].items():
             rows[i][pos] = v
@@ -193,9 +192,8 @@ def dual_and_reduced_costs(lp: LinearProgram, basis: Basis) -> tuple[list[Fracti
         c = lp.objective[j]
         if not c:
             continue
-        for i, v in enumerate(row):
-            if v:
-                y[i] += c * v
+        for i, v in row.items():
+            y[i] += c * v
     reduced = []
     for j in range(lp.num_cols):
         acc = lp.objective[j]

@@ -11,7 +11,7 @@ When the policy graph is acyclic apart from self-loops, evaluation is
 back-substitution: each action carries its value equation already solved
 for its own state, so a state whose chosen action leaves for a single other
 state costs one addition, or none.  Policies with a transient cycle fall
-back to a dense exact solve of the raw equations.
+back to an exact sparse solve of the raw equations.
 
 The switching engine ("greedy single-switch rule") always switches one
 action of maximal positive appeal, with an explicit, reproducible tie-break.
@@ -294,8 +294,8 @@ def _pinned_expectation(
     apart from self-loops, which arise here only as a detour's return mass),
     the values follow by back-substitution along that order, through each
     action's ``solved`` equation, where a sole exit costs no multiplication.
-    Otherwise the transient linear system is assembled from the raw
-    transitions and solved exactly.
+    Otherwise the transient linear system is assembled as sparse rows from
+    the raw transitions and solved exactly.
     """
     n = mdp.num_states
     actions, choice = mdp.actions, policy.choice
@@ -319,17 +319,16 @@ def _pinned_expectation(
 
     transient = [s for s in range(n) if s not in pinned]
     idx = {s: i for i, s in enumerate(transient)}
-    m = len(transient)
     rows = []
     rhs = []
     for s in transient:
-        row = [ZERO] * m
-        row[idx[s]] = ONE
+        row = {idx[s]: ONE}
         act = actions[choice[s]]
         acc = ZERO if gain else act.reward
         for t, p in act.transitions.items():
             if t in idx:
-                row[idx[t]] -= p
+                i = idx[t]
+                row[i] = row.get(i, ZERO) - p
             else:
                 acc += p * pinned[t]
         rows.append(row)

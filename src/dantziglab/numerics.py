@@ -1,25 +1,42 @@
-"""Exact rational scalars and dense rational linear algebra on rows.
+"""Exact rational scalars and sparse rational linear algebra on rows.
 
 Every number in this package is a ``fractions.Fraction``; nothing is ever
 computed in floating point.  The decisive comparisons downstream separate
 constants such as 16/5 and 33/10 after division by quantities of magnitude
 3^(d+6), so exactness is a correctness requirement, not a nicety.
 
-A square matrix is a plain list of rows, each a list of ``Fraction``.  The
-solver and the inverse copy their input and coerce every entry with ``rat``,
-so a float anywhere raises ``TypeError``.  Both run plain Gauss-Jordan
-elimination over the rationals, pivoting on the first nonzero entry in each
-column.  That is exact, and cubic time is fine at the scales that occur here
-(a few hundred unknowns).
+A square n×n matrix is a list of n sparse rows, each a dict from column
+index to its nonzero entry.  The solver and the inverse copy their input and
+coerce every given entry with ``rat``, so a float anywhere, ``0.0``
+included, raises ``TypeError``; a column key outside ``range(n)`` raises
+``ValueError``; a given zero is dropped, and an entry that cancels to zero
+during elimination is deleted, so no row ever stores a zero.
+
+Both run one sparse Gauss-Jordan elimination over the rationals.  It pivots
+first on row singletons: rows with one nonzero left among the unpivoted
+columns, kept in a queue as in Kahn's topological sort (the "singleton"
+phase of LP basis factorization; Suhl & Suhl 1990, ORSA J. Computing 2(4)).
+A singleton's column is its only unpivoted entry, so eliminating that
+column from the rows that hold it touches only their right-hand sides.  A
+matrix that is triangular under some row and column permutation, as the
+basis of every acyclic policy is, therefore eliminates with no fill at all
+in its left block.  When no singleton is left (a transient cycle), the
+elimination pivots on the first unpivoted column's first open row, and a
+column with no nonzero left among the open rows means the matrix is
+singular.  The inverse and the solution are unique, so the pivot order
+never changes a result.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+SparseRow = dict[int, Fraction]
 
 
 class SingularMatrixError(ValueError):
@@ -45,63 +62,97 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def _square(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Fresh exact rows of a square matrix, every entry coerced by ``rat``."""
+def _square(rows: Sequence[Mapping[int, Fraction]]) -> list[SparseRow]:
+    """Fresh sparse rows of a square matrix: entries coerced by ``rat``, zeros dropped."""
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    return [[rat(x) for x in row] for row in rows]
+    out = []
+    for row in rows:
+        fresh = {}
+        for j, x in row.items():
+            if j not in range(n):
+                raise ValueError(f"matrix must be square: column {j!r} is outside range({n})")
+            x = rat(x)
+            if x:
+                fresh[j] = x
+        out.append(fresh)
+    return out
 
 
-def _gauss_jordan(aug: list[list[Fraction]], n: int) -> None:
-    """Reduce the left n columns of the augmented rows to the identity, in place."""
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if aug[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise SingularMatrixError(f"zero pivot in column {col}")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        prow = aug[col]
-        width = len(prow)
-        inv = ONE / prow[col]
-        if inv != ONE:
-            for j in range(col, width):
-                if prow[j]:
-                    prow[j] *= inv
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if not factor:
-                continue
-            row = aug[r]
-            for j in range(col, width):
-                if prow[j]:
-                    row[j] -= factor * prow[j]
+def _axpy(row: SparseRow, factor: Fraction, pivot: SparseRow) -> None:
+    """row -= factor·pivot in place, deleting the entries that cancel to zero."""
+    for k, v in pivot.items():
+        new = row.get(k, ZERO) - factor * v
+        if new:
+            row[k] = new
+        else:
+            del row[k]
 
 
-def solve_linear_system(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a·x = b exactly for square nonsingular a, given as rows."""
-    aug = _square(a)
-    n = len(aug)
+def _gauss_jordan(left: list[SparseRow], right: list[SparseRow]) -> list[SparseRow]:
+    """Reduce the square ``left`` rows to the identity, applying each step to ``right``.
+
+    Both lists are changed in place.  Returns the right-hand rows in column
+    order: entry c is the right row whose pivot was column c.
+    """
+    n = len(left)
+    holders: list[set[int]] = [set() for _ in range(n)]  # column -> rows holding it
+    for r, row in enumerate(left):
+        for c in row:
+            holders[c].add(r)
+    is_open = [True] * n
+    singles = deque(r for r, row in enumerate(left) if len(row) == 1)
+    pivot_row: list[int | None] = [None] * n
+    first_free = 0
+    for _ in range(n):
+        while singles and not (is_open[singles[0]] and len(left[singles[0]]) == 1):
+            singles.popleft()  # pivoted since it was queued, or no longer a singleton
+        if singles:
+            r = singles.popleft()
+            (c,) = left[r]
+        else:
+            while pivot_row[first_free] is not None:
+                first_free += 1
+            c = first_free
+            candidates = [h for h in holders[c] if is_open[h]]
+            if not candidates:
+                raise SingularMatrixError(f"zero pivot in column {c}")
+            r = min(candidates)
+        pivot_row[c] = r
+        is_open[r] = False
+        prow, pright = left[r], right[r]
+        scale = prow.pop(c)
+        holders[c].discard(r)
+        if scale != ONE:
+            for k in prow:
+                prow[k] /= scale
+            for k in pright:
+                pright[k] /= scale
+        for h in holders[c]:
+            row = left[h]
+            factor = row.pop(c)
+            _axpy(row, factor, prow)
+            for k in prow:
+                if k in row:
+                    holders[k].add(h)
+                else:
+                    holders[k].discard(h)
+            _axpy(right[h], factor, pright)
+            if is_open[h] and len(row) == 1:
+                singles.append(h)
+    return [right[r] for r in pivot_row]  # type: ignore[index]
+
+
+def solve_linear_system(a: Sequence[Mapping[int, Fraction]], b: Sequence[Fraction]) -> list[Fraction]:
+    """Solve a·x = b exactly for square nonsingular a, given as sparse rows; x is dense."""
+    left = _square(a)
+    n = len(left)
     if len(b) != n:
         raise ValueError("right-hand side has wrong length")
-    for row, value in zip(aug, b):
-        row.append(rat(value))
-    _gauss_jordan(aug, n)
-    return [row[n] for row in aug]
+    right = [{0: x} if x else {} for x in map(rat, b)]
+    return [row.get(0, ZERO) for row in _gauss_jordan(left, right)]
 
 
-def inverse(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Rows of the exact inverse of a square nonsingular matrix, given as rows."""
-    aug = _square(a)
-    n = len(aug)
-    for i, row in enumerate(aug):
-        row.extend([ZERO] * n)
-        row[n + i] = ONE
-    _gauss_jordan(aug, n)
-    return [row[n:] for row in aug]
+def inverse(a: Sequence[Mapping[int, Fraction]]) -> list[SparseRow]:
+    """Sparse rows of the exact inverse of a square nonsingular matrix, given as sparse rows."""
+    left = _square(a)
+    return _gauss_jordan(left, [{i: ONE} for i in range(len(left))])

@@ -190,7 +190,18 @@ def test_criterion_5_lockstep_equivalence():
         cons.mdp, initial_policy(cons, (1,)), cons.index.si(), budget=cons.budget()
     )
     assert report.ok and report.first_divergence is None
-    ok(5, f"pivoting retraces switching with zero divergences ({report.pivots} pivots on the full machine)")
+    circuit, bits, _ = INSTANCES["identity2"]
+    cons = build_construction(negated_form(normalize_depths(circuit)))
+    wide = check_pi_simplex_equivalence(
+        cons.mdp, initial_policy(cons, bits), cons.index.si(), budget=cons.budget()
+    )
+    assert wide.ok and wide.first_divergence is None and wide.pivots == 133
+    assert all(entry["ok"] for entry in wide.iterations)
+    ok(
+        5,
+        "pivoting retraces switching with zero divergences "
+        f"({report.pivots} pivots on identity1, {wide.pivots} on identity2)",
+    )
 
 
 def test_criterion_6_gadget_property_suite():

@@ -11,7 +11,7 @@ from dantziglab.construction import (
     clock_initial_policy,
     initial_policy,
 )
-from dantziglab.library import identity_circuit
+from dantziglab.library import identity_circuit, rotation_circuit
 from dantziglab.lp import (
     EquivalenceViolationError,
     Lockstep,
@@ -38,6 +38,12 @@ from dantziglab.mdp import (
 )
 
 ONE = Fraction(1)
+
+
+def objective_value(lp, basis):
+    """c_B · x_B: the objective at the basis's basic solution."""
+    x = basis.basic_solution()
+    return sum((lp.objective[j] * x[pos] for pos, j in enumerate(basis.cols)), start=Fraction(0))
 
 
 def tiny_mdp():
@@ -159,7 +165,7 @@ def test_pivot_matches_switch_and_objective_increases():
     assert step is not None
     assert lp.cols[step.entering] == event.new_action
     assert lp.cols[step.leaving] == event.old_action
-    assert step.basis.objective_value() > basis.objective_value()
+    assert objective_value(lp, step.basis) > objective_value(lp, basis)
 
 
 def test_optimum_returns_none_and_dual_feasible():
@@ -246,20 +252,83 @@ def test_lockstep_bases_solve_their_systems_exactly(monkeypatch):
             assert step.basis.cols != basis.cols
 
 
+def _reached_from(lp, basis):
+    """For each basic row j, the rows whose states its state reaches under the basis's policy.
+
+    Read from the raw MDP transitions of the basic actions, not from the LP
+    columns; paths end at the sink.  Every row reaches itself.
+    """
+    mdp = lp.mdp
+    step = {}
+    for j in basis.cols:
+        act = mdp.action(lp.cols[j])
+        step[lp.row_of[act.state]] = [lp.row_of[t] for t in act.transitions if t != lp.sink]
+    reached = []
+    for start in range(lp.num_rows):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for i in step[stack.pop()]:
+                if i not in seen:
+                    seen.add(i)
+                    stack.append(i)
+        reached.append(seen)
+    return reached
+
+
+def assert_inverse_pattern_is_reachability(lp, basis):
+    # B = I - Pᵀ on the transient rows, so B⁻¹ = (Σ Pᵏ)ᵀ: a nonnegative sum in
+    # which no entry cancels.  Row i holds key j exactly when row i's state is
+    # reachable from row j's state; a stored zero or a lost nonzero fails.
+    reached = _reached_from(lp, basis)
+    for i, row in enumerate(basis.inv):
+        assert set(row) == {j for j in range(lp.num_rows) if i in reached[j]}
+        assert all(v > 0 for v in row.values())
+
+
+def test_basis_inverse_holds_exactly_the_reachable_pairs(monkeypatch):
+    import dantziglab.lp as lp_module
+
+    visited = []
+    original = lp_module.simplex_dantzig_step
+
+    def recording_step(lp, basis, *args):
+        visited.append((lp, basis))
+        return original(lp, basis, *args)
+
+    monkeypatch.setattr(lp_module, "simplex_dantzig_step", recording_step)
+    cons = build_construction(negated_form(normalize_depths(identity_circuit(1))))
+    report = check_pi_simplex_equivalence(
+        cons.mdp, initial_policy(cons, (1,)), cons.index.si(), budget=cons.budget()
+    )
+    assert report.ok and len(visited) == 23
+    for lp, basis in visited:
+        assert_inverse_pattern_is_reachability(lp, basis)
+
+    # A sample of rot2's bases, rebuilt from the policies its run visits.
+    cons = build_construction(negated_form(normalize_depths(rotation_circuit(2))))
+    result = run_policy_iteration(cons.mdp, initial_policy(cons, (1, 1)), budget=cons.budget())
+    lp = mdp_to_primal(cons.mdp, cons.index.si())
+    positions = [*range(0, len(result.trace), 20), len(result.trace)]
+    assert len(positions) >= 10
+    for policy in result.policies_at(positions):
+        assert_inverse_pattern_is_reachability(lp, basis_from_policy(lp, policy))
+
+
 def test_feasibility_preserved_across_pivots():
     cons = build_clock(2)
     policy = clock_initial_policy(cons)
     lp = mdp_to_primal(cons.mdp, cons.index.si())
     basis = basis_from_policy(lp, policy)
     tie = TieBreak.lowest()
-    objective = basis.objective_value()
+    objective = objective_value(lp, basis)
     while True:
         assert all(v >= 0 for v in basis.basic_solution())
         step = simplex_dantzig_step(lp, basis, tie)
         if step is None:
             break
-        assert step.basis.objective_value() >= objective
-        objective = step.basis.objective_value()
+        assert objective_value(lp, step.basis) >= objective
+        objective = objective_value(lp, step.basis)
         basis = step.basis
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dantziglab.numerics import (
     SingularMatrixError,
@@ -15,19 +15,37 @@ from dantziglab.numerics import (
 )
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def sparse(dense):
+    """Sparse rows (column -> nonzero entry) of a matrix given as dense rows."""
+    return [{j: e for j, e in enumerate(row) if e} for row in dense]
+
+
+def dense(rows, n):
+    return [[row.get(j, ZERO) for j in range(n)] for row in rows]
 
 
 def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [{i: ONE} for i in range(n)]
 
 
 def mul_vec(a, x):
-    return [sum((e * xj for e, xj in zip(row, x)), start=Fraction(0)) for row in a]
+    return [sum((e * x[j] for j, e in row.items()), start=ZERO) for row in a]
 
 
 def matmul(a, b):
-    columns = list(zip(*b))
-    return [mul_vec(columns, row) for row in a]
+    """Sparse rows of a·b, with cancelled entries dropped."""
+    out = []
+    for row in a:
+        acc = {}
+        for j, e in row.items():
+            for k, f in b[j].items():
+                acc[k] = acc.get(k, ZERO) + e * f
+        out.append({k: v for k, v in acc.items() if v})
+    return out
 
 
 def test_rat_accepts_int_str_fraction():
@@ -53,20 +71,20 @@ def test_solve_identity():
 
 def test_solve_hand_elimination():
     # [[2,1],[1,3]] x = (5,10) has the unique solution (1, 3).
-    a = [[rat(2), rat(1)], [rat(1), rat(3)]]
+    a = sparse([[rat(2), rat(1)], [rat(1), rat(3)]])
     assert solve_linear_system(a, [rat(5), rat(10)]) == [rat(1), rat(3)]
 
 
 def test_solve_singular_raises():
-    a = [[rat(1), rat(2)], [rat(2), rat(4)]]
+    a = sparse([[rat(1), rat(2)], [rat(2), rat(4)]])
     with pytest.raises(SingularMatrixError):
         solve_linear_system(a, [rat(1), rat(1)])
 
 
 def test_inverse_identity_and_diagonal():
     assert inverse(identity(4)) == identity(4)
-    a = [[rat(2), rat(0)], [rat(0), rat(4)]]
-    assert inverse(a) == [[Fraction(1, 2), rat(0)], [rat(0), Fraction(1, 4)]]
+    a = sparse([[rat(2), rat(0)], [rat(0), rat(4)]])
+    assert inverse(a) == sparse([[Fraction(1, 2), rat(0)], [rat(0), Fraction(1, 4)]])
 
 
 def test_empty_system_and_inverse_are_empty():
@@ -75,16 +93,33 @@ def test_empty_system_and_inverse_are_empty():
 
 
 def test_float_and_misshapen_input_is_rejected():
-    ragged = [[rat(1), rat(0)], [rat(0)]]
-    wide = [[rat(1), rat(0), rat(0)], [rat(0), rat(1), rat(0)]]
+    # A dense ragged or wide matrix has no sparse form; its sparse analogue is
+    # a column key outside range(n).
+    ragged = [{0: rat(1)}, {-1: rat(1)}]
+    wide = [{0: rat(1), 2: rat(1)}, {1: rat(1)}]
     for solve in (inverse, lambda rows: solve_linear_system(rows, [rat(1)] * len(rows))):
         with pytest.raises(TypeError):
-            solve([[rat(1), 0.5], [rat(0), rat(1)]])
+            solve([{0: rat(1), 1: 0.5}, {1: rat(1)}])
+        with pytest.raises(TypeError):
+            solve([{0: rat(1), 1: 0.0}, {1: rat(1)}])
         for rows in (ragged, wide):
             with pytest.raises(ValueError, match="matrix must be square"):
                 solve(rows)
     with pytest.raises(TypeError):
         solve_linear_system(identity(2), [rat(1), 0.5])
+    with pytest.raises(TypeError):
+        solve_linear_system(identity(2), [rat(1), 0.0])
+
+    # Explicit zeros are dropped: kept, they would hide the two row singletons
+    # and leave a zero pivot in column 0; dropped, each row pivots on its one
+    # nonzero.
+    a = [{0: rat(0), 1: rat(2)}, {0: rat(3), 1: rat(0)}]
+    assert inverse(a) == [{1: Fraction(1, 3)}, {0: Fraction(1, 2)}]
+    assert solve_linear_system(a, [rat(4), rat(0)]) == [rat(0), rat(2)]
+    assert a == [{0: rat(0), 1: rat(2)}, {0: rat(3), 1: rat(0)}]  # input untouched
+    # An entry that cancels during elimination is deleted, not stored as 0.
+    b = sparse([[0, 0, 1], [0, 1, 1], [1, 1, 1]])
+    assert inverse(b) == sparse([[0, -1, 1], [-1, 1, 0], [1, 0, 0]])
 
 
 def _brute_force_total_reward(chain, rewards, start, sink):
@@ -140,7 +175,7 @@ def test_transient_system_matches_path_sum_oracle():
     oracle = _brute_force_total_reward(chain, rewards, "1", "si")
     assert oracle["1"] == 0
 
-    # Same system through the dense solver: v = r + P v on the transient part.
+    # Same system through the sparse solver: v = r + P v on the transient part.
     states = ["si'", "0", "1'", "1", "hop"]
     idx = {s: i for i, s in enumerate(states)}
     n = len(states)
@@ -149,7 +184,8 @@ def test_transient_system_matches_path_sum_oracle():
     for s in states:
         for t2, p in chain[s].items():
             if t2 in idx:
-                rows[idx[s]][idx[t2]] -= p
+                i = idx[t2]
+                rows[idx[s]][i] = rows[idx[s]].get(i, ZERO) - p
         rhs.append(rewards[s])
     solution = solve_linear_system(rows, rhs)
     for s in states:
@@ -158,10 +194,10 @@ def test_transient_system_matches_path_sum_oracle():
 
 def _random_nonsingular(rng, n):
     while True:
-        rows = [
+        rows = sparse([
             [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
             for _ in range(n)
-        ]
+        ])
         try:
             return rows, inverse(rows)
         except SingularMatrixError:
@@ -193,3 +229,76 @@ def test_field_axioms_on_random_triples(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+def _determinant(rows):
+    """Laplace expansion along the first row: no elimination, no pivoting."""
+    if not rows:
+        return ONE
+    total = ZERO
+    for j, e in enumerate(rows[0]):
+        if e:
+            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+            total += (-1) ** j * e * _determinant(minor)
+    return total
+
+
+NONZERO = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3)]
+small = st.sampled_from([ZERO] + NONZERO)
+nonzero = st.sampled_from(NONZERO)
+
+
+@st.composite
+def shaped_matrices(draw):
+    """(shape, sparse rows) of an n×n matrix, n ≤ 6, with its rows and columns permuted.
+
+    "triangular" is lower triangular with a nonzero diagonal, so it always
+    has a row singleton; "cycle" also closes the cycle 0 → 1 → … → n-1 → 0
+    above the diagonal, so for n ≥ 2 no row starts as a singleton and the
+    elimination needs its fallback pivot (and may find it singular);
+    "singular" replaces one row of a triangular matrix with a combination of
+    the other rows.
+    """
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["triangular", "cycle", "singular"]))
+    diagonal = draw(st.lists(nonzero, min_size=n, max_size=n))
+    below = iter(draw(st.lists(small, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+    rows = [[next(below) if j < i else ZERO for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][i] = diagonal[i]
+    if shape == "cycle":
+        for i, e in enumerate(draw(st.lists(nonzero, min_size=n, max_size=n))):
+            rows[i][(i + 1) % n] = e
+    elif shape == "singular":
+        k = draw(st.integers(0, n - 1))
+        weights = draw(st.lists(small, min_size=n, max_size=n))
+        rows[k] = [
+            sum((weights[i] * rows[i][j] for i in range(n) if i != k), start=ZERO) for j in range(n)
+        ]
+    row_order = draw(st.permutations(range(n)))
+    col_order = draw(st.permutations(range(n)))
+    permuted = [[rows[row_order[i]][col_order[j]] for j in range(n)] for i in range(n)]
+    return shape, sparse(permuted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_matrices(), st.data())
+def test_elimination_agrees_with_a_cofactor_determinant(case, data):
+    shape, a = case
+    n = len(a)
+    given_rows = [dict(row) for row in a]
+    det = _determinant(dense(a, n))
+    assert (det == 0) if shape == "singular" else (det != 0 or shape == "cycle")
+    b = data.draw(st.lists(small, min_size=n, max_size=n))
+    if det == 0:
+        with pytest.raises(SingularMatrixError):
+            inverse(a)
+        with pytest.raises(SingularMatrixError):
+            solve_linear_system(a, b)
+        return
+    inv = inverse(a)
+    assert all(v for row in inv for v in row.values())
+    assert matmul(a, inv) == identity(n)
+    assert matmul(inv, a) == identity(n)
+    assert mul_vec(a, solve_linear_system(a, b)) == b
+    assert a == given_rows
