@@ -70,12 +70,6 @@ class PivotInvariantError(LpError):
     """The leaving column was not the other action at the entering state."""
 
 
-class EquivalenceViolationError(AssertionError):
-    def __init__(self, message: str, report: "EquivalenceReport"):
-        super().__init__(message)
-        self.report = report
-
-
 @dataclass
 class LinearProgram:
     mdp: Mdp
@@ -103,20 +97,20 @@ def mdp_to_primal(mdp: Mdp, sink: int) -> LinearProgram:
     Every action at the sink must be a probability-1 zero-reward self-loop;
     the sink's row and columns are dropped.
     """
-    for aid in mdp.actions_at(sink):
-        act = mdp.action(aid)
+    for aid in mdp.state_actions[sink]:
+        act = mdp.actions[aid]
         if act.transitions != {sink: ONE} or act.reward != 0:
             raise NoSinkError(f"state {mdp.state_names[sink]} is not an absorbing zero-reward sink")
     rows = [s for s in range(mdp.num_states) if s != sink]
     if not rows:
         raise LpError(f"the MDP has no state besides the sink {mdp.state_names[sink]}")
     row_of = {s: i for i, s in enumerate(rows)}
-    cols = [aid for s in rows for aid in mdp.actions_at(s)]
+    cols = [aid for s in rows for aid in mdp.state_actions[s]]
     col_of = {aid: j for j, aid in enumerate(cols)}
     objective = []
     columns = []
     for aid in cols:
-        act = mdp.action(aid)
+        act = mdp.actions[aid]
         column: dict[int, Fraction] = {row_of[act.state]: ONE}
         for target, p in act.transitions.items():
             if target == sink:
@@ -215,21 +209,19 @@ def simplex_dantzig_step(
     lp: LinearProgram,
     basis: Basis,
     tie: TieBreak,
-    rng: random.Random | None = None,
-    reduced: Sequence[Fraction] | None = None,
+    rng: random.Random | None,
+    reduced: Sequence[Fraction],
 ) -> SimplexStep | None:
     """One largest-reduced-cost pivot, or None at optimality.
 
-    ``reduced`` may carry the basis's reduced costs when the caller has
-    already computed them.  The ratio test must have a unique minimizer,
-    and the leaving column must be the basic action at the entering
-    column's state; both are structural facts here, so their failure
-    aborts loudly rather than falling back to an anti-cycling rule.
+    ``reduced`` holds the basis's reduced costs, as ``dual_and_reduced_costs``
+    gives them, and ``rng`` the tie generator (None unless the rule is
+    seeded-random).  The ratio test must have a unique minimizer, and the
+    leaving column must be the basic action at the entering column's
+    state; both are structural facts here, so their failure aborts loudly
+    rather than falling back to an anti-cycling rule.
     """
-    if rng is None:
-        rng = tie.make_rng()
-    if reduced is None:
-        _, reduced = dual_and_reduced_costs(lp, basis)
+    actions = lp.mdp.actions
     best: Fraction | None = None
     candidates: list[tuple[int, int]] = []
     for j, rc in enumerate(reduced):
@@ -237,9 +229,9 @@ def simplex_dantzig_step(
             continue
         if best is None or rc > best:
             best = rc
-            candidates = [(lp.mdp.action(lp.cols[j]).state, lp.cols[j])]
+            candidates = [(actions[lp.cols[j]].state, lp.cols[j])]
         elif rc == best:
-            candidates.append((lp.mdp.action(lp.cols[j]).state, lp.cols[j]))
+            candidates.append((actions[lp.cols[j]].state, lp.cols[j]))
     if best is None:
         return None
     state, aid = tie.select(candidates, rng)
@@ -265,8 +257,8 @@ def simplex_dantzig_step(
     if tie_count > 1:
         raise DegenerateLeavingError("ratio test minimizer is not unique")
     leaving = basis.cols[leaving_pos]
-    enter_state = lp.mdp.action(aid).state
-    leave_state = lp.mdp.action(lp.cols[leaving]).state
+    enter_state = actions[aid].state
+    leave_state = actions[lp.cols[leaving]].state
     if enter_state != leave_state:
         raise PivotInvariantError(
             f"leaving column lives at state {leave_state}, entering at {enter_state}"
@@ -302,17 +294,16 @@ class Lockstep:
     appeal the run computed for that action, and the pivot enters the
     switched-in action, drops the switched-out one and has the switch's
     appeal as its reduced cost (at the final policy: no pivot at all).
-    Once the two sides cannot both move on, the lockstep stops comparing.
+    A mismatch is recorded, and the first one marks the report, but the
+    lockstep keeps pivoting on its own basis and comparing; once the two
+    sides cannot both move on, it stops.
     """
 
-    def __init__(
-        self, mdp: Mdp, policy: Policy, sink: int, *, tie: TieBreak | None = None, raise_on_divergence: bool = True
-    ):
+    def __init__(self, mdp: Mdp, policy: Policy, sink: int, *, tie: TieBreak | None = None):
         self.lp = mdp_to_primal(mdp, sink)
         self.basis = basis_from_policy(self.lp, policy)
         self.tie = tie if tie is not None else TieBreak.lowest()
         self.rng = self.tie.make_rng()
-        self.raise_on_divergence = raise_on_divergence
         self.report = EquivalenceReport()
         self.stopped = False
 
@@ -351,10 +342,6 @@ class Lockstep:
         if not entry["ok"] and report.first_divergence is None:
             report.ok = False
             report.first_divergence = iteration
-            if self.raise_on_divergence:
-                raise EquivalenceViolationError(
-                    f"solvers diverged at iteration {iteration}: {entry}", report
-                )
         if event is None or step is None:
             self.stopped = True
             return
@@ -369,7 +356,6 @@ def check_pi_simplex_equivalence(
     *,
     tie: TieBreak | None = None,
     budget: int,
-    raise_on_divergence: bool = True,
     watchers: Iterable[Watcher] = (),
 ) -> EquivalenceReport:
     """Run greedy policy iteration once, with a ``Lockstep`` auditing that run.
@@ -379,7 +365,7 @@ def check_pi_simplex_equivalence(
     ties come from its own generator, seeded like the run's.  ``watchers``
     ride along on the same run, and the report keeps the run as ``run``.
     """
-    lockstep = Lockstep(mdp, policy, sink, tie=tie, raise_on_divergence=raise_on_divergence)
+    lockstep = Lockstep(mdp, policy, sink, tie=tie)
     result = run_policy_iteration(mdp, policy, tie=tie, budget=budget, watchers=[*watchers, lockstep])
     report = lockstep.finish(result)
     report.run = result
@@ -413,7 +399,7 @@ def lp_manifest(lp: LinearProgram) -> dict:
         "rhs": [format_rational(v) for v in lp.rhs],
         "columns": [
             {
-                "action": lp.mdp.action(aid).name,
+                "action": lp.mdp.actions[aid].name,
                 "objective": format_rational(lp.objective[j]),
                 "entries": {str(i): format_rational(v) for i, v in sorted(lp.columns[j].items())},
             }

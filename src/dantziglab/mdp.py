@@ -17,9 +17,11 @@ The switching engine ("greedy single-switch rule") always switches one
 action of maximal positive appeal, with an explicit, reproducible tie-break.
 It evaluates each policy once and computes every appeal in full once per
 run.  After a switch it finds the states whose values changed by walking
-the reverse policy graph back from the switched state, and recomputes only
-the appeals that read those values.  The full ``appeals`` pass is also the
-oracle the tests check those kept appeals against.
+back from the switched state over one static index, the actions with a
+transition into each state, following only the actions the new policy
+chooses; it recomputes only the appeals that read those values.  The full
+``appeals`` pass is also the oracle the tests check those kept appeals
+against.
 """
 
 from __future__ import annotations
@@ -133,12 +135,6 @@ class Mdp:
         self.state_actions[state].append(aid)
         return aid
 
-    def actions_at(self, state: int) -> list[int]:
-        return self.state_actions[state]
-
-    def action(self, aid: int) -> Action:
-        return self.actions[aid]
-
     def validate(self) -> None:
         for s in range(self.num_states):
             if not self.state_actions[s]:
@@ -200,12 +196,13 @@ def make_policy(mdp: Mdp, choices: dict[int, int] | Sequence[int]) -> Policy:
     return Policy(tuple(picks))
 
 
-def _successors(mdp: Mdp, policy: Policy) -> list[list[int]]:
+def _successors(mdp: Mdp, policy: Policy) -> list[dict[int, Fraction]]:
+    """Each state's chosen transitions, keyed by target."""
     actions = mdp.actions
-    return [sorted(actions[aid].transitions) for aid in policy.choice]
+    return [actions[aid].transitions for aid in policy.choice]
 
 
-def _sccs(succ: list[list[int]]) -> list[list[int]]:
+def _sccs(succ: Sequence[Iterable[int]]) -> list[list[int]]:
     """Tarjan's strongly connected components, iteratively."""
     n = len(succ)
     index = [-1] * n
@@ -266,7 +263,7 @@ def _chain_structure(mdp: Mdp, policy: Policy) -> tuple[list[int], list[list[int
     for comp in sccs:
         if len(comp) == 1:
             v = comp[0]
-            if succ[v] == [v]:
+            if succ[v].keys() == {v}:
                 absorbing.append(v)
             continue
         members = set(comp)
@@ -468,23 +465,18 @@ def dantzig_step(
     mdp: Mdp,
     policy: Policy,
     tie: TieBreak,
-    rng: random.Random | None = None,
-    positive: dict[int, Fraction] | None = None,
+    rng: random.Random | None,
+    positive: dict[int, Fraction],
 ) -> tuple[Policy, TraceEvent] | None:
     """One greedy switch: the action of maximal positive appeal, or None at optimum.
 
     ``positive`` maps each action of positive appeal under the policy to
     that appeal.  The engine builds it from its one full appeal pass per
     run and, after each switch, updates only the appeals the switch
-    changed.  Without it the policy is evaluated and appealed from scratch.
-    The tie rule picks the same action whatever order the candidates come
-    in.
+    changed.  ``rng`` is the run's tie generator (None unless the rule is
+    seeded-random).  The tie rule picks the same action whatever order the
+    candidates come in.
     """
-    if positive is None:
-        gains = appeals(mdp, policy, evaluate_values(mdp, policy))
-        positive = {aid: appeal for aid, appeal in enumerate(gains) if appeal > 0}
-    if rng is None:
-        rng = tie.make_rng()
     best: Fraction | None = None
     candidates: list[tuple[int, int]] = []
     for aid, appeal in positive.items():
@@ -506,7 +498,6 @@ class PIResult:
     policy: Policy
     trace: list[TraceEvent]
     iterations: int
-    optimal: bool
     values: list[Fraction]  # of the final policy
     appeals: list[Fraction]  # of the final policy
 
@@ -530,9 +521,6 @@ class PIResult:
         taken[len(self.trace)] = Policy(tuple(choice))
         return [taken[k] for k in positions]
 
-    def used_action(self, aid: int) -> bool:
-        return any(ev.new_action == aid for ev in self.trace)
-
 
 def default_budget(n_bits: int, num_states: int) -> int:
     """Iteration cap: ten times the expected phase count times the state count."""
@@ -553,15 +541,16 @@ def run_policy_iteration(
     once and computes every action's appeal once per run.  The values a
     switch at ``s`` changes are exactly those of ``s`` and of the states
     that reach ``s`` under the new policy, since the change is
-    ``(I - P_new)^-1`` applied to the appeal at ``s``.  So the run keeps the
-    reverse policy graph, updates it at every switch, and walks it back from
-    ``s`` to find them.  An appeal reads only the values of its action's
-    state and targets, so the run then recomputes just the appeals of the
-    actions at a changed state, or with a transition into one.  Each
-    watcher sees every switch as (event, policy before the switch, that
-    policy's values, its appeals); the final policy, its values and its
-    appeals come back on the result.  No list handed out is changed
-    afterwards.
+    ``(I - P_new)^-1`` applied to the appeal at ``s``.  An appeal reads
+    only the values of its action's state and targets, so only the appeals
+    of the actions at a changed state, or with a transition into one, can
+    change.  The run indexes once the actions with a transition into each
+    state, and after a switch walks that index back from ``s``: every
+    action it meets there is stale, and the walk goes on to the state of
+    each one the new policy chooses.  Each watcher sees every switch as
+    (event, policy before the switch, that policy's values, its appeals);
+    the final policy, its values and its appeals come back on the result.
+    No list handed out is changed afterwards.
     """
     if budget <= 0:
         raise MdpError("iteration budget must be positive")
@@ -576,17 +565,13 @@ def run_policy_iteration(
     for aid, act in enumerate(mdp.actions):
         for t in act.transitions:
             entering[t].append(aid)
-    movers: list[set[int]] = [set() for _ in range(mdp.num_states)]  # states whose chosen action moves into each state
-    for s, aid in enumerate(policy.choice):
-        for t in mdp.actions[aid].transitions:
-            movers[t].add(s)
     values = evaluate_values(mdp, policy)
     gains = appeals(mdp, policy, values)
     positive = {aid: appeal for aid, appeal in enumerate(gains) if appeal > 0}
     while True:
         step = dantzig_step(mdp, policy, tie, rng, positive)
         if step is None:
-            return PIResult(initial, policy, trace, iteration, True, values, gains)
+            return PIResult(initial, policy, trace, iteration, values, gains)
         if iteration >= budget:
             raise IterationBudgetExceededError(f"no optimum within {budget} switches")
         new_policy, event = step
@@ -596,22 +581,18 @@ def run_policy_iteration(
         trace.append(event)
         policy = new_policy
         iteration += 1
-        switched = event.state
-        for t in mdp.actions[event.old_action].transitions:
-            movers[t].discard(switched)
-        for t in mdp.actions[event.new_action].transitions:
-            movers[t].add(switched)
-        changed = {switched}
-        frontier = [switched]
-        while frontier:
-            for u in movers[frontier.pop()]:
-                if u not in changed:
-                    changed.add(u)
-                    frontier.append(u)
+        changed = {event.state}
+        frontier = [event.state]
         stale: set[int] = set()
-        for s in changed:
-            stale.update(mdp.state_actions[s])
-            stale.update(entering[s])
+        while frontier:
+            u = frontier.pop()
+            stale.update(mdp.state_actions[u])
+            for aid in entering[u]:
+                stale.add(aid)
+                s = mdp.actions[aid].state
+                if policy.choice[s] == aid and s not in changed:
+                    changed.add(s)
+                    frontier.append(s)
         values, gains = evaluate_values(mdp, policy), list(gains)
         for aid in stale:
             appeal = gains[aid] = _appeal(mdp.actions[aid], values)
@@ -625,7 +606,7 @@ def decide_action_switch(mdp: Mdp, result: PIResult, action: int) -> bool:
     """Does the greedy run handed here ever switch the given action in?"""
     if result.initial.choice[mdp.actions[action].state] == action:
         raise MdpError("starting policy already uses the queried action")
-    return result.used_action(action)
+    return any(ev.new_action == action for ev in result.trace)
 
 
 def decide_dantzig_mdp_sol(mdp: Mdp, result: PIResult, action: int) -> bool:

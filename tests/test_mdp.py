@@ -23,7 +23,6 @@ from dantziglab.mdp import (
     _successors,
     add_gadget,
     appeals,
-    dantzig_step,
     decide_action_switch,
     decide_dantzig_mdp_sol,
     evaluate_gain,
@@ -210,7 +209,7 @@ def test_values_satisfy_the_value_equation_by_substitution():
         policy = make_policy(m, picks)
         values = evaluate_values(m, policy)
         for state in range(m.num_states):
-            act = m.action(policy.choice[state])
+            act = m.actions[policy.choice[state]]
             lookahead = act.reward + sum(p * values[tgt] for tgt, p in act.transitions.items())
             assert values[state] == lookahead
 
@@ -260,7 +259,7 @@ def test_evaluation_solves_the_value_equation_on_shuffled_graphs(graph):
     assert cyclic == any(len(comp) > 1 for comp in _sccs(_successors(m, policy)))
     values = evaluate_values(m, policy)
     for state in range(m.num_states):
-        act = m.action(policy.choice[state])
+        act = m.actions[policy.choice[state]]
         assert values[state] == act.reward + sum(p * values[t] for t, p in act.transitions.items())
     assert evaluate_gain(m, policy) == [0] * m.num_states
 
@@ -316,25 +315,30 @@ def two_action_mdp(r_good=1, r_bad=0):
     return m, sink, s, bad, good
 
 
+def first_switch(m, policy, tie):
+    """The first switch greedy policy iteration makes from the policy, or None at optimum."""
+    trace = run_policy_iteration(m, policy, tie=tie, budget=10).trace
+    return trace[0] if trace else None
+
+
 def test_dantzig_step_finds_unique_positive_appeal():
     m, sink, s, bad, good = two_action_mdp()
     policy = make_policy(m, [0, bad])
-    step = dantzig_step(m, policy, TieBreak.lowest())
-    assert step is not None
-    _, event = step
+    event = first_switch(m, policy, TieBreak.lowest())
+    assert event is not None
     assert event.new_action == good and event.appeal == 1
 
 
 def test_dantzig_step_optimal_returns_none():
     m, sink, s, bad, good = two_action_mdp()
     policy = make_policy(m, [0, good])
-    assert dantzig_step(m, policy, TieBreak.lowest()) is None
+    assert first_switch(m, policy, TieBreak.lowest()) is None
 
 
 def test_run_policy_iteration_from_optimum_is_empty():
     m, sink, s, bad, good = two_action_mdp()
     result = run_policy_iteration(m, make_policy(m, [0, good]), budget=10)
-    assert result.optimal and result.trace == []
+    assert result.trace == []
 
 
 def test_budget_must_be_positive():
@@ -468,9 +472,10 @@ def _construction_start(circuit, bits):
     ],
 )
 def test_a_switch_changes_the_values_of_exactly_the_states_that_reach_it(make, tie):
-    # The engine finds the changed values by walking its reverse policy
-    # graph; here fresh evaluations of consecutive policies must differ on
-    # exactly the switched state and the states that reach it afterwards.
+    # The engine finds the changed values by walking back over the actions
+    # entering each state, following those the new policy chooses; here
+    # fresh evaluations of consecutive policies must differ on exactly the
+    # switched state and the states that reach it afterwards.
     m, start = make()
     result = run_policy_iteration(m, start, tie=parse_tiebreak(tie), budget=1000)
     assert result.iterations > 0
@@ -483,6 +488,26 @@ def test_a_switch_changes_the_values_of_exactly_the_states_that_reach_it(make, t
         before = after
 
 
+@pytest.mark.parametrize("tie", ["lowest", "highest", "random:3"])
+def test_a_run_does_not_depend_on_the_order_of_each_actions_transitions(tie):
+    m, start = _construction_start(rotation_circuit(2), (1, 1))
+    data = mdp_to_json(m)
+    for item in data["actions"]:
+        item["p"] = dict(reversed(list(item["p"].items())))
+    flipped = mdp_from_json(data)
+    reordered = [
+        aid
+        for aid, act in enumerate(m.actions)
+        if len(act.transitions) > 1 and list(flipped.actions[aid].transitions) != list(act.transitions)
+    ]
+    assert reordered  # rot2 has 73 actions with more than one target
+    runs = [run_policy_iteration(mdp, start, tie=parse_tiebreak(tie), budget=10_000) for mdp in (m, flipped)]
+    plain, other = ([(ev.state, ev.new_action, ev.appeal) for ev in run.trace] for run in runs)
+    assert plain == other and len(plain) > 0
+    assert runs[0].values == runs[1].values
+    assert runs[0].appeals == runs[1].appeals
+
+
 def test_tiebreak_rules_pick_expected_candidates():
     m, sink = sink_mdp()
     u = m.add_state("u")
@@ -493,16 +518,16 @@ def test_tiebreak_rules_pick_expected_candidates():
     picks[v] = m.add_action(v, {sink: ONE}, 0)
     v_better = m.add_action(v, {sink: ONE}, 5)
     policy = make_policy(m, picks)
-    _, low = dantzig_step(m, policy, TieBreak.lowest())
+    low = first_switch(m, policy, TieBreak.lowest())
     assert low.state == u
-    _, high = dantzig_step(m, policy, TieBreak.highest())
+    high = first_switch(m, policy, TieBreak.highest())
     assert high.state == v
-    seeded = {dantzig_step(m, policy, TieBreak.seeded(seed))[1].state for seed in range(12)}
+    seeded = {first_switch(m, policy, TieBreak.seeded(seed)).state for seed in range(12)}
     assert seeded == {u, v}
     # Same seed, same pick.
     assert (
-        dantzig_step(m, policy, TieBreak.seeded(3))[1].state
-        == dantzig_step(m, policy, TieBreak.seeded(3))[1].state
+        first_switch(m, policy, TieBreak.seeded(3)).state
+        == first_switch(m, policy, TieBreak.seeded(3)).state
     )
 
 
@@ -523,7 +548,7 @@ def _enumerate_optimal_policies(m, sink):
     """Exhaustive optimality set via the value equation, for tiny models."""
     best = None
     optima = []
-    spaces = [m.actions_at(s) for s in range(m.num_states)]
+    spaces = [m.state_actions[s] for s in range(m.num_states)]
     for combo in itertools.product(*spaces):
         try:
             values = evaluate_values(m, make_policy(m, list(combo)))
@@ -560,5 +585,5 @@ def test_json_round_trip():
     assert clone.num_states == m.num_states
     assert clone.num_actions == m.num_actions
     for aid in range(m.num_actions):
-        assert clone.action(aid).transitions == m.action(aid).transitions
-        assert clone.action(aid).reward == m.action(aid).reward
+        assert clone.actions[aid].transitions == m.actions[aid].transitions
+        assert clone.actions[aid].reward == m.actions[aid].reward
