@@ -27,8 +27,10 @@ is I - Pᵀ on the non-sink states, so its inverse is the transpose of
 row j's state under the policy.  Every basis a run visits comes from a
 policy that is acyclic apart from self-loops, so it is triangular under a
 permutation and the inverse's singleton-first elimination stores nothing
-but those entries.  Every product with the inverse (duals, basic solution,
-entering direction) reads only its nonzeros.
+but those entries.  The duals read only the inverse's nonzeros, the basic
+solution is each inverse row's sum times the uniform right-hand side 1/n,
+and the entering direction looks each row up only at the entering column's
+few nonzero rows.
 """
 
 from __future__ import annotations
@@ -133,24 +135,26 @@ class Basis:
     def action_ids(self) -> frozenset[int]:
         return frozenset(self.lp.cols[j] for j in self.cols)
 
-    def _times(self, vector: dict[int, Fraction]) -> list[Fraction]:
-        """B^-1 · v for v given by its nonzeros, read over the nonzeros of B^-1."""
+    def basic_solution(self) -> list[Fraction]:
+        """x_B = B^-1 · rhs: each inverse row's sum times 1/n.
+
+        The right-hand side is uniformly 1/n, as ``mdp_to_primal`` builds it.
+        """
+        share = self.lp.rhs[0]
+        return [share * sum(row.values(), ZERO) for row in self.inv]
+
+    def direction(self, col: int) -> list[Fraction]:
+        """The entering direction B^-1 · a_col, read at ``a_col``'s nonzero rows only."""
+        column = self.lp.columns[col].items()
         out = []
         for row in self.inv:
             acc = ZERO
-            for i, e in row.items():
-                v = vector.get(i)
-                if v:
+            for i, v in column:
+                e = row.get(i)
+                if e:
                     acc += e * v
             out.append(acc)
         return out
-
-    def basic_solution(self) -> list[Fraction]:
-        return self._times(dict(enumerate(self.lp.rhs)))
-
-    def direction(self, col: int) -> list[Fraction]:
-        """The entering direction B^-1 · a_col of column ``col``."""
-        return self._times(self.lp.columns[col])
 
 
 def make_basis(lp: LinearProgram, cols: Sequence[int]) -> Basis:

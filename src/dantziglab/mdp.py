@@ -7,11 +7,13 @@ solves the transient part of the value equation exactly.  Policies whose
 chain structure falls outside that regime are rejected loudly: in this code
 base such a policy indicates a construction bug, never a case to smooth over.
 
-When the policy graph is acyclic apart from self-loops, evaluation is
-back-substitution: each action carries its value equation already solved
-for its own state, so a state whose chosen action leaves for a single other
-state costs one addition, or none.  Policies with a transient cycle fall
-back to an exact sparse solve of the raw equations.
+When the policy graph is acyclic apart from self-loops, evaluation is one
+depth-first walk that back-substitutes in post-order: each action carries
+its value equation already solved for its own state, so a state whose
+chosen action leaves for a single other state costs one addition, or none.
+Only when the walk meets a cycle (or, for values, a rewarded absorbing
+state) does evaluation run Tarjan's SCCs to check the chain structure, and
+a transient cycle then takes an exact sparse solve of the raw equations.
 
 The switching engine ("greedy single-switch rule") always switches one
 action of maximal positive appeal, with an explicit, reproducible tie-break.
@@ -249,18 +251,17 @@ def _sccs(succ: Sequence[Iterable[int]]) -> list[list[int]]:
     return sccs
 
 
-def _chain_structure(mdp: Mdp, policy: Policy) -> tuple[list[int], list[list[int]]]:
-    """Absorbing states and SCCs of the policy chain; errors on any other recurrent class.
+def _chain_structure(mdp: Mdp, policy: Policy) -> list[int]:
+    """Absorbing states of the policy chain; errors on any other recurrent class.
 
-    Returns (absorbing, sccs).  A recurrent class here is an SCC of the
-    policy graph with no outgoing edge: a single state is one exactly when
-    it moves only to itself.  Tarjan emits the SCCs in reverse topological
-    order: each component comes after every component it reaches.
+    A recurrent class here is an SCC of the policy graph with no outgoing
+    edge: a single state is one exactly when it moves only to itself.  Only
+    the policies ``_acyclic_expectation`` gives up on come here, so an
+    acyclic policy with zero-reward absorbing states never pays for Tarjan.
     """
     succ = _successors(mdp, policy)
-    sccs = _sccs(succ)
     absorbing: list[int] = []
-    for comp in sccs:
+    for comp in _sccs(succ):
         if len(comp) == 1:
             v = comp[0]
             if succ[v].keys() == {v}:
@@ -270,13 +271,69 @@ def _chain_structure(mdp: Mdp, policy: Policy) -> tuple[list[int], list[list[int
         if all(t in members for v in comp for t in succ[v]):
             names = [mdp.state_names[v] for v in comp]
             raise UnsupportedChainStructureError(f"recurrent class with {len(comp)} states: {names}")
-    return absorbing, sccs
+    return absorbing
+
+
+def _acyclic_expectation(mdp: Mdp, policy: Policy, *, gain: bool) -> list[Fraction] | None:
+    """The values of a policy graph with no cycle apart from self-loops, or None.
+
+    One iterative depth-first walk over each chosen action's ``solved``
+    exits gives a state its value in post-order, once every exit has one;
+    a sole exit's coefficient is exactly 1, so it costs no multiplication.
+    An absorbing state (``solved`` is None) is pinned: to 0 in the values
+    form, to its loop reward in the gain form.  The walk gives up and
+    returns None when it reaches a state still on its path (the policy has
+    a cycle), or, in the values form, an absorbing state with a nonzero
+    reward; the caller then takes the path that reports or solves those.
+    """
+    actions, choice = mdp.actions, policy.choice
+    n = len(choice)
+    values: list[Fraction | None] = [None] * n
+    on_path = [False] * n
+    for root in range(n):
+        if values[root] is not None:
+            continue
+        path = [root]
+        on_path[root] = True
+        while path:
+            s = path[-1]
+            act = actions[choice[s]]
+            solved = act.solved
+            if solved is None:
+                if gain:
+                    values[s] = act.reward
+                elif act.reward:
+                    return None
+                else:
+                    values[s] = ZERO
+            else:
+                base, exits = solved
+                pending = None
+                for t, _ in exits:
+                    if values[t] is None:
+                        pending = t
+                        break
+                if pending is not None:
+                    if on_path[pending]:
+                        return None
+                    on_path[pending] = True
+                    path.append(pending)
+                    continue
+                if len(exits) == 1:
+                    acc = values[exits[0][0]]
+                else:
+                    acc = ZERO
+                    for t, c in exits:
+                        acc += c * values[t]  # type: ignore[operator]
+                values[s] = acc + base if base and not gain else acc
+            on_path[s] = False
+            path.pop()
+    return values  # type: ignore[return-value]
 
 
 def _pinned_expectation(
     mdp: Mdp,
     policy: Policy,
-    sccs: list[list[int]],
     pinned: dict[int, Fraction],
     *,
     gain: bool,
@@ -285,35 +342,15 @@ def _pinned_expectation(
 
     ``r(s)`` is the reward of the action the policy chooses at ``s`` for the
     values form, and 0 for the gain form (``gain=True``), where the pinned
-    absorbing rewards carry all of it.  ``sccs`` are the policy graph's
-    components in reverse topological order, as ``_chain_structure`` finds
-    them.  When every component is a single state (the graph is acyclic
-    apart from self-loops, which arise here only as a detour's return mass),
-    the values follow by back-substitution along that order, through each
-    action's ``solved`` equation, where a sole exit costs no multiplication.
-    Otherwise the transient linear system is assembled as sparse rows from
-    the raw transitions and solved exactly.
+    absorbing rewards carry all of it.  The transient linear system is
+    assembled as sparse rows from the raw transitions and solved exactly;
+    only a policy with a transient cycle comes here.
     """
     n = mdp.num_states
     actions, choice = mdp.actions, policy.choice
     values: list[Fraction | None] = [None] * n
     for s, v in pinned.items():
         values[s] = v
-
-    if len(sccs) == n:
-        for (s,) in sccs:
-            if values[s] is not None:
-                continue
-            base, exits = actions[choice[s]].solved  # type: ignore[misc]
-            if len(exits) == 1:
-                acc = values[exits[0][0]]  # a sole exit's coefficient is exactly 1
-            else:
-                acc = ZERO
-                for t, c in exits:
-                    acc += c * values[t]  # type: ignore[operator]
-            values[s] = acc + base if base and not gain else acc
-        return values  # type: ignore[return-value]
-
     transient = [s for s in range(n) if s not in pinned]
     idx = {s: i for i, s in enumerate(transient)}
     rows = []
@@ -340,25 +377,32 @@ def evaluate_values(mdp: Mdp, policy: Policy) -> list[Fraction]:
     """Exact expected total reward per state under the policy.
 
     Requires every recurrent class to be a single absorbing zero-reward
-    state; those states are pinned to value 0.
+    state; those states are pinned to value 0.  An acyclic policy is
+    back-substituted in one walk; a policy with a cycle, or a rewarded
+    absorbing state, goes through the chain-structure check, which rejects
+    it or hands its transient cycle to the exact sparse solve.
     """
-    absorbing, sccs = _find_absorbing_or_raise(mdp, policy, require_zero_reward=True)
+    values = _acyclic_expectation(mdp, policy, gain=False)
+    if values is not None:
+        return values
+    absorbing = _find_absorbing_or_raise(mdp, policy, require_zero_reward=True)
     pinned = {s: ZERO for s in absorbing}
-    return _pinned_expectation(mdp, policy, sccs, pinned, gain=False)
+    return _pinned_expectation(mdp, policy, pinned, gain=False)
 
 
 def evaluate_gain(mdp: Mdp, policy: Policy) -> list[Fraction]:
     """Expected average reward per state: the absorbed self-loop reward, in expectation."""
-    absorbing, sccs = _find_absorbing_or_raise(mdp, policy, require_zero_reward=False)
+    gains = _acyclic_expectation(mdp, policy, gain=True)
+    if gains is not None:
+        return gains
+    absorbing = _find_absorbing_or_raise(mdp, policy, require_zero_reward=False)
     pinned = {s: mdp.actions[policy.choice[s]].reward for s in absorbing}
-    return _pinned_expectation(mdp, policy, sccs, pinned, gain=True)
+    return _pinned_expectation(mdp, policy, pinned, gain=True)
 
 
-def _find_absorbing_or_raise(
-    mdp: Mdp, policy: Policy, *, require_zero_reward: bool
-) -> tuple[list[int], list[list[int]]]:
+def _find_absorbing_or_raise(mdp: Mdp, policy: Policy, *, require_zero_reward: bool) -> list[int]:
     try:
-        absorbing, sccs = _chain_structure(mdp, policy)
+        absorbing = _chain_structure(mdp, policy)
     except UnsupportedChainStructureError:
         if require_zero_reward:
             raise NonZeroGainPolicyError("recurrent class with more than one state")
@@ -370,7 +414,7 @@ def _find_absorbing_or_raise(
                 raise NonZeroGainPolicyError(
                     f"absorbing state {mdp.state_names[s]} loops with reward {reward}"
                 )
-    return absorbing, sccs
+    return absorbing
 
 
 def _appeal(act: Action, values: Sequence[Fraction]) -> Fraction:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -71,7 +72,7 @@ def test_values_reject_rewarded_loop():
     m = Mdp()
     s = m.add_state()
     m.add_action(s, {s: ONE}, 3)
-    with pytest.raises(NonZeroGainPolicyError):
+    with pytest.raises(NonZeroGainPolicyError, match=r"^absorbing state 0 loops with reward 3$"):
         evaluate_values(m, make_policy(m, [0]))
 
 
@@ -81,7 +82,7 @@ def test_values_reject_recurrent_cycle():
     b_state = m.add_state()
     m.add_action(a_state, {b_state: ONE}, 0)
     m.add_action(b_state, {a_state: ONE}, 0)
-    with pytest.raises(NonZeroGainPolicyError):
+    with pytest.raises(NonZeroGainPolicyError, match=r"^recurrent class with more than one state$"):
         evaluate_values(m, make_policy(m, [0, 1]))
 
 
@@ -264,7 +265,7 @@ def test_evaluation_solves_the_value_equation_on_shuffled_graphs(graph):
     assert evaluate_gain(m, policy) == [0] * m.num_states
 
 
-def test_evaluation_makes_one_scc_pass(monkeypatch):
+def test_evaluation_runs_tarjan_only_on_a_cycle(monkeypatch):
     calls = []
     monkeypatch.setattr(mdp_module, "_sccs", lambda succ: calls.append(1) or _sccs(succ))
     m, sink = sink_mdp()
@@ -273,10 +274,33 @@ def test_evaluation_makes_one_scc_pass(monkeypatch):
     m.add_action(u, {v: Fraction(1, 3), u: Fraction(2, 3)}, 1)
     m.add_action(v, {sink: ONE}, 2)
     m.add_action(v, {u: Fraction(1, 2), sink: Fraction(1, 2)}, 1)
-    for picks in ([0, 1, 2], [0, 1, 3]):  # back-substitution, then the dense solve
+    # Back-substitution needs no SCC pass; the cycle u -> v -> u takes exactly one.
+    for picks, passes in (([0, 1, 2], 0), ([0, 1, 3], 1)):
         calls.clear()
         evaluate_values(m, make_policy(m, picks))
-        assert len(calls) == 1
+        assert len(calls) == passes
+
+
+def test_evaluation_walks_a_chain_deeper_than_the_recursion_limit():
+    n = 20_000
+    assert n > sys.getrecursionlimit()
+
+    def chain(sink_reward):
+        # State i stays with probability 1/2 and otherwise steps to i + 1;
+        # the last state is the sink, so the walk from state 0 is n deep.
+        m = Mdp()
+        for _ in range(n):
+            m.add_state()
+        for i in range(n - 1):
+            m.add_action(i, {i: Fraction(1, 2), i + 1: Fraction(1, 2)}, 1)
+        m.add_action(n - 1, {n - 1: ONE}, sink_reward)
+        return m, make_policy(m, list(range(n)))
+
+    m, policy = chain(0)
+    # v(i) = 2 + v(i + 1), the 2 being the reward 1 over the leaving mass 1/2.
+    assert evaluate_values(m, policy) == [2 * (n - 1 - i) for i in range(n)]
+    m, policy = chain(5)
+    assert evaluate_gain(m, policy) == [5] * n
 
 
 def test_solved_form_of_a_detour_entry():
