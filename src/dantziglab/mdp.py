@@ -12,8 +12,11 @@ depth-first walk that back-substitutes in post-order: each action carries
 its value equation already solved for its own state, so a state whose
 chosen action leaves for a single other state costs one addition, or none.
 Only when the walk meets a cycle (or, for values, a rewarded absorbing
-state) does evaluation run Tarjan's SCCs to check the chain structure, and
-a transient cycle then takes an exact sparse solve of the raw equations.
+state) does evaluation build the same solved equations as sparse rows and
+eliminate them exactly.  That one elimination is also the chain-structure
+check: with the absorbing states pinned, the system is singular exactly
+when a recurrent class has more than one state, so a singular solve is
+reported as that class, as a singular LP basis is.
 
 The switching engine ("greedy single-switch rule") always switches one
 action of maximal positive appeal, with an explicit, reproducible tie-break.
@@ -35,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .numerics import ZERO, ONE, format_rational, rat, solve_linear_system
+from .numerics import ZERO, ONE, SingularMatrixError, format_rational, rat, solve_linear_system
 
 
 class MdpError(ValueError):
@@ -198,82 +201,6 @@ def make_policy(mdp: Mdp, choices: dict[int, int] | Sequence[int]) -> Policy:
     return Policy(tuple(picks))
 
 
-def _successors(mdp: Mdp, policy: Policy) -> list[dict[int, Fraction]]:
-    """Each state's chosen transitions, keyed by target."""
-    actions = mdp.actions
-    return [actions[aid].transitions for aid in policy.choice]
-
-
-def _sccs(succ: Sequence[Iterable[int]]) -> list[list[int]]:
-    """Tarjan's strongly connected components, iteratively."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, targets = work[-1]
-            for w in targets:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    sccs.append(comp)
-    return sccs
-
-
-def _chain_structure(mdp: Mdp, policy: Policy) -> list[int]:
-    """Absorbing states of the policy chain; errors on any other recurrent class.
-
-    A recurrent class here is an SCC of the policy graph with no outgoing
-    edge: a single state is one exactly when it moves only to itself.  Only
-    the policies ``_acyclic_expectation`` gives up on come here, so an
-    acyclic policy with zero-reward absorbing states never pays for Tarjan.
-    """
-    succ = _successors(mdp, policy)
-    absorbing: list[int] = []
-    for comp in _sccs(succ):
-        if len(comp) == 1:
-            v = comp[0]
-            if succ[v].keys() == {v}:
-                absorbing.append(v)
-            continue
-        members = set(comp)
-        if all(t in members for v in comp for t in succ[v]):
-            names = [mdp.state_names[v] for v in comp]
-            raise UnsupportedChainStructureError(f"recurrent class with {len(comp)} states: {names}")
-    return absorbing
-
-
 def _acyclic_expectation(mdp: Mdp, policy: Policy, *, gain: bool) -> list[Fraction] | None:
     """The values of a policy graph with no cycle apart from self-loops, or None.
 
@@ -331,46 +258,54 @@ def _acyclic_expectation(mdp: Mdp, policy: Policy, *, gain: bool) -> list[Fracti
     return values  # type: ignore[return-value]
 
 
-def _pinned_expectation(
-    mdp: Mdp,
-    policy: Policy,
-    pinned: dict[int, Fraction],
-    *,
-    gain: bool,
-) -> list[Fraction]:
-    """Solve v(s) = r(s) + sum p(s'|s) v(s') with the absorbing states pinned.
+def _solved_expectation(mdp: Mdp, policy: Policy, *, gain: bool) -> list[Fraction]:
+    """Solve the value equation of any policy exactly, or raise for its chain structure.
 
-    ``r(s)`` is the reward of the action the policy chooses at ``s`` for the
-    values form, and 0 for the gain form (``gain=True``), where the pinned
-    absorbing rewards carry all of it.  The transient linear system is
-    assembled as sparse rows from the raw transitions and solved exactly;
-    only a policy with a transient cycle comes here.
+    Each absorbing state (``solved`` is None) is pinned: to 0 in the values
+    form, which first rejects a rewarded one, and to its loop reward in the
+    gain form.  Every other state ``s`` gives the sparse row
+    ``v(s) - sum c v(t) = base + sum c pinned(t)`` from its action's
+    ``solved`` exits, with ``base`` dropped in the gain form.  That system is
+    ``I - Q`` over the unpinned states, and in exact arithmetic it is
+    singular exactly when some of them never reach a pinned state, i.e. the
+    policy has a recurrent class of more than one state.  The elimination
+    reports that as ``SingularMatrixError``, which becomes the chain-structure
+    error, as a singular LP basis does in ``lp.make_basis``.
     """
-    n = mdp.num_states
     actions, choice = mdp.actions, policy.choice
-    values: list[Fraction | None] = [None] * n
-    for s, v in pinned.items():
-        values[s] = v
+    n = len(choice)
+    pinned: dict[int, Fraction] = {}
+    for s in range(n):
+        act = actions[choice[s]]
+        if act.solved is None:
+            if not gain and act.reward:
+                raise NonZeroGainPolicyError(
+                    f"absorbing state {mdp.state_names[s]} loops with reward {act.reward}"
+                )
+            pinned[s] = act.reward if gain else ZERO
     transient = [s for s in range(n) if s not in pinned]
     idx = {s: i for i, s in enumerate(transient)}
     rows = []
     rhs = []
     for s in transient:
+        base, exits = actions[choice[s]].solved  # type: ignore[misc]
         row = {idx[s]: ONE}
-        act = actions[choice[s]]
-        acc = ZERO if gain else act.reward
-        for t, p in act.transitions.items():
+        acc = ZERO if gain else base
+        for t, c in exits:
             if t in idx:
-                i = idx[t]
-                row[i] = row.get(i, ZERO) - p
+                row[idx[t]] = -c
             else:
-                acc += p * pinned[t]
+                acc += c * pinned[t]
         rows.append(row)
         rhs.append(acc)
-    solution = solve_linear_system(rows, rhs)
-    for s, i in idx.items():
-        values[s] = solution[i]
-    return values  # type: ignore[return-value]
+    try:
+        solution = solve_linear_system(rows, rhs)
+    except SingularMatrixError:
+        if gain:
+            raise UnsupportedChainStructureError("recurrent class with more than one state") from None
+        raise NonZeroGainPolicyError("recurrent class with more than one state") from None
+    solved = iter(solution)
+    return [pinned[s] if s in pinned else next(solved) for s in range(n)]
 
 
 def evaluate_values(mdp: Mdp, policy: Policy) -> list[Fraction]:
@@ -379,15 +314,14 @@ def evaluate_values(mdp: Mdp, policy: Policy) -> list[Fraction]:
     Requires every recurrent class to be a single absorbing zero-reward
     state; those states are pinned to value 0.  An acyclic policy is
     back-substituted in one walk; a policy with a cycle, or a rewarded
-    absorbing state, goes through the chain-structure check, which rejects
-    it or hands its transient cycle to the exact sparse solve.
+    absorbing state, goes to the exact sparse solve, which rejects a
+    rewarded absorbing state up front and a recurrent cycle by finding the
+    system singular.
     """
     values = _acyclic_expectation(mdp, policy, gain=False)
     if values is not None:
         return values
-    absorbing = _find_absorbing_or_raise(mdp, policy, require_zero_reward=True)
-    pinned = {s: ZERO for s in absorbing}
-    return _pinned_expectation(mdp, policy, pinned, gain=False)
+    return _solved_expectation(mdp, policy, gain=False)
 
 
 def evaluate_gain(mdp: Mdp, policy: Policy) -> list[Fraction]:
@@ -395,26 +329,7 @@ def evaluate_gain(mdp: Mdp, policy: Policy) -> list[Fraction]:
     gains = _acyclic_expectation(mdp, policy, gain=True)
     if gains is not None:
         return gains
-    absorbing = _find_absorbing_or_raise(mdp, policy, require_zero_reward=False)
-    pinned = {s: mdp.actions[policy.choice[s]].reward for s in absorbing}
-    return _pinned_expectation(mdp, policy, pinned, gain=True)
-
-
-def _find_absorbing_or_raise(mdp: Mdp, policy: Policy, *, require_zero_reward: bool) -> list[int]:
-    try:
-        absorbing = _chain_structure(mdp, policy)
-    except UnsupportedChainStructureError:
-        if require_zero_reward:
-            raise NonZeroGainPolicyError("recurrent class with more than one state")
-        raise
-    if require_zero_reward:
-        for s in absorbing:
-            reward = mdp.actions[policy.choice[s]].reward
-            if reward != 0:
-                raise NonZeroGainPolicyError(
-                    f"absorbing state {mdp.state_names[s]} loops with reward {reward}"
-                )
-    return absorbing
+    return _solved_expectation(mdp, policy, gain=True)
 
 
 def _appeal(act: Action, values: Sequence[Fraction]) -> Fraction:

@@ -5,8 +5,9 @@ bit-string: tape cells 1..n+1, then the head position, then the control
 state, both in binary (least significant bit first).  The compiled circuit
 computes the successor configuration.  Cell n+1 starts at 1 and is cleared
 in the step after the machine halts, after which the configuration is a
-fixed point; so "bit n+1 eventually becomes 0" is exactly "the machine
-halts", which is what the iteration problems ask about.
+fixed point.  A step that writes 0 with the head on cell n+1 clears it too,
+so "bit n+1 eventually becomes 0", which is what the iteration problems ask
+about, means "the machine halts, or writes 0 on the marker cell".
 
 Only Or and Not gates are emitted; conjunctions are synthesized by
 De Morgan's law.
@@ -188,8 +189,9 @@ def compile_machine(machine: Machine, input_bits: tuple[int, ...], space: int) -
     """Compile one machine step into a circuit-iteration instance.
 
     Returns (circuit, start configuration, z) with z = space+1: the
-    circuit-value question on that instance answers whether the machine
-    halts on the given input within its space bound.
+    circuit-value question on that instance answers whether the machine,
+    on the given input within its space bound, halts or writes 0 on the
+    marker cell z.
     """
     tape0 = initial_tape(machine, input_bits, space)
     cells = space + 1

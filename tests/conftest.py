@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from graphlib import CycleError, TopologicalSorter
 
 import pytest
 
@@ -33,3 +34,15 @@ def count_runs(patch_everywhere):
 
     patch_everywhere(original, counting)
     return runs
+
+
+def policy_graph_is_acyclic(mdp, policy) -> bool:
+    """Has the policy graph no cycle apart from self-loops?  Read off the raw transitions."""
+    graph = {
+        s: [t for t in mdp.actions[aid].transitions if t != s] for s, aid in enumerate(policy.choice)
+    }
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError:
+        return False
+    return True

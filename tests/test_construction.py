@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from conftest import policy_graph_is_acyclic
 
 from dantziglab.circuit import negated_form, normalize_depths
 from dantziglab.construction import (
@@ -121,6 +122,28 @@ def test_state_count_matches_gadget_inventory():
     assert cons.mdp.num_states == clock + bits + ors + nots
 
 
+def _largest_bit_length(mdp):
+    """Bits of the largest numerator or denominator of any reward or probability."""
+    numbers = [x for act in mdp.actions for x in (act.reward, *act.transitions.values())]
+    return max(max(abs(x.numerator).bit_length(), x.denominator.bit_length()) for x in numbers)
+
+
+def test_reduction_size_is_linear_with_linear_bit_numbers():
+    # Hardness needs a polynomial-size reduction with polynomial-bit numbers;
+    # these closed forms make a change that blows the construction up fail.
+    for n in range(1, 33):
+        mdp = build_clock(n).mdp
+        assert (mdp.num_states, mdp.num_actions) == (4 * n + 5, 5 * n + 5)
+        assert _largest_bit_length(mdp) <= n + 12
+    for n in range(1, 9):
+        mdp = build_construction(negated(rotation_circuit(n))).mdp
+        # The normalized rotation has 4n - 1 Or gates, but 2 at n = 1, where the
+        # closed form overcounts by one Or gadget pair: 10 states, 16 actions.
+        size = (65, 92) if n == 1 else (70 * n + 5, 105 * n + 3)
+        assert (mdp.num_states, mdp.num_actions) == size
+        assert _largest_bit_length(mdp) <= n + 21
+
+
 def test_or_gate_reward_identity():
     params = derive_params(ROT2)
     for d in range(1, params.d_c + 1):
@@ -145,13 +168,9 @@ def test_initial_policy_reaches_sink_and_has_zero_gain():
 
 
 def test_initial_policy_graph_acyclic_apart_from_self_returns():
-    from dantziglab.mdp import _sccs, _successors
-
     cons = build_construction(ROT2)
     policy = initial_policy(cons, (0, 1))
-    succ = _successors(cons.mdp, policy)
-    loop_free = [[t for t in targets if t != s] for s, targets in enumerate(succ)]
-    assert all(len(comp) == 1 for comp in _sccs(loop_free))
+    assert policy_graph_is_acyclic(cons.mdp, policy)
 
 
 def test_initial_policy_length_mismatch():

@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from conftest import policy_graph_is_acyclic
 
 from dantziglab.circuit import negated_form, normalize_depths
 from dantziglab.construction import (
@@ -111,13 +112,8 @@ def test_initial_basis_is_feasible_and_triangular():
     x = basis.basic_solution()
     assert all(v >= 0 for v in x)
     # Permutable to triangular with nonzero diagonal == the chosen-action
-    # graph has no two-state cycle; verified via the strongly connected
-    # components of the graph without self-loops.
-    from dantziglab.mdp import _sccs, _successors
-
-    succ = _successors(cons.mdp, policy)
-    loop_free = [[t for t in targets if t != s] for s, targets in enumerate(succ)]
-    assert all(len(comp) == 1 for comp in _sccs(loop_free))
+    # graph has no cycle apart from self-loops.
+    assert policy_graph_is_acyclic(cons.mdp, policy)
 
 
 def test_two_state_probability_one_cycle_is_singular():

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from conftest import policy_graph_is_acyclic
 from hypothesis import given, settings, strategies as st
 
 from dantziglab import mdp as mdp_module
@@ -20,8 +21,6 @@ from dantziglab.mdp import (
     NonZeroGainPolicyError,
     TieBreak,
     UnsupportedChainStructureError,
-    _sccs,
-    _successors,
     add_gadget,
     appeals,
     decide_action_switch,
@@ -133,6 +132,23 @@ def test_gain_rejects_big_recurrent_class():
     m.add_action(b_state, {a_state: ONE}, 0)
     with pytest.raises(UnsupportedChainStructureError):
         evaluate_gain(m, make_policy(m, [0, 1]))
+
+
+def test_gain_of_a_transient_cycle_that_exits_to_two_loops():
+    m = Mdp()
+    two = m.add_state("two")
+    m.add_action(two, {two: ONE}, 2)
+    eight = m.add_state("eight")
+    m.add_action(eight, {eight: ONE}, 8)
+    u = m.add_state("u")
+    v = m.add_state("v")
+    m.add_action(u, {u: Fraction(1, 2), v: Fraction(1, 4), two: Fraction(1, 4)}, 9)
+    m.add_action(v, {u: Fraction(1, 3), eight: Fraction(2, 3)}, -4)
+    policy = make_policy(m, [0, 1, 2, 3])
+    assert not policy_graph_is_acyclic(m, policy)  # the solve
+    # g(u) = g(v)/2 + 2/2 and g(v) = g(u)/3 + 2*8/3, the rewards of u and v
+    # playing no part:  g(u) = 22/5, g(v) = 34/5.
+    assert evaluate_gain(m, policy) == [2, 8, Fraction(22, 5), Fraction(34, 5)]
 
 
 def test_gadget_p_one_is_two_hop_edge():
@@ -257,7 +273,7 @@ def policy_graphs(draw):
 def test_evaluation_solves_the_value_equation_on_shuffled_graphs(graph):
     m, policy, cyclic = graph
     # Cyclic graphs take the dense solve, the others back-substitution.
-    assert cyclic == any(len(comp) > 1 for comp in _sccs(_successors(m, policy)))
+    assert cyclic == (not policy_graph_is_acyclic(m, policy))
     values = evaluate_values(m, policy)
     for state in range(m.num_states):
         act = m.actions[policy.choice[state]]
@@ -265,16 +281,74 @@ def test_evaluation_solves_the_value_equation_on_shuffled_graphs(graph):
     assert evaluate_gain(m, policy) == [0] * m.num_states
 
 
-def test_evaluation_runs_tarjan_only_on_a_cycle(monkeypatch):
+@st.composite
+def any_policy_graphs(draw):
+    """A one-action-per-state MDP whose policy graph may have any chain structure.
+
+    Each state is an absorbing loop, with reward 0 or (less often) not, or
+    leaves for one to three other states, maybe staying put with some mass.
+    Closed classes of several states, downstream of transient ones or not,
+    come from the random targets.  Returns (mdp, policy).
+    """
+    n = draw(st.integers(2, 8))
+    m = Mdp()
+    for _ in range(n):
+        m.add_state()
+    weights = st.integers(1, 4)
+    for s in range(n):
+        kind = draw(st.sampled_from(["leave"] * 5 + ["absorb", "absorb", "rewarded"]))
+        if kind != "leave":
+            m.add_action(s, {s: ONE}, draw(st.integers(1, 5)) if kind == "rewarded" else 0)
+            continue
+        others = [t for t in range(n) if t != s]
+        out = {t: draw(weights) for t in draw(st.lists(st.sampled_from(others), min_size=1, max_size=3, unique=True))}
+        if draw(st.booleans()):
+            out[s] = draw(weights)
+        total = sum(out.values())
+        m.add_action(s, {t: Fraction(w, total) for t, w in out.items()}, draw(st.integers(-5, 5)))
+    return m, make_policy(m, list(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_policy_graphs())
+def test_chain_check_agrees_with_reverse_reachability(graph):
+    m, policy = graph
+    chosen = [m.actions[aid] for aid in policy.choice]
+    absorbing = [s for s, act in enumerate(chosen) if act.transitions.keys() == {s}]
+    proper = set().union(*(_reaching(m, policy, s) for s in absorbing)) == set(range(m.num_states))
+    rewarded = any(chosen[s].reward for s in absorbing)
+    if rewarded:
+        with pytest.raises(NonZeroGainPolicyError, match=r"^absorbing state \d+ loops with reward [1-5]$"):
+            evaluate_values(m, policy)
+    elif not proper:
+        with pytest.raises(NonZeroGainPolicyError, match=r"^recurrent class with more than one state$"):
+            evaluate_values(m, policy)
+    else:
+        values = evaluate_values(m, policy)
+        assert all(values[s] == 0 for s in absorbing)
+        for s, act in enumerate(chosen):
+            assert values[s] == act.reward + sum(p * values[t] for t, p in act.transitions.items())
+    if not proper:
+        with pytest.raises(UnsupportedChainStructureError):
+            evaluate_gain(m, policy)
+    else:
+        gains = evaluate_gain(m, policy)
+        assert all(gains[s] == chosen[s].reward for s in absorbing)
+        for s, act in enumerate(chosen):
+            assert gains[s] == sum(p * gains[t] for t, p in act.transitions.items())
+
+
+def test_evaluation_solves_only_on_a_cycle(monkeypatch):
     calls = []
-    monkeypatch.setattr(mdp_module, "_sccs", lambda succ: calls.append(1) or _sccs(succ))
+    solve = mdp_module.solve_linear_system
+    monkeypatch.setattr(mdp_module, "solve_linear_system", lambda *args: calls.append(1) or solve(*args))
     m, sink = sink_mdp()
     u = m.add_state("u")
     v = m.add_state("v")
     m.add_action(u, {v: Fraction(1, 3), u: Fraction(2, 3)}, 1)
     m.add_action(v, {sink: ONE}, 2)
     m.add_action(v, {u: Fraction(1, 2), sink: Fraction(1, 2)}, 1)
-    # Back-substitution needs no SCC pass; the cycle u -> v -> u takes exactly one.
+    # Back-substitution needs no solve; the cycle u -> v -> u takes exactly one.
     for picks, passes in (([0, 1, 2], 0), ([0, 1, 3], 1)):
         calls.clear()
         evaluate_values(m, make_policy(m, picks))
@@ -449,7 +523,7 @@ def test_kept_appeals_equal_a_fresh_pass_on_transient_cycles(seed, tie):
     switches = []
 
     def watch(event, policy, values, gains):
-        assert any(len(comp) > 1 for comp in _sccs(_successors(m, policy)))  # the dense solve
+        assert not policy_graph_is_acyclic(m, policy)  # the dense solve
         fresh = evaluate_values(m, policy)
         assert values == fresh
         assert gains == appeals(m, policy, fresh)

@@ -112,3 +112,21 @@ def test_halted_configuration_is_a_fixed_point():
     settled = iterate(circuit, start, 4)
     assert outputs(circuit, settled) == settled
     assert settled[z - 1] == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the compiled verdict is 'halts, or writes 0 on the marker cell': this machine clears it and runs on",
+)
+def test_verdict_ignores_a_zero_written_on_the_marker_cell():
+    # Writes 0 wherever it reads and moves right forever, so at space 1 it
+    # overwrites the marker cell (cell 2) without ever halting.
+    m = Machine(
+        states=("a",),
+        initial="a",
+        head_start=1,
+        transitions={("a", 0): ("a", 0, "R"), ("a", 1): ("a", 0, "R")},
+    )
+    circuit, start, z = compile_machine(m, (1,), 1)
+    assert simulate(m, (1,), 1, 2**circuit.n) is False
+    assert decide_circuitvalue(circuit, start, z) is False
