@@ -68,7 +68,6 @@ class RunConfig:
     bl: Fraction
     ro: Fraction
     magic: Fraction
-    w_mode: str
     budget: int | None
     out: str
 
@@ -99,7 +98,6 @@ def _parse_config(args: argparse.Namespace) -> RunConfig:
             bl=rat(args.bl),
             ro=rat(args.ro),
             magic=rat(args.magic),
-            w_mode=args.w_mode,
             budget=args.budget,
             out=args.out,
         )
@@ -135,6 +133,8 @@ def _load_instance(args: argparse.Namespace) -> Instance:
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot load circuit: {exc}") from exc
     else:
+        if args.bits is not None or args.z is not None:
+            raise InputError("--tm sets the start string and the queried bit itself; drop --bits and --z")
         try:
             machine = load_machine(args.tm)
         except (OSError, ValueError) as exc:
@@ -311,9 +311,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         print(f"circuitvalue: {str(verdict).lower()}")
         return EXIT_OK if verdict else EXIT_FALSE
 
-    report = end_to_end(
-        circuit, bits, z, tie=config.tie, w_mode=config.w_mode, budget=config.budget, **config.overrides()
-    )
+    report = end_to_end(circuit, bits, z, tie=config.tie, budget=config.budget, **config.overrides())
     if 2**circuit.n > 64 and config.budget is None:
         raise InputError(
             f"{circuit.n}-bit instance means 2^{circuit.n} phases; that is beyond desk scale "
@@ -341,7 +339,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bl", default="31/10", help="re-homing detour numerator")
     p.add_argument("--ro", default="1", help="copy-hookup detour numerator")
     p.add_argument("--magic", default="3/25", help="residual appeal ceiling")
-    p.add_argument("--w-mode", dest="w_mode", default="exact", choices=["exact", "bound"])
     p.add_argument("--budget", type=int, default=None, help="iteration cap")
     p.add_argument("--out", default=".", help="output directory")
 

@@ -48,6 +48,8 @@ from .mdp import (
 from .numerics import ONE, ZERO, format_rational, rat
 
 HALF = Fraction(1, 2)
+# Ceiling of the detach (s2) appeal band [16/5, RJPRIME] the catalog auditor checks.
+RJPRIME = Fraction(33, 10)
 
 
 class ConstructionError(ValueError):
@@ -75,7 +77,6 @@ class ConstructionParams:
     bl: Fraction
     ro: Fraction
     magic: Fraction
-    rjprime: Fraction
 
     def f(self, i: int) -> int:
         return self.n - i + 1
@@ -138,7 +139,7 @@ class ConstructionParams:
             "bl": format_rational(self.bl),
             "ro": format_rational(self.ro),
             "magic": format_rational(self.magic),
-            "rjprime": format_rational(self.rjprime),
+            "rjprime": format_rational(RJPRIME),
             "p3": format_rational(self.p3),
             "p4": format_rational(self.p4),
             "p5": format_rational(self.p5),
@@ -168,7 +169,6 @@ def make_params(
     bl: Fraction = Fraction(31, 10),
     ro: Fraction = Fraction(1),
     magic: Fraction = Fraction(3, 25),
-    rjprime: Fraction = Fraction(33, 10),
 ) -> ConstructionParams:
     """Scale constants for an n-bit machine whose circuit has depth d_c."""
     if n < 1:
@@ -194,7 +194,6 @@ def make_params(
         bl=rat(bl),
         ro=rat(ro),
         magic=rat(magic),
-        rjprime=rat(rjprime),
     )
     _check_params(params)
     return params
@@ -244,13 +243,6 @@ class StateInfo:
     i: int | None = None
 
 
-@dataclass(frozen=True)
-class ActionInfo:
-    state: int
-    target: int
-    kind: str  # "det" | "detour" | "exit"
-
-
 class ConstructionIndex:
     """Bidirectional map between gadget-role names and numeric ids."""
 
@@ -258,7 +250,7 @@ class ConstructionIndex:
         self.states: dict[str, int] = {}
         self.actions: dict[str, int] = {}
         self.state_info: dict[int, StateInfo] = {}
-        self.action_info: dict[int, ActionInfo] = {}
+        self.action_target: dict[int, int] = {}
 
     def state(self, name: str) -> int:
         try:
@@ -272,12 +264,9 @@ class ConstructionIndex:
         except KeyError:
             raise MissingDependencyError(f"no action named {name!r}") from None
 
-    def has_state(self, name: str) -> bool:
-        return name in self.states
-
     def target(self, aid: int) -> int:
         """Semantic target of an action (a detour entry points at its exit's target)."""
-        return self.action_info[aid].target
+        return self.action_target[aid]
 
     # Naming scheme: clock states are "si", "si'", "0".."n", "1'".."n'",
     # "c0", "c1"; circuit states are "o{j}_{i}" etc.; detour intermediates
@@ -329,11 +318,11 @@ class _Builder:
         self.index.state_info[sid] = info
         return sid
 
-    def _register_action(self, aid: int, name: str, info: ActionInfo) -> int:
+    def _register_action(self, aid: int, name: str, target: int) -> int:
         if name in self.index.actions:
             raise ConstructionError(f"duplicate action name {name!r}")
         self.index.actions[name] = aid
-        self.index.action_info[aid] = info
+        self.index.action_target[aid] = target
         return aid
 
     def det(self, s: int, t: int, reward: Fraction | int) -> int:
@@ -345,14 +334,14 @@ class _Builder:
                 suffix += 1
             name = f"{name}#{suffix}"
         aid = self.mdp.add_action(s, {t: ONE}, reward, name)
-        return self._register_action(aid, name, ActionInfo(s, t, "det"))
+        return self._register_action(aid, name, t)
 
     def split(self, s: int, targets: Sequence[int], reward: Fraction | int = 0) -> int:
         """Single action branching uniformly over two targets."""
         t0, t1 = targets
         name = f"{self.mdp.state_names[s]}->({self.mdp.state_names[t0]}|{self.mdp.state_names[t1]})"
         aid = self.mdp.add_action(s, {t0: HALF, t1: HALF}, reward, name)
-        return self._register_action(aid, name, ActionInfo(s, t0, "det"))
+        return self._register_action(aid, name, t0)
 
     def detour(self, s: int, t: int, r_d: Fraction | int, r_f: Fraction | int, p: Fraction) -> int:
         sname = self.mdp.state_names[s]
@@ -374,9 +363,9 @@ class _Builder:
         mid = self.mdp.num_states - 1
         self.index.states[mid_name] = mid
         self.index.state_info[mid] = StateInfo("detour")
-        self._register_action(aid, entry_name, ActionInfo(s, t, "detour"))
+        self._register_action(aid, entry_name, t)
         exit_aid = self.mdp.state_actions[mid][0]
-        self._register_action(exit_aid, exit_name, ActionInfo(mid, t, "exit"))
+        self._register_action(exit_aid, exit_name, t)
         return aid
 
 
@@ -533,9 +522,10 @@ def build_construction(circuit: Circuit, **overrides) -> Construction:
 def build_construction_z(circuit: Circuit, z: int, *, w: Fraction, **overrides) -> Construction:
     """The decision variant: a freeze gadget pins the choice at o0_z at the end.
 
-    ``w`` must be at least the largest state value an optimal policy attains
-    on the plain construction: exactly, the top state value at the end of
-    the plain run (``PIResult.values``), or the bound ``bound_w``.
+    ``w`` may be any scale at least the largest state value an optimal
+    policy attains on the plain construction, i.e. at least the top state
+    value at the end of the plain run (``PIResult.values``).  The CLI uses
+    the closed-form ``bound_w``, which needs no plain run.
 
     The escape from l0_z is a deterministic zero-reward edge, but the escape
     from r0_z is a probability-1/2 zero-reward detour.  The halving makes
@@ -624,7 +614,7 @@ def initial_policy(construction: Construction, b_init: Sequence[int]) -> Policy:
 
 
 def bound_w(params: ConstructionParams) -> Fraction:
-    """Closed-form upper bound on any state value: safe in place of the exact w."""
+    """Closed-form upper bound on any state value: the freeze-gadget scale ``decide`` uses."""
     return params.t * 2 ** (params.n + 2)
 
 

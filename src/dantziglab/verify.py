@@ -17,7 +17,8 @@ expected behaviour by an independent route and compares:
 * the reduction report of a circuit-iteration instance, the one path to
   the MDP-side verdicts: it builds and runs each reduction at most once,
   on first read, and compares the verdicts and the decoded per-phase
-  bit-strings against direct circuit iteration.
+  bit-strings against direct circuit iteration.  The decision variant is
+  scaled by the closed-form ``bound_w``, so DantzigSol needs no plain run.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .circuit import negated_form, normalize_depths
 from .construction import (
     Construction,
     ConstructionError,
+    RJPRIME,
     bound_w,
     build_construction,
     build_construction_z,
@@ -433,8 +435,8 @@ def audit_appeal_catalog(result: PIResult, construction: Construction) -> Report
         elif role == "s2":
             if appeal not in s2_values:
                 fail(ev, f"appeal {appeal} not an expected detach value")
-            if not Fraction(16, 5) <= appeal <= params.rjprime:
-                fail(ev, f"appeal {appeal} outside [16/5, {params.rjprime}]")
+            if not Fraction(16, 5) <= appeal <= RJPRIME:
+                fail(ev, f"appeal {appeal} outside [16/5, {RJPRIME}]")
         elif role == "s3a":
             if appeal != Fraction(8, 5):
                 fail(ev, f"appeal {appeal} != 8/5")
@@ -777,18 +779,17 @@ class EndToEndReport:
 
     The plain construction answers ActionSwitch: does its run ever switch
     the query action o0_z -> r0_z in.  The decision variant, the plain
-    construction plus the freeze gadget scaled by ``w``, answers
-    DantzigSol: does its run's optimum keep that action.  Exact ``w`` is
-    the top state value at the end of the plain run; the closed-form
-    bound needs no plain run.  Reading a verdict makes only the runs it
-    needs, and each run carries the trace annotator.
+    construction plus the freeze gadget scaled by the closed-form
+    ``bound_w``, answers DantzigSol: does its run's optimum keep that
+    action.  Reading a verdict makes only the run it needs, so DantzigSol
+    never runs the plain construction; each run carries the trace
+    annotator.
     """
 
     circuit_f: Circuit
     b_init: BitString
     z: int
     tie: TieBreak | None
-    w_mode: str
     budget: int | None
     overrides: dict
 
@@ -813,14 +814,9 @@ class EndToEndReport:
         return self._run(self.construction)
 
     @cached_property
-    def w(self) -> Fraction:
-        if self.w_mode == "bound":
-            return bound_w(derive_params(self.negated, **self.overrides))
-        return max(self.run.values)
-
-    @cached_property
     def construction_z(self) -> Construction:
-        return build_construction_z(self.negated, self.z, w=self.w, **self.overrides)
+        w = bound_w(derive_params(self.negated, **self.overrides))
+        return build_construction_z(self.negated, self.z, w=w, **self.overrides)
 
     @cached_property
     def run_z(self) -> PIResult:
@@ -853,13 +849,6 @@ class EndToEndReport:
             return self.action_switch, self.oracle_bitswitch
         return self.dantzig_sol, self.oracle_circuitvalue
 
-    @property
-    def verdicts_agree(self) -> bool:
-        return (
-            self.action_switch == self.oracle_bitswitch
-            and self.dantzig_sol == self.oracle_circuitvalue
-        )
-
 
 def end_to_end(
     circuit_f: Circuit,
@@ -867,7 +856,6 @@ def end_to_end(
     z: int,
     *,
     tie: TieBreak | None = None,
-    w_mode: str = "exact",
     budget: int | None = None,
     **overrides,
 ) -> EndToEndReport:
@@ -877,4 +865,4 @@ def end_to_end(
     negated); the start string must have bit z set, since the query action
     must be unused initially.
     """
-    return EndToEndReport(circuit_f, tuple(b_init), z, tie, w_mode, budget, overrides)
+    return EndToEndReport(circuit_f, tuple(b_init), z, tie, budget, overrides)

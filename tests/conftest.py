@@ -36,6 +36,21 @@ def count_runs(patch_everywhere):
     return runs
 
 
+def tight_decision_run(report):
+    """The decision variant at the tight scale w = the plain run's top value, and its run.
+
+    ``report`` is an ``EndToEndReport``; the variant is built and run the way
+    the report builds its own, only with this ``w`` in place of ``bound_w``.
+    """
+    from dantziglab.construction import build_construction_z, initial_policy
+    from dantziglab.verify import run_annotated
+
+    w = max(report.run.values)
+    cons = build_construction_z(report.negated, report.z, w=w, **report.overrides)
+    start = initial_policy(cons, report.b_init)
+    return cons, run_annotated(cons, start, tie=report.tie, budget=report.budget)
+
+
 def policy_graph_is_acyclic(mdp, policy) -> bool:
     """Has the policy graph no cycle apart from self-loops?  Read off the raw transitions."""
     graph = {

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import tight_decision_run
 from dantziglab.circuit import (
     decide_bitswitch,
     decide_circuitvalue,
@@ -21,6 +22,7 @@ from dantziglab.circuit import (
     normalize_depths,
 )
 from dantziglab.construction import (
+    bound_w,
     build_clock,
     build_construction,
     clock_initial_policy,
@@ -70,13 +72,11 @@ TIE_RULES = ("lowest", "highest", "random:7", "random:991")
 _E2E_CACHE: dict = {}
 
 
-def e2e(name: str, tie: str = "lowest", w_mode: str = "exact"):
-    key = (name, tie, w_mode)
+def e2e(name: str, tie: str = "lowest"):
+    key = (name, tie)
     if key not in _E2E_CACHE:
         circuit, bits, z = INSTANCES[name]
-        _E2E_CACHE[key] = end_to_end(
-            circuit, bits, z, tie=parse_tiebreak(tie), w_mode=w_mode
-        )
+        _E2E_CACHE[key] = end_to_end(circuit, bits, z, tie=parse_tiebreak(tie))
     return _E2E_CACHE[key]
 
 
@@ -163,18 +163,22 @@ def test_criterion_4_dantzig_mdp_sol(name):
     circuit, bits, z = INSTANCES[name]
     oracle = decide_circuitvalue(circuit, bits, z)
     final_bit = iterate(circuit, bits, 2**circuit.n)[z - 1]
-    for w_mode in ("exact", "bound"):
-        report = e2e(name, w_mode=w_mode)
-        assert report.dantzig_sol == oracle, (name, w_mode)
-        cons_z = report.construction_z
-        final = report.run_z.policy
+    report = e2e(name)
+    assert report.dantzig_sol == oracle
+    # The tight scale, the plain run's top value, is the reward of si' and
+    # sits below the closed-form bound the report scales the gadget by.
+    params = report.construction.params
+    w = max(report.run.values)
+    assert w == params.t * 2 ** (params.n + 1) <= bound_w(params)
+    for cons_z, run_z in ((report.construction_z, report.run_z), tight_decision_run(report)):
+        final = run_z.policy
         target = cons_z.index.target(final.choice[cons_z.index.o(0, z)])
         encoded = 1 if target == cons_z.index.l(0, z) else 0
         assert encoded == final_bit
         query = cons_z.index.action(f"o0_{z}->r0_{z}")
-        verdict = decide_dantzig_mdp_sol(cons_z.mdp, report.run_z, query)
+        verdict = decide_dantzig_mdp_sol(cons_z.mdp, run_z, query)
         assert verdict == oracle
-    ok(4, f"{name}: decision verdict matches the iterate bit under both w modes")
+    ok(4, f"{name}: decision verdict matches the iterate bit at the bound and the tight w")
 
 
 def test_criterion_5_lockstep_equivalence():

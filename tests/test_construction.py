@@ -88,7 +88,7 @@ def test_clock_state_inventory():
     # si, si', 0, 1, 1', 2, 2', c0, c1 plus four detour hop states.
     assert cons.mdp.num_states == 13
     for name in ("si", "si'", "0", "1", "1'", "2", "2'", "c0", "c1"):
-        assert cons.index.has_state(name)
+        assert name in cons.index.states
 
 
 def test_clock_fixed_values_any_policy():

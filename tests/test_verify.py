@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import tight_decision_run
 from dantziglab.circuit import decide_bitswitch, decide_circuitvalue, iterate, negated_form, normalize_depths
 from dantziglab.construction import (
     build_clock,
@@ -13,7 +14,7 @@ from dantziglab.construction import (
     make_params,
 )
 from dantziglab.library import identity_circuit, rotation_circuit
-from dantziglab.mdp import evaluate_values, run_policy_iteration
+from dantziglab.mdp import decide_dantzig_mdp_sol, evaluate_values, run_policy_iteration
 from dantziglab.verify import (
     ClockAuditor,
     ClockOracle,
@@ -280,14 +281,13 @@ def test_end_to_end_identity_bit_constant():
     assert report.action_switch is False
     assert report.oracle_bitswitch is False
     assert report.dantzig_sol == report.oracle_circuitvalue
-    assert report.verdicts_agree
 
 
 def test_end_to_end_rotation_switches():
     report = end_to_end(rotation_circuit(2), (1, 1), 1)
     assert report.action_switch is True
     assert report.oracle_bitswitch is True
-    assert report.verdicts_agree
+    assert report.dantzig_sol == report.oracle_circuitvalue
     expected = [iterate(rotation_circuit(2), (1, 1), i) for i in range(5)]
     assert report.phases_decoded == expected
 
@@ -297,25 +297,32 @@ def test_end_to_end_requires_set_query_bit():
         end_to_end(identity_circuit(2), (0, 1), 1)
 
 
+def _tight_verdict(report) -> bool:
+    cons, run = tight_decision_run(report)
+    return decide_dantzig_mdp_sol(cons.mdp, run, cons.index.action(f"o0_{report.z}->r0_{report.z}"))
+
+
 def test_end_to_end_w_bound_mode_agrees():
-    exact = end_to_end(rotation_circuit(2), (1, 1), 2, w_mode="exact")
-    bound = end_to_end(rotation_circuit(2), (1, 1), 2, w_mode="bound")
-    assert exact.dantzig_sol == bound.dantzig_sol == exact.oracle_circuitvalue
+    # The report's closed-form w and the tight w, the plain run's top value,
+    # give the same DantzigSol verdict.
+    report = end_to_end(rotation_circuit(2), (1, 1), 2)
+    assert report.dantzig_sol == report.oracle_circuitvalue
+    assert _tight_verdict(report) == report.dantzig_sol
 
 
 @pytest.mark.parametrize("circuit", [identity_circuit(2), rotation_circuit(2)], ids=["identity2", "rot2"])
 def test_decide_mdp_runs_only_what_it_reads_and_agrees(circuit):
     bits = (1, 1)
     assert end_to_end(circuit, bits, 1).action_switch == decide_bitswitch(circuit, bits, 1)
-    for w_mode in ("exact", "bound"):
-        verdict = end_to_end(circuit, bits, 1, w_mode=w_mode).dantzig_sol
-        assert verdict == decide_circuitvalue(circuit, bits, 1), w_mode
+    report = end_to_end(circuit, bits, 1)
+    assert report.dantzig_sol == decide_circuitvalue(circuit, bits, 1)
+    assert _tight_verdict(report) == report.dantzig_sol
     with pytest.raises(ValueError):
         end_to_end(circuit, (0, 1), 1)
 
 
 def test_end_to_end_runs_each_reduction_once_on_first_read(count_runs):
-    report = end_to_end(identity_circuit(1), (1,), 1, w_mode="bound")
+    report = end_to_end(identity_circuit(1), (1,), 1)
     assert count_runs == []
     assert report.dantzig_sol == report.oracle_circuitvalue
     assert len(count_runs) == 1
