@@ -21,6 +21,7 @@ from .circuit import (
     parse_bits,
 )
 from .mdp import (
+    CrosscheckError,
     IterationBudgetExceededError,
     Mdp,
     PIResult,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 KIND_INPUT = "input"
@@ -116,12 +117,18 @@ class Circuit:
             raise IndexOutOfRangeError(f"input bit {i} outside 1..{self.n}")
         return self.k + i
 
-    def depths(self) -> tuple[int, ...]:
+    @cached_property
+    def _depths(self) -> tuple[int, ...]:
+        # Computed once: the circuit is frozen, and a cached_property writes
+        # straight into the instance dict, past the frozen __setattr__.
         out = [0] * self.size
         for pos, g in enumerate(self.gates):
             if g.kind != KIND_INPUT:
                 out[pos] = 1 + max(out[j - 1] for j in g.inputs)
         return tuple(out)
+
+    def depths(self) -> tuple[int, ...]:
+        return self._depths
 
     def depth(self, i: int) -> int:
         self.gate(i)

@@ -29,6 +29,7 @@ from .construction import (
 )
 from .lp import check_pi_simplex_equivalence, lp_manifest, lp_to_text, mdp_to_primal
 from .mdp import (
+    CrosscheckError,
     IterationBudgetExceededError,
     TieBreak,
     mdp_to_json,
@@ -232,7 +233,12 @@ AUDIT_NEEDS = {"clock": "clock", "catalog": "circuit", "transition": "circuit"}
 
 
 def _verify_reports(instance: Instance, config: RunConfig, which: str) -> list:
-    """Every requested audit, made on one run that carries all of their watchers."""
+    """Every requested audit, made on one run that carries all of their watchers.
+
+    The run also checks the values of every policy it reaches against a
+    fresh evaluation (``crosscheck``); ``run`` and ``decide`` check only
+    the final policy.
+    """
     if AUDIT_NEEDS.get(which, instance.kind) != instance.kind:
         raise InputError(f"{which} verification needs a {AUDIT_NEEDS[which]} instance")
     wants = {
@@ -255,10 +261,13 @@ def _verify_reports(instance: Instance, config: RunConfig, which: str) -> list:
             tie=config.tie,
             budget=budget,
             watchers=watchers,
+            crosscheck=True,
         )
         result = eq.run
     else:
-        result = run_policy_iteration(cons.mdp, policy, tie=config.tie, budget=budget, watchers=watchers)
+        result = run_policy_iteration(
+            cons.mdp, policy, tie=config.tie, budget=budget, watchers=watchers, crosscheck=True
+        )
 
     reports = []
     if clock is not None:
@@ -385,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     except IterationBudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (AssertionError, LpError) as exc:
+    except (AssertionError, CrosscheckError, LpError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

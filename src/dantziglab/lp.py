@@ -361,16 +361,20 @@ def check_pi_simplex_equivalence(
     tie: TieBreak | None = None,
     budget: int,
     watchers: Iterable[Watcher] = (),
+    crosscheck: bool = False,
 ) -> EquivalenceReport:
     """Run greedy policy iteration once, with a ``Lockstep`` auditing that run.
 
     At every switch, and at the final policy, the lockstep compares its own
     basis, duals, reduced costs and pivot with what the run hands it; its
     ties come from its own generator, seeded like the run's.  ``watchers``
-    ride along on the same run, and the report keeps the run as ``run``.
+    and ``crosscheck`` go to the same run, and the report keeps the run as
+    ``run``.
     """
     lockstep = Lockstep(mdp, policy, sink, tie=tie)
-    result = run_policy_iteration(mdp, policy, tie=tie, budget=budget, watchers=[*watchers, lockstep])
+    result = run_policy_iteration(
+        mdp, policy, tie=tie, budget=budget, watchers=[*watchers, lockstep], crosscheck=crosscheck
+    )
     report = lockstep.finish(result)
     report.run = result
     return report

@@ -20,13 +20,17 @@ reported as that class, as a singular LP basis is.
 
 The switching engine ("greedy single-switch rule") always switches one
 action of maximal positive appeal, with an explicit, reproducible tie-break.
-It evaluates each policy once and computes every appeal in full once per
+It evaluates the start policy and computes every appeal in full once per
 run.  After a switch it finds the states whose values changed by walking
 back from the switched state over one static index, the actions with a
 transition into each state, following only the actions the new policy
-chooses; it recomputes only the appeals that read those values.  The full
-``appeals`` pass is also the oracle the tests check those kept appeals
-against.
+chooses.  It re-solves just those states, by the same depth-first walk
+started from them over the kept values of the others, and recomputes only
+the appeals that read their values.  A switch that closes a cycle or picks
+a rewarded self-loop sends the run to a full evaluation instead.
+``evaluate_values`` and the full ``appeals`` pass are the oracles: every
+run ends by checking its kept values and appeals against them, and with
+``crosscheck`` it checks the values of every policy it reaches.
 """
 
 from __future__ import annotations
@@ -59,6 +63,10 @@ class UnsupportedChainStructureError(MdpError):
 
 class IterationBudgetExceededError(RuntimeError):
     pass
+
+
+class CrosscheckError(RuntimeError):
+    """The values or appeals a run kept differ from a from-scratch evaluation."""
 
 
 @dataclass
@@ -201,7 +209,14 @@ def make_policy(mdp: Mdp, choices: dict[int, int] | Sequence[int]) -> Policy:
     return Policy(tuple(picks))
 
 
-def _acyclic_expectation(mdp: Mdp, policy: Policy, *, gain: bool) -> list[Fraction] | None:
+def _acyclic_expectation(
+    mdp: Mdp,
+    policy: Policy,
+    *,
+    gain: bool,
+    values: list[Fraction | None] | None = None,
+    roots: Iterable[int] | None = None,
+) -> list[Fraction] | None:
     """The values of a policy graph with no cycle apart from self-loops, or None.
 
     One iterative depth-first walk over each chosen action's ``solved``
@@ -212,12 +227,22 @@ def _acyclic_expectation(mdp: Mdp, policy: Policy, *, gain: bool) -> list[Fracti
     returns None when it reaches a state still on its path (the policy has
     a cycle), or, in the values form, an absorbing state with a nonzero
     reward; the caller then takes the path that reports or solves those.
+
+    By default the walk knows no value and starts from every state.  Given
+    start ``values``, it keeps each entry that is not None and fills the
+    others in place; given ``roots``, it starts from those alone, which must
+    then include every None entry.  The engine re-solves the states a switch
+    changed this way.  A kept entry is read as is, so the walk neither
+    enters nor checks the states behind it.
     """
     actions, choice = mdp.actions, policy.choice
     n = len(choice)
-    values: list[Fraction | None] = [None] * n
+    if values is None:
+        values = [None] * n
+    if roots is None:
+        roots = range(n)
     on_path = [False] * n
-    for root in range(n):
+    for root in roots:
         if values[root] is not None:
             continue
         path = [root]
@@ -486,6 +511,49 @@ def default_budget(n_bits: int, num_states: int) -> int:
     return 10 * (2**n_bits) * num_states
 
 
+def _switch_reach(
+    mdp: Mdp, policy: Policy, entering: Sequence[Sequence[int]], state: int
+) -> tuple[set[int], set[int]]:
+    """The states whose values a switch at ``state`` changes, and the actions whose appeals it changes.
+
+    The changed values are exactly those of ``state`` and of the states that
+    reach it under the new ``policy``, since the change is
+    ``(I - P_new)^-1`` applied to the appeal at ``state``.  An appeal reads
+    only the values of its action's state and targets, so only the appeals
+    of the actions at a changed state, or with a transition into one, can
+    change.  The walk goes back from ``state`` over ``entering``, the
+    actions with a transition into each state: every action it meets there
+    is stale, and it goes on to the state of each one the policy chooses.
+    """
+    changed = {state}
+    frontier = [state]
+    stale: set[int] = set()
+    while frontier:
+        u = frontier.pop()
+        stale.update(mdp.state_actions[u])
+        for aid in entering[u]:
+            stale.add(aid)
+            s = mdp.actions[aid].state
+            if policy.choice[s] == aid and s not in changed:
+                changed.add(s)
+                frontier.append(s)
+    return changed, stale
+
+
+def _crosscheck(
+    kept: Sequence[Fraction], fresh: Sequence[Fraction], names: Sequence[str], what: str, switch: int
+) -> None:
+    """Raise ``CrosscheckError`` at the first entry where the kept numbers differ from fresh ones."""
+    if kept == fresh:
+        return
+    for name, old, new in zip(names, kept, fresh):
+        if old != new:
+            raise CrosscheckError(
+                f"after switch {switch} the kept {what} of {name} is {format_rational(old)}, "
+                f"but a fresh evaluation gives {format_rational(new)}"
+            )
+
+
 def run_policy_iteration(
     mdp: Mdp,
     policy: Policy,
@@ -493,23 +561,31 @@ def run_policy_iteration(
     tie: TieBreak | None = None,
     budget: int,
     watchers: Iterable[Watcher] = (),
+    crosscheck: bool = False,
 ) -> PIResult:
     """Greedy single-switch policy iteration to optimality, with a full trace.
 
-    This is the only loop that evaluates policies.  It evaluates each policy
-    once and computes every action's appeal once per run.  The values a
-    switch at ``s`` changes are exactly those of ``s`` and of the states
-    that reach ``s`` under the new policy, since the change is
-    ``(I - P_new)^-1`` applied to the appeal at ``s``.  An appeal reads
-    only the values of its action's state and targets, so only the appeals
-    of the actions at a changed state, or with a transition into one, can
-    change.  The run indexes once the actions with a transition into each
-    state, and after a switch walks that index back from ``s``: every
-    action it meets there is stale, and the walk goes on to the state of
-    each one the new policy chooses.  Each watcher sees every switch as
-    (event, policy before the switch, that policy's values, its appeals);
-    the final policy, its values and its appeals come back on the result.
-    No list handed out is changed afterwards.
+    This is the only loop that switches policies.  It evaluates the start
+    policy and computes every action's appeal once; after each switch it
+    re-solves only the values and appeals the switch changes
+    (``_switch_reach``), by one walk of ``_acyclic_expectation`` from the
+    changed states over the kept values of the others.  That walk gives up
+    only when the switch closed a cycle or chose a rewarded self-loop; the
+    run then evaluates the new policy in full, which solves a transient
+    cycle exactly and raises the chain-structure error for anything else.
+
+    ``evaluate_values`` stays the oracle.  Every run ends by deriving its
+    final policy's values and all appeals from scratch, and raises
+    ``CrosscheckError`` unless they equal the kept ones, so the optimality
+    certificate never rests on the incremental updates.  With
+    ``crosscheck`` the run also compares the values of every policy it
+    switches to with a fresh evaluation, which then serves the final check
+    as well.
+
+    Each watcher sees every switch as (event, policy before the switch,
+    that policy's values, its appeals); the final policy, its values and
+    its appeals come back on the result.  No list handed out is changed
+    afterwards.
     """
     if budget <= 0:
         raise MdpError("iteration budget must be positive")
@@ -525,11 +601,16 @@ def run_policy_iteration(
         for t in act.transitions:
             entering[t].append(aid)
     values = evaluate_values(mdp, policy)
+    fresh: list[Fraction] | None = values  # the current policy's values from scratch, when known
     gains = appeals(mdp, policy, values)
     positive = {aid: appeal for aid, appeal in enumerate(gains) if appeal > 0}
     while True:
         step = dantzig_step(mdp, policy, tie, rng, positive)
         if step is None:
+            if fresh is None:
+                fresh = evaluate_values(mdp, policy)
+                _crosscheck(values, fresh, mdp.state_names, "value", iteration)
+            _crosscheck(gains, appeals(mdp, policy, fresh), [a.name for a in mdp.actions], "appeal", iteration)
             return PIResult(initial, policy, trace, iteration, values, gains)
         if iteration >= budget:
             raise IterationBudgetExceededError(f"no optimum within {budget} switches")
@@ -540,19 +621,19 @@ def run_policy_iteration(
         trace.append(event)
         policy = new_policy
         iteration += 1
-        changed = {event.state}
-        frontier = [event.state]
-        stale: set[int] = set()
-        while frontier:
-            u = frontier.pop()
-            stale.update(mdp.state_actions[u])
-            for aid in entering[u]:
-                stale.add(aid)
-                s = mdp.actions[aid].state
-                if policy.choice[s] == aid and s not in changed:
-                    changed.add(s)
-                    frontier.append(s)
-        values, gains = evaluate_values(mdp, policy), list(gains)
+        changed, stale = _switch_reach(mdp, policy, entering, event.state)
+        start: list[Fraction | None] = list(values)
+        for s in changed:
+            start[s] = None
+        resolved = _acyclic_expectation(mdp, policy, gain=False, values=start, roots=changed)
+        if resolved is None:  # the switch closed a cycle or picked a rewarded self-loop
+            fresh = values = evaluate_values(mdp, policy)
+        else:
+            values, fresh = resolved, None
+            if crosscheck:
+                fresh = evaluate_values(mdp, policy)
+                _crosscheck(values, fresh, mdp.state_names, "value", iteration)
+        gains = list(gains)
         for aid in stale:
             appeal = gains[aid] = _appeal(mdp.actions[aid], values)
             if appeal > 0:

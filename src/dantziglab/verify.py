@@ -182,7 +182,15 @@ class ClockAuditor:
 
     def __init__(self, construction: Construction):
         self.construction = construction
-        self.oracle = ClockOracle(construction.params.n)
+        n = construction.params.n
+        self.oracle = ClockOracle(n)
+        index = construction.index
+        # Looked up once per run: each clock state with its down and right
+        # actions, and the state behind each of the oracle's value names.
+        self.clock_moves = [
+            (index.clock(i), index.action(f"{i}~>{i}'"), index.action(f"{i}~>{i - 1}")) for i in range(1, n + 1)
+        ]
+        self.value_states = {name: index.state(name) for name in self.oracle.values(0)}
         self.policy_failures: list[str] = []
         self.switch_failures: list[str] = []
         self.band_failures: list[str] = []
@@ -209,17 +217,18 @@ class ClockAuditor:
 
     def check_policy(self, j: int, policy: Policy, values: Sequence[Fraction]) -> None:
         """The j-th policy and its values; steps past the last Gray word go unchecked."""
-        cons = self.construction
-        n = cons.params.n
+        n = self.oracle.n
         if j >= 2**n:
             return
-        expected_policy = clock_gray_policy(cons, j)
-        for i in range(1, n + 1):
-            sid = cons.index.clock(i)
-            if policy.choice[sid] != expected_policy.choice[sid]:
+        for i, ((sid, down, right), bit) in enumerate(zip(self.clock_moves, gray_code(n, j)), 1):
+            if policy.choice[sid] != (down if bit else right):
                 self.policy_failures.append(f"step {j}: state {i} off the Gray-code sequence")
+        t = self.construction.params.t
         for name, scaled in self.oracle.values(j).items():
-            if values[cons.index.state(name)] != cons.params.t * scaled:
+            value = values[self.value_states[name]]
+            # value == t * scaled, cross-multiplied over the integers
+            lhs = value.numerator * t.denominator * scaled.denominator
+            if lhs != t.numerator * scaled.numerator * value.denominator:
                 self.policy_failures.append(f"step {j}: value of {name} differs from the oracle")
 
 

@@ -58,6 +58,10 @@ def test_depth_base_cases():
     assert c2.depth(4) == 2
     with pytest.raises(IndexOutOfRangeError):
         c2.depth(9)
+    # Computed once per circuit; the cache changes neither equality nor hash.
+    assert c2.depths() is c2.depths() == (0, 0, 1, 2)
+    twin = Circuit(2, c2.gates)
+    assert twin == c2 and hash(twin) == hash(c2)
 
 
 def test_topological_violation_rejected():

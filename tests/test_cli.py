@@ -223,11 +223,31 @@ def test_verify_all_evaluates_each_policy_once(tmp_path, patch_everywhere):
     assert run_cli("verify", "--builtin", "clock:n=3", "--which", "all", "--out", out) == 0
     report = json.loads(read(os.path.join(out, "report.json")))
     assert [r["name"] for r in report["reports"]] == ["clock", "equivalence"]
-    # One evaluation per policy of the 7-switch run and one full appeal pass
-    # for the whole run, which the engine, the clock oracle and the lockstep
-    # share; after each switch the engine recomputes only the appeals it changed.
+    # verify crosschecks each policy of the 7-switch run against one fresh
+    # evaluation, which the engine's own update never calls.  The engine,
+    # the clock oracle and the lockstep share one full appeal pass at the
+    # start; after each switch the engine recomputes only the appeals it
+    # changed, and the run ends with the one from-scratch pass it checks
+    # the kept appeals against.
     assert len(evaluated) == 8
-    assert len(appealed) == 1
+    assert len(appealed) == 2
+
+
+def test_a_crosscheck_failure_exits_4_not_verdict_false(tmp_path, monkeypatch, capsys):
+    walk = mdp._acyclic_expectation
+
+    def corrupting(m, policy, *, gain, values=None, roots=None):
+        solved = walk(m, policy, gain=gain, values=values, roots=roots)
+        if roots is not None and solved is not None:
+            solved[min(roots)] += 1  # one wrong value from the incremental walk
+        return solved
+
+    monkeypatch.setattr(mdp, "_acyclic_expectation", corrupting)
+    # verify compares every switch with a fresh evaluation, before any
+    # auditor reads the wrong value.
+    assert run_cli("verify", "--builtin", "rot2", "--bits", "11", "--which", "all", "--out", str(tmp_path)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: after switch 1 the kept value of ")
 
 
 def test_verify_all_never_builds_the_full_policy_list(tmp_path, monkeypatch):

@@ -11,10 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 from dantziglab import mdp as mdp_module
 from dantziglab.circuit import negated_form, normalize_depths
-from dantziglab.construction import build_construction, initial_policy
+from dantziglab.construction import (
+    build_clock,
+    build_construction,
+    clock_initial_policy,
+    initial_policy,
+    make_params,
+)
 from dantziglab.library import identity_circuit, rotation_circuit
 from dantziglab.mdp import (
     BadProbabilityError,
+    CrosscheckError,
     IterationBudgetExceededError,
     Mdp,
     MdpError,
@@ -604,6 +611,124 @@ def test_a_run_does_not_depend_on_the_order_of_each_actions_transitions(tie):
     assert plain == other and len(plain) > 0
     assert runs[0].values == runs[1].values
     assert runs[0].appeals == runs[1].appeals
+
+
+def _clock_start(n):
+    cons = build_clock(n, make_params(n, 0))
+    return cons.mdp, clock_initial_policy(cons)
+
+
+def _counting_evaluations(monkeypatch):
+    calls = []
+    original = mdp_module.evaluate_values
+
+    def counting(m, policy):
+        calls.append(policy)
+        return original(m, policy)
+
+    monkeypatch.setattr(mdp_module, "evaluate_values", counting)
+    return calls
+
+
+@pytest.mark.parametrize("tie", ["lowest", "highest", "random:3"])
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda n=n: _clock_start(n), id=f"clock{n}") for n in range(1, 7)]
+    + [
+        pytest.param(lambda: _construction_start(identity_circuit(1), (1,)), id="identity1"),
+        pytest.param(lambda: _construction_start(identity_circuit(2), (1, 1)), id="identity2"),
+        pytest.param(lambda: _construction_start(rotation_circuit(2), (1, 1)), id="rot2"),
+        pytest.param(lambda: _construction_start(rotation_circuit(3), (1, 1, 1)), id="rot3"),
+    ],
+)
+def test_crosscheck_finds_every_incremental_solve_equal_to_a_fresh_evaluation(make, tie, monkeypatch):
+    m, start = make()
+    calls = _counting_evaluations(monkeypatch)
+    checked = run_policy_iteration(m, start, tie=parse_tiebreak(tie), budget=100_000, crosscheck=True)
+    assert checked.iterations > 0
+    # The start policy, then one fresh evaluation per switch; none of these
+    # instances closes a cycle, so the incremental walk never falls back.
+    assert len(calls) == checked.iterations + 1
+    calls.clear()
+    plain = run_policy_iteration(m, start, tie=parse_tiebreak(tie), budget=100_000)
+    assert len(calls) == 2  # the start policy and the final check
+    assert [(ev.state, ev.new_action, ev.appeal) for ev in plain.trace] == [
+        (ev.state, ev.new_action, ev.appeal) for ev in checked.trace
+    ]
+    assert plain.values == checked.values == evaluate_values(m, plain.policy)
+    assert plain.appeals == checked.appeals
+
+
+def _switch_into_a_recurrent_cycle():
+    # u and v each start on a free exit to the sink.  Greedy switches u to
+    # v for reward 1 (appeal 1), then v to u for reward 1 (appeal 2), which
+    # closes the recurrent cycle u -> v -> u.
+    m, sink = sink_mdp()
+    u = m.add_state("u")
+    v = m.add_state("v")
+    start = [0, m.add_action(u, {sink: ONE}, 0), m.add_action(v, {sink: ONE}, 0)]
+    m.add_action(u, {v: ONE}, 1)
+    m.add_action(v, {u: ONE}, 1)
+    return m, make_policy(m, start)
+
+
+def _switch_into_a_rewarded_self_loop():
+    m, sink = sink_mdp()
+    u = m.add_state("u")
+    start = [0, m.add_action(u, {sink: ONE}, 0)]
+    m.add_action(u, {u: ONE}, 1)
+    return m, make_policy(m, start)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_switch_into_a_recurrent_cycle, "recurrent class with more than one state"),
+        (_switch_into_a_rewarded_self_loop, "absorbing state u loops with reward 1"),
+    ],
+)
+def test_a_switch_the_incremental_walk_cannot_solve_falls_back_to_the_full_evaluation(make, message, monkeypatch):
+    m, start = make()
+    calls = _counting_evaluations(monkeypatch)
+    with pytest.raises(NonZeroGainPolicyError, match=f"^{message}$"):
+        run_policy_iteration(m, start, budget=10)
+    # The start policy, then the fallback on the policy the last switch made.
+    assert len(calls) == 2 and calls[0] == start != calls[1]
+
+
+@pytest.mark.parametrize("tie", ["lowest", "highest", "random:3"])
+def test_crosscheck_catches_an_ancestor_left_out_of_the_changed_states(tie, monkeypatch):
+    reach = mdp_module._switch_reach
+    dropped = []
+
+    def drop_one_ancestor(m, policy, entering, state):
+        changed, stale = reach(m, policy, entering, state)
+        ancestors = sorted(changed - {state})
+        if ancestors:
+            dropped.append(ancestors[0])
+            changed.discard(ancestors[0])
+        return changed, stale
+
+    monkeypatch.setattr(mdp_module, "_switch_reach", drop_one_ancestor)
+    m, start = _construction_start(rotation_circuit(2), (1, 1))
+    with pytest.raises(CrosscheckError, match=r"^after switch \d+ the kept value of "):
+        run_policy_iteration(m, start, tie=parse_tiebreak(tie), budget=10_000, crosscheck=True)
+    assert len(dropped) == 1  # caught at the first switch that left one out
+
+
+def test_every_run_checks_its_final_policy_from_scratch(monkeypatch):
+    walk = mdp_module._acyclic_expectation
+
+    def corrupting(m, policy, *, gain, values=None, roots=None):
+        solved = walk(m, policy, gain=gain, values=values, roots=roots)
+        if roots is not None and solved is not None:
+            solved[min(roots)] += 1
+        return solved
+
+    monkeypatch.setattr(mdp_module, "_acyclic_expectation", corrupting)
+    m, start = _construction_start(rotation_circuit(2), (1, 1))
+    with pytest.raises(CrosscheckError, match=r"^after switch \d+ the kept value of "):
+        run_policy_iteration(m, start, budget=10_000)
 
 
 def test_tiebreak_rules_pick_expected_candidates():

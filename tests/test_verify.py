@@ -111,6 +111,25 @@ def test_check_clock_trace_n1():
     assert check_clock_trace(result, auditor).ok
 
 
+def test_clock_auditor_flags_a_policy_or_a_value_off_the_oracle():
+    cons = build_clock(3)
+    auditor = ClockAuditor(cons)
+    for j in range(2**3):
+        policy = clock_gray_policy(cons, j)
+        auditor.check_policy(j, policy, evaluate_values(cons.mdp, policy))
+    assert auditor.policy_failures == []
+    # Gray words 4 and 5 differ in bit 3 alone, so the fifth policy handed
+    # in as the fourth is off the sequence at clock state 3 only.
+    policy = clock_gray_policy(cons, 5)
+    auditor.check_policy(4, policy, evaluate_values(cons.mdp, clock_gray_policy(cons, 4)))
+    assert auditor.policy_failures == ["step 4: state 3 off the Gray-code sequence"]
+    auditor.policy_failures.clear()
+    values = evaluate_values(cons.mdp, policy)
+    values[cons.index.state("c1")] += Fraction(1, 10**9)
+    auditor.check_policy(5, policy, values)
+    assert auditor.policy_failures == ["step 5: value of c1 differs from the oracle"]
+
+
 def test_printed_alpha_is_an_expected_fail():
     cons = build_clock(2, make_params(2, 0, alpha_mode="printed"))
     auditor = ClockAuditor(cons)
