@@ -10,6 +10,7 @@ string.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -352,7 +353,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory")
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: no default is mutable, no action appends."""
     parser = argparse.ArgumentParser(
         prog="dantziglab",
         description="Exact-arithmetic greedy policy iteration laboratory",
@@ -379,8 +382,11 @@ def main(argv: list[str] | None = None) -> int:
                 choices=["bitswitch", "circuitvalue", "actionswitch", "dantzigsol"],
             )
         p.set_defaults(handler=fn)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     from .circuit import CircuitError
     from .construction import ConstructionError
     from .lp import LpError

@@ -18,19 +18,27 @@ side draws ties from its own generator and never evaluates a policy or
 computes an appeal, so it stays independent of the engine it audits.
 
 A basis keeps its inverse as sparse rows (dicts from column to nonzero
-``Fraction``), rebuilt from the LP's sparse columns by one
-``numerics.inverse`` call at every pivot.  In exact arithmetic a
-product-form update could not drift either; the rebuild is kept only
-because it is the least code, and the instances are desk-scale.  The basis
-is I - Pᵀ on the non-sink states, so its inverse is the transpose of
-Σ Pᵏ: row i holds column j exactly when row i's state is reachable from
-row j's state under the policy.  Every basis a run visits comes from a
-policy that is acyclic apart from self-loops, so it is triangular under a
-permutation and the inverse's singleton-first elimination stores nothing
-but those entries.  The duals read only the inverse's nonzeros, the basic
-solution is each inverse row's sum times the uniform right-hand side 1/n,
-and the entering direction looks each row up only at the entering column's
-few nonzero rows.
+``Fraction``), built from the LP's sparse columns by one ``numerics.inverse``
+call per basis.  The basis is I - Pᵀ on the non-sink states, so its inverse
+is the transpose of Σ Pᵏ: row i holds column j exactly when row i's state is
+reachable from row j's state under the policy.  Every basis a run visits
+comes from a policy that is acyclic apart from self-loops, so it is
+triangular under a permutation and the inverse's singleton-first
+elimination stores nothing but those entries.  The entering direction
+looks each inverse row up only at the entering column's few nonzero rows.
+
+A basis also keeps its basic solution x_B, its duals y and its reduced
+costs.  Only the start basis computes them from scratch, with
+``Basis.basic_solution`` (each inverse row's sum times the uniform
+right-hand side 1/n) and ``dual_and_reduced_costs``.  Every pivot then
+carries them over by the revised-simplex update (Dantzig & Orchard-Hays
+1954): with d the entering direction, r the leaving position,
+θ = x_r/d_r and rc_q the entering reduced cost, x_B' = x_B − θ·d with
+x_r' = θ, y' = y + (rc_q/d_r)·B⁻¹[r], and only the columns with a nonzero
+in a row where y changed get their reduced cost recomputed.  The two
+from-scratch functions stay as the oracle: at the final policy the
+lockstep recomputes all three vectors and counts any difference from the
+kept ones as a divergence.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .mdp import Mdp, PIResult, Policy, TieBreak, TraceEvent, Watcher, run_policy_iteration
@@ -92,6 +101,15 @@ class LinearProgram:
     def num_cols(self) -> int:
         return len(self.cols)
 
+    @cached_property
+    def row_cols(self) -> list[list[int]]:
+        """For each row, the columns with a nonzero in it; built once per LP."""
+        out: list[list[int]] = [[] for _ in self.rows]
+        for j, column in enumerate(self.columns):
+            for i in column:
+                out[i].append(j)
+        return out
+
 
 def mdp_to_primal(mdp: Mdp, sink: int) -> LinearProgram:
     """Max-form flow LP over the non-sink states.
@@ -131,6 +149,10 @@ class Basis:
     lp: LinearProgram
     cols: tuple[int, ...]  # one column index per row, in row order
     inv: list[dict[int, Fraction]]  # sparse rows of the basis inverse
+    # Kept from pivot to pivot; ``fresh_vectors`` is their oracle.
+    x_b: list[Fraction]  # basic solution, per row position
+    y: list[Fraction]  # duals, per row
+    reduced: list[Fraction]  # reduced costs, per column
 
     def action_ids(self) -> frozenset[int]:
         return frozenset(self.lp.cols[j] for j in self.cols)
@@ -157,7 +179,11 @@ class Basis:
         return out
 
 
-def make_basis(lp: LinearProgram, cols: Sequence[int]) -> Basis:
+Kept = tuple[list[Fraction], list[Fraction], list[Fraction]]  # x_B, y, reduced costs
+
+
+def make_basis(lp: LinearProgram, cols: Sequence[int], kept: Kept | None = None) -> Basis:
+    """The basis of ``cols``: its inverse, and ``kept`` or, without it, ``fresh_vectors``."""
     if len(cols) != lp.num_rows:
         raise LpError(f"basis needs {lp.num_rows} columns, got {len(cols)}")
     rows: list[dict[int, Fraction]] = [{} for _ in cols]
@@ -168,11 +194,13 @@ def make_basis(lp: LinearProgram, cols: Sequence[int]) -> Basis:
         inv = inverse(rows)
     except SingularMatrixError as exc:
         raise SingularBasisError(f"dependent basis columns: {exc}") from exc
-    return Basis(lp, tuple(cols), inv)
+    basis = Basis(lp, tuple(cols), inv, [], [], [])
+    basis.x_b, basis.y, basis.reduced = kept if kept is not None else fresh_vectors(basis)
+    return basis
 
 
 def basis_from_policy(lp: LinearProgram, policy: Policy) -> Basis:
-    """The basis of the policy's chosen columns, in row (state) order."""
+    """The basis of the policy's chosen columns, in row (state) order, its vectors fresh."""
     cols = []
     for s in lp.rows:
         aid = policy.choice[s]
@@ -183,7 +211,7 @@ def basis_from_policy(lp: LinearProgram, policy: Policy) -> Basis:
 
 
 def dual_and_reduced_costs(lp: LinearProgram, basis: Basis) -> tuple[list[Fraction], list[Fraction]]:
-    """Dual solution y (per row) and reduced costs (per column) of the basis."""
+    """Dual solution y (per row) and reduced costs (per column) of the basis, from scratch."""
     # y = B^-T · c_B: add up the rows of B^-1 whose basic objective is nonzero.
     y = [ZERO] * lp.num_rows
     for row, j in zip(basis.inv, basis.cols):
@@ -201,6 +229,11 @@ def dual_and_reduced_costs(lp: LinearProgram, basis: Basis) -> tuple[list[Fracti
     return y, reduced
 
 
+def fresh_vectors(basis: Basis) -> Kept:
+    """x_B, y and the reduced costs of the basis, computed from scratch."""
+    return (basis.basic_solution(), *dual_and_reduced_costs(basis.lp, basis))
+
+
 @dataclass
 class SimplexStep:
     basis: Basis
@@ -214,21 +247,21 @@ def simplex_dantzig_step(
     basis: Basis,
     tie: TieBreak,
     rng: random.Random | None,
-    reduced: Sequence[Fraction],
 ) -> SimplexStep | None:
     """One largest-reduced-cost pivot, or None at optimality.
 
-    ``reduced`` holds the basis's reduced costs, as ``dual_and_reduced_costs``
-    gives them, and ``rng`` the tie generator (None unless the rule is
-    seeded-random).  The ratio test must have a unique minimizer, and the
-    leaving column must be the basic action at the entering column's
-    state; both are structural facts here, so their failure aborts loudly
-    rather than falling back to an anti-cycling rule.
+    It reads the basis's kept reduced costs and basic solution, and the
+    next basis carries its own, updated from this pivot.  ``rng`` is the
+    tie generator (None unless the rule is seeded-random).  The ratio test
+    must have a unique minimizer, and the leaving column must be the basic
+    action at the entering column's state; both are structural facts here,
+    so their failure aborts loudly rather than falling back to an
+    anti-cycling rule.
     """
     actions = lp.mdp.actions
     best: Fraction | None = None
     candidates: list[tuple[int, int]] = []
-    for j, rc in enumerate(reduced):
+    for j, rc in enumerate(basis.reduced):
         if rc <= 0:
             continue
         if best is None or rc > best:
@@ -242,7 +275,7 @@ def simplex_dantzig_step(
     entering = lp.col_of[aid]
 
     direction = basis.direction(entering)
-    x_b = basis.basic_solution()
+    x_b = basis.x_b
     best_ratio: Fraction | None = None
     leaving_pos: int | None = None
     tie_count = 0
@@ -267,9 +300,40 @@ def simplex_dantzig_step(
         raise PivotInvariantError(
             f"leaving column lives at state {leave_state}, entering at {enter_state}"
         )
-    new_cols = list(basis.cols)
-    new_cols[leaving_pos] = entering
-    return SimplexStep(make_basis(lp, new_cols), entering, leaving, best)
+    return SimplexStep(
+        _pivot(lp, basis, entering, leaving_pos, direction, best_ratio, best), entering, leaving, best
+    )
+
+
+def _pivot(
+    lp: LinearProgram,
+    basis: Basis,
+    entering: int,
+    r: int,
+    direction: Sequence[Fraction],
+    theta: Fraction,
+    rc: Fraction,
+) -> Basis:
+    """The basis with ``entering`` at position r, its kept vectors updated, not recomputed."""
+    x_b = list(basis.x_b)
+    for pos, d in enumerate(direction):
+        if d:
+            x_b[pos] -= theta * d
+    x_b[r] = theta
+    inv_r = basis.inv[r]
+    factor = rc / direction[r]
+    y = list(basis.y)
+    for i, v in inv_r.items():
+        y[i] += factor * v
+    reduced = list(basis.reduced)
+    for j in {j for i in inv_r for j in lp.row_cols[i]}:
+        acc = lp.objective[j]
+        for i, v in lp.columns[j].items():
+            acc -= v * y[i]
+        reduced[j] = acc
+    cols = list(basis.cols)
+    cols[r] = entering
+    return make_basis(lp, cols, (x_b, y, reduced))
 
 
 @dataclass
@@ -298,9 +362,12 @@ class Lockstep:
     appeal the run computed for that action, and the pivot enters the
     switched-in action, drops the switched-out one and has the switch's
     appeal as its reduced cost (at the final policy: no pivot at all).
-    A mismatch is recorded, and the first one marks the report, but the
-    lockstep keeps pivoting on its own basis and comparing; once the two
-    sides cannot both move on, it stops.
+    The duals and reduced costs it compares are the basis's kept ones, so
+    at the final policy it also recomputes x_B, y and the reduced costs
+    from scratch, and a difference from the kept ones fails that
+    iteration.  A mismatch is recorded, and the first one marks the
+    report, but the lockstep keeps pivoting on its own basis and
+    comparing; once the two sides cannot both move on, it stops.
     """
 
     def __init__(self, mdp: Mdp, policy: Policy, sink: int, *, tie: TieBreak | None = None):
@@ -323,14 +390,14 @@ class Lockstep:
             return
         lp, basis, report = self.lp, self.basis, self.report
         iteration = len(report.iterations)
-        y, reduced = dual_and_reduced_costs(lp, basis)
+        y, reduced = basis.y, basis.reduced
         entry: dict = {
             "iteration": iteration,
             "basis_match": basis.action_ids() == frozenset(policy.choice[s] for s in lp.rows),
             "dual_match": all(y[lp.row_of[s]] == values[s] for s in lp.rows) and values[lp.sink] == 0,
             "reduced_cost_match": all(reduced[j] == gains[lp.cols[j]] for j in range(lp.num_cols)),
         }
-        step = simplex_dantzig_step(lp, basis, self.tie, self.rng, reduced)
+        step = simplex_dantzig_step(lp, basis, self.tie, self.rng)
         if event is None or step is None:
             entry["same_entering"] = event is None and step is None
         else:
@@ -342,6 +409,8 @@ class Lockstep:
         entry["ok"] = all(
             entry[k] for k in ("basis_match", "dual_match", "reduced_cost_match", "same_entering")
         )
+        if event is None:
+            entry["ok"] &= (basis.x_b, y, reduced) == fresh_vectors(basis)
         report.iterations.append(entry)
         if not entry["ok"] and report.first_divergence is None:
             report.ok = False
@@ -366,8 +435,9 @@ def check_pi_simplex_equivalence(
     """Run greedy policy iteration once, with a ``Lockstep`` auditing that run.
 
     At every switch, and at the final policy, the lockstep compares its own
-    basis, duals, reduced costs and pivot with what the run hands it; its
-    ties come from its own generator, seeded like the run's.  ``watchers``
+    basis, duals, reduced costs and pivot with what the run hands it, and at
+    the final policy its kept vectors with a from-scratch solve; its ties
+    come from its own generator, seeded like the run's.  ``watchers``
     and ``crosscheck`` go to the same run, and the report keeps the run as
     ``run``.
     """

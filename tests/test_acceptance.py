@@ -194,17 +194,21 @@ def test_criterion_5_lockstep_equivalence():
         cons.mdp, initial_policy(cons, (1,)), cons.index.si(), budget=cons.budget()
     )
     assert report.ok and report.first_divergence is None
-    circuit, bits, _ = INSTANCES["identity2"]
-    cons = build_construction(negated_form(normalize_depths(circuit)))
-    wide = check_pi_simplex_equivalence(
-        cons.mdp, initial_policy(cons, bits), cons.index.si(), budget=cons.budget()
-    )
-    assert wide.ok and wide.first_divergence is None and wide.pivots == 133
-    assert all(entry["ok"] for entry in wide.iterations)
+    pivots = {}
+    for name, expected in (("identity2", 133), ("rot2", 232)):
+        circuit, bits, _ = INSTANCES[name]
+        cons = build_construction(negated_form(normalize_depths(circuit)))
+        wide = check_pi_simplex_equivalence(
+            cons.mdp, initial_policy(cons, bits), cons.index.si(), budget=cons.budget()
+        )
+        assert wide.ok and wide.first_divergence is None and wide.pivots == expected
+        assert all(entry["ok"] for entry in wide.iterations)
+        pivots[name] = wide.pivots
     ok(
         5,
         "pivoting retraces switching with zero divergences "
-        f"({report.pivots} pivots on identity1, {wide.pivots} on identity2)",
+        f"({report.pivots} pivots on identity1, {pivots['identity2']} on identity2, "
+        f"{pivots['rot2']} on rot2)",
     )
 
 

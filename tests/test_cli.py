@@ -250,6 +250,25 @@ def test_a_crosscheck_failure_exits_4_not_verdict_false(tmp_path, monkeypatch, c
     assert err.startswith("invariant violation: after switch 1 the kept value of ")
 
 
+def test_a_lockstep_oracle_failure_exits_4_not_verdict_false(tmp_path, monkeypatch, capsys):
+    from dantziglab import lp
+
+    original = lp.Lockstep.finish
+
+    def perturbing(self, result):
+        self.basis.x_b[0] += 1  # a kept basic solution off after the last switch
+        return original(self, result)
+
+    monkeypatch.setattr(lp.Lockstep, "finish", perturbing)
+    out = str(tmp_path / "ver")
+    assert run_cli("verify", "--builtin", "identity1", "--bits", "1", "--which", "equivalence",
+                   "--out", out) == 4
+    assert capsys.readouterr().out == "equivalence: FAIL\n  diverged at iteration 22\n"
+    (report,) = json.loads(read(os.path.join(out, "report.json")))["reports"]
+    final = report["details"]["iterations"][-1]
+    assert report["ok"] is False and final["ok"] is False and final["dual_match"]
+
+
 def test_verify_all_never_builds_the_full_policy_list(tmp_path, monkeypatch):
     def forbidden(self):
         raise AssertionError("the audits replay only the policies they read")

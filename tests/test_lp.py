@@ -155,7 +155,7 @@ def test_pivot_matches_switch_and_objective_increases():
     basis = basis_from_policy(lp, policy)
     tie = TieBreak.lowest()
     event = run_policy_iteration(cons.mdp, policy, tie=tie, budget=cons.budget()).trace[0]
-    step = simplex_dantzig_step(lp, basis, tie, tie.make_rng(), dual_and_reduced_costs(lp, basis)[1])
+    step = simplex_dantzig_step(lp, basis, tie, tie.make_rng())
     assert step is not None
     assert lp.cols[step.entering] == event.new_action
     assert lp.cols[step.leaving] == event.old_action
@@ -167,7 +167,7 @@ def test_optimum_returns_none_and_dual_feasible():
     lp = mdp_to_primal(m, sink)
     basis = basis_from_policy(lp, make_policy(m, [0, high]))
     tie = TieBreak.lowest()
-    assert simplex_dantzig_step(lp, basis, tie, tie.make_rng(), dual_and_reduced_costs(lp, basis)[1]) is None
+    assert simplex_dantzig_step(lp, basis, tie, tie.make_rng()) is None
     y, reduced = dual_and_reduced_costs(lp, basis)
     assert all(rc <= 0 for rc in reduced)
     # Dual constraints: v_s - sum p(j|a) v_j >= r(a) for every action.
@@ -197,12 +197,15 @@ def test_lockstep_clock(n):
     assert all(entry["ok"] for entry in report.iterations)
 
 
-def test_lockstep_full_construction():
+def _identity1_lockstep():
     cons = build_construction(negated_form(normalize_depths(identity_circuit(1))))
-    policy = initial_policy(cons, (1,))
-    report = check_pi_simplex_equivalence(
-        cons.mdp, policy, cons.index.si(), budget=cons.budget()
+    return check_pi_simplex_equivalence(
+        cons.mdp, initial_policy(cons, (1,)), cons.index.si(), budget=cons.budget()
     )
+
+
+def test_lockstep_full_construction():
+    report = _identity1_lockstep()
     assert report.ok
     assert report.first_divergence is None
 
@@ -236,11 +239,23 @@ def test_lockstep_bases_solve_their_systems_exactly(monkeypatch):
                 out[i] += v * x[pos]
         return out
 
+    def times_column(lp, y, j):
+        return sum((v * y[i] for i, v in lp.columns[j].items()), start=Fraction(0))
+
     for lp, basis, step in visited:
         assert times_b(lp, basis, basis.basic_solution()) == lp.rhs
-        y, _ = dual_and_reduced_costs(lp, basis)
+        y, reduced = dual_and_reduced_costs(lp, basis)
         for j in basis.cols:
-            assert sum((v * y[i] for i, v in lp.columns[j].items()), start=Fraction(0)) == lp.objective[j]
+            assert times_column(lp, y, j) == lp.objective[j]
+        # The kept vectors, carried over from pivot to pivot, equal the
+        # from-scratch ones and solve the same systems on their own.
+        assert basis.x_b == basis.basic_solution()
+        assert basis.y == y and basis.reduced == reduced
+        assert times_b(lp, basis, basis.x_b) == lp.rhs
+        for j in basis.cols:
+            assert times_column(lp, basis.y, j) == lp.objective[j]
+        for j in range(lp.num_cols):
+            assert basis.reduced[j] == lp.objective[j] - times_column(lp, basis.y, j)
         if step is not None:
             a_q = [lp.columns[step.entering].get(i, Fraction(0)) for i in range(lp.num_rows)]
             assert times_b(lp, basis, basis.direction(step.entering)) == a_q
@@ -320,7 +335,7 @@ def test_feasibility_preserved_across_pivots():
     objective = objective_value(lp, basis)
     while True:
         assert all(v >= 0 for v in basis.basic_solution())
-        step = simplex_dantzig_step(lp, basis, tie, rng, dual_and_reduced_costs(lp, basis)[1])
+        step = simplex_dantzig_step(lp, basis, tie, rng)
         if step is None:
             break
         assert objective_value(lp, step.basis) >= objective
@@ -356,7 +371,9 @@ def test_lockstep_flags_a_run_made_under_another_tie_rule():
     assert not any(entry["ok"] for entry in report.iterations)
 
 
-def test_lockstep_computes_reduced_costs_once_per_pivot(monkeypatch):
+def test_lockstep_computes_reduced_costs_from_scratch_only_at_start_and_finish(monkeypatch):
+    # Each pivot carries the duals and reduced costs over; only the start
+    # basis and the final oracle compute them in full, whatever the pivot count.
     import dantziglab.lp as lp_module
 
     calls = []
@@ -364,13 +381,65 @@ def test_lockstep_computes_reduced_costs_once_per_pivot(monkeypatch):
     monkeypatch.setattr(
         lp_module, "dual_and_reduced_costs", lambda *args: calls.append(1) or original(*args)
     )
-    cons = build_clock(2)
-    report = check_pi_simplex_equivalence(
-        cons.mdp, clock_initial_policy(cons), cons.index.si(), budget=cons.budget()
-    )
-    assert report.ok and report.pivots == 3
-    assert len(calls) == report.pivots + 1  # one per pivot, plus the optimum's check
-    assert len(report.run.trace) == report.pivots
+    for n in (2, 3):
+        calls.clear()
+        cons = build_clock(n)
+        report = check_pi_simplex_equivalence(
+            cons.mdp, clock_initial_policy(cons), cons.index.si(), budget=cons.budget()
+        )
+        assert report.ok and report.pivots == 2**n - 1
+        assert len(calls) == 2
+        assert len(report.run.trace) == report.pivots
+
+
+@pytest.mark.parametrize("kept", ["dual", "reduced_cost"])
+def test_lockstep_flags_a_pivot_update_that_perturbs_a_kept_vector(monkeypatch, kept):
+    # The fifth pivot's update leaves one kept dual, or the reduced cost of
+    # one basic column, off by 1; the comparison at the next switch must fail.
+    import dantziglab.lp as lp_module
+
+    pivots = []
+    original = lp_module._pivot
+
+    def perturbing(lp, *args):
+        basis = original(lp, *args)
+        pivots.append(basis)
+        if len(pivots) == 5:
+            if kept == "dual":
+                basis.y[0] += 1
+            else:
+                basis.reduced[basis.cols[0]] -= 1
+        return basis
+
+    monkeypatch.setattr(lp_module, "_pivot", perturbing)
+    report = _identity1_lockstep()
+    assert report.pivots == 22
+    assert report.ok is False and report.first_divergence == 5
+    entry = report.iterations[5]
+    assert entry["ok"] is False and entry["basis_match"] and entry["same_entering"]
+    assert entry[f"{kept}_match"] is False
+    assert all(e["ok"] for e in report.iterations[:5])
+
+
+def test_final_oracle_flags_a_kept_vector_perturbed_after_the_last_switch(monkeypatch):
+    # x_B is compared with nothing from the run, so only the from-scratch
+    # recomputation at the final policy can see it go wrong.
+    import dantziglab.lp as lp_module
+
+    original = lp_module.Lockstep.finish
+
+    def perturbing(self, result):
+        self.basis.x_b[0] += 1
+        return original(self, result)
+
+    monkeypatch.setattr(lp_module.Lockstep, "finish", perturbing)
+    report = _identity1_lockstep()
+    assert report.pivots == 22 and len(report.iterations) == 23
+    assert report.ok is False and report.first_divergence == 22
+    final = report.iterations[22]
+    assert final["basis_match"] and final["dual_match"] and final["reduced_cost_match"]
+    assert final["same_entering"] and final["ok"] is False
+    assert all(e["ok"] for e in report.iterations[:22])
 
 
 def test_lockstep_with_seeded_ties():
