@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import library
 from .circuit import Circuit, load_circuit, negated_form, normalize_depths, parse_bits
@@ -38,7 +37,6 @@ from .mdp import (
     run_policy_iteration,
     trace_to_jsonl,
 )
-from .numerics import rat
 from .turing import compile_machine, load_machine
 from .verify import (
     ClockAuditor,
@@ -67,19 +65,8 @@ class InputError(ValueError):
 class RunConfig:
     tie: TieBreak
     alpha_mode: str
-    bl: Fraction
-    ro: Fraction
-    magic: Fraction
     budget: int | None
     out: str
-
-    def overrides(self) -> dict:
-        return {
-            "alpha_mode": self.alpha_mode,
-            "bl": self.bl,
-            "ro": self.ro,
-            "magic": self.magic,
-        }
 
 
 @dataclass
@@ -97,13 +84,10 @@ def _parse_config(args: argparse.Namespace) -> RunConfig:
         return RunConfig(
             tie=parse_tiebreak(args.tie),
             alpha_mode=args.alpha,
-            bl=rat(args.bl),
-            ro=rat(args.ro),
-            magic=rat(args.magic),
             budget=args.budget,
             out=args.out,
         )
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -111,18 +95,24 @@ def _load_instance(args: argparse.Namespace) -> Instance:
     sources = [bool(args.circuit), bool(args.tm), bool(args.builtin)]
     if sum(sources) != 1:
         raise InputError("choose exactly one of --circuit, --tm, --builtin")
-    bits = parse_bits(args.bits) if getattr(args, "bits", None) else None
-    z = getattr(args, "z", None)
+    if not args.tm and (args.input is not None or args.space is not None):
+        raise InputError("--input and --space set up a --tm machine; drop them")
+    if args.builtin and args.builtin.startswith("clock:n="):
+        if args.bits is not None or args.z is not None:
+            raise InputError("a clock has no start string or queried bit; drop --bits and --z")
+        try:
+            n = int(args.builtin.split("=", 1)[1])
+        except ValueError as exc:
+            raise InputError(f"bad clock size in {args.builtin!r}") from exc
+        if n < 1:
+            raise InputError("clock needs n >= 1")
+        return Instance("clock", n, label=args.builtin)
+    if args.alpha != "calibrated":
+        raise InputError(f"--alpha {args.alpha} calibrates clocks only; drop it for a circuit or machine")
+    bits = parse_bits(args.bits) if args.bits else None
+    z = args.z
     if args.builtin:
         name = args.builtin
-        if name.startswith("clock:n="):
-            try:
-                n = int(name.split("=", 1)[1])
-            except ValueError as exc:
-                raise InputError(f"bad clock size in {name!r}") from exc
-            if n < 1:
-                raise InputError("clock needs n >= 1")
-            return Instance("clock", n, label=name)
         if name not in library.BUILTIN_CIRCUITS:
             raise InputError(
                 f"unknown builtin {name!r}; circuits: {sorted(library.BUILTIN_CIRCUITS)}, "
@@ -165,7 +155,7 @@ def _build(instance: Instance, config: RunConfig) -> Construction:
     if instance.kind == "clock":
         return build_clock(instance.n, make_params(instance.n, 0, alpha_mode=config.alpha_mode))
     assert instance.circuit is not None
-    return build_construction(negated_form(normalize_depths(instance.circuit)), **config.overrides())
+    return build_construction(negated_form(normalize_depths(instance.circuit)))
 
 
 def _start_policy(cons: Construction, instance: Instance):
@@ -321,7 +311,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         print(f"circuitvalue: {str(verdict).lower()}")
         return EXIT_OK if verdict else EXIT_FALSE
 
-    report = end_to_end(circuit, bits, z, tie=config.tie, budget=config.budget, **config.overrides())
+    report = end_to_end(circuit, bits, z, tie=config.tie, budget=config.budget)
     if 2**circuit.n > 64 and config.budget is None:
         raise InputError(
             f"{circuit.n}-bit instance means 2^{circuit.n} phases; that is beyond desk scale "
@@ -345,10 +335,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bits", help="starting bit-string", default=None)
     p.add_argument("--z", type=int, help="queried bit index (1-based)", default=None)
     p.add_argument("--tie", default="lowest", help="lowest | highest | random:SEED")
-    p.add_argument("--alpha", default="calibrated", choices=["calibrated", "printed"])
-    p.add_argument("--bl", default="31/10", help="re-homing detour numerator")
-    p.add_argument("--ro", default="1", help="copy-hookup detour numerator")
-    p.add_argument("--magic", default="3/25", help="residual appeal ceiling")
+    p.add_argument(
+        "--alpha",
+        default="calibrated",
+        choices=["calibrated", "printed"],
+        help="clock detour calibration (clock instances only)",
+    )
     p.add_argument("--budget", type=int, default=None, help="iteration cap")
     p.add_argument("--out", default=".", help="output directory")
 

@@ -17,12 +17,12 @@ chosen so that every scripted switch during a phase transition happens at
 a distinct, exactly-known appeal; those appeal levels are what the trace
 auditors in ``verify`` check.
 
-Two of the detour numerators are configurable: the input-bit p3 numerator
-(``bl``, default 31/10) and the copy-hookup p7 numerator (``ro``, default
-1).  Any override must keep the scripted switch ordering intact, which is
-re-validated at build time.  ``magic`` (default 3/25) is the auditors'
-ceiling for residual end-game appeals, kept strictly below both the 1/5
-decision-freeze appeal and the clock band.
+Like the other detour numerators, the input-bit p3 numerator (``BL`` =
+31/10) and the copy-hookup p7 numerator (``RO`` = 1) are fixed constants.
+``MAGIC`` = 3/25 is the auditors' ceiling for residual end-game appeals,
+kept strictly below both the 1/5 decision-freeze appeal and the clock
+band.  The scripted switch ordering these constants must keep depends on
+the circuit depth, so it is re-validated each time parameters are made.
 
 The clock detour probabilities support two modes: ``calibrated`` (default)
 makes the clock switch at state i have appeal exactly 1/2 - 1/(4i), inside
@@ -50,6 +50,11 @@ from .numerics import ONE, ZERO, format_rational, rat
 HALF = Fraction(1, 2)
 # Ceiling of the detach (s2) appeal band [16/5, RJPRIME] the catalog auditor checks.
 RJPRIME = Fraction(33, 10)
+# Numerators of the input-bit re-homing detour p3 and the copy-hookup detour p7.
+BL = Fraction(31, 10)
+RO = Fraction(1)
+# Ceiling of the residual end-game appeals the catalog auditor checks.
+MAGIC = Fraction(3, 25)
 
 
 class ConstructionError(ValueError):
@@ -74,9 +79,6 @@ class ConstructionParams:
     high: tuple[Fraction, ...]
     alpha: tuple[Fraction, ...]
     alpha_mode: str
-    bl: Fraction
-    ro: Fraction
-    magic: Fraction
 
     def f(self, i: int) -> int:
         return self.n - i + 1
@@ -96,7 +98,7 @@ class ConstructionParams:
 
     @property
     def p3(self) -> Fraction:
-        return self.bl / (3 * self.t / 2 + self.high[0])
+        return BL / (3 * self.t / 2 + self.high[0])
 
     @property
     def p4(self) -> Fraction:
@@ -112,7 +114,7 @@ class ConstructionParams:
 
     @property
     def p7(self) -> Fraction:
-        return self.ro / (self.t / 2 + self.high[self.d_c] - self.low[0])
+        return RO / (self.t / 2 + self.high[self.d_c] - self.low[0])
 
     def stage3_rehome_appeal(self) -> Fraction:
         """Exact appeal of the late re-homing of a compute-side input bit."""
@@ -136,9 +138,9 @@ class ConstructionParams:
             "low": [format_rational(x) for x in self.low],
             "high": [format_rational(x) for x in self.high],
             "alpha": [format_rational(x) for x in self.alpha],
-            "bl": format_rational(self.bl),
-            "ro": format_rational(self.ro),
-            "magic": format_rational(self.magic),
+            "bl": format_rational(BL),
+            "ro": format_rational(RO),
+            "magic": format_rational(MAGIC),
             "rjprime": format_rational(RJPRIME),
             "p3": format_rational(self.p3),
             "p4": format_rational(self.p4),
@@ -161,15 +163,7 @@ def _alpha(i: int, n: int, t: Fraction, mode: str) -> Fraction:
     raise ConstructionError(f"unknown alpha mode {mode!r}")
 
 
-def make_params(
-    n: int,
-    d_c: int,
-    *,
-    alpha_mode: str = "calibrated",
-    bl: Fraction = Fraction(31, 10),
-    ro: Fraction = Fraction(1),
-    magic: Fraction = Fraction(3, 25),
-) -> ConstructionParams:
+def make_params(n: int, d_c: int, *, alpha_mode: str = "calibrated") -> ConstructionParams:
     """Scale constants for an n-bit machine whose circuit has depth d_c."""
     if n < 1:
         raise ConstructionError("need at least one input bit")
@@ -191,9 +185,6 @@ def make_params(
         high=tuple(high),
         alpha=tuple(_alpha(i, n, t, alpha_mode) for i in range(1, n + 1)),
         alpha_mode=alpha_mode,
-        bl=rat(bl),
-        ro=rat(ro),
-        magic=rat(magic),
     )
     _check_params(params)
     return params
@@ -219,16 +210,16 @@ def _check_params(params: ConstructionParams) -> None:
         raise ConstructionError("copy-hookup band overlaps the re-homing appeal")
     if not params.stage3_rehome_appeal() < Fraction(8, 5):
         raise ConstructionError("re-homing appeal reaches the 8/5 stage level")
-    if not params.residual_rehome_appeal() < params.magic < Fraction(1, 5):
+    if not params.residual_rehome_appeal() < MAGIC < Fraction(1, 5):
         raise ConstructionError("residual appeal ceiling out of place")
 
 
-def derive_params(circuit: Circuit, **overrides) -> ConstructionParams:
+def derive_params(circuit: Circuit) -> ConstructionParams:
     """Scale constants for a normalized, output-negated circuit."""
     problems = circuit.normalization_problems()
     if problems:
         raise ConstructionError("circuit is not normalized: " + "; ".join(problems))
-    return make_params(circuit.n, circuit.circuit_depth(), **overrides)
+    return make_params(circuit.n, circuit.circuit_depth())
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +489,9 @@ class Construction:
         return [i for i in range(1, self.circuit.size + 1) if self.circuit.gate(i).kind == KIND_NOT]
 
 
-def build_construction(circuit: Circuit, **overrides) -> Construction:
+def build_construction(circuit: Circuit) -> Construction:
     """Build the full machine for a normalized, output-negated circuit."""
-    params = derive_params(circuit, **overrides)
+    params = derive_params(circuit)
     builder = _Builder(Mdp(), ConstructionIndex())
     build_clock_into(builder, params)
     for j in (0, 1):
@@ -519,7 +510,7 @@ def build_construction(circuit: Circuit, **overrides) -> Construction:
     return Construction(builder.mdp, builder.index, params, circuit)
 
 
-def build_construction_z(circuit: Circuit, z: int, *, w: Fraction, **overrides) -> Construction:
+def build_construction_z(circuit: Circuit, z: int, *, w: Fraction) -> Construction:
     """The decision variant: a freeze gadget pins the choice at o0_z at the end.
 
     ``w`` may be any scale at least the largest state value an optimal
@@ -537,7 +528,7 @@ def build_construction_z(circuit: Circuit, z: int, *, w: Fraction, **overrides) 
     """
     if not 1 <= z <= circuit.n:
         raise ConstructionError(f"bit index {z} outside 1..{circuit.n}")
-    cons = build_construction(circuit, **overrides)
+    cons = build_construction(circuit)
     w = rat(w)
     if w <= 0:
         raise ConstructionError("w must be positive")
@@ -558,11 +549,11 @@ def build_construction_z(circuit: Circuit, z: int, *, w: Fraction, **overrides) 
 # Initial policies
 
 
-def _policy_from_overrides(construction: Construction, overrides: dict[str, str]) -> Policy:
+def _policy_from_overrides(construction: Construction, choices: dict[str, str]) -> Policy:
     mdp = construction.mdp
     index = construction.index
     picks = [mdp.state_actions[s][0] for s in range(mdp.num_states)]
-    for state_name, action_name in overrides.items():
+    for state_name, action_name in choices.items():
         sid = index.state(state_name)
         picks[sid] = index.action(action_name)
     return make_policy(mdp, picks)
@@ -582,31 +573,31 @@ def initial_policy(construction: Construction, b_init: Sequence[int]) -> Policy:
         raise ConstructionError("this instance has no circuit; use clock_initial_policy")
     if len(b_init) != circuit.n:
         raise ConstructionError(f"expected {circuit.n} bits, got {len(b_init)}")
-    overrides: dict[str, str] = {
+    choices: dict[str, str] = {
         str(i): f"{i}~>{i - 1}" for i in range(1, construction.params.n + 1)
     }
     for i in construction.input_bits():
         src = circuit.copy_source(i)
-        overrides[f"l0_{i}"] = f"l0_{i}~>c0"
-        overrides[f"r0_{i}"] = f"r0_{i}~>c0"
-        overrides[f"o0_{i}"] = f"o0_{i}~>l0_{i}" if b_init[i - 1] else f"o0_{i}->r0_{i}"
-        overrides[f"l1_{i}"] = f"l1_{i}~>c0"
-        overrides[f"r1_{i}"] = f"r1_{i}~>o0_{src}"
-        overrides[f"o1_{i}"] = f"o1_{i}~>l1_{i}"
+        choices[f"l0_{i}"] = f"l0_{i}~>c0"
+        choices[f"r0_{i}"] = f"r0_{i}~>c0"
+        choices[f"o0_{i}"] = f"o0_{i}~>l0_{i}" if b_init[i - 1] else f"o0_{i}->r0_{i}"
+        choices[f"l1_{i}"] = f"l1_{i}~>c0"
+        choices[f"r1_{i}"] = f"r1_{i}~>o0_{src}"
+        choices[f"o1_{i}"] = f"o1_{i}~>l1_{i}"
     for i in construction.or_gates():
         gate = circuit.gate(i)
         for j in (0, 1):
-            overrides[f"x{j}_{i}"] = f"x{j}_{i}~>c0"
-            overrides[f"o{j}_{i}"] = f"o{j}_{i}->x{j}_{i}"
-            overrides[f"v{j}_{i}"] = f"v{j}_{i}->o{j}_{gate.inputs[0]}"
+            choices[f"x{j}_{i}"] = f"x{j}_{i}~>c0"
+            choices[f"o{j}_{i}"] = f"o{j}_{i}->x{j}_{i}"
+            choices[f"v{j}_{i}"] = f"v{j}_{i}->o{j}_{gate.inputs[0]}"
     for i in construction.not_gates():
         gate = circuit.gate(i)
         for j in (0, 1):
-            overrides[f"a{j}_{i}"] = f"a{j}_{i}~>c0"
-            overrides[f"o{j}_{i}"] = f"o{j}_{i}->o{j}_{gate.inputs[0]}"
+            choices[f"a{j}_{i}"] = f"a{j}_{i}~>c0"
+            choices[f"o{j}_{i}"] = f"o{j}_{i}->o{j}_{gate.inputs[0]}"
     if construction.z is not None:
-        overrides["b2"] = "b2->si"
-    return _policy_from_overrides(construction, overrides)
+        choices["b2"] = "b2->si"
+    return _policy_from_overrides(construction, choices)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,9 @@ def compile_machine(machine: Machine, input_bits: tuple[int, ...], space: int) -
     Returns (circuit, start configuration, z) with z = space+1: the
     circuit-value question on that instance answers whether the machine,
     on the given input within its space bound, halts or writes 0 on the
-    marker cell z.
+    marker cell z.  Transitions are compiled in sorted order, so equal
+    machines give the same circuit whatever order their ``transitions``
+    dict was filled in.
     """
     tape0 = initial_tape(machine, input_bits, space)
     cells = space + 1
@@ -214,7 +216,7 @@ def compile_machine(machine: Machine, input_bits: tuple[int, ...], space: int) -
 
     # trig[(q, s, p)]: machine is in state q reading symbol s at cell p+1.
     trig: dict[tuple[str, int, int], int] = {}
-    for (q, s) in machine.transitions:
+    for (q, s) in sorted(machine.transitions):
         for p in range(cells):
             trig[(q, s, p)] = b.and_all([in_state[q], at_pos[p], b.literal(tape_vars[p], bool(s))])
     halted = b.NOT(b.or_all(list(trig.values())))

@@ -33,6 +33,7 @@ from .circuit import negated_form, normalize_depths
 from .construction import (
     Construction,
     ConstructionError,
+    MAGIC,
     RJPRIME,
     bound_w,
     build_construction,
@@ -391,7 +392,7 @@ def audit_appeal_catalog(result: PIResult, construction: Construction) -> Report
     Scripted transition switches have pinned values (17/5, 16/5..33/10,
     8/5, 19/20, 9/10) or pinned two-sided bands; circuit evaluation and
     copying always runs at or above 7/2; nothing ever switches at appeal
-    exactly 1; residual end-game switches stay below the ``magic`` ceiling.
+    exactly 1; residual end-game switches stay below the ``MAGIC`` ceiling.
     """
     params = construction.params
     failures: list[str] = []
@@ -424,8 +425,8 @@ def audit_appeal_catalog(result: PIResult, construction: Construction) -> Report
             # Once the decision gadget fires, the tail is cleanup around the
             # now-huge escape values; only the floor and ceilings still apply.
             if role == "residual":
-                if appeal >= params.magic:
-                    fail(ev, f"appeal {appeal} not below the residual ceiling {params.magic}")
+                if appeal >= MAGIC:
+                    fail(ev, f"appeal {appeal} not below the residual ceiling {MAGIC}")
             elif appeal < FLOOR:
                 fail(ev, f"post-freeze cleanup at appeal {appeal} below 7/2")
             continue
@@ -478,8 +479,8 @@ def audit_appeal_catalog(result: PIResult, construction: Construction) -> Report
             if appeal < FLOOR:
                 fail(ev, f"appeal {appeal} below 7/2")
         elif role == "residual":
-            if appeal >= params.magic:
-                fail(ev, f"appeal {appeal} not below the residual ceiling {params.magic}")
+            if appeal >= MAGIC:
+                fail(ev, f"appeal {appeal} not below the residual ceiling {MAGIC}")
             if appeal != params.residual_rehome_appeal():
                 fail(ev, f"appeal {appeal} != residual re-homing value")
         elif role == "freeze-arm":
@@ -800,7 +801,6 @@ class EndToEndReport:
     z: int
     tie: TieBreak | None
     budget: int | None
-    overrides: dict
 
     def __post_init__(self) -> None:
         if self.b_init[self.z - 1] != 1:
@@ -816,7 +816,7 @@ class EndToEndReport:
 
     @cached_property
     def construction(self) -> Construction:
-        return build_construction(self.negated, **self.overrides)
+        return build_construction(self.negated)
 
     @cached_property
     def run(self) -> PIResult:
@@ -824,8 +824,8 @@ class EndToEndReport:
 
     @cached_property
     def construction_z(self) -> Construction:
-        w = bound_w(derive_params(self.negated, **self.overrides))
-        return build_construction_z(self.negated, self.z, w=w, **self.overrides)
+        w = bound_w(derive_params(self.negated))
+        return build_construction_z(self.negated, self.z, w=w)
 
     @cached_property
     def run_z(self) -> PIResult:
@@ -866,7 +866,6 @@ def end_to_end(
     *,
     tie: TieBreak | None = None,
     budget: int | None = None,
-    **overrides,
 ) -> EndToEndReport:
     """The reduction report of a circuit-iteration instance; its runs are made on first read.
 
@@ -874,4 +873,4 @@ def end_to_end(
     negated); the start string must have bit z set, since the query action
     must be unused initially.
     """
-    return EndToEndReport(circuit_f, tuple(b_init), z, tie, budget, overrides)
+    return EndToEndReport(circuit_f, tuple(b_init), z, tie, budget)

@@ -46,7 +46,7 @@ def tight_decision_run(report):
     from dantziglab.verify import run_annotated
 
     w = max(report.run.values)
-    cons = build_construction_z(report.negated, report.z, w=w, **report.overrides)
+    cons = build_construction_z(report.negated, report.z, w=w)
     start = initial_policy(cons, report.b_init)
     return cons, run_annotated(cons, start, tie=report.tie, budget=report.budget)
 

@@ -173,14 +173,54 @@ def test_decide_guards_oversized_mdp_instances(tmp_path):
                    "--problem", "actionswitch", "--out", str(tmp_path)) == 2
 
 
-def test_threshold_overrides_flow_into_params(tmp_path):
-    out = str(tmp_path / "tweaked")
-    assert run_cli("build", "--builtin", "identity1", "--bl", "3", "--out", out) == 0
-    manifest = json.loads(read(os.path.join(out, "manifest.json")))
-    assert manifest["params"]["bl"] == "3"
-    # An override that breaks the scripted switch ordering is an input error.
-    assert run_cli("build", "--builtin", "identity1", "--ro", "1/2", "--out", out) == 2
-    assert run_cli("build", "--builtin", "identity1", "--bl", "6", "--out", out) == 2
+def test_construction_constants_are_fixed(tmp_path, capsys):
+    out = str(tmp_path / "fixed")
+    assert run_cli("build", "--builtin", "identity1", "--out", out) == 0
+    params = json.loads(read(os.path.join(out, "manifest.json")))["params"]
+    assert (params["bl"], params["ro"], params["magic"]) == ("31/10", "1", "3/25")
+    # They are not options: argparse rejects them.
+    for flag, value in (("--bl", "3"), ("--ro", "1"), ("--magic", "3/25")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("build", "--builtin", "identity1", flag, value, "--out", out)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build"],
+        ["run", "--bits", "1"],
+        ["verify", "--bits", "1", "--which", "catalog"],
+        ["decide", "--bits", "1", "--z", "1", "--problem", "actionswitch"],
+        ["decide", "--bits", "1", "--z", "1", "--problem", "bitswitch"],
+    ],
+    ids=["build", "run", "verify", "decide-actionswitch", "decide-bitswitch"],
+)
+def test_printed_alpha_on_a_circuit_is_an_input_error(tmp_path, capsys, argv):
+    # Only clocks read the alpha calibration.
+    out = str(tmp_path / "printed")
+    assert run_cli(*argv, "--builtin", "identity1", "--alpha", "printed", "--out", out) == 2
+    assert "calibrates clocks only" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--builtin", "rot2", "--bits", "11", "--space", "3", "--input", "101"], "--tm machine"),
+        (["run", "--builtin", "rot2", "--bits", "11", "--input", "101"], "--tm machine"),
+        (["build", "--builtin", "clock:n=3", "--space", "2"], "--tm machine"),
+        (["run", "--builtin", "clock:n=3", "--bits", "11", "--z", "1"], "drop --bits and --z"),
+        (["verify", "--builtin", "clock:n=3", "--bits", "111", "--which", "clock"], "drop --bits and --z"),
+        (["run", "--builtin", "clock:n=3", "--z", "1"], "drop --bits and --z"),
+    ],
+)
+def test_flags_the_instance_does_not_read_are_input_errors(tmp_path, capsys, argv, message):
+    out = str(tmp_path / "unread")
+    assert run_cli(*argv, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 DECIMAL = re.compile(r"\d+\.\d+")

@@ -83,6 +83,24 @@ def test_derive_params_requires_normalized_circuit():
     assert params.d_c == ROT2.circuit_depth()
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("RO", Fraction(1, 2), "copy-hookup appeal band dips below 19/20"),
+        ("BL", Fraction(6), "re-homing appeal reaches the 8/5 stage level"),
+        ("MAGIC", Fraction(1, 5), "residual appeal ceiling out of place"),
+    ],
+)
+def test_constants_that_break_the_switch_order_are_rejected(monkeypatch, name, value, message):
+    # The constants are fixed, but the switch order they must keep depends on
+    # the circuit depth, so every parameter set is still checked against it.
+    from dantziglab import construction
+
+    monkeypatch.setattr(construction, name, value)
+    with pytest.raises(ConstructionError, match=message):
+        derive_params(negated_form(normalize_depths(identity_circuit(1))))
+
+
 def test_clock_state_inventory():
     cons = build_clock(2)
     # si, si', 0, 1, 1', 2, 2', c0, c1 plus four detour hop states.

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from dantziglab.circuit import decide_bitswitch, decide_circuitvalue, iterate, outputs
@@ -41,6 +43,19 @@ def test_malformed_machines_rejected():
 def test_json_round_trip():
     m = unary_counter_machine()
     assert machine_from_json(machine_to_json(m)) == m
+
+
+@pytest.mark.parametrize("make", [writer_machine, shuttle_machine, unary_counter_machine])
+@pytest.mark.parametrize("space", [1, 2])
+def test_equal_machines_compile_to_the_same_instance(make, space):
+    # Compilation must not depend on the insertion order of the transitions.
+    m = make()
+    round_trip = machine_from_json(machine_to_json(m))
+    reversed_copy = dataclasses.replace(m, transitions=dict(reversed(m.transitions.items())))
+    assert round_trip == m == reversed_copy
+    compiled = compile_machine(m, (1,), space)
+    assert compile_machine(round_trip, (1,), space) == compiled
+    assert compile_machine(reversed_copy, (1,), space) == compiled
 
 
 def test_immediate_writer_accepts():
