@@ -286,9 +286,16 @@ def circuit_to_json(c: Circuit) -> dict:
     return {"n": c.n, "gates": items}
 
 
+def json_int(value) -> int:
+    """``value`` if JSON read it as an integer; a float, boolean or string raises ``TypeError``."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def circuit_from_json(data: dict) -> Circuit:
     try:
-        n = int(data["n"])
+        n = json_int(data["n"])
         gates = []
         for item in data["gates"]:
             kind = item["kind"]
@@ -296,10 +303,10 @@ def circuit_from_json(data: dict) -> Circuit:
                 gates.append(input_gate())
             elif kind == KIND_OR:
                 a, b = item["inp"]
-                gates.append(or_gate(int(a), int(b)))
+                gates.append(or_gate(json_int(a), json_int(b)))
             elif kind == KIND_NOT:
                 (a,) = item["inp"]
-                gates.append(not_gate(int(a)))
+                gates.append(not_gate(json_int(a)))
             else:
                 raise CircuitError(f"unknown gate kind {kind!r}")
     except (KeyError, TypeError) as exc:

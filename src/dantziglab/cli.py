@@ -311,14 +311,14 @@ def cmd_decide(args: argparse.Namespace) -> int:
         print(f"circuitvalue: {str(verdict).lower()}")
         return EXIT_OK if verdict else EXIT_FALSE
 
-    report = end_to_end(circuit, bits, z, tie=config.tie, budget=config.budget)
     if 2**circuit.n > 64 and config.budget is None:
         raise InputError(
             f"{circuit.n}-bit instance means 2^{circuit.n} phases; that is beyond desk scale "
             "for the MDP-side problems (set --budget explicitly to force it, or use "
             "the bitswitch/circuitvalue oracles)"
         )
-    verdict, oracle = report.verdict(problem)
+    result = end_to_end(circuit, bits, z, problem, tie=config.tie, budget=config.budget)
+    verdict, oracle = result.verdict, result.oracle
     agree = "agrees with" if verdict == oracle else "DISAGREES with"
     print(f"{problem}: {str(verdict).lower()} ({agree} the circuit oracle: {str(oracle).lower()})")
     if verdict != oracle:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .circuit import BitString, Circuit, Gate, input_gate, not_gate, or_gate
+from .circuit import BitString, Circuit, Gate, input_gate, json_int, not_gate, or_gate
 
 MOVES = {"L": -1, "R": 1, "S": 0}
 
@@ -65,11 +65,11 @@ def machine_from_json(data: dict) -> Machine:
         for key, value in data["transitions"].items():
             state, sym = key.rsplit(",", 1)
             nxt, write, move = value
-            transitions[(state, int(sym))] = (str(nxt), int(write), str(move))
+            transitions[(state, int(sym))] = (str(nxt), json_int(write), str(move))
         return Machine(
             states=states,
             initial=str(data["initial"]),
-            head_start=int(data.get("head_start", 1)),
+            head_start=json_int(data.get("head_start", 1)),
             transitions=transitions,
         )
     except MalformedMachineError:
@@ -97,6 +97,8 @@ def load_machine(path: str) -> Machine:
 
 def initial_tape(machine: Machine, input_bits: tuple[int, ...], space: int) -> list[int]:
     """Tape cells 1..space+1: the input, zero padding, and the marker cell."""
+    if space < 0:
+        raise MalformedMachineError(f"space bound {space} is negative")
     if len(input_bits) > space:
         raise MalformedMachineError("input longer than the space bound")
     if machine.head_start > space + 1:

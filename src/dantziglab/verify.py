@@ -14,18 +14,18 @@ expected behaviour by an independent route and compares:
   values, and finality (no appeal above 7/2 anywhere in a finished gate);
 * a phase-transition auditor asserting the scripted event classes complete
   in order across each clock tick and hand over a clean start policy;
-* the reduction report of a circuit-iteration instance, the one path to
-  the MDP-side verdicts: it builds and runs each reduction at most once,
-  on first read, and compares the verdicts and the decoded per-phase
-  bit-strings against direct circuit iteration.  The decision variant is
-  scaled by the closed-form ``bound_w``, so DantzigSol needs no plain run.
+* the one path to the MDP-side verdicts: ``end_to_end`` builds and runs
+  the one reduction its problem reads (the plain construction for
+  ActionSwitch, the decision variant scaled by the closed-form ``bound_w``
+  for DantzigSol) and answers it beside its circuit oracle; ``decode_phases``
+  reads the per-phase bit-strings of a plain run for comparison against
+  direct circuit iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .circuit import BitString, Circuit, KIND_INPUT, decide_bitswitch, decide_circuitvalue, evaluate
@@ -783,94 +783,50 @@ def decode_phases(result: PIResult, construction: Construction, b_init: Sequence
     return decoded
 
 
-@dataclass
-class EndToEndReport:
-    """Both reductions of one circuit-iteration instance, each run at most once, on first read.
+@dataclass(frozen=True)
+class EndToEnd:
+    """One reduction of a circuit-iteration instance, its greedy run, and both answers to its problem."""
 
-    The plain construction answers ActionSwitch: does its run ever switch
-    the query action o0_z -> r0_z in.  The decision variant, the plain
-    construction plus the freeze gadget scaled by the closed-form
-    ``bound_w``, answers DantzigSol: does its run's optimum keep that
-    action.  Reading a verdict makes only the run it needs, so DantzigSol
-    never runs the plain construction; each run carries the trace
-    annotator.
-    """
-
-    circuit_f: Circuit
-    b_init: BitString
-    z: int
-    tie: TieBreak | None
-    budget: int | None
-
-    def __post_init__(self) -> None:
-        if self.b_init[self.z - 1] != 1:
-            raise ConstructionError("the MDP-side problems need bit z of the start string set")
-        self.negated = negated_form(normalize_depths(self.circuit_f))
-
-    def _run(self, construction: Construction) -> PIResult:
-        start = initial_policy(construction, self.b_init)
-        return run_annotated(construction, start, tie=self.tie, budget=self.budget)
-
-    def _query(self, construction: Construction) -> int:
-        return construction.index.action(f"o0_{self.z}->r0_{self.z}")
-
-    @cached_property
-    def construction(self) -> Construction:
-        return build_construction(self.negated)
-
-    @cached_property
-    def run(self) -> PIResult:
-        return self._run(self.construction)
-
-    @cached_property
-    def construction_z(self) -> Construction:
-        w = bound_w(derive_params(self.negated))
-        return build_construction_z(self.negated, self.z, w=w)
-
-    @cached_property
-    def run_z(self) -> PIResult:
-        return self._run(self.construction_z)
-
-    @cached_property
-    def action_switch(self) -> bool:
-        return decide_action_switch(self.construction.mdp, self.run, self._query(self.construction))
-
-    @cached_property
-    def dantzig_sol(self) -> bool:
-        cons = self.construction_z
-        return decide_dantzig_mdp_sol(cons.mdp, self.run_z, self._query(cons))
-
-    @cached_property
-    def oracle_bitswitch(self) -> bool:
-        return decide_bitswitch(self.circuit_f, self.b_init, self.z)
-
-    @cached_property
-    def oracle_circuitvalue(self) -> bool:
-        return decide_circuitvalue(self.circuit_f, self.b_init, self.z)
-
-    @cached_property
-    def phases_decoded(self) -> list[BitString]:
-        return decode_phases(self.run, self.construction, self.b_init)
-
-    def verdict(self, problem: str) -> tuple[bool, bool]:
-        """The machine's answer to ``actionswitch`` or ``dantzigsol``, and the circuit oracle's."""
-        if problem == "actionswitch":
-            return self.action_switch, self.oracle_bitswitch
-        return self.dantzig_sol, self.oracle_circuitvalue
+    construction: Construction
+    run: PIResult
+    verdict: bool
+    oracle: bool
 
 
 def end_to_end(
     circuit_f: Circuit,
     b_init: Sequence[int],
     z: int,
+    problem: str,
     *,
     tie: TieBreak | None = None,
     budget: int | None = None,
-) -> EndToEndReport:
-    """The reduction report of a circuit-iteration instance; its runs are made on first read.
+) -> EndToEnd:
+    """Build and run the one reduction ``problem`` reads, and answer it.
+
+    ``actionswitch`` runs the plain construction and asks whether the run
+    ever switches the query action o0_z -> r0_z in; the circuit oracle is
+    ``decide_bitswitch``.  ``dantzigsol`` runs the decision variant, the
+    plain construction plus the freeze gadget scaled by the closed-form
+    ``bound_w``, and asks whether its optimum keeps that action; the oracle
+    is ``decide_circuitvalue``.  The run carries the trace annotator.
 
     ``circuit_f`` implements the iterated function directly (not yet
     negated); the start string must have bit z set, since the query action
     must be unused initially.
     """
-    return EndToEndReport(circuit_f, tuple(b_init), z, tie, budget)
+    if problem not in ("actionswitch", "dantzigsol"):
+        raise ValueError(f"unknown MDP-side problem {problem!r}")
+    b_init = tuple(b_init)
+    if b_init[z - 1] != 1:
+        raise ConstructionError("the MDP-side problems need bit z of the start string set")
+    negated = negated_form(normalize_depths(circuit_f))
+    if problem == "actionswitch":
+        construction = build_construction(negated)
+        decide, oracle = decide_action_switch, decide_bitswitch
+    else:
+        construction = build_construction_z(negated, z, w=bound_w(derive_params(negated)))
+        decide, oracle = decide_dantzig_mdp_sol, decide_circuitvalue
+    run = run_annotated(construction, initial_policy(construction, b_init), tie=tie, budget=budget)
+    verdict = decide(construction.mdp, run, construction.index.action(f"o0_{z}->r0_{z}"))
+    return EndToEnd(construction, run, verdict, oracle(circuit_f, b_init, z))

@@ -4,6 +4,10 @@ import sys
 from graphlib import CycleError, TopologicalSorter
 
 import pytest
+from hypothesis import settings
+
+# The CI workflow loads this profile: the same examples on every run.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture
@@ -36,19 +40,20 @@ def count_runs(patch_everywhere):
     return runs
 
 
-def tight_decision_run(report):
+def tight_decision_run(plain, b_init, z):
     """The decision variant at the tight scale w = the plain run's top value, and its run.
 
-    ``report`` is an ``EndToEndReport``; the variant is built and run the way
-    the report builds its own, only with this ``w`` in place of ``bound_w``.
+    ``plain`` is the ``end_to_end`` record of the ``actionswitch`` problem
+    on the same instance; the variant is built from its negated circuit and
+    run the way ``end_to_end`` runs its own, only with this ``w`` in place
+    of ``bound_w``.
     """
     from dantziglab.construction import build_construction_z, initial_policy
     from dantziglab.verify import run_annotated
 
-    w = max(report.run.values)
-    cons = build_construction_z(report.negated, report.z, w=w)
-    start = initial_policy(cons, report.b_init)
-    return cons, run_annotated(cons, start, tie=report.tie, budget=report.budget)
+    w = max(plain.run.values)
+    cons = build_construction_z(plain.construction.circuit, z, w=w)
+    return cons, run_annotated(cons, initial_policy(cons, b_init))
 
 
 def policy_graph_is_acyclic(mdp, policy) -> bool:

@@ -55,6 +55,7 @@ from dantziglab.verify import (
     ClockOracle,
     audit_appeal_catalog,
     check_clock_trace,
+    decode_phases,
     end_to_end,
 )
 
@@ -72,11 +73,11 @@ TIE_RULES = ("lowest", "highest", "random:7", "random:991")
 _E2E_CACHE: dict = {}
 
 
-def e2e(name: str, tie: str = "lowest"):
-    key = (name, tie)
+def e2e(name: str, problem: str, tie: str = "lowest"):
+    key = (name, problem, tie)
     if key not in _E2E_CACHE:
         circuit, bits, z = INSTANCES[name]
-        _E2E_CACHE[key] = end_to_end(circuit, bits, z, tie=parse_tiebreak(tie))
+        _E2E_CACHE[key] = end_to_end(circuit, bits, z, problem, tie=parse_tiebreak(tie))
     return _E2E_CACHE[key]
 
 
@@ -113,7 +114,7 @@ def test_criterion_1_clock_reproduction():
 
 
 def test_criterion_2_appeal_catalog():
-    report = e2e("rot2")
+    report = e2e("rot2", "actionswitch")
     cons, run = report.construction, report.run
     audit = audit_appeal_catalog(run, cons)
     assert audit.ok, audit.failures[:5]
@@ -143,16 +144,16 @@ def test_criterion_2_appeal_catalog():
 def test_criterion_3_action_switch(name):
     started = time.monotonic()
     circuit, bits, z = INSTANCES[name]
-    report = e2e(name)
+    report = e2e(name, "actionswitch")
     oracle = decide_bitswitch(circuit, bits, z)
-    assert report.action_switch == oracle
+    assert report.verdict == report.oracle == oracle
     cons = report.construction
     query = cons.index.action(f"o0_{z}->r0_{z}")
     verdict = decide_action_switch(cons.mdp, report.run, query)
     assert verdict == oracle
     n = circuit.n
     expected = [iterate(circuit, bits, i) for i in range(2**n + 1)]
-    assert report.phases_decoded == expected
+    assert decode_phases(report.run, cons, bits) == expected
     elapsed = time.monotonic() - started
     assert elapsed <= 60.0
     ok(3, f"{name}: action-switch verdict {verdict} matches, phases decode ({elapsed:.1f}s)")
@@ -163,14 +164,15 @@ def test_criterion_4_dantzig_mdp_sol(name):
     circuit, bits, z = INSTANCES[name]
     oracle = decide_circuitvalue(circuit, bits, z)
     final_bit = iterate(circuit, bits, 2**circuit.n)[z - 1]
-    report = e2e(name)
-    assert report.dantzig_sol == oracle
+    report = e2e(name, "dantzigsol")
+    assert report.verdict == report.oracle == oracle
     # The tight scale, the plain run's top value, is the reward of si' and
-    # sits below the closed-form bound the report scales the gadget by.
-    params = report.construction.params
-    w = max(report.run.values)
+    # sits below the closed-form bound end_to_end scales the gadget by.
+    plain = e2e(name, "actionswitch")
+    params = plain.construction.params
+    w = max(plain.run.values)
     assert w == params.t * 2 ** (params.n + 1) <= bound_w(params)
-    for cons_z, run_z in ((report.construction_z, report.run_z), tight_decision_run(report)):
+    for cons_z, run_z in ((report.construction, report.run), tight_decision_run(plain, bits, z)):
         final = run_z.policy
         target = cons_z.index.target(final.choice[cons_z.index.o(0, z)])
         encoded = 1 if target == cons_z.index.l(0, z) else 0
@@ -244,8 +246,8 @@ def test_criterion_7_zero_gain_everywhere():
     checked = 0
     for name in INSTANCES:
         circuit, bits, z = INSTANCES[name]
-        report = e2e(name)
-        for cons, run in ((report.construction, report.run), (report.construction_z, report.run_z)):
+        for report in (e2e(name, "actionswitch"), e2e(name, "dantzigsol")):
+            cons, run = report.construction, report.run
             for policy in (run.initial, run.policy):
                 gains = evaluate_gain(cons.mdp, policy)
                 assert all(g == 0 for g in gains)
@@ -255,11 +257,10 @@ def test_criterion_7_zero_gain_everywhere():
 
 def test_criterion_8_tiebreak_invariance():
     for name in INSTANCES:
-        base = e2e(name)
-        for tie in TIE_RULES:
-            report = e2e(name, tie=tie)
-            assert report.action_switch == base.action_switch, (name, tie)
-            assert report.dantzig_sol == base.dantzig_sol, (name, tie)
+        for problem in ("actionswitch", "dantzigsol"):
+            base = e2e(name, problem)
+            for tie in TIE_RULES:
+                assert e2e(name, problem, tie=tie).verdict == base.verdict, (name, problem, tie)
     ok(8, f"verdicts identical under {', '.join(TIE_RULES)}")
 
 

@@ -251,6 +251,21 @@ def test_json_round_trip():
     assert circuit_from_json(circuit_to_json(c)) == c
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 1, "gates": [{"kind": "input"}, {"kind": "or", "inp": [1.7, 1]}]},
+        {"n": 1, "gates": [{"kind": "input"}, {"kind": "not", "inp": [True]}]},
+        {"n": 1.0, "gates": [{"kind": "input"}]},
+    ],
+    ids=["float-input", "bool-input", "float-n"],
+)
+def test_circuit_json_takes_integers_only(data):
+    # int() would read 1.7 as gate 1 and true as gate 1; neither is a gate index.
+    with pytest.raises(CircuitError, match="expected an integer"):
+        circuit_from_json(data)
+
+
 def test_parse_bits():
     assert parse_bits("101") == (1, 0, 1)
     with pytest.raises(CircuitError):

@@ -163,14 +163,53 @@ def test_verify_reports_are_deterministic(tmp_path):
     assert read(os.path.join(out1, "report.json")) == read(os.path.join(out2, "report.json"))
 
 
-def test_decide_guards_oversized_mdp_instances(tmp_path):
-    # A 7-bit machine instance means 128 phases: the MDP-side problems are
-    # refused without an explicit budget (the oracle-side ones still run).
+def test_decide_guards_oversized_mdp_instances(tmp_path, capsys, patch_everywhere):
+    # 7 bits mean 128 phases: the MDP-side problems are refused without an
+    # explicit budget, before anything is built; the oracle-side ones still
+    # run, and an explicit budget runs the MDP side up to its cap.
+    from dantziglab import construction
+
+    path = str(tmp_path / "identity7.json")
+    save_circuit(identity_circuit(7), path)
+    args = ["decide", "--circuit", path, "--bits", "1111111", "--z", "1", "--out", str(tmp_path)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the desk-scale guard fires before any build")
+
+    build, build_z = construction.build_construction, construction.build_construction_z
+    patch_everywhere(build, forbidden)
+    patch_everywhere(build_z, forbidden)
+    for problem in ("actionswitch", "dantzigsol"):
+        assert run_cli(*args, "--problem", problem) == 2, problem
+        assert "beyond desk scale" in capsys.readouterr().err
+    assert run_cli(*args, "--problem", "bitswitch") == 1
+    patch_everywhere(forbidden, build)
+    assert run_cli(*args, "--problem", "actionswitch", "--budget", "5") == 3
+    assert "budget exceeded" in capsys.readouterr().err
+    # The same guard on a 7-bit machine instance.
     path = str(tmp_path / "writer.json")
     with open(path, "w") as fh:
         json.dump(machine_to_json(writer_machine()), fh)
     assert run_cli("decide", "--tm", path, "--input", "1", "--space", "3",
                    "--problem", "actionswitch", "--out", str(tmp_path)) == 2
+
+
+def test_non_integer_json_and_a_negative_space_are_input_errors(tmp_path, capsys):
+    path = str(tmp_path / "float.json")
+    with open(path, "w") as fh:
+        json.dump({"n": 1, "gates": [{"kind": "input"}, {"kind": "or", "inp": [1.7, 1]}]}, fh)
+    assert run_cli("build", "--circuit", path, "--out", str(tmp_path)) == 2
+    assert "expected an integer, got 1.7" in capsys.readouterr().err
+    path = str(tmp_path / "writer.json")
+    with open(path, "w") as fh:
+        json.dump({**machine_to_json(writer_machine()), "head_start": 1.9}, fh)
+    assert run_cli("build", "--tm", path, "--space", "1", "--out", str(tmp_path)) == 2
+    assert "expected an integer, got 1.9" in capsys.readouterr().err
+    with open(path, "w") as fh:
+        json.dump(machine_to_json(writer_machine()), fh)
+    assert run_cli("decide", "--tm", path, "--space", "-1", "--problem", "circuitvalue",
+                   "--out", str(tmp_path)) == 2
+    assert "space bound -1 is negative" in capsys.readouterr().err
 
 
 def test_construction_constants_are_fixed(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import policy_graph_is_acyclic
+from hypothesis import given, settings, strategies as st
 
 from dantziglab.circuit import negated_form, normalize_depths
 from dantziglab.construction import (
@@ -459,6 +460,44 @@ def test_lockstep_with_seeded_ties():
             m, policy, sink, tie=TieBreak.seeded(seed), budget=20
         )
         assert report.ok and report.pivots == 3
+
+
+@st.composite
+def funnel_mdps(draw):
+    """A random MDP in which every policy funnels into the sink, state 0.
+
+    State 0 is an absorbing zero-reward sink.  Every other state has one to
+    three actions; each moves to one to three lower-numbered states and may
+    stay put with some mass, never all of it.
+    """
+    n = draw(st.integers(2, 8))
+    m = Mdp()
+    for _ in range(n):
+        m.add_state()
+    m.add_action(0, {0: ONE}, 0)
+    weights = st.integers(1, 4)
+    for s in range(1, n):
+        for _ in range(draw(st.integers(1, 3))):
+            below = st.lists(st.integers(0, s - 1), min_size=1, max_size=3, unique=True)
+            out = {t: draw(weights) for t in draw(below)}
+            if draw(st.booleans()):
+                out[s] = draw(weights)
+            total = sum(out.values())
+            m.add_action(s, {t: Fraction(w, total) for t, w in out.items()}, draw(st.integers(-5, 5)))
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(funnel_mdps())
+def test_lockstep_agrees_on_random_funnel_mdps(m):
+    # The PI/simplex correspondence is not special to the construction:
+    # on any MDP whose policies all funnel into the sink, the greedy run and
+    # the largest-reduced-cost simplex pivot alike, under every tie rule.
+    start = make_policy(m, [actions[0] for actions in m.state_actions])
+    for tie in (TieBreak.lowest(), TieBreak.highest(), TieBreak.seeded(7)):
+        report = check_pi_simplex_equivalence(m, start, 0, tie=tie, budget=1000, crosscheck=True)
+        assert report.ok and report.first_divergence is None, tie
+        assert report.pivots == len(report.run.trace)
 
 
 def test_lp_export_has_no_decimals():

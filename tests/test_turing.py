@@ -45,6 +45,29 @@ def test_json_round_trip():
     assert machine_from_json(machine_to_json(m)) == m
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda data: data.update(head_start=1.9),
+        lambda data: data.update(head_start=True),
+        lambda data: data["transitions"].update({"w,0": ["h", True, "S"]}),
+        lambda data: data["transitions"].update({"w,0": ["h", 0.0, "S"]}),
+    ],
+    ids=["float-head", "bool-head", "bool-write", "float-write"],
+)
+def test_machine_json_takes_integers_only(edit):
+    # int() would start the head on cell 1 for 1.9 and write 1 for true.
+    data = machine_to_json(writer_machine())
+    edit(data)
+    with pytest.raises(MalformedMachineError, match="expected an integer"):
+        machine_from_json(data)
+
+
+def test_negative_space_bound_is_named():
+    with pytest.raises(MalformedMachineError, match="space bound -1 is negative"):
+        compile_machine(writer_machine(), (), -1)
+
+
 @pytest.mark.parametrize("make", [writer_machine, shuttle_machine, unary_counter_machine])
 @pytest.mark.parametrize("space", [1, 2])
 def test_equal_machines_compile_to_the_same_instance(make, space):

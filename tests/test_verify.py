@@ -296,72 +296,71 @@ def test_decode_phases_follows_iteration(rot2_run):
 
 
 def test_end_to_end_identity_bit_constant():
-    report = end_to_end(identity_circuit(2), (1, 1), 1)
-    assert report.action_switch is False
-    assert report.oracle_bitswitch is False
-    assert report.dantzig_sol == report.oracle_circuitvalue
+    switch = end_to_end(identity_circuit(2), (1, 1), 1, "actionswitch")
+    assert switch.verdict is False and switch.oracle is False
+    sol = end_to_end(identity_circuit(2), (1, 1), 1, "dantzigsol")
+    assert sol.verdict == sol.oracle
 
 
 def test_end_to_end_rotation_switches():
-    report = end_to_end(rotation_circuit(2), (1, 1), 1)
-    assert report.action_switch is True
-    assert report.oracle_bitswitch is True
-    assert report.dantzig_sol == report.oracle_circuitvalue
+    switch = end_to_end(rotation_circuit(2), (1, 1), 1, "actionswitch")
+    assert switch.verdict is True and switch.oracle is True
+    sol = end_to_end(rotation_circuit(2), (1, 1), 1, "dantzigsol")
+    assert sol.verdict == sol.oracle
     expected = [iterate(rotation_circuit(2), (1, 1), i) for i in range(5)]
-    assert report.phases_decoded == expected
+    assert decode_phases(switch.run, switch.construction, (1, 1)) == expected
 
 
 def test_end_to_end_requires_set_query_bit():
-    with pytest.raises(ValueError):
-        end_to_end(identity_circuit(2), (0, 1), 1)
+    for problem in ("actionswitch", "dantzigsol"):
+        with pytest.raises(ValueError):
+            end_to_end(identity_circuit(2), (0, 1), 1, problem)
+    with pytest.raises(ValueError, match="unknown"):
+        end_to_end(identity_circuit(2), (1, 1), 1, "bitswitch")
 
 
-def _tight_verdict(report) -> bool:
-    cons, run = tight_decision_run(report)
-    return decide_dantzig_mdp_sol(cons.mdp, run, cons.index.action(f"o0_{report.z}->r0_{report.z}"))
+def _tight_verdict(plain, bits, z) -> bool:
+    cons, run = tight_decision_run(plain, bits, z)
+    return decide_dantzig_mdp_sol(cons.mdp, run, cons.index.action(f"o0_{z}->r0_{z}"))
 
 
 def test_end_to_end_w_bound_mode_agrees():
-    # The report's closed-form w and the tight w, the plain run's top value,
-    # give the same DantzigSol verdict.
-    report = end_to_end(rotation_circuit(2), (1, 1), 2)
-    assert report.dantzig_sol == report.oracle_circuitvalue
-    assert _tight_verdict(report) == report.dantzig_sol
+    # The closed-form w end_to_end scales the gadget by and the tight w,
+    # the plain run's top value, give the same DantzigSol verdict.
+    circuit, bits = rotation_circuit(2), (1, 1)
+    sol = end_to_end(circuit, bits, 2, "dantzigsol")
+    assert sol.verdict == sol.oracle
+    assert _tight_verdict(end_to_end(circuit, bits, 2, "actionswitch"), bits, 2) == sol.verdict
 
 
 @pytest.mark.parametrize("circuit", [identity_circuit(2), rotation_circuit(2)], ids=["identity2", "rot2"])
-def test_decide_mdp_runs_only_what_it_reads_and_agrees(circuit):
+def test_decide_mdp_runs_only_what_it_reads_and_agrees(circuit, count_runs):
+    # Each call makes one greedy run, on the reduction its problem names:
+    # the plain construction for actionswitch, the decision variant (the
+    # one with the freeze gadget's b1 state) for dantzigsol.
     bits = (1, 1)
-    assert end_to_end(circuit, bits, 1).action_switch == decide_bitswitch(circuit, bits, 1)
-    report = end_to_end(circuit, bits, 1)
-    assert report.dantzig_sol == decide_circuitvalue(circuit, bits, 1)
-    assert _tight_verdict(report) == report.dantzig_sol
-    with pytest.raises(ValueError):
-        end_to_end(circuit, (0, 1), 1)
-
-
-def test_end_to_end_runs_each_reduction_once_on_first_read(count_runs):
-    report = end_to_end(identity_circuit(1), (1,), 1)
-    assert count_runs == []
-    assert report.dantzig_sol == report.oracle_circuitvalue
-    assert len(count_runs) == 1
-    assert report.action_switch == report.oracle_bitswitch
-    assert len(count_runs) == 2
-    assert report.run is report.run and report.run_z is report.run_z
-    assert report.phases_decoded == [iterate(identity_circuit(1), (1,), i) for i in range(3)]
-    assert len(count_runs) == 2
-    assert count_runs == [report.construction_z.mdp, report.construction.mdp]
+    switch = end_to_end(circuit, bits, 1, "actionswitch")
+    assert count_runs == [switch.construction.mdp]
+    assert "b1" not in switch.construction.mdp.state_names
+    assert switch.verdict == switch.oracle == decide_bitswitch(circuit, bits, 1)
+    sol = end_to_end(circuit, bits, 1, "dantzigsol")
+    assert count_runs == [switch.construction.mdp, sol.construction.mdp]
+    assert "b1" in sol.construction.mdp.state_names
+    assert sol.verdict == sol.oracle == decide_circuitvalue(circuit, bits, 1)
+    assert decode_phases(switch.run, switch.construction, bits) == [iterate(circuit, bits, i) for i in range(5)]
+    assert _tight_verdict(switch, bits, 1) == sol.verdict
 
 
 def test_end_to_end_three_bit_instance_with_true_decision():
     # Rotation on three bits, queried at the wrapped-around position: both
     # problems answer yes, so the freeze gadget must preserve an r-side bit.
     circuit = rotation_circuit(3)
-    report = end_to_end(circuit, (1, 1, 1), 3)
-    assert report.oracle_bitswitch is True and report.oracle_circuitvalue is True
-    assert report.action_switch is True and report.dantzig_sol is True
-    assert audit_appeal_catalog(report.run, report.construction).ok
-    assert check_all_transitions(report.run, report.construction).ok
+    switch = end_to_end(circuit, (1, 1, 1), 3, "actionswitch")
+    sol = end_to_end(circuit, (1, 1, 1), 3, "dantzigsol")
+    assert switch.oracle is True and sol.oracle is True
+    assert switch.verdict is True and sol.verdict is True
+    assert audit_appeal_catalog(switch.run, switch.construction).ok
+    assert check_all_transitions(switch.run, switch.construction).ok
 
 
 def test_end_to_end_asymmetric_three_bit_instance():
@@ -383,14 +382,15 @@ def test_end_to_end_asymmetric_three_bit_instance():
         or_gate(6, 6),
     )
     circuit = Circuit(3, gates)  # F = (b2 or b3, b1, not (b1 or b2))
-    report = end_to_end(circuit, (1, 0, 1), 1)
-    assert report.action_switch is False and report.oracle_bitswitch is False
-    assert report.dantzig_sol is False and report.oracle_circuitvalue is False
+    switch = end_to_end(circuit, (1, 0, 1), 1, "actionswitch")
+    sol = end_to_end(circuit, (1, 0, 1), 1, "dantzigsol")
+    assert switch.verdict is False and switch.oracle is False
+    assert sol.verdict is False and sol.oracle is False
     expected = [iterate(circuit, (1, 0, 1), i) for i in range(9)]
-    assert report.phases_decoded == expected
-    assert audit_appeal_catalog(report.run, report.construction).ok
-    assert check_all_transitions(report.run, report.construction).ok
-    assert audit_appeal_catalog(report.run_z, report.construction_z).ok
+    assert decode_phases(switch.run, switch.construction, (1, 0, 1)) == expected
+    assert audit_appeal_catalog(switch.run, switch.construction).ok
+    assert check_all_transitions(switch.run, switch.construction).ok
+    assert audit_appeal_catalog(sol.run, sol.construction).ok
 
 
 def test_end_to_end_verdicts_on_randomized_two_bit_functions():
@@ -416,11 +416,12 @@ def test_end_to_end_verdicts_on_randomized_two_bit_functions():
             gates.append(or_gate(g, g))
         circuit = Circuit(2, tuple(gates))
         bits = (1, rng.randint(0, 1))
-        report = end_to_end(circuit, bits, 1)
-        assert report.action_switch == report.oracle_bitswitch
-        assert report.dantzig_sol == report.oracle_circuitvalue
+        switch = end_to_end(circuit, bits, 1, "actionswitch")
+        sol = end_to_end(circuit, bits, 1, "dantzigsol")
+        assert switch.verdict == switch.oracle
+        assert sol.verdict == sol.oracle
         expected = [iterate(circuit, bits, i) for i in range(5)]
-        assert report.phases_decoded == expected
-        assert audit_appeal_catalog(report.run, report.construction).ok
-        assert check_all_transitions(report.run, report.construction).ok
+        assert decode_phases(switch.run, switch.construction, bits) == expected
+        assert audit_appeal_catalog(switch.run, switch.construction).ok
+        assert check_all_transitions(switch.run, switch.construction).ok
         built += 1
