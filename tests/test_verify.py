@@ -351,6 +351,21 @@ def test_decide_mdp_runs_only_what_it_reads_and_agrees(circuit, count_runs):
     assert _tight_verdict(switch, bits, 1) == sol.verdict
 
 
+def test_end_to_end_runs_each_reduction_once_on_first_read(count_runs):
+    # The record is eager: the call makes the one run, and reading its
+    # fields or decoding its phases afterwards makes none.
+    sol = end_to_end(identity_circuit(1), (1,), 1, "dantzigsol")
+    assert count_runs == [sol.construction.mdp]
+    assert sol.verdict == sol.oracle
+    switch = end_to_end(identity_circuit(1), (1,), 1, "actionswitch")
+    assert count_runs == [sol.construction.mdp, switch.construction.mdp]
+    assert switch.verdict == switch.oracle
+    assert switch.run is switch.run and sol.run is sol.run
+    phases = decode_phases(switch.run, switch.construction, (1,))
+    assert phases == [iterate(identity_circuit(1), (1,), i) for i in range(3)]
+    assert len(count_runs) == 2
+
+
 def test_end_to_end_three_bit_instance_with_true_decision():
     # Rotation on three bits, queried at the wrapped-around position: both
     # problems answer yes, so the freeze gadget must preserve an r-side bit.
