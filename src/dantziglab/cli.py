@@ -91,6 +91,21 @@ def _parse_config(args: argparse.Namespace) -> RunConfig:
         raise InputError(str(exc)) from exc
 
 
+# The commands that read each run flag; every command reads --tie and --out.
+FLAG_READERS = {"bits": ("run", "verify", "decide"), "z": ("decide",), "budget": ("run", "verify", "decide")}
+
+
+def _reject_unread_flags(args: argparse.Namespace) -> None:
+    unread = [
+        f"--{name}"
+        for name, readers in FLAG_READERS.items()
+        if getattr(args, name) is not None and args.command not in readers
+    ]
+    if unread:
+        them = "them" if len(unread) > 1 else "it"
+        raise InputError(f"{args.command} never reads {' or '.join(unread)}; drop {them}")
+
+
 def _load_instance(args: argparse.Namespace) -> Instance:
     sources = [bool(args.circuit), bool(args.tm), bool(args.builtin)]
     if sum(sources) != 1:
@@ -106,6 +121,7 @@ def _load_instance(args: argparse.Namespace) -> Instance:
             raise InputError(f"bad clock size in {args.builtin!r}") from exc
         if n < 1:
             raise InputError("clock needs n >= 1")
+        _reject_unread_flags(args)
         return Instance("clock", n, label=args.builtin)
     if args.alpha != "calibrated":
         raise InputError(f"--alpha {args.alpha} calibrates clocks only; drop it for a circuit or machine")
@@ -137,6 +153,7 @@ def _load_instance(args: argparse.Namespace) -> Instance:
         raw, start, cell = compile_machine(machine, tape, args.space)
         bits = start
         z = cell
+    _reject_unread_flags(args)
     if bits is not None and len(bits) != raw.n:
         raise InputError(f"instance has {raw.n} bits, got start string of length {len(bits)}")
     if z is not None and not 1 <= z <= raw.n:

@@ -80,9 +80,6 @@ class ConstructionParams:
     alpha: tuple[Fraction, ...]
     alpha_mode: str
 
-    def f(self, i: int) -> int:
-        return self.n - i + 1
-
     @property
     def mid(self) -> Fraction:
         """Midpoint between the true and false output-depth values."""

@@ -426,7 +426,12 @@ def parse_tiebreak(text: str) -> TieBreak:
     if text == "highest":
         return TieBreak.highest()
     if text.startswith("random:"):
-        return TieBreak.seeded(int(text.split(":", 1)[1]))
+        try:
+            seed = int(text.split(":", 1)[1])
+        except ValueError:
+            pass
+        else:
+            return TieBreak.seeded(seed)
     raise MdpError(f"unknown tie-break {text!r} (use lowest, highest, or random:SEED)")
 
 
@@ -667,21 +672,6 @@ def mdp_to_json(mdp: Mdp) -> dict:
             for act in mdp.actions
         ],
     }
-
-
-def mdp_from_json(data: dict) -> Mdp:
-    mdp = Mdp()
-    for name in data["states"]:
-        mdp.add_state(str(name))
-    for item in data["actions"]:
-        mdp.add_action(
-            int(item["state"]),
-            {int(t): rat(p) for t, p in item["p"].items()},
-            rat(item["reward"]),
-            item.get("name"),
-        )
-    mdp.validate()
-    return mdp
 
 
 def trace_to_jsonl(mdp: Mdp, trace: Sequence[TraceEvent]) -> str:

@@ -604,16 +604,14 @@ def _segments(result: PIResult) -> list[tuple[int, int]]:
     return bounds
 
 
-def _boundary_policies(
-    result: PIResult, segments: list[tuple[int, int]], boundaries: Sequence[int]
-) -> list[tuple[Policy, Policy]]:
-    """The policies that open and close the phase ending at each boundary, from one replay."""
-    policies = result.policies_at([pos for b in boundaries for pos in segments[b - 1]])
-    return list(zip(policies[::2], policies[1::2]))
-
-
-def check_phase_transition(result: PIResult, construction: Construction, boundary: int) -> Report:
-    """Audit the scripted hand-over that ends the ``boundary``-th phase.
+def _transition_failures(
+    result: PIResult,
+    construction: Construction,
+    bounds: tuple[int, int],
+    before: Policy,
+    after: Policy,
+) -> list[str]:
+    """Audit the scripted hand-over of one phase: its trace range and the policies that open and close it.
 
     Hard assertions: each event class completes with the expected
     multiplicity; classes s1 through s3b strictly precede one another and
@@ -621,29 +619,13 @@ def check_phase_transition(result: PIResult, construction: Construction, boundar
     the holding states of the incoming circuit are never switched once the
     hand-over starts; and the policy right after the clock switch is
     coherent for the new phase and encodes the next iterate.  The
-    interleaving *within* the final three classes is reported, not
-    asserted.
+    interleaving *within* the final three classes is neither asserted
+    nor reported.
     """
-    segments = _segments(result)
-    if boundary < 1 or boundary > len(segments) - 1:
-        raise ValueError(f"no phase boundary {boundary} in this trace")
-    (policies,) = _boundary_policies(result, segments, [boundary])
-    return _transition_report(result, construction, boundary, segments[boundary - 1], policies)
-
-
-def _transition_report(
-    result: PIResult,
-    construction: Construction,
-    boundary: int,
-    bounds: tuple[int, int],
-    policies: tuple[Policy, Policy],
-) -> Report:
-    """``check_phase_transition`` on the phase's trace range and its first and last policy."""
     circuit = construction.circuit
     assert circuit is not None
     start, end = bounds
     segment = [(pos, result.trace[pos]) for pos in range(start, end)]
-    before, after = policies
     failures: list[str] = []
 
     phase = result.trace[start].annotations["phase"] if start < len(result.trace) else 0
@@ -712,23 +694,7 @@ def _transition_report(
         if not _chooses(construction, after, index.a(new_phase, i), index.c(new_phase)):
             failures.append(f"arming state of gate {i} not reset for the new phase")
 
-    s4_completion = {
-        role: (min(positions[role]), max(positions[role]))
-        for role in ("s4a", "s4b", "s4c")
-        if role in positions
-    }
-    return Report(
-        "transition",
-        not failures,
-        failures,
-        {
-            "boundary": boundary,
-            "phase": phase,
-            "bits_held": "".join(map(str, bits_held)),
-            "next_bits": "".join(map(str, next_bits)),
-            "s4_interleaving": s4_completion,
-        },
-    )
+    return failures
 
 
 def _apply_negated(circuit: Circuit, bits: Sequence[int]) -> BitString:
@@ -739,14 +705,14 @@ def _apply_negated(circuit: Circuit, bits: Sequence[int]) -> BitString:
 
 def check_all_transitions(result: PIResult, construction: Construction) -> Report:
     """Audit every phase boundary, segmenting and replaying the trace once."""
-    segments = _segments(result)
-    boundaries = range(1, len(segments))
-    reports = [
-        _transition_report(result, construction, b, segments[b - 1], policies)
-        for b, policies in zip(boundaries, _boundary_policies(result, segments, boundaries))
+    phases = _segments(result)[:-1]
+    policies = result.policies_at([pos for bounds in phases for pos in bounds])
+    failures = [
+        f"boundary {b}: {msg}"
+        for b, (bounds, before, after) in enumerate(zip(phases, policies[::2], policies[1::2]), start=1)
+        for msg in _transition_failures(result, construction, bounds, before, after)
     ]
-    failures = [f"boundary {r.details['boundary']}: {msg}" for r in reports for msg in r.failures]
-    return Report("transitions", not failures, failures, {"boundaries": len(boundaries)})
+    return Report("transitions", not failures, failures, {"boundaries": len(phases)})
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,12 @@ def test_printed_alpha_on_a_circuit_is_an_input_error(tmp_path, capsys, argv):
         (["run", "--builtin", "clock:n=3", "--bits", "11", "--z", "1"], "drop --bits and --z"),
         (["verify", "--builtin", "clock:n=3", "--bits", "111", "--which", "clock"], "drop --bits and --z"),
         (["run", "--builtin", "clock:n=3", "--z", "1"], "drop --bits and --z"),
+        # Flags the command never reads: only decide reads --z, and build runs nothing.
+        (["run", "--builtin", "rot2", "--bits", "11", "--z", "1"], "run never reads --z; drop it"),
+        (["verify", "--builtin", "rot2", "--bits", "11", "--z", "1", "--which", "catalog"], "verify never reads --z"),
+        (["build", "--builtin", "rot2", "--bits", "11", "--z", "1"], "build never reads --bits or --z; drop them"),
+        (["build", "--builtin", "rot2", "--budget", "5"], "build never reads --budget"),
+        (["build", "--builtin", "clock:n=3", "--budget", "5"], "build never reads --budget"),
     ],
 )
 def test_flags_the_instance_does_not_read_are_input_errors(tmp_path, capsys, argv, message):

@@ -35,7 +35,6 @@ from dantziglab.mdp import (
     evaluate_gain,
     evaluate_values,
     make_policy,
-    mdp_from_json,
     mdp_to_json,
     parse_tiebreak,
     run_policy_iteration,
@@ -457,8 +456,9 @@ def test_parse_tiebreak_rejects_unknown():
 
     assert parse_tiebreak("lowest").rule == TieBreak.LOWEST
     assert parse_tiebreak("random:42").seed == 42
-    with pytest.raises(Exception):
-        parse_tiebreak("coinflip")
+    for text in ("coinflip", "random:x", "random:"):
+        with pytest.raises(MdpError, match=f"unknown tie-break '{text}'"):
+            parse_tiebreak(text)
 
 
 def test_budget_exceeded():
@@ -596,10 +596,11 @@ def test_a_switch_changes_the_values_of_exactly_the_states_that_reach_it(make, t
 @pytest.mark.parametrize("tie", ["lowest", "highest", "random:3"])
 def test_a_run_does_not_depend_on_the_order_of_each_actions_transitions(tie):
     m, start = _construction_start(rotation_circuit(2), (1, 1))
-    data = mdp_to_json(m)
-    for item in data["actions"]:
-        item["p"] = dict(reversed(list(item["p"].items())))
-    flipped = mdp_from_json(data)
+    flipped = Mdp()
+    for name in m.state_names:
+        flipped.add_state(name)
+    for act in m.actions:
+        flipped.add_action(act.state, dict(reversed(list(act.transitions.items()))), act.reward, act.name)
     reordered = [
         aid
         for aid, act in enumerate(m.actions)
@@ -802,11 +803,16 @@ def test_decide_dantzig_sol_depends_on_trajectory_but_stays_optimal():
         assert tuple(_run_from(m, start).policy.choice) in optima
 
 
-def test_json_round_trip():
-    m, sink, s, bad, good = two_action_mdp()
-    clone = mdp_from_json(mdp_to_json(m))
-    assert clone.num_states == m.num_states
-    assert clone.num_actions == m.num_actions
-    for aid in range(m.num_actions):
-        assert clone.actions[aid].transitions == m.actions[aid].transitions
-        assert clone.actions[aid].reward == m.actions[aid].reward
+def test_mdp_json_writes_every_number_as_an_exact_fraction_string():
+    m, sink = sink_mdp()
+    s = m.add_state("s")
+    m.add_action(s, {s: Fraction(1, 3), sink: Fraction(2, 3)}, Fraction(-5, 2), "split")
+    m.add_action(s, {sink: ONE}, 4)
+    assert mdp_to_json(m) == {
+        "states": ["sink", "s"],
+        "actions": [
+            {"state": sink, "name": "0", "reward": "0", "p": {"0": "1"}},
+            {"state": s, "name": "split", "reward": "-5/2", "p": {"0": "2/3", "1": "1/3"}},
+            {"state": s, "name": "2", "reward": "4", "p": {"0": "1"}},
+        ],
+    }

@@ -14,6 +14,7 @@ from dantziglab.turing import (
     machine_to_json,
     simulate,
 )
+from dantziglab.verify import audit_appeal_catalog, check_all_transitions, decode_phases, end_to_end
 
 
 def reference_simulator(machine, input_bits, space, max_steps):
@@ -150,6 +151,35 @@ def test_halted_configuration_is_a_fixed_point():
     settled = iterate(circuit, start, 4)
     assert outputs(circuit, settled) == settled
     assert settled[z - 1] == 0
+
+
+@pytest.mark.parametrize("problem", ["actionswitch", "dantzigsol"])
+def test_the_whole_chain_on_a_compiled_machine(problem):
+    # Machine -> circuit -> MDP -> greedy run -> verdict, on writer at space 1
+    # (n = 4, 16 phases).  The compiled instance queries the marker cell,
+    # which clears on the step after the machine halts: circuitvalue (read
+    # by dantzigsol) is "halts within 2^n steps", and bitswitch (read by
+    # actionswitch) holds when the halt at step h leaves room for an even
+    # iterate after it, h + 2 <= 2^n.
+    machine = writer_machine()
+    circuit, start, z = compile_machine(machine, (), 1)
+    assert circuit.n == 4
+    horizon = 2**circuit.n
+    halt = next(h for h in range(horizon) if simulate(machine, (), 1, h + 1))
+    assert halt + 2 <= horizon
+    answer = {"actionswitch": True, "dantzigsol": simulate(machine, (), 1, horizon)}[problem]
+    assert answer is True  # writer halts on its first step
+
+    record = end_to_end(circuit, start, z, problem)
+    assert record.oracle == answer
+    assert record.verdict == answer
+    if problem == "actionswitch":
+        run, cons = record.run, record.construction
+        assert audit_appeal_catalog(run, cons).ok
+        assert check_all_transitions(run, cons).ok
+        phases = decode_phases(run, cons, start)
+        assert len(phases) == horizon + 1
+        assert phases == [iterate(circuit, start, i) for i in range(horizon + 1)]
 
 
 @pytest.mark.xfail(

@@ -24,7 +24,6 @@ from dantziglab.verify import (
     check_clock_trace,
     check_coherent,
     check_final,
-    check_phase_transition,
     clock_gray_policy,
     decode_input_bits,
     decode_phases,
@@ -225,12 +224,10 @@ def test_decoded_bits(rot2_run):
 
 def test_transition_reports(rot2_run):
     cons, _, result = rot2_run
+    # Two bits make 2^2 - 1 clock switches, so three hand-overs to audit.
     report = check_all_transitions(result, cons)
-    assert report.ok
-    first = check_phase_transition(result, cons, 1)
-    assert first.ok
-    assert first.details["bits_held"] == "11"
-    assert first.details["next_bits"] == "10"  # the rotation of 11
+    assert report.ok and report.failures == []
+    assert report.details == {"boundaries": 3}
 
 
 def test_catalog_passes_and_no_unit_appeals(rot2_run):
