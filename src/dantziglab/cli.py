@@ -5,6 +5,9 @@ Exit codes: 0 success (or verdict true for ``decide``), 1 verdict false,
 Outputs are deterministic: the same configuration produces byte-identical
 files, and every number appearing in any output is an exact fraction
 string.
+
+Each command accepts only the flags it reads (``COMMANDS``), so its parser
+rejects any other flag and ``--help`` lists exactly what it reads.
 """
 
 from __future__ import annotations
@@ -17,9 +20,19 @@ import sys
 from dataclasses import dataclass
 
 from . import library
-from .circuit import Circuit, load_circuit, negated_form, normalize_depths, parse_bits
+from .circuit import (
+    Circuit,
+    CircuitError,
+    decide_bitswitch,
+    decide_circuitvalue,
+    load_circuit,
+    negated_form,
+    normalize_depths,
+    parse_bits,
+)
 from .construction import (
     Construction,
+    ConstructionError,
     build_clock,
     build_construction,
     clock_initial_policy,
@@ -27,17 +40,18 @@ from .construction import (
     make_params,
     manifest,
 )
-from .lp import check_pi_simplex_equivalence, lp_manifest, lp_to_text, mdp_to_primal
+from .lp import LpError, check_pi_simplex_equivalence, lp_manifest, lp_to_text, mdp_to_primal
 from .mdp import (
     CrosscheckError,
     IterationBudgetExceededError,
+    MdpError,
     TieBreak,
     mdp_to_json,
     parse_tiebreak,
     run_policy_iteration,
     trace_to_jsonl,
 )
-from .turing import compile_machine, load_machine
+from .turing import MalformedMachineError, compile_machine, load_machine
 from .verify import (
     ClockAuditor,
     Report,
@@ -48,7 +62,6 @@ from .verify import (
     end_to_end,
     run_annotated,
 )
-from .circuit import decide_bitswitch, decide_circuitvalue
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -62,14 +75,6 @@ class InputError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    tie: TieBreak
-    alpha_mode: str
-    budget: int | None
-    out: str
-
-
-@dataclass
 class Instance:
     kind: str  # "clock" | "circuit"
     n: int
@@ -77,33 +82,6 @@ class Instance:
     bits: tuple[int, ...] | None = None
     z: int | None = None
     label: str = ""
-
-
-def _parse_config(args: argparse.Namespace) -> RunConfig:
-    try:
-        return RunConfig(
-            tie=parse_tiebreak(args.tie),
-            alpha_mode=args.alpha,
-            budget=args.budget,
-            out=args.out,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-# The commands that read each run flag; every command reads --tie and --out.
-FLAG_READERS = {"bits": ("run", "verify", "decide"), "z": ("decide",), "budget": ("run", "verify", "decide")}
-
-
-def _reject_unread_flags(args: argparse.Namespace) -> None:
-    unread = [
-        f"--{name}"
-        for name, readers in FLAG_READERS.items()
-        if getattr(args, name) is not None and args.command not in readers
-    ]
-    if unread:
-        them = "them" if len(unread) > 1 else "it"
-        raise InputError(f"{args.command} never reads {' or '.join(unread)}; drop {them}")
 
 
 def _load_instance(args: argparse.Namespace) -> Instance:
@@ -121,9 +99,8 @@ def _load_instance(args: argparse.Namespace) -> Instance:
             raise InputError(f"bad clock size in {args.builtin!r}") from exc
         if n < 1:
             raise InputError("clock needs n >= 1")
-        _reject_unread_flags(args)
         return Instance("clock", n, label=args.builtin)
-    if args.alpha != "calibrated":
+    if args.alpha not in (None, "calibrated"):
         raise InputError(f"--alpha {args.alpha} calibrates clocks only; drop it for a circuit or machine")
     bits = parse_bits(args.bits) if args.bits else None
     z = args.z
@@ -153,7 +130,6 @@ def _load_instance(args: argparse.Namespace) -> Instance:
         raw, start, cell = compile_machine(machine, tape, args.space)
         bits = start
         z = cell
-    _reject_unread_flags(args)
     if bits is not None and len(bits) != raw.n:
         raise InputError(f"instance has {raw.n} bits, got start string of length {len(bits)}")
     if z is not None and not 1 <= z <= raw.n:
@@ -168,9 +144,9 @@ def _load_instance(args: argparse.Namespace) -> Instance:
     )
 
 
-def _build(instance: Instance, config: RunConfig) -> Construction:
+def _build(instance: Instance, args: argparse.Namespace) -> Construction:
     if instance.kind == "clock":
-        return build_clock(instance.n, make_params(instance.n, 0, alpha_mode=config.alpha_mode))
+        return build_clock(instance.n, make_params(instance.n, 0, alpha_mode=args.alpha))
     assert instance.circuit is not None
     return build_construction(negated_form(normalize_depths(instance.circuit)))
 
@@ -183,56 +159,54 @@ def _start_policy(cons: Construction, instance: Instance):
     return initial_policy(cons, instance.bits)
 
 
-def _budget(cons: Construction, config: RunConfig) -> int:
-    return config.budget if config.budget is not None else cons.budget()
+def _budget(cons: Construction, args: argparse.Namespace) -> int:
+    return args.budget if args.budget is not None else cons.budget()
 
 
-def _write(config: RunConfig, name: str, text: str) -> str:
-    os.makedirs(config.out, exist_ok=True)
-    path = os.path.join(config.out, name)
+def _write(args: argparse.Namespace, name: str, text: str) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return path
 
 
-def _write_json(config: RunConfig, name: str, data: dict) -> str:
-    return _write(config, name, json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _write_json(args: argparse.Namespace, name: str, data: dict) -> str:
+    return _write(args, name, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    config = _parse_config(args)
     instance = _load_instance(args)
-    cons = _build(instance, config)
-    _write_json(config, "manifest.json", manifest(cons))
-    _write_json(config, "mdp.json", mdp_to_json(cons.mdp))
+    cons = _build(instance, args)
+    _write_json(args, "manifest.json", manifest(cons))
+    _write_json(args, "mdp.json", mdp_to_json(cons.mdp))
     lp = mdp_to_primal(cons.mdp, cons.index.si())
-    _write(config, "lp.txt", lp_to_text(lp))
-    _write_json(config, "lp.json", lp_manifest(lp))
+    _write(args, "lp.txt", lp_to_text(lp))
+    _write_json(args, "lp.json", lp_manifest(lp))
     print(
         f"built {instance.label}: {cons.mdp.num_states} states, "
-        f"{cons.mdp.num_actions} actions -> {config.out}"
+        f"{cons.mdp.num_actions} actions -> {args.out}"
     )
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _parse_config(args)
     instance = _load_instance(args)
-    cons = _build(instance, config)
+    cons = _build(instance, args)
     policy = _start_policy(cons, instance)
-    result = run_annotated(cons, policy, tie=config.tie, budget=_budget(cons, config))
-    _write(config, "trace.jsonl", trace_to_jsonl(cons.mdp, result.trace))
+    result = run_annotated(cons, policy, tie=args.tie, budget=_budget(cons, args))
+    _write(args, "trace.jsonl", trace_to_jsonl(cons.mdp, result.trace))
     summary = {
         "instance": instance.label,
         "iterations": result.iterations,
         "optimal": True,
-        "tie": config.tie.label(),
+        "tie": args.tie.label(),
         "final_policy": {
             cons.mdp.state_names[s]: cons.mdp.actions[a].name
             for s, a in enumerate(result.policy.choice)
         },
     }
-    _write_json(config, "summary.json", summary)
+    _write_json(args, "summary.json", summary)
     print(f"ran {instance.label}: {result.iterations} switches, optimal=True")
     return EXIT_OK
 
@@ -240,13 +214,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 AUDIT_NEEDS = {"clock": "clock", "catalog": "circuit", "transition": "circuit"}
 
 
-def _verify_reports(instance: Instance, config: RunConfig, which: str) -> list:
+def _verify_reports(instance: Instance, args: argparse.Namespace) -> list:
     """Every requested audit, made on one run that carries all of their watchers.
 
     The run also checks the values of every policy it reaches against a
     fresh evaluation (``crosscheck``); ``run`` and ``decide`` check only
     the final policy.
     """
+    which = args.which
     if AUDIT_NEEDS.get(which, instance.kind) != instance.kind:
         raise InputError(f"{which} verification needs a {AUDIT_NEEDS[which]} instance")
     wants = {
@@ -254,9 +229,9 @@ def _verify_reports(instance: Instance, config: RunConfig, which: str) -> list:
         for name in ("clock", "catalog", "transition", "equivalence")
         if which in ("all", name) and AUDIT_NEEDS.get(name, instance.kind) == instance.kind
     }
-    cons = _build(instance, config)
+    cons = _build(instance, args)
     policy = _start_policy(cons, instance)
-    budget = _budget(cons, config)
+    budget = _budget(cons, args)
     clock = ClockAuditor(cons) if "clock" in wants else None
     watchers = [clock] if clock is not None else []
     if wants & {"catalog", "transition"}:
@@ -266,7 +241,7 @@ def _verify_reports(instance: Instance, config: RunConfig, which: str) -> list:
             cons.mdp,
             policy,
             cons.index.si(),
-            tie=config.tie,
+            tie=args.tie,
             budget=budget,
             watchers=watchers,
             crosscheck=True,
@@ -274,7 +249,7 @@ def _verify_reports(instance: Instance, config: RunConfig, which: str) -> list:
         result = eq.run
     else:
         result = run_policy_iteration(
-            cons.mdp, policy, tie=config.tie, budget=budget, watchers=watchers, crosscheck=True
+            cons.mdp, policy, tie=args.tie, budget=budget, watchers=watchers, crosscheck=True
         )
 
     reports = []
@@ -291,11 +266,10 @@ def _verify_reports(instance: Instance, config: RunConfig, which: str) -> list:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _parse_config(args)
     instance = _load_instance(args)
-    reports = _verify_reports(instance, config, args.which)
+    reports = _verify_reports(instance, args)
     payload = {"instance": instance.label, "reports": [r.as_dict() for r in reports]}
-    _write_json(config, "report.json", payload)
+    _write_json(args, "report.json", payload)
     passed = True
     for r in reports:
         status = "pass" if r.ok else ("expected-fail" if r.expected_fail else "FAIL")
@@ -307,8 +281,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_INVARIANT
 
 
+CIRCUIT_ORACLES = {"bitswitch": decide_bitswitch, "circuitvalue": decide_circuitvalue}
+
+
 def cmd_decide(args: argparse.Namespace) -> int:
-    config = _parse_config(args)
     instance = _load_instance(args)
     if instance.kind != "circuit":
         raise InputError("decision problems need a circuit or machine instance")
@@ -319,22 +295,20 @@ def cmd_decide(args: argparse.Namespace) -> int:
     bits, z = instance.bits, instance.z
 
     problem = args.problem
-    if problem == "bitswitch":
-        verdict = decide_bitswitch(circuit, bits, z)
-        print(f"bitswitch: {str(verdict).lower()}")
-        return EXIT_OK if verdict else EXIT_FALSE
-    if problem == "circuitvalue":
-        verdict = decide_circuitvalue(circuit, bits, z)
-        print(f"circuitvalue: {str(verdict).lower()}")
+    if problem in CIRCUIT_ORACLES:
+        if args.budget is not None:
+            raise InputError(f"{problem} runs no greedy iteration and never reads --budget; drop it")
+        verdict = CIRCUIT_ORACLES[problem](circuit, bits, z)
+        print(f"{problem}: {str(verdict).lower()}")
         return EXIT_OK if verdict else EXIT_FALSE
 
-    if 2**circuit.n > 64 and config.budget is None:
+    if 2**circuit.n > 64 and args.budget is None:
         raise InputError(
             f"{circuit.n}-bit instance means 2^{circuit.n} phases; that is beyond desk scale "
             "for the MDP-side problems (set --budget explicitly to force it, or use "
             "the bitswitch/circuitvalue oracles)"
         )
-    result = end_to_end(circuit, bits, z, problem, tie=config.tie, budget=config.budget)
+    result = end_to_end(circuit, bits, z, problem, tie=args.tie, budget=args.budget)
     verdict, oracle = result.verdict, result.oracle
     agree = "agrees with" if verdict == oracle else "DISAGREES with"
     print(f"{problem}: {str(verdict).lower()} ({agree} the circuit oracle: {str(oracle).lower()})")
@@ -343,23 +317,42 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict else EXIT_FALSE
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--circuit", help="circuit JSON file")
-    p.add_argument("--tm", help="machine JSON file")
-    p.add_argument("--builtin", help="builtin instance name (see library) or clock:n=K")
-    p.add_argument("--input", help="machine input tape bits", default=None)
-    p.add_argument("--space", type=int, help="machine space bound", default=None)
-    p.add_argument("--bits", help="starting bit-string", default=None)
-    p.add_argument("--z", type=int, help="queried bit index (1-based)", default=None)
-    p.add_argument("--tie", default="lowest", help="lowest | highest | random:SEED")
-    p.add_argument(
-        "--alpha",
+def _tiebreak(text: str) -> TieBreak:
+    try:
+        return parse_tiebreak(text)
+    except MdpError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+FLAGS = {
+    "circuit": dict(help="circuit JSON file"),
+    "tm": dict(help="machine JSON file"),
+    "builtin": dict(help="builtin instance name (see library) or clock:n=K"),
+    "input": dict(help="machine input tape bits"),
+    "space": dict(type=int, help="machine space bound"),
+    "bits": dict(help="starting bit-string"),
+    "z": dict(type=int, help="queried bit index (1-based)"),
+    "tie": dict(type=_tiebreak, default=TieBreak.lowest(), help="lowest | highest | random:SEED"),
+    "alpha": dict(
         default="calibrated",
         choices=["calibrated", "printed"],
         help="clock detour calibration (clock instances only)",
-    )
-    p.add_argument("--budget", type=int, default=None, help="iteration cap")
-    p.add_argument("--out", default=".", help="output directory")
+    ),
+    "budget": dict(type=int, help="iteration cap"),
+    "out": dict(default=".", help="output directory"),
+    "which": dict(default="all", choices=["clock", "catalog", "transition", "equivalence", "all"]),
+    "problem": dict(required=True, choices=[*CIRCUIT_ORACLES, "actionswitch", "dantzigsol"]),
+}
+SOURCE = ("circuit", "tm", "builtin", "input", "space")
+# The flags each command reads, and so the only ones its parser accepts.
+# build never reads --tie; it keeps the flag so that one --tie can be passed
+# to every command alike (CI's hash-seed loop does so).
+COMMANDS = {
+    "build": (cmd_build, SOURCE + ("tie", "alpha", "out")),
+    "run": (cmd_run, SOURCE + ("bits", "tie", "alpha", "budget", "out")),
+    "verify": (cmd_verify, SOURCE + ("bits", "tie", "alpha", "budget", "out", "which")),
+    "decide": (cmd_decide, SOURCE + ("bits", "z", "tie", "budget", "out", "problem")),
+}
 
 
 @functools.cache
@@ -370,37 +363,17 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic greedy policy iteration laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("build", cmd_build),
-        ("run", cmd_run),
-        ("verify", cmd_verify),
-        ("decide", cmd_decide),
-    ):
+    for name, (fn, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        _add_common(p)
-        if name == "verify":
-            p.add_argument(
-                "--which",
-                default="all",
-                choices=["clock", "catalog", "transition", "equivalence", "all"],
-            )
-        if name == "decide":
-            p.add_argument(
-                "--problem",
-                required=True,
-                choices=["bitswitch", "circuitvalue", "actionswitch", "dantzigsol"],
-            )
-        p.set_defaults(handler=fn)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        # _load_instance reads every flag: one this command does not take is None.
+        p.set_defaults(handler=fn, **{flag: None for flag in FLAGS if flag not in flags})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    from .circuit import CircuitError
-    from .construction import ConstructionError
-    from .lp import LpError
-    from .turing import MalformedMachineError
-
     try:
         return args.handler(args)
     except (InputError, CircuitError, ConstructionError, MalformedMachineError) as exc:

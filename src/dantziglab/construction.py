@@ -324,11 +324,11 @@ class _Builder:
         aid = self.mdp.add_action(s, {t: ONE}, reward, name)
         return self._register_action(aid, name, t)
 
-    def split(self, s: int, targets: Sequence[int], reward: Fraction | int = 0) -> int:
-        """Single action branching uniformly over two targets."""
+    def split(self, s: int, targets: Sequence[int]) -> int:
+        """Single zero-reward action branching uniformly over two targets."""
         t0, t1 = targets
         name = f"{self.mdp.state_names[s]}->({self.mdp.state_names[t0]}|{self.mdp.state_names[t1]})"
-        aid = self.mdp.add_action(s, {t0: HALF, t1: HALF}, reward, name)
+        aid = self.mdp.add_action(s, {t0: HALF, t1: HALF}, 0, name)
         return self._register_action(aid, name, t0)
 
     def detour(self, s: int, t: int, r_d: Fraction | int, r_f: Fraction | int, p: Fraction) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -8,7 +9,7 @@ import pytest
 
 from dantziglab import mdp
 from dantziglab.circuit import decide_bitswitch, save_circuit
-from dantziglab.cli import main
+from dantziglab.cli import _parser, main
 from dantziglab.library import identity_circuit, rotation_circuit
 from dantziglab.library import writer_machine
 from dantziglab.turing import machine_to_json
@@ -16,6 +17,14 @@ from dantziglab.turing import machine_to_json
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def exit_code(*argv):
+    """main's return code, or the code its parser exits with."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read(path):
@@ -226,21 +235,24 @@ def test_construction_constants_are_fixed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["build"],
-        ["run", "--bits", "1"],
-        ["verify", "--bits", "1", "--which", "catalog"],
-        ["decide", "--bits", "1", "--z", "1", "--problem", "actionswitch"],
-        ["decide", "--bits", "1", "--z", "1", "--problem", "bitswitch"],
+        (["build"], "calibrates clocks only"),
+        (["run", "--bits", "1"], "calibrates clocks only"),
+        (["verify", "--bits", "1", "--which", "catalog"], "calibrates clocks only"),
+        # decide takes no clock, so its parser offers no --alpha.
+        *(
+            (["decide", "--bits", "1", "--z", "1", "--problem", problem], "unrecognized arguments: --alpha printed")
+            for problem in ("actionswitch", "bitswitch")
+        ),
     ],
     ids=["build", "run", "verify", "decide-actionswitch", "decide-bitswitch"],
 )
-def test_printed_alpha_on_a_circuit_is_an_input_error(tmp_path, capsys, argv):
+def test_printed_alpha_on_a_circuit_is_an_input_error(tmp_path, capsys, argv, message):
     # Only clocks read the alpha calibration.
     out = str(tmp_path / "printed")
-    assert run_cli(*argv, "--builtin", "identity1", "--alpha", "printed", "--out", out) == 2
-    assert "calibrates clocks only" in capsys.readouterr().err
+    assert exit_code(*argv, "--builtin", "identity1", "--alpha", "printed", "--out", out) == 2
+    assert message in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -250,21 +262,81 @@ def test_printed_alpha_on_a_circuit_is_an_input_error(tmp_path, capsys, argv):
         (["run", "--builtin", "rot2", "--bits", "11", "--space", "3", "--input", "101"], "--tm machine"),
         (["run", "--builtin", "rot2", "--bits", "11", "--input", "101"], "--tm machine"),
         (["build", "--builtin", "clock:n=3", "--space", "2"], "--tm machine"),
-        (["run", "--builtin", "clock:n=3", "--bits", "11", "--z", "1"], "drop --bits and --z"),
+        (["run", "--builtin", "clock:n=3", "--bits", "11"], "drop --bits and --z"),
         (["verify", "--builtin", "clock:n=3", "--bits", "111", "--which", "clock"], "drop --bits and --z"),
-        (["run", "--builtin", "clock:n=3", "--z", "1"], "drop --bits and --z"),
-        # Flags the command never reads: only decide reads --z, and build runs nothing.
-        (["run", "--builtin", "rot2", "--bits", "11", "--z", "1"], "run never reads --z; drop it"),
-        (["verify", "--builtin", "rot2", "--bits", "11", "--z", "1", "--which", "catalog"], "verify never reads --z"),
-        (["build", "--builtin", "rot2", "--bits", "11", "--z", "1"], "build never reads --bits or --z; drop them"),
-        (["build", "--builtin", "rot2", "--budget", "5"], "build never reads --budget"),
-        (["build", "--builtin", "clock:n=3", "--budget", "5"], "build never reads --budget"),
+        (["decide", "--builtin", "clock:n=3", "--z", "1", "--problem", "bitswitch"], "drop --bits and --z"),
+        # The circuit oracles run no greedy iteration for a budget to cap.
+        *(
+            (
+                ["decide", "--builtin", "rot2", "--bits", "11", "--z", "1", "--problem", problem, "--budget", "5"],
+                f"{problem} runs no greedy iteration and never reads --budget; drop it",
+            )
+            for problem in ("bitswitch", "circuitvalue")
+        ),
     ],
 )
 def test_flags_the_instance_does_not_read_are_input_errors(tmp_path, capsys, argv, message):
     out = str(tmp_path / "unread")
     assert run_cli(*argv, "--out", out) == 2
     assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["run", "--builtin", "rot2", "--bits", "11"], ["--z", "1"]),
+        (["verify", "--builtin", "rot2", "--bits", "11", "--which", "catalog"], ["--z", "1"]),
+        (["run", "--builtin", "clock:n=3", "--bits", "11"], ["--z", "1"]),
+        (["run", "--builtin", "clock:n=3"], ["--z", "1"]),
+        (["build", "--builtin", "rot2"], ["--bits", "11", "--z", "1"]),
+        (["build", "--builtin", "rot2"], ["--budget", "5"]),
+        (["build", "--builtin", "clock:n=3"], ["--budget", "5"]),
+    ],
+    ids=[
+        "run-z", "verify-z", "run-clock-z", "run-clock-only-z", "build-bits-z", "build-budget", "build-clock-budget",
+    ],
+)
+def test_a_flag_the_command_never_reads_is_rejected_by_its_parser(tmp_path, capsys, argv, unread):
+    # Only decide reads --z, and build runs nothing.
+    out = str(tmp_path / "unread")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, *unread, "--out", out)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(unread)}\n" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_each_command_offers_exactly_the_flags_it_reads(capsys):
+    source = {"--circuit", "--tm", "--builtin", "--input", "--space"}
+    expected = {
+        "build": source | {"--tie", "--alpha", "--out"},
+        "run": source | {"--bits", "--tie", "--alpha", "--budget", "--out"},
+        "verify": source | {"--bits", "--tie", "--alpha", "--budget", "--out", "--which"},
+        "decide": source | {"--bits", "--z", "--tie", "--budget", "--out", "--problem"},
+    }
+    (commands,) = [a.choices for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    offered = {
+        name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, p in commands.items()
+    }
+    assert offered == expected
+    with pytest.raises(SystemExit) as exc:
+        run_cli("build", "--help")
+    assert exc.value.code == 0
+    shown = capsys.readouterr().out
+    assert "--builtin" in shown
+    for flag in ("--bits", "--z", "--budget"):
+        assert flag not in shown, flag
+
+
+@pytest.mark.parametrize("tie", ["random:x", "coinflip"])
+def test_an_unknown_tie_break_is_rejected_by_the_parser(tmp_path, capsys, tie):
+    out = str(tmp_path / "tie")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--builtin", "rot2", "--bits", "11", "--tie", tie, "--out", out)
+    assert exc.value.code == 2
+    assert f"unknown tie-break {tie!r} (use lowest, highest, or random:SEED)" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
