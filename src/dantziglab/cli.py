@@ -7,7 +7,8 @@ files, and every number appearing in any output is an exact fraction
 string.
 
 Each command accepts only the flags it reads (``COMMANDS``), so its parser
-rejects any other flag and ``--help`` lists exactly what it reads.
+rejects any other flag, under that command's usage line, and ``--help``
+lists exactly what it reads.
 """
 
 from __future__ import annotations
@@ -368,12 +369,14 @@ def _parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(f"--{flag}", **FLAGS[flag])
         # _load_instance reads every flag: one this command does not take is None.
-        p.set_defaults(handler=fn, **{flag: None for flag in FLAGS if flag not in flags})
+        p.set_defaults(handler=fn, parser=p, **{flag: None for flag in FLAGS if flag not in flags})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args, unread = _parser().parse_known_args(argv)
+    if unread:  # reported by the command's own parser, so its usage line names the command
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.handler(args)
     except (InputError, CircuitError, ConstructionError, MalformedMachineError) as exc:

@@ -26,6 +26,10 @@ comes from a policy that is acyclic apart from self-loops, so it is
 triangular under a permutation and the inverse's singleton-first
 elimination stores nothing but those entries.  The entering direction
 looks each inverse row up only at the entering column's few nonzero rows.
+That inverse is still the largest cost of a pivot.  Most basis columns are
+a hop or a detour, whose one entry off the pivot is the negated pivot, so
+their elimination adds the pivot row with one Fraction addition per entry
+and neither divides nor multiplies (see ``numerics``).
 
 A basis also keeps its basic solution x_B, its duals y and its reduced
 costs.  Only the start basis computes them from scratch, with

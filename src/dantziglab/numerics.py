@@ -25,6 +25,14 @@ elimination pivots on the first unpivoted column's first open row, and a
 column with no nonzero left among the open rows means the matrix is
 singular.  The inverse and the solution are unique, so the pivot order
 never changes a result.
+
+Each row h holding the pivot column subtracts ratio × the unscaled pivot
+row, ratio = h's entry / the pivot, and only then is the pivot row divided
+by the pivot.  Most columns of the construction's LP bases are a hop
+{s: 1, t: -1} or a detour {s: p, mid: -p}, whose one entry off the pivot
+is the negated pivot.  That ratio is exactly -1, so eliminating it adds
+the pivot row with one Fraction addition per entry, where scaling first
+would divide each entry and then multiply the quotient back.
 """
 
 from __future__ import annotations
@@ -79,13 +87,23 @@ def _square(rows: Sequence[Mapping[int, Fraction]]) -> list[SparseRow]:
 
 
 def _axpy(row: SparseRow, factor: Fraction, pivot: SparseRow) -> None:
-    """row -= factor·pivot in place, deleting the entries that cancel to zero."""
+    """row -= factor·pivot in place, deleting the entries that cancel to zero.
+
+    A factor of -1 adds the pivot row with no multiplication at all.
+    """
+    neg = -factor
+    unit = neg == ONE
     for k, v in pivot.items():
-        new = row.get(k, ZERO) - factor * v
-        if new:
-            row[k] = new
+        term = v if unit else neg * v
+        old = row.get(k)
+        if old is None:
+            row[k] = term
         else:
-            del row[k]
+            new = old + term
+            if new:
+                row[k] = new
+            else:
+                del row[k]
 
 
 def _gauss_jordan(left: list[SparseRow], right: list[SparseRow]) -> list[SparseRow]:
@@ -122,23 +140,23 @@ def _gauss_jordan(left: list[SparseRow], right: list[SparseRow]) -> list[SparseR
         prow, pright = left[r], right[r]
         scale = prow.pop(c)
         holders[c].discard(r)
-        if scale != ONE:
-            for k in prow:
-                prow[k] /= scale
-            for k in pright:
-                pright[k] /= scale
         for h in holders[c]:
             row = left[h]
-            factor = row.pop(c)
-            _axpy(row, factor, prow)
+            ratio = row.pop(c) / scale
+            _axpy(row, ratio, prow)
             for k in prow:
                 if k in row:
                     holders[k].add(h)
                 else:
                     holders[k].discard(h)
-            _axpy(right[h], factor, pright)
+            _axpy(right[h], ratio, pright)
             if is_open[h] and len(row) == 1:
                 singles.append(h)
+        if scale != ONE:
+            for k in prow:
+                prow[k] /= scale
+            for k in pright:
+                pright[k] /= scale
     return [right[r] for r in pivot_row]  # type: ignore[index]
 
 

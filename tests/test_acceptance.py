@@ -206,11 +206,21 @@ def test_criterion_5_lockstep_equivalence():
         assert wide.ok and wide.first_divergence is None and wide.pivots == expected
         assert all(entry["ok"] for entry in wide.iterations)
         pivots[name] = wide.pivots
+    # const0_2: the pivot count is pinned by a plain run, made without the lockstep.
+    circuit, bits, _ = INSTANCES["const0_2"]
+    cons = build_construction(negated_form(normalize_depths(circuit)))
+    plain = run_policy_iteration(cons.mdp, initial_policy(cons, bits), budget=cons.budget())
+    wide = check_pi_simplex_equivalence(
+        cons.mdp, initial_policy(cons, bits), cons.index.si(), budget=cons.budget()
+    )
+    assert wide.ok and wide.first_divergence is None and wide.pivots == len(plain.trace)
+    assert all(entry["ok"] for entry in wide.iterations)
+    pivots["const0_2"] = wide.pivots
     ok(
         5,
         "pivoting retraces switching with zero divergences "
         f"({report.pivots} pivots on identity1, {pivots['identity2']} on identity2, "
-        f"{pivots['rot2']} on rot2)",
+        f"{pivots['rot2']} on rot2, {pivots['const0_2']} on const0_2)",
     )
 
 

@@ -307,6 +307,26 @@ def test_a_flag_the_command_never_reads_is_rejected_by_its_parser(tmp_path, caps
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["build", "--builtin", "rot2"], ["--bits", "11"]),
+        (["run", "--builtin", "rot2", "--bits", "11"], ["--z", "1"]),
+        (["verify", "--builtin", "rot2", "--bits", "11"], ["--z", "1"]),
+        (["decide", "--builtin", "rot2", "--bits", "11", "--z", "1", "--problem", "bitswitch"], ["--alpha", "printed"]),
+    ],
+    ids=["build", "run", "verify", "decide"],
+)
+def test_an_unread_flag_is_reported_with_the_command_usage(tmp_path, capsys, argv, unread):
+    # The usage line names the command and so the flags it does take.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, *unread, "--out", str(tmp_path / "unread"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: dantziglab {argv[0]} [-h] ")
+    assert f"\ndantziglab {argv[0]}: error: unrecognized arguments: {' '.join(unread)}\n" in err
+
+
 def test_each_command_offers_exactly_the_flags_it_reads(capsys):
     source = {"--circuit", "--tm", "--builtin", "--input", "--space"}
     expected = {

@@ -86,6 +86,37 @@ def test_inverse_identity_and_diagonal():
     a = sparse([[rat(2), rat(0)], [rat(0), rat(4)]])
     assert inverse(a) == sparse([[Fraction(1, 2), rat(0)], [rat(0), Fraction(1, 4)]])
 
+    # The LP's column shapes, rows s, mid, t, u, v, w: a detour column
+    # {s: p, mid: -p}, a hop {mid: 1, t: -1} and a split {t: 1, u: -1/2,
+    # v: -1/2}, then a cycle block on u, v, w with no row singleton.  Worked
+    # by hand: s pivots with scale p and mid adds row s (ratio -1), then mid
+    # and t pivot in turn and t's row goes to u and v at ratio -1/2.  The
+    # fallback pivots column 3 on u with scale 2; v adds row u (ratio -1),
+    # which cancels v's column 4 entry, so v is a singleton on column 5.
+    # w subtracts 4·v and pivots column 4 with scale 5, and u subtracts
+    # 3/10·w.  A cancelled entry kept as 0 would leave v no singleton and
+    # pivot column 4 on v's zero.
+    p, h = Fraction(1, 21870), Fraction(1, 2)
+    a = [
+        {0: p},
+        {0: -p, 1: ONE},
+        {1: -ONE, 2: ONE},
+        {2: -h, 3: rat(2), 4: rat(3)},
+        {2: -h, 3: rat(-2), 4: rat(-3), 5: ONE},
+        {4: rat(5), 5: rat(4)},
+    ]
+    inv = inverse(a)
+    assert inv[0] == {0: 1 / p}
+    assert inv[1] == {0: ONE, 1: ONE}
+    assert inv[2] == {0: ONE, 1: ONE, 2: ONE}
+    q = Fraction(29, 20)
+    assert inv[3] == {0: q, 1: q, 2: q, 3: Fraction(17, 10), 4: Fraction(6, 5), 5: Fraction(-3, 10)}
+    q = Fraction(-4, 5)
+    assert inv[4] == {0: q, 1: q, 2: q, 3: q, 4: q, 5: Fraction(1, 5)}
+    assert inv[5] == {0: ONE, 1: ONE, 2: ONE, 3: ONE, 4: ONE}
+    assert matmul(a, inv) == identity(6)
+    assert matmul(inv, a) == identity(6)
+
 
 def test_empty_system_and_inverse_are_empty():
     assert solve_linear_system([], []) == []
