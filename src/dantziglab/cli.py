@@ -201,7 +201,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "instance": instance.label,
         "iterations": result.iterations,
         "optimal": True,
-        "tie": args.tie.label(),
+        "tie": args.tie.label,
         "final_policy": {
             cons.mdp.state_names[s]: cons.mdp.actions[a].name
             for s, a in enumerate(result.policy.choice)
@@ -333,7 +333,7 @@ FLAGS = {
     "space": dict(type=int, help="machine space bound"),
     "bits": dict(help="starting bit-string"),
     "z": dict(type=int, help="queried bit index (1-based)"),
-    "tie": dict(type=_tiebreak, default=TieBreak.lowest(), help="lowest | highest | random:SEED"),
+    "tie": dict(type=_tiebreak, default=TieBreak(), help="lowest | highest | random:SEED"),
     "alpha": dict(
         default="calibrated",
         choices=["calibrated", "printed"],

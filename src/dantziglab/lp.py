@@ -14,8 +14,10 @@ correspondence exactly, as a watcher on the policy-iteration run it is
 attached to: at every switch it compares its own basis, duals and reduced
 costs with the policy, values and appeals the run hands it (the very
 appeals the run picks its switch from), then makes its own pivot.  The LP
-side draws ties from its own generator and never evaluates a policy or
-computes an appeal, so it stays independent of the engine it audits.
+side resolves ties with its own picker from the run's ``TieBreak``, so a
+seeded rule draws from a generator of its own, seeded like the run's.  It
+never evaluates a policy or computes an appeal, so it stays independent of
+the engine it audits.
 
 A basis keeps its inverse as sparse rows (dicts from column to nonzero
 ``Fraction``), built from the LP's sparse columns by one ``numerics.inverse``
@@ -47,13 +49,12 @@ kept ones as a divergence.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .mdp import Mdp, PIResult, Policy, TieBreak, TraceEvent, Watcher, run_policy_iteration
+from .mdp import Mdp, PIResult, Picker, Policy, TieBreak, TraceEvent, Watcher, run_policy_iteration
 # The LP side never evaluates a policy.  The alias stays importable only
 # because the benchmark's tracer test (perfbench/test_harness.py) restores
 # it by name; it goes when that test is mended.
@@ -249,14 +250,14 @@ class SimplexStep:
 def simplex_dantzig_step(
     lp: LinearProgram,
     basis: Basis,
-    tie: TieBreak,
-    rng: random.Random | None,
+    pick: Picker,
 ) -> SimplexStep | None:
     """One largest-reduced-cost pivot, or None at optimality.
 
     It reads the basis's kept reduced costs and basic solution, and the
-    next basis carries its own, updated from this pivot.  ``rng`` is the
-    tie generator (None unless the rule is seeded-random).  The ratio test
+    next basis carries its own, updated from this pivot.  ``pick`` is the
+    tie picker (``TieBreak.picker``), made once per lockstep and applied to
+    (state, action) pairs as the engine applies its own.  The ratio test
     must have a unique minimizer, and the leaving column must be the basic
     action at the entering column's state; both are structural facts here,
     so their failure aborts loudly rather than falling back to an
@@ -275,7 +276,7 @@ def simplex_dantzig_step(
             candidates.append((actions[lp.cols[j]].state, lp.cols[j]))
     if best is None:
         return None
-    state, aid = tie.select(candidates, rng)
+    state, aid = pick(candidates)
     entering = lp.col_of[aid]
 
     direction = basis.direction(entering)
@@ -374,11 +375,10 @@ class Lockstep:
     comparing; once the two sides cannot both move on, it stops.
     """
 
-    def __init__(self, mdp: Mdp, policy: Policy, sink: int, *, tie: TieBreak | None = None):
+    def __init__(self, mdp: Mdp, policy: Policy, sink: int, *, tie: TieBreak = TieBreak()):
         self.lp = mdp_to_primal(mdp, sink)
         self.basis = basis_from_policy(self.lp, policy)
-        self.tie = tie if tie is not None else TieBreak.lowest()
-        self.rng = self.tie.make_rng()
+        self.pick = tie.picker()
         self.report = EquivalenceReport()
         self.stopped = False
 
@@ -401,7 +401,7 @@ class Lockstep:
             "dual_match": all(y[lp.row_of[s]] == values[s] for s in lp.rows) and values[lp.sink] == 0,
             "reduced_cost_match": all(reduced[j] == gains[lp.cols[j]] for j in range(lp.num_cols)),
         }
-        step = simplex_dantzig_step(lp, basis, self.tie, self.rng)
+        step = simplex_dantzig_step(lp, basis, self.pick)
         if event is None or step is None:
             entry["same_entering"] = event is None and step is None
         else:
@@ -431,7 +431,7 @@ def check_pi_simplex_equivalence(
     policy: Policy,
     sink: int,
     *,
-    tie: TieBreak | None = None,
+    tie: TieBreak = TieBreak(),
     budget: int,
     watchers: Iterable[Watcher] = (),
     crosscheck: bool = False,
@@ -441,9 +441,9 @@ def check_pi_simplex_equivalence(
     At every switch, and at the final policy, the lockstep compares its own
     basis, duals, reduced costs and pivot with what the run hands it, and at
     the final policy its kept vectors with a from-scratch solve; its ties
-    come from its own generator, seeded like the run's.  ``watchers``
-    and ``crosscheck`` go to the same run, and the report keeps the run as
-    ``run``.
+    come from its own picker, made from the same ``tie`` as the run's.
+    ``watchers`` and ``crosscheck`` go to the same run, and the report
+    keeps the run as ``run``.
     """
     lockstep = Lockstep(mdp, policy, sink, tie=tie)
     result = run_policy_iteration(

@@ -19,7 +19,9 @@ when a recurrent class has more than one state, so a singular solve is
 reported as that class, as a singular LP basis is.
 
 The switching engine ("greedy single-switch rule") always switches one
-action of maximal positive appeal, with an explicit, reproducible tie-break.
+action of maximal positive appeal.  Ties are resolved by a ``TieBreak``, one
+label (``lowest``, ``highest`` or ``random:SEED``) that gives each run its
+own picker, so a seeded run draws from a generator no other code shares.
 It evaluates the start policy and computes every appeal in full once per
 run.  After a switch it finds the states whose values changed by walking
 back from the switched state over one static index, the actions with a
@@ -29,14 +31,16 @@ started from them over the kept values of the others, and recomputes only
 the appeals that read their values.  A switch that closes a cycle or picks
 a rewarded self-loop sends the run to a full evaluation instead.
 ``evaluate_values`` and the full ``appeals`` pass are the oracles: every
-run ends by checking its kept values and appeals against them, and with
-``crosscheck`` it checks the values of every policy it reaches.
+run ends by checking its kept values and appeals against them, and that no
+fresh appeal is positive; with ``crosscheck`` it checks the values of every
+policy it reaches.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -372,67 +376,50 @@ def appeals(mdp: Mdp, policy: Policy, values: Sequence[Fraction]) -> list[Fracti
     return [_appeal(act, values) for act in mdp.actions]
 
 
+Picker = Callable[[list[tuple[int, int]]], tuple[int, int]]
+
+_TIE_LABEL = re.compile(r"lowest|highest|random:(0|-?[1-9][0-9]*)")
+
+
 @dataclass(frozen=True)
 class TieBreak:
-    """Deterministic resolution among actions sharing the maximal appeal."""
+    """Reproducible resolution among actions sharing the maximal appeal.
 
-    rule: str
-    seed: int | None = None
+    ``label`` is the rule in the canonical form ``parse_tiebreak`` writes:
+    ``lowest`` or ``highest`` picks the smallest or largest (state, action)
+    pair, and ``random:SEED`` draws uniformly from the sorted pairs with a
+    generator seeded by SEED.
+    """
 
-    LOWEST = "lowest-state-then-action"
-    HIGHEST = "highest-state-then-action"
-    RANDOM = "seeded-random"
+    label: str = "lowest"
 
-    @classmethod
-    def lowest(cls) -> "TieBreak":
-        return cls(cls.LOWEST)
+    def __post_init__(self) -> None:
+        if not _TIE_LABEL.fullmatch(self.label):
+            raise MdpError(f"unknown tie-break {self.label!r} (use lowest, highest, or random:SEED)")
 
-    @classmethod
-    def highest(cls) -> "TieBreak":
-        return cls(cls.HIGHEST)
+    def picker(self) -> Picker:
+        """A function that picks one of a list of (state, action) pairs, whatever their order.
 
-    @classmethod
-    def seeded(cls, seed: int) -> "TieBreak":
-        return cls(cls.RANDOM, seed)
-
-    def make_rng(self) -> random.Random | None:
-        if self.rule == self.RANDOM:
-            if self.seed is None:
-                raise MdpError("seeded-random tie-break needs a seed")
-            return random.Random(self.seed)
-        return None
-
-    def select(self, candidates: list[tuple[int, int]], rng: random.Random | None) -> tuple[int, int]:
-        """Pick from (state, action) pairs; the list may arrive in any order."""
-        if self.rule == self.LOWEST:
-            return min(candidates)
-        if self.rule == self.HIGHEST:
-            return max(candidates)
-        if self.rule == self.RANDOM:
-            if rng is None:
-                raise MdpError("seeded-random tie-break needs its RNG")
-            return rng.choice(sorted(candidates))
-        raise MdpError(f"unknown tie-break rule {self.rule!r}")
-
-    def label(self) -> str:
-        if self.rule == self.RANDOM:
-            return f"random:{self.seed}"
-        return {self.LOWEST: "lowest", self.HIGHEST: "highest"}[self.rule]
+        A seeded rule's picker draws from a generator of its own, so each
+        call gives a new one that starts from the seed.
+        """
+        if self.label == "lowest":
+            return min
+        if self.label == "highest":
+            return max
+        rng = random.Random(int(self.label.removeprefix("random:")))
+        return lambda candidates: rng.choice(sorted(candidates))
 
 
 def parse_tiebreak(text: str) -> TieBreak:
-    if text == "lowest":
-        return TieBreak.lowest()
-    if text == "highest":
-        return TieBreak.highest()
-    if text.startswith("random:"):
+    """The rule a ``--tie`` text names, with its seed written canonically (``random:+3`` is ``random:3``)."""
+    rule, colon, seed = text.partition(":")
+    if rule == "random" and colon:
         try:
-            seed = int(text.split(":", 1)[1])
+            text = f"random:{int(seed)}"
         except ValueError:
             pass
-        else:
-            return TieBreak.seeded(seed)
-    raise MdpError(f"unknown tie-break {text!r} (use lowest, highest, or random:SEED)")
+    return TieBreak(text)
 
 
 @dataclass
@@ -453,8 +440,7 @@ Watcher = Callable[[TraceEvent, Policy, Sequence[Fraction], Sequence[Fraction]],
 def dantzig_step(
     mdp: Mdp,
     policy: Policy,
-    tie: TieBreak,
-    rng: random.Random | None,
+    pick: Picker,
     positive: dict[int, Fraction],
 ) -> tuple[Policy, TraceEvent] | None:
     """One greedy switch: the action of maximal positive appeal, or None at optimum.
@@ -462,9 +448,9 @@ def dantzig_step(
     ``positive`` maps each action of positive appeal under the policy to
     that appeal.  The engine builds it from its one full appeal pass per
     run and, after each switch, updates only the appeals the switch
-    changed.  ``rng`` is the run's tie generator (None unless the rule is
-    seeded-random).  The tie rule picks the same action whatever order the
-    candidates come in.
+    changed.  ``pick`` is the run's tie picker (``TieBreak.picker``), made
+    once per run; it picks the same action whatever order the candidates
+    come in.
     """
     best: Fraction | None = None
     candidates: list[tuple[int, int]] = []
@@ -476,7 +462,7 @@ def dantzig_step(
             candidates.append((mdp.actions[aid].state, aid))
     if best is None:
         return None
-    state, aid = tie.select(candidates, rng)
+    state, aid = pick(candidates)
     event = TraceEvent(0, state, policy.choice[state], aid, best)
     return policy.with_switch(state, aid), event
 
@@ -486,9 +472,12 @@ class PIResult:
     initial: Policy
     policy: Policy
     trace: list[TraceEvent]
-    iterations: int
     values: list[Fraction]  # of the final policy
     appeals: list[Fraction]  # of the final policy
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
     def policies(self) -> list[Policy]:
         """Replay the trace: the policy before each switch, plus the final one."""
@@ -563,7 +552,7 @@ def run_policy_iteration(
     mdp: Mdp,
     policy: Policy,
     *,
-    tie: TieBreak | None = None,
+    tie: TieBreak = TieBreak(),
     budget: int,
     watchers: Iterable[Watcher] = (),
     crosscheck: bool = False,
@@ -581,11 +570,12 @@ def run_policy_iteration(
 
     ``evaluate_values`` stays the oracle.  Every run ends by deriving its
     final policy's values and all appeals from scratch, and raises
-    ``CrosscheckError`` unless they equal the kept ones, so the optimality
-    certificate never rests on the incremental updates.  With
-    ``crosscheck`` the run also compares the values of every policy it
-    switches to with a fresh evaluation, which then serves the final check
-    as well.
+    ``CrosscheckError`` unless they equal the kept ones and none of the
+    fresh appeals is positive.  So the run may stop only at a policy the
+    oracle finds optimal, whether or not the kept set of positive appeals
+    was complete.  With ``crosscheck`` the run also compares the values of
+    every policy it switches to with a fresh evaluation, which then serves
+    the final check as well.
 
     Each watcher sees every switch as (event, policy before the switch,
     that policy's values, its appeals); the final policy, its values and
@@ -594,13 +584,10 @@ def run_policy_iteration(
     """
     if budget <= 0:
         raise MdpError("iteration budget must be positive")
-    if tie is None:
-        tie = TieBreak.lowest()
-    rng = tie.make_rng()
+    pick = tie.picker()
     watchers = list(watchers)
     initial = policy
     trace: list[TraceEvent] = []
-    iteration = 0
     entering: list[list[int]] = [[] for _ in range(mdp.num_states)]  # actions with a transition into each state
     for aid, act in enumerate(mdp.actions):
         for t in act.transitions:
@@ -610,22 +597,29 @@ def run_policy_iteration(
     gains = appeals(mdp, policy, values)
     positive = {aid: appeal for aid, appeal in enumerate(gains) if appeal > 0}
     while True:
-        step = dantzig_step(mdp, policy, tie, rng, positive)
+        step = dantzig_step(mdp, policy, pick, positive)
         if step is None:
             if fresh is None:
                 fresh = evaluate_values(mdp, policy)
-                _crosscheck(values, fresh, mdp.state_names, "value", iteration)
-            _crosscheck(gains, appeals(mdp, policy, fresh), [a.name for a in mdp.actions], "appeal", iteration)
-            return PIResult(initial, policy, trace, iteration, values, gains)
-        if iteration >= budget:
+                _crosscheck(values, fresh, mdp.state_names, "value", len(trace))
+            names = [a.name for a in mdp.actions]
+            final = appeals(mdp, policy, fresh)
+            _crosscheck(gains, final, names, "appeal", len(trace))
+            for name, appeal in zip(names, final):
+                if appeal > 0:
+                    raise CrosscheckError(
+                        f"the run stopped after switch {len(trace)}, but a fresh evaluation "
+                        f"gives {name} the positive appeal {format_rational(appeal)}"
+                    )
+            return PIResult(initial, policy, trace, values, gains)
+        if len(trace) >= budget:
             raise IterationBudgetExceededError(f"no optimum within {budget} switches")
         new_policy, event = step
-        event.iteration = iteration
+        event.iteration = len(trace)
         for watch in watchers:
             watch(event, policy, values, gains)
         trace.append(event)
         policy = new_policy
-        iteration += 1
         changed, stale = _switch_reach(mdp, policy, entering, event.state)
         start: list[Fraction | None] = list(values)
         for s in changed:
@@ -637,7 +631,7 @@ def run_policy_iteration(
             values, fresh = resolved, None
             if crosscheck:
                 fresh = evaluate_values(mdp, policy)
-                _crosscheck(values, fresh, mdp.state_names, "value", iteration)
+                _crosscheck(values, fresh, mdp.state_names, "value", len(trace))
         gains = list(gains)
         for aid in stale:
             appeal = gains[aid] = _appeal(mdp.actions[aid], values)

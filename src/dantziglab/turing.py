@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .circuit import BitString, Circuit, Gate, input_gate, json_int, not_gate, or_gate
 
@@ -233,22 +234,18 @@ def compile_machine(machine: Machine, input_bits: tuple[int, ...], space: int) -
             keep = b.AND(keep, b.NOT(halted))
         new_tape.append(b.OR(b.or_all(write1), keep))
 
-    new_head = []
-    for t in range(head_w):
-        sources = []
-        for (q, s, p), trigger in trig.items():
-            target = min(max(p + MOVES[machine.transitions[(q, s)][2]], 0), cells - 1)
-            if target >> t & 1:
-                sources.append(trigger)
-        new_head.append(b.OR(b.or_all(sources), b.AND(halted, head_vars[t])))
+    def encode(vars_: list[int], value_after: Callable[[str, int, int], int]) -> list[int]:
+        """Each bit after the step: set by the triggers whose result has it set, kept once halted."""
+        bits = []
+        for t, v in enumerate(vars_):
+            sources = [trigger for (q, s, p), trigger in trig.items() if value_after(q, s, p) >> t & 1]
+            bits.append(b.OR(b.or_all(sources), b.AND(halted, v)))
+        return bits
 
-    new_state = []
-    for t in range(state_w):
-        sources = []
-        for (q, s, _p), trigger in trig.items():
-            if state_index[machine.transitions[(q, s)][0]] >> t & 1:
-                sources.append(trigger)
-        new_state.append(b.OR(b.or_all(sources), b.AND(halted, state_vars[t])))
+    new_head = encode(
+        head_vars, lambda q, s, p: min(max(p + MOVES[machine.transitions[(q, s)][2]], 0), cells - 1)
+    )
+    new_state = encode(state_vars, lambda q, s, p: state_index[machine.transitions[(q, s)][0]])
 
     # A fresh dummy layer puts the outputs last and in configuration order.
     for out in new_tape + new_head + new_state:

@@ -369,7 +369,7 @@ def run_annotated(
     construction: Construction,
     policy: Policy,
     *,
-    tie: TieBreak | None = None,
+    tie: TieBreak = TieBreak(),
     budget: int | None = None,
 ) -> PIResult:
     """Run the greedy rule with the trace annotator attached."""
@@ -765,7 +765,7 @@ def end_to_end(
     z: int,
     problem: str,
     *,
-    tie: TieBreak | None = None,
+    tie: TieBreak = TieBreak(),
     budget: int | None = None,
 ) -> EndToEnd:
     """Build and run the one reduction ``problem`` reads, and answer it.

@@ -156,12 +156,14 @@ def test_tm_instance_rejects_bits_and_z(tmp_path, capsys):
 
 
 def test_outputs_are_deterministic(tmp_path):
+    # random:+3 is the same rule as random:3, and the summary names it so.
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    args = ["run", "--builtin", "identity1", "--bits", "1", "--tie", "random:13"]
-    assert run_cli(*args, "--out", out1) == 0
-    assert run_cli(*args, "--out", out2) == 0
+    args = ["run", "--builtin", "identity1", "--bits", "1"]
+    assert run_cli(*args, "--tie", "random:3", "--out", out1) == 0
+    assert run_cli(*args, "--tie", "random:+3", "--out", out2) == 0
     for name in ("trace.jsonl", "summary.json"):
         assert read(os.path.join(out1, name)) == read(os.path.join(out2, name))
+    assert json.loads(read(os.path.join(out2, "summary.json")))["tie"] == "random:3"
 
 
 def test_verify_reports_are_deterministic(tmp_path):
@@ -350,7 +352,7 @@ def test_each_command_offers_exactly_the_flags_it_reads(capsys):
         assert flag not in shown, flag
 
 
-@pytest.mark.parametrize("tie", ["random:x", "coinflip"])
+@pytest.mark.parametrize("tie", ["random:x", "coinflip", "random:", "random", "Lowest"])
 def test_an_unknown_tie_break_is_rejected_by_the_parser(tmp_path, capsys, tie):
     out = str(tmp_path / "tie")
     with pytest.raises(SystemExit) as exc:
@@ -425,6 +427,37 @@ def test_a_crosscheck_failure_exits_4_not_verdict_false(tmp_path, monkeypatch, c
     assert run_cli("verify", "--builtin", "rot2", "--bits", "11", "--which", "all", "--out", str(tmp_path)) == 4
     err = capsys.readouterr().err
     assert err.startswith("invariant violation: after switch 1 the kept value of ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--builtin", "rot2", "--bits", "11"],
+        ["verify", "--builtin", "rot2", "--bits", "11", "--which", "catalog"],
+        ["decide", "--builtin", "rot2", "--bits", "11", "--z", "1", "--problem", "dantzigsol"],
+    ],
+    ids=["run", "verify-catalog", "decide-dantzigsol"],
+)
+def test_a_run_that_stops_early_exits_4_not_optimal(tmp_path, monkeypatch, capsys, argv):
+    # The greedy step reports an optimum after switch 50 while positive
+    # appeals remain; the kept numbers are all right, so only the final
+    # certificate (no fresh appeal positive) can catch it.
+    step = mdp.dantzig_step
+    calls = []
+
+    def stopping(*args):
+        calls.append(None)
+        return None if len(calls) > 50 else step(*args)
+
+    monkeypatch.setattr(mdp, "dantzig_step", stopping)
+    assert run_cli(*argv, "--out", str(tmp_path)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match(
+        r"invariant violation: the run stopped after switch 50, but a fresh evaluation gives \S+ "
+        r"the positive appeal \d",
+        captured.err,
+    )
 
 
 def test_a_lockstep_oracle_failure_exits_4_not_verdict_false(tmp_path, monkeypatch, capsys):

@@ -154,9 +154,9 @@ def test_pivot_matches_switch_and_objective_increases():
     policy = clock_initial_policy(cons)
     lp = mdp_to_primal(cons.mdp, cons.index.si())
     basis = basis_from_policy(lp, policy)
-    tie = TieBreak.lowest()
+    tie = TieBreak()
     event = run_policy_iteration(cons.mdp, policy, tie=tie, budget=cons.budget()).trace[0]
-    step = simplex_dantzig_step(lp, basis, tie, tie.make_rng())
+    step = simplex_dantzig_step(lp, basis, tie.picker())
     assert step is not None
     assert lp.cols[step.entering] == event.new_action
     assert lp.cols[step.leaving] == event.old_action
@@ -167,8 +167,7 @@ def test_optimum_returns_none_and_dual_feasible():
     m, sink, s, low, high = tiny_mdp()
     lp = mdp_to_primal(m, sink)
     basis = basis_from_policy(lp, make_policy(m, [0, high]))
-    tie = TieBreak.lowest()
-    assert simplex_dantzig_step(lp, basis, tie, tie.make_rng()) is None
+    assert simplex_dantzig_step(lp, basis, TieBreak().picker()) is None
     y, reduced = dual_and_reduced_costs(lp, basis)
     assert all(rc <= 0 for rc in reduced)
     # Dual constraints: v_s - sum p(j|a) v_j >= r(a) for every action.
@@ -331,12 +330,11 @@ def test_feasibility_preserved_across_pivots():
     policy = clock_initial_policy(cons)
     lp = mdp_to_primal(cons.mdp, cons.index.si())
     basis = basis_from_policy(lp, policy)
-    tie = TieBreak.lowest()
-    rng = tie.make_rng()
+    pick = TieBreak().picker()
     objective = objective_value(lp, basis)
     while True:
         assert all(v >= 0 for v in basis.basic_solution())
-        step = simplex_dantzig_step(lp, basis, tie, rng)
+        step = simplex_dantzig_step(lp, basis, pick)
         if step is None:
             break
         assert objective_value(lp, step.basis) >= objective
@@ -348,7 +346,7 @@ def test_an_exact_tie_under_one_shared_rule_keeps_both_sides_aligned():
     m, sink, s, low, high = tiny_mdp()
     mid = m.add_action(s, {sink: ONE}, 4)  # exact tie with `high`
     policy = make_policy(m, [0, low])
-    report = check_pi_simplex_equivalence(m, policy, sink, tie=TieBreak.lowest(), budget=10)
+    report = check_pi_simplex_equivalence(m, policy, sink, tie=TieBreak(), budget=10)
     assert report.ok  # shared deterministic tie-break keeps them aligned
 
 
@@ -357,8 +355,8 @@ def test_lockstep_flags_a_run_made_under_another_tie_rule():
     m, sink, s, low, high = tiny_mdp()
     mid = m.add_action(s, {sink: ONE}, 4)
     policy = make_policy(m, [0, low])
-    lockstep = Lockstep(m, policy, sink, tie=TieBreak.highest())
-    result = run_policy_iteration(m, policy, tie=TieBreak.lowest(), budget=10, watchers=[lockstep])
+    lockstep = Lockstep(m, policy, sink, tie=TieBreak("highest"))
+    result = run_policy_iteration(m, policy, tie=TieBreak(), budget=10, watchers=[lockstep])
     assert result.trace[0].new_action == high
     report = lockstep.finish(result)
     assert report.ok is False
@@ -457,7 +455,7 @@ def test_lockstep_with_seeded_ties():
     policy = make_policy(m, picks)
     for seed in (1, 2, 99):
         report = check_pi_simplex_equivalence(
-            m, policy, sink, tie=TieBreak.seeded(seed), budget=20
+            m, policy, sink, tie=TieBreak(f"random:{seed}"), budget=20
         )
         assert report.ok and report.pivots == 3
 
@@ -494,7 +492,7 @@ def test_lockstep_agrees_on_random_funnel_mdps(m):
     # on any MDP whose policies all funnel into the sink, the greedy run and
     # the largest-reduced-cost simplex pivot alike, under every tie rule.
     start = make_policy(m, [actions[0] for actions in m.state_actions])
-    for tie in (TieBreak.lowest(), TieBreak.highest(), TieBreak.seeded(7)):
+    for tie in (TieBreak(), TieBreak("highest"), TieBreak("random:7")):
         report = check_pi_simplex_equivalence(m, start, 0, tie=tie, budget=1000, crosscheck=True)
         assert report.ok and report.first_divergence is None, tie
         assert report.pivots == len(report.run.trace)

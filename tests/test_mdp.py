@@ -428,7 +428,7 @@ def first_switch(m, policy, tie):
 def test_dantzig_step_finds_unique_positive_appeal():
     m, sink, s, bad, good = two_action_mdp()
     policy = make_policy(m, [0, bad])
-    event = first_switch(m, policy, TieBreak.lowest())
+    event = first_switch(m, policy, TieBreak())
     assert event is not None
     assert event.new_action == good and event.appeal == 1
 
@@ -436,7 +436,7 @@ def test_dantzig_step_finds_unique_positive_appeal():
 def test_dantzig_step_optimal_returns_none():
     m, sink, s, bad, good = two_action_mdp()
     policy = make_policy(m, [0, good])
-    assert first_switch(m, policy, TieBreak.lowest()) is None
+    assert first_switch(m, policy, TieBreak()) is None
 
 
 def test_run_policy_iteration_from_optimum_is_empty():
@@ -454,11 +454,16 @@ def test_budget_must_be_positive():
 def test_parse_tiebreak_rejects_unknown():
     from dantziglab.mdp import parse_tiebreak
 
-    assert parse_tiebreak("lowest").rule == TieBreak.LOWEST
-    assert parse_tiebreak("random:42").seed == 42
+    assert parse_tiebreak("lowest") == TieBreak()
+    assert parse_tiebreak("random:42") == TieBreak("random:42")
+    assert parse_tiebreak("random:+3") == TieBreak("random:3")
     for text in ("coinflip", "random:x", "random:"):
         with pytest.raises(MdpError, match=f"unknown tie-break '{text}'"):
             parse_tiebreak(text)
+    # A label is only what parse_tiebreak writes.
+    for label in ("random:+3", "random:03", "Lowest"):
+        with pytest.raises(MdpError, match="unknown tie-break"):
+            TieBreak(label)
 
 
 def test_budget_exceeded():
@@ -742,16 +747,16 @@ def test_tiebreak_rules_pick_expected_candidates():
     picks[v] = m.add_action(v, {sink: ONE}, 0)
     v_better = m.add_action(v, {sink: ONE}, 5)
     policy = make_policy(m, picks)
-    low = first_switch(m, policy, TieBreak.lowest())
+    low = first_switch(m, policy, TieBreak())
     assert low.state == u
-    high = first_switch(m, policy, TieBreak.highest())
+    high = first_switch(m, policy, TieBreak("highest"))
     assert high.state == v
-    seeded = {first_switch(m, policy, TieBreak.seeded(seed)).state for seed in range(12)}
+    seeded = {first_switch(m, policy, TieBreak(f"random:{seed}")).state for seed in range(12)}
     assert seeded == {u, v}
     # Same seed, same pick.
     assert (
-        first_switch(m, policy, TieBreak.seeded(3)).state
-        == first_switch(m, policy, TieBreak.seeded(3)).state
+        first_switch(m, policy, TieBreak("random:3")).state
+        == first_switch(m, policy, TieBreak("random:3")).state
     )
 
 
