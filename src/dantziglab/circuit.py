@@ -11,6 +11,11 @@ both inputs of every Or gate have equal depth, every Not gate has depth at
 least 2, and all output bits share a single depth.  ``normalize_depths``
 establishes those invariants by inserting dummy Or gates (an Or whose two
 inputs coincide), preserving the circuit's input/output behaviour.
+
+``CircuitBuilder`` assembles every circuit the lab makes: the built-in
+circuits, compiled machines and ``normalize_depths`` all emit through it,
+and its ``circuit`` method appends the dummy Or layer that puts the
+outputs last.
 """
 
 from __future__ import annotations
@@ -211,8 +216,8 @@ def decide_circuitvalue(c: Circuit, bits: Sequence[int], z: int) -> bool:
     return iterate(c, bits, 2**c.n)[z - 1] == 0
 
 
-class _Rebuilder:
-    """Accumulates gates for a new circuit while remapping old indices."""
+class CircuitBuilder:
+    """A circuit under construction: the input bits, then each emitted gate with its depth."""
 
     def __init__(self, n: int):
         self.n = n
@@ -220,11 +225,9 @@ class _Rebuilder:
         self.depth: list[int] = [0] * n
 
     def emit(self, gate: Gate) -> int:
+        """Append an Or or Not gate over earlier gates and return its index."""
         self.gates.append(gate)
-        if gate.kind == KIND_INPUT:
-            self.depth.append(0)
-        else:
-            self.depth.append(1 + max(self.depth[j - 1] for j in gate.inputs))
+        self.depth.append(1 + max(self.depth[j - 1] for j in gate.inputs))
         return len(self.gates)
 
     def pad(self, idx: int, target_depth: int) -> int:
@@ -233,6 +236,12 @@ class _Rebuilder:
             idx = self.emit(or_gate(idx, idx))
         return idx
 
+    def circuit(self, outputs: Sequence[int]) -> Circuit:
+        """Append one dummy Or per output, so the outputs are the last n gates in order."""
+        for i in outputs:
+            self.emit(or_gate(i, i))
+        return Circuit(self.n, tuple(self.gates))
+
 
 def normalize_depths(c: Circuit) -> Circuit:
     """Insert dummy Or gates until the three depth invariants hold.
@@ -240,7 +249,7 @@ def normalize_depths(c: Circuit) -> Circuit:
     The result computes the same n-bit function; an already-normalized
     circuit comes back unchanged.
     """
-    rb = _Rebuilder(c.n)
+    rb = CircuitBuilder(c.n)
     remap: dict[int, int] = {i: i for i in range(1, c.n + 1)}
     for old in range(c.n + 1, c.size + 1):
         g = c.gate(old)
@@ -261,11 +270,9 @@ def normalize_depths(c: Circuit) -> Circuit:
     depth_target = max(rb.depth[i - 1] for i in outs)
     aligned = all(rb.depth[i - 1] == depth_target for i in outs)
     in_place = outs == list(range(len(rb.gates) - c.n + 1, len(rb.gates) + 1))
-    if not (aligned and in_place):
-        # One fresh dummy layer per output keeps the outputs last and in order.
-        outs = [rb.pad(i, depth_target) for i in outs]
-        outs = [rb.emit(or_gate(i, i)) for i in outs]
-    return Circuit(c.n, tuple(rb.gates))
+    if aligned and in_place:
+        return Circuit(c.n, tuple(rb.gates))
+    return rb.circuit([rb.pad(i, depth_target) for i in outs])
 
 
 def negated_form(c: Circuit) -> Circuit:

@@ -46,7 +46,9 @@ from .mdp import (
     CrosscheckError,
     IterationBudgetExceededError,
     MdpError,
+    NonZeroGainPolicyError,
     TieBreak,
+    UnsupportedChainStructureError,
     mdp_to_json,
     parse_tiebreak,
     run_policy_iteration,
@@ -385,7 +387,13 @@ def main(argv: list[str] | None = None) -> int:
     except IterationBudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (AssertionError, CrosscheckError, LpError) as exc:
+    except (
+        AssertionError,
+        CrosscheckError,
+        LpError,
+        NonZeroGainPolicyError,
+        UnsupportedChainStructureError,
+    ) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

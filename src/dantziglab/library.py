@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .circuit import Circuit, input_gate, not_gate, or_gate
+from .circuit import Circuit, CircuitBuilder, input_gate, not_gate, or_gate
 from .turing import Machine
 
 
@@ -11,45 +11,24 @@ def identity_circuit(n: int) -> Circuit:
     return Circuit(n, tuple(input_gate() for _ in range(n)))
 
 
-def _wrap_outputs(n: int, gates: list, outs: list[int]) -> Circuit:
-    """Append one dummy Or per output so outputs are the last n gates, in order."""
-    for g in outs:
-        gates.append(or_gate(g, g))
-    return Circuit(n, tuple(gates))
-
-
 def rotation_circuit(n: int) -> Circuit:
     """F(b1, ..., bn) = (b2, ..., bn, not b1)."""
-    gates = [input_gate() for _ in range(n)]
-    outs = []
-    for i in range(2, n + 1):
-        outs.append(i)
-    gates.append(or_gate(1, 1))
-    lifted = len(gates)
-    gates.append(not_gate(lifted))
-    outs.append(len(gates))
-    return _wrap_outputs(n, gates, outs)
+    b = CircuitBuilder(n)
+    lifted = b.emit(or_gate(1, 1))
+    return b.circuit([*range(2, n + 1), b.emit(not_gate(lifted))])
 
 
 def constant_zero_circuit(n: int) -> Circuit:
     """F(B) = 0...0."""
-    gates = [input_gate() for _ in range(n)]
-    gates.append(not_gate(1))
-    gates.append(or_gate(1, len(gates)))  # b1 or not b1 == 1
-    true_gate = len(gates)
-    gates.append(not_gate(true_gate))  # constant 0
-    zero_gate = len(gates)
-    return _wrap_outputs(n, gates, [zero_gate] * n)
+    b = CircuitBuilder(n)
+    true_gate = b.emit(or_gate(1, b.emit(not_gate(1))))  # b1 or not b1 == 1
+    return b.circuit([b.emit(not_gate(true_gate))] * n)
 
 
 def bitwise_not_circuit(n: int) -> Circuit:
     """F(B) = complement of B."""
-    gates = [input_gate() for _ in range(n)]
-    outs = []
-    for i in range(1, n + 1):
-        gates.append(not_gate(i))
-        outs.append(len(gates))
-    return _wrap_outputs(n, gates, outs)
+    b = CircuitBuilder(n)
+    return b.circuit([b.emit(not_gate(i)) for i in range(1, n + 1)])
 
 
 def writer_machine() -> Machine:

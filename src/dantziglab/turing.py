@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .circuit import BitString, Circuit, Gate, input_gate, json_int, not_gate, or_gate
+from .circuit import BitString, Circuit, CircuitBuilder, json_int, not_gate, or_gate
 
 MOVES = {"L": -1, "R": 1, "S": 0}
 
@@ -127,17 +127,11 @@ def simulate(machine: Machine, input_bits: tuple[int, ...], space: int, max_step
     return False
 
 
-class _LogicBuilder:
+class _LogicBuilder(CircuitBuilder):
     """Gate emitter with AND via De Morgan and double-negation folding."""
 
-    def __init__(self, n_inputs: int):
-        self.gates: list[Gate] = [input_gate() for _ in range(n_inputs)]
-        self._false: int | None = None
-        self._true: int | None = None
-
-    def emit(self, gate: Gate) -> int:
-        self.gates.append(gate)
-        return len(self.gates)
+    _false: int | None = None
+    _true: int | None = None
 
     def NOT(self, a: int) -> int:
         g = self.gates[a - 1]
@@ -247,11 +241,7 @@ def compile_machine(machine: Machine, input_bits: tuple[int, ...], space: int) -
     )
     new_state = encode(state_vars, lambda q, s, p: state_index[machine.transitions[(q, s)][0]])
 
-    # A fresh dummy layer puts the outputs last and in configuration order.
-    for out in new_tape + new_head + new_state:
-        b.emit(or_gate(out, out))
-
-    circuit = Circuit(n_bits, tuple(b.gates))
+    circuit = b.circuit(new_tape + new_head + new_state)
     head0 = machine.head_start - 1
     state0 = state_index[machine.initial]
     start = tuple(tape0) + tuple(head0 >> t & 1 for t in range(head_w)) + tuple(

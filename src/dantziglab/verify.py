@@ -59,24 +59,12 @@ HALF = Fraction(1, 2)
 FLOOR = Fraction(7, 2)
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    return str(value)
-
-
 @dataclass
 class Report:
     name: str
     ok: bool
     failures: list[str] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    details: dict = field(default_factory=dict)  # JSON-native values: report.json writes them as they are
     expected_fail: bool = False
 
     def as_dict(self) -> dict:
@@ -85,7 +73,7 @@ class Report:
             "ok": self.ok,
             "expected_fail": self.expected_fail,
             "failures": list(self.failures),
-            "details": {k: _jsonable(v) for k, v in sorted(self.details.items())},
+            "details": dict(self.details),
         }
 
 

@@ -460,6 +460,56 @@ def test_a_run_that_stops_early_exits_4_not_optimal(tmp_path, monkeypatch, capsy
     )
 
 
+@pytest.mark.parametrize("error", [mdp.NonZeroGainPolicyError, mdp.UnsupportedChainStructureError])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--builtin", "rot2", "--bits", "11"],
+        ["decide", "--builtin", "rot2", "--bits", "11", "--z", "1", "--problem", "dantzigsol"],
+    ],
+    ids=["run", "decide-dantzigsol"],
+)
+def test_a_chain_structure_error_exits_4_not_verdict_false(tmp_path, monkeypatch, capsys, argv, error):
+    # The incremental re-solve after a switch meets a chain structure the
+    # evaluator cannot handle; for decide, exit 1 would read as "false".
+    walk = mdp._acyclic_expectation
+
+    def failing(m, policy, *, gain, values=None, roots=None):
+        if roots is not None:
+            raise error("planted recurrent class")
+        return walk(m, policy, gain=gain, values=values, roots=roots)
+
+    monkeypatch.setattr(mdp, "_acyclic_expectation", failing)
+    assert run_cli(*argv, "--out", str(tmp_path)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invariant violation: planted recurrent class\n"
+
+
+def test_a_non_greedy_clock_switch_fails_the_clock_audit(tmp_path, monkeypatch):
+    # The third switch takes the best appeal below the maximum; the run
+    # still ends at the optimum, but off the Gray-code sequence.
+    step = mdp.dantzig_step
+    calls = []
+
+    def lower(m, policy, pick, positive):
+        calls.append(None)
+        if len(calls) == 3:
+            top = max(positive.values())
+            positive = {aid: appeal for aid, appeal in positive.items() if appeal < top}
+        return step(m, policy, pick, positive)
+
+    monkeypatch.setattr(mdp, "dantzig_step", lower)
+    out = str(tmp_path / "ver")
+    assert run_cli("verify", "--builtin", "clock:n=3", "--which", "clock", "--out", out) == 4
+    (report,) = json.loads(read(os.path.join(out, "report.json")))["reports"]
+    assert report["ok"] is False and report["expected_fail"] is False
+    failures = report["failures"]
+    assert failures[0] == "expected 7 switches, saw 5"
+    assert any(f.endswith("off the Gray-code sequence") for f in failures)
+    assert any(re.fullmatch(r"step \d+: switched state \d, expected \d", f) for f in failures)
+
+
 def test_a_lockstep_oracle_failure_exits_4_not_verdict_false(tmp_path, monkeypatch, capsys):
     from dantziglab import lp
 

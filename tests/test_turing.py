@@ -127,6 +127,46 @@ def test_step_circuit_tracks_reference_simulation():
         assert sbits == tuple(state_index[state] >> t & 1 for t in range(len(sbits)))
 
 
+def encode_configuration(tape, head, state, head_w, state_w):
+    """Tape cells, then the 0-based head cell and the state index, least significant bit first."""
+    return tuple(tape) + tuple(head >> t & 1 for t in range(head_w)) + tuple(state >> t & 1 for t in range(state_w))
+
+
+@pytest.mark.parametrize("make", [writer_machine, shuttle_machine, unary_counter_machine])
+@pytest.mark.parametrize("space", [1, 2, 3])
+def test_one_compiled_step_matches_a_reference_step_on_every_configuration(make, space):
+    # Every tape of space+1 cells, every head cell and every state: the
+    # circuit's output is the configuration one machine step later.  A
+    # halted configuration keeps everything except the marker cell, which
+    # clears.
+    m = make()
+    circuit, _, _ = compile_machine(m, (), space)
+    moves = {"L": -1, "R": 1, "S": 0}
+    cells = space + 1
+    head_w = max(1, (cells - 1).bit_length())
+    state_w = circuit.n - cells - head_w
+    for q, state in enumerate(m.states):
+        for head in range(cells):
+            for word in range(2**cells):
+                tape = [word >> p & 1 for p in range(cells)]
+                before = encode_configuration(tape, head, q, head_w, state_w)
+                key = (state, tape[head])
+                if key in m.transitions:
+                    next_state, write, move = m.transitions[key]
+                    tape[head] = write
+                    after = encode_configuration(
+                        tape,
+                        min(max(head + moves[move], 0), cells - 1),
+                        m.states.index(next_state),
+                        head_w,
+                        state_w,
+                    )
+                else:
+                    tape[-1] = 0
+                    after = encode_configuration(tape, head, q, head_w, state_w)
+                assert outputs(circuit, before) == after, (state, head, before)
+
+
 @pytest.mark.parametrize(
     "machine,input_bits",
     [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from dantziglab.construction import (
     initial_policy,
     make_params,
 )
-from dantziglab.library import identity_circuit, rotation_circuit
+from dantziglab.library import constant_zero_circuit, identity_circuit, rotation_circuit
 from dantziglab.mdp import decide_dantzig_mdp_sol, evaluate_values, run_policy_iteration
 from dantziglab.verify import (
     ClockAuditor,
@@ -264,6 +265,47 @@ def test_catalog_flags_corrupted_appeal(rot2_run):
     victim.appeal = Fraction(10, 3)
     report = audit_appeal_catalog(bad, cons)
     assert not report.ok
+
+
+CATALOG_ROLES = {
+    "clock", "s1", "s2", "s3a", "s3b", "s4a", "s4b", "s4c", "copy", "copy-echo", "not-arm", "not-write",
+    "not-track", "or-open", "or-shelf", "or-pick", "stale", "residual", "freeze-arm", "freeze", "unexpected",
+}
+
+
+def test_catalog_names_the_event_whose_appeal_is_off_for_every_role():
+    # On rot2 and const0_2, under both problems, the first event of each
+    # role in turn is given appeal 0; the catalog must fail and name it.
+    seen = set()
+    for circuit in (rotation_circuit(2), constant_zero_circuit(2)):
+        for problem in ("actionswitch", "dantzigsol"):
+            e = end_to_end(circuit, (1, 1), 1, problem)
+            assert audit_appeal_catalog(e.run, e.construction).ok
+            first = {}
+            for pos, ev in enumerate(e.run.trace):
+                first.setdefault(ev.annotations["role"], pos)
+            for role, pos in first.items():
+                trace = list(e.run.trace)
+                trace[pos] = dataclasses.replace(trace[pos], appeal=Fraction(0))
+                report = audit_appeal_catalog(dataclasses.replace(e.run, trace=trace), e.construction)
+                named = f"event {trace[pos].iteration} ("
+                assert not report.ok and any(f.startswith(named) for f in report.failures), (problem, role)
+            seen |= first.keys()
+    assert seen == CATALOG_ROLES
+
+
+def test_transitions_flag_a_class_that_starts_before_the_previous_completes(rot2_run):
+    # Swap the last s1 event and the first s2 event of the first boundary.
+    cons, _, result = rot2_run
+    roles = [ev.annotations["role"] for ev in result.trace]
+    clock = roles.index("clock")
+    last_s1 = max(pos for pos in range(clock) if roles[pos] == "s1")
+    first_s2 = roles.index("s2")
+    assert last_s1 < first_s2 < clock
+    trace = list(result.trace)
+    trace[last_s1], trace[first_s2] = trace[first_s2], trace[last_s1]
+    report = check_all_transitions(dataclasses.replace(result, trace=trace), cons)
+    assert report.failures == ["boundary 1: class s2 starts before the previous class completes"]
 
 
 def test_policies_at_replays_the_requested_positions(rot2_run):
