@@ -11,8 +11,8 @@ When the policy graph is acyclic apart from self-loops, evaluation is one
 depth-first walk that back-substitutes in post-order: each action carries
 its value equation already solved for its own state, so a state whose
 chosen action leaves for a single other state costs one addition, or none.
-Only when the walk meets a cycle (or, for values, a rewarded absorbing
-state) does evaluation build the same solved equations as sparse rows and
+Only when the walk meets a cycle (or a rewarded absorbing state) does
+evaluation build the same solved equations as sparse rows and
 eliminate them exactly.  That one elimination is also the chain-structure
 check: with the absorbing states pinned, the system is singular exactly
 when a recurrent class has more than one state, so a singular solve is
@@ -217,7 +217,6 @@ def _acyclic_expectation(
     mdp: Mdp,
     policy: Policy,
     *,
-    gain: bool,
     values: list[Fraction | None] | None = None,
     roots: Iterable[int] | None = None,
 ) -> list[Fraction] | None:
@@ -226,11 +225,10 @@ def _acyclic_expectation(
     One iterative depth-first walk over each chosen action's ``solved``
     exits gives a state its value in post-order, once every exit has one;
     a sole exit's coefficient is exactly 1, so it costs no multiplication.
-    An absorbing state (``solved`` is None) is pinned: to 0 in the values
-    form, to its loop reward in the gain form.  The walk gives up and
-    returns None when it reaches a state still on its path (the policy has
-    a cycle), or, in the values form, an absorbing state with a nonzero
-    reward; the caller then takes the path that reports or solves those.
+    An absorbing state (``solved`` is None) is pinned to 0.  The walk gives
+    up and returns None when it reaches a state still on its path (the
+    policy has a cycle), or an absorbing state with a nonzero reward; the
+    caller then takes the path that reports or solves those.
 
     By default the walk knows no value and starts from every state.  Given
     start ``values``, it keeps each entry that is not None and fills the
@@ -256,12 +254,9 @@ def _acyclic_expectation(
             act = actions[choice[s]]
             solved = act.solved
             if solved is None:
-                if gain:
-                    values[s] = act.reward
-                elif act.reward:
+                if act.reward:
                     return None
-                else:
-                    values[s] = ZERO
+                values[s] = ZERO
             else:
                 base, exits = solved
                 pending = None
@@ -281,7 +276,7 @@ def _acyclic_expectation(
                     acc = ZERO
                     for t, c in exits:
                         acc += c * values[t]  # type: ignore[operator]
-                values[s] = acc + base if base and not gain else acc
+                values[s] = acc + base if base else acc
             on_path[s] = False
             path.pop()
     return values  # type: ignore[return-value]
@@ -347,17 +342,19 @@ def evaluate_values(mdp: Mdp, policy: Policy) -> list[Fraction]:
     rewarded absorbing state up front and a recurrent cycle by finding the
     system singular.
     """
-    values = _acyclic_expectation(mdp, policy, gain=False)
+    values = _acyclic_expectation(mdp, policy)
     if values is not None:
         return values
     return _solved_expectation(mdp, policy, gain=False)
 
 
 def evaluate_gain(mdp: Mdp, policy: Policy) -> list[Fraction]:
-    """Expected average reward per state: the absorbed self-loop reward, in expectation."""
-    gains = _acyclic_expectation(mdp, policy, gain=True)
-    if gains is not None:
-        return gains
+    """Expected average reward per state: the absorbed self-loop reward, in expectation.
+
+    One exact solve of the gain equations, acyclic policy or not: the
+    elimination takes singleton rows first, so an acyclic policy still
+    eliminates without fill.
+    """
     return _solved_expectation(mdp, policy, gain=True)
 
 
@@ -481,23 +478,12 @@ class PIResult:
 
     def policies(self) -> list[Policy]:
         """Replay the trace: the policy before each switch, plus the final one."""
-        return self.policies_at(range(len(self.trace) + 1))
-
-    def policies_at(self, positions: Sequence[int]) -> list[Policy]:
-        """The policy before switch k for each position k, in the order given.
-
-        One replay of the trace that keeps only the requested positions;
-        position ``len(trace)`` is the final policy.
-        """
-        wanted = set(positions)
-        taken: dict[int, Policy] = {}
         choice = list(self.initial.choice)
-        for k, ev in enumerate(self.trace):
-            if k in wanted:
-                taken[k] = Policy(tuple(choice))
+        replayed = [self.initial]
+        for ev in self.trace:
             choice[ev.state] = ev.new_action
-        taken[len(self.trace)] = Policy(tuple(choice))
-        return [taken[k] for k in positions]
+            replayed.append(Policy(tuple(choice)))
+        return replayed
 
 
 def default_budget(n_bits: int, num_states: int) -> int:
@@ -624,7 +610,7 @@ def run_policy_iteration(
         start: list[Fraction | None] = list(values)
         for s in changed:
             start[s] = None
-        resolved = _acyclic_expectation(mdp, policy, gain=False, values=start, roots=changed)
+        resolved = _acyclic_expectation(mdp, policy, values=start, roots=changed)
         if resolved is None:  # the switch closed a cycle or picked a rewarded self-loop
             fresh = values = evaluate_values(mdp, policy)
         else:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .circuit import BitString, Circuit, KIND_INPUT, decide_bitswitch, decide_circuitvalue, evaluate
 from .circuit import negated_form, normalize_depths
@@ -498,11 +498,9 @@ def check_coherent(construction: Construction, policy: Policy, phase: int) -> Re
     assert circuit is not None
     c_own = index.c(phase)
     failures = []
-    per_gate: dict[int, list[str]] = {}
 
     def check(gate: int, condition: bool, label: str) -> None:
         if not condition:
-            per_gate.setdefault(gate, []).append(label)
             failures.append(f"gate {gate}: {label}")
 
     for i in construction.input_bits():
@@ -516,7 +514,7 @@ def check_coherent(construction: Construction, policy: Policy, phase: int) -> Re
         check(i, _chooses(construction, policy, index.x(1 - phase, i), c_own), "x(other) detached")
     for i in construction.not_gates():
         check(i, _chooses(construction, policy, index.a(1 - phase, i), c_own), "arming state (other) detached")
-    return Report("coherent", not failures, failures, {"phase": phase, "violations": per_gate})
+    return Report("coherent", not failures, failures, {"phase": phase})
 
 
 def check_b_correct(
@@ -580,26 +578,30 @@ def check_final(construction: Construction, policy: Policy, phase: int) -> dict[
 STAGE_ORDER = ("s1", "s2", "s3a", "s3b", "s4a", "s4b", "s4c")
 
 
-def _segments(result: PIResult) -> list[tuple[int, int]]:
-    """Half-open trace ranges, one per phase of work, split at clock switches."""
-    bounds = []
-    start = 0
+Segment = list[tuple[int, TraceEvent]]  # one phase's events with their trace positions
+
+
+def _phases(result: PIResult) -> Iterator[tuple[Segment, Policy]]:
+    """Read the trace forward once: each phase's events and the policy the phase opens with.
+
+    A phase ends with its clock switch, so the next one opens with the
+    policy right after that switch; the last phase runs to the end of the
+    trace.  Each boundary costs one policy snapshot.
+    """
+    choice = list(result.initial.choice)
+    segment: Segment = []
+    opening = result.initial
     for pos, ev in enumerate(result.trace):
+        segment.append((pos, ev))
+        choice[ev.state] = ev.new_action
         if ev.annotations.get("role") == "clock":
-            bounds.append((start, pos + 1))
-            start = pos + 1
-    bounds.append((start, len(result.trace)))
-    return bounds
+            yield segment, opening
+            segment, opening = [], Policy(tuple(choice))
+    yield segment, opening
 
 
-def _transition_failures(
-    result: PIResult,
-    construction: Construction,
-    bounds: tuple[int, int],
-    before: Policy,
-    after: Policy,
-) -> list[str]:
-    """Audit the scripted hand-over of one phase: its trace range and the policies that open and close it.
+def _transition_failures(construction: Construction, segment: Segment, before: Policy, after: Policy) -> list[str]:
+    """Audit the scripted hand-over of one phase: its events and the policies that open and close it.
 
     Hard assertions: each event class completes with the expected
     multiplicity; classes s1 through s3b strictly precede one another and
@@ -612,11 +614,9 @@ def _transition_failures(
     """
     circuit = construction.circuit
     assert circuit is not None
-    start, end = bounds
-    segment = [(pos, result.trace[pos]) for pos in range(start, end)]
     failures: list[str] = []
 
-    phase = result.trace[start].annotations["phase"] if start < len(result.trace) else 0
+    phase = segment[0][1].annotations["phase"]
     bits_held = decode_input_bits(construction, before, phase)
     next_bits = _apply_negated(circuit, bits_held)
 
@@ -652,7 +652,7 @@ def _transition_failures(
     finishing = [p for role in ("s4a", "s4b", "s4c") for p in positions.get(role, [])]
     if finishing and previous_last >= min(finishing):
         failures.append("hookup/detach work starts before re-homing completes")
-    clock_pos = positions.get("clock", [end])[0]
+    clock_pos = positions.get("clock", [segment[-1][0]])[0]
     for role in STAGE_ORDER:
         if positions.get(role) and max(positions[role]) > clock_pos:
             failures.append(f"class {role} continues past the clock switch")
@@ -692,15 +692,14 @@ def _apply_negated(circuit: Circuit, bits: Sequence[int]) -> BitString:
 
 
 def check_all_transitions(result: PIResult, construction: Construction) -> Report:
-    """Audit every phase boundary, segmenting and replaying the trace once."""
-    phases = _segments(result)[:-1]
-    policies = result.policies_at([pos for bounds in phases for pos in bounds])
+    """Audit every phase boundary: each phase with the policy the next one opens with."""
+    phases = list(_phases(result))
     failures = [
         f"boundary {b}: {msg}"
-        for b, (bounds, before, after) in enumerate(zip(phases, policies[::2], policies[1::2]), start=1)
-        for msg in _transition_failures(result, construction, bounds, before, after)
+        for b, ((segment, before), (_, after)) in enumerate(zip(phases, phases[1:]), start=1)
+        for msg in _transition_failures(construction, segment, before, after)
     ]
-    return Report("transitions", not failures, failures, {"boundaries": len(phases)})
+    return Report("transitions", not failures, failures, {"boundaries": len(phases) - 1})
 
 
 # ---------------------------------------------------------------------------
@@ -716,24 +715,24 @@ def decode_phases(result: PIResult, construction: Construction, b_init: Sequence
     iterate is fully delivered, just before end-game cleanup re-homes it).
     """
     index = construction.index
-    segments = _segments(result)
-    after_clock = [end for _, end in segments[:-1]]
-    tail = range(segments[-1][0], len(result.trace) + 1)
-    policies = result.policies_at(after_clock + list(tail))
+    phases = list(_phases(result))
     decoded: list[BitString] = [tuple(b_init)]
-    for k, policy in enumerate(policies[: len(after_clock)], start=1):
-        decoded.append(decode_input_bits(construction, policy, k % 2))
-    assert construction.circuit is not None
+    for k, (_, opening) in enumerate(phases[1:], start=1):
+        decoded.append(decode_input_bits(construction, opening, k % 2))
+    tail, opening = phases[-1]
     c0 = index.c(0)
-    for policy in policies[len(after_clock) :]:
-        settled = all(
-            _chooses(construction, policy, index.l(0, i), c0)
-            and _chooses(construction, policy, index.r(0, i), c0)
-            for i in construction.input_bits()
-        )
-        if settled:
-            decoded.append(decode_input_bits(construction, policy, 0))
+    anchors = [s for i in construction.input_bits() for s in (index.l(0, i), index.r(0, i))]
+    choice = list(opening.choice)
+
+    def settled() -> bool:
+        return all(index.target(choice[s]) == c0 for s in anchors)
+
+    for _, ev in tail:
+        if settled():
             break
+        choice[ev.state] = ev.new_action
+    if settled():
+        decoded.append(decode_input_bits(construction, Policy(tuple(choice)), 0))
     return decoded
 
 

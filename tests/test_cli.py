@@ -133,6 +133,23 @@ def test_decide_verdicts_and_exit_codes(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "problem, decide, line",
+    [
+        ("dantzigsol", mdp.decide_dantzig_mdp_sol, "dantzigsol: true (DISAGREES with the circuit oracle: false)"),
+        ("actionswitch", mdp.decide_action_switch, "actionswitch: false (DISAGREES with the circuit oracle: true)"),
+    ],
+    ids=["dantzigsol", "actionswitch"],
+)
+def test_decide_exits_4_when_the_mdp_verdict_disagrees_with_the_oracle(
+    tmp_path, capsys, patch_everywhere, problem, decide, line
+):
+    patch_everywhere(decide, lambda *args: not decide(*args))
+    assert run_cli("decide", "--builtin", "rot2", "--bits", "11", "--z", "1",
+                   "--problem", problem, "--out", str(tmp_path)) == 4
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_decide_on_machine_instance(tmp_path):
     path = str(tmp_path / "writer.json")
     with open(path, "w") as fh:
@@ -415,8 +432,8 @@ def test_verify_all_evaluates_each_policy_once(tmp_path, patch_everywhere):
 def test_a_crosscheck_failure_exits_4_not_verdict_false(tmp_path, monkeypatch, capsys):
     walk = mdp._acyclic_expectation
 
-    def corrupting(m, policy, *, gain, values=None, roots=None):
-        solved = walk(m, policy, gain=gain, values=values, roots=roots)
+    def corrupting(m, policy, *, values=None, roots=None):
+        solved = walk(m, policy, values=values, roots=roots)
         if roots is not None and solved is not None:
             solved[min(roots)] += 1  # one wrong value from the incremental walk
         return solved
@@ -474,10 +491,10 @@ def test_a_chain_structure_error_exits_4_not_verdict_false(tmp_path, monkeypatch
     # evaluator cannot handle; for decide, exit 1 would read as "false".
     walk = mdp._acyclic_expectation
 
-    def failing(m, policy, *, gain, values=None, roots=None):
+    def failing(m, policy, *, values=None, roots=None):
         if roots is not None:
             raise error("planted recurrent class")
-        return walk(m, policy, gain=gain, values=values, roots=roots)
+        return walk(m, policy, values=values, roots=roots)
 
     monkeypatch.setattr(mdp, "_acyclic_expectation", failing)
     assert run_cli(*argv, "--out", str(tmp_path)) == 4
@@ -531,7 +548,7 @@ def test_a_lockstep_oracle_failure_exits_4_not_verdict_false(tmp_path, monkeypat
 
 def test_verify_all_never_builds_the_full_policy_list(tmp_path, monkeypatch):
     def forbidden(self):
-        raise AssertionError("the audits replay only the policies they read")
+        raise AssertionError("the audits read the trace forward and keep one policy per boundary")
 
     monkeypatch.setattr(mdp.PIResult, "policies", forbidden)
     out = str(tmp_path / "ver")
@@ -550,21 +567,6 @@ def test_decide_actionswitch_builds_no_decision_variant(tmp_path, patch_everywhe
     expected = decide_bitswitch(identity_circuit(2), (1, 1), 1)
     assert run_cli("decide", "--builtin", "identity2", "--bits", "11", "--z", "1",
                    "--problem", "actionswitch", "--out", str(tmp_path)) == (0 if expected else 1)
-
-
-def test_transition_audit_replays_the_trace_once(tmp_path, monkeypatch):
-    requested = []
-    original = mdp.PIResult.policies_at
-
-    def counting(self, positions):
-        requested.append(list(positions))
-        return original(self, positions)
-
-    monkeypatch.setattr(mdp.PIResult, "policies_at", counting)
-    assert run_cli("verify", "--builtin", "identity2", "--bits", "11", "--which", "transition",
-                   "--out", str(tmp_path)) == 0
-    # Three phase boundaries, each read at the start and the end of its phase.
-    assert [len(positions) for positions in requested] == [6]
 
 
 def test_decide_runs_only_the_reductions_its_problem_reads(tmp_path, count_runs):

@@ -319,9 +319,10 @@ def test_basis_inverse_holds_exactly_the_reachable_pairs(monkeypatch):
     cons = build_construction(negated_form(normalize_depths(rotation_circuit(2))))
     result = run_policy_iteration(cons.mdp, initial_policy(cons, (1, 1)), budget=cons.budget())
     lp = mdp_to_primal(cons.mdp, cons.index.si())
-    positions = [*range(0, len(result.trace), 20), len(result.trace)]
-    assert len(positions) >= 10
-    for policy in result.policies_at(positions):
+    policies = result.policies()
+    sample = [*policies[:-1:20], policies[-1]]
+    assert len(sample) >= 10
+    for policy in sample:
         assert_inverse_pattern_is_reachability(lp, basis_from_policy(lp, policy))
 
 

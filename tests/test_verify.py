@@ -8,6 +8,7 @@ import pytest
 from conftest import tight_decision_run
 from dantziglab.circuit import decide_bitswitch, decide_circuitvalue, iterate, negated_form, normalize_depths
 from dantziglab.construction import (
+    MAGIC,
     build_clock,
     build_construction,
     clock_initial_policy,
@@ -33,6 +34,7 @@ from dantziglab.verify import (
     least_significant_zero,
     phase_from_values,
     run_annotated,
+    _transition_failures,
 )
 
 
@@ -167,7 +169,7 @@ def test_initial_policy_is_coherent(rot2_run):
     broken = policy.with_switch(cons.index.x(0, i), cons.index.action(f"x0_{i}~>c1"))
     report = check_coherent(cons, broken, 0)
     assert not report.ok
-    assert i in report.details["violations"]
+    assert report.failures == [f"gate {i}: x(own) detached"]
 
 
 def test_input_bits_b_correct_initially(rot2_run):
@@ -273,13 +275,23 @@ CATALOG_ROLES = {
 }
 
 
-def test_catalog_names_the_event_whose_appeal_is_off_for_every_role():
+@pytest.fixture(scope="module")
+def catalog_runs():
+    """The ``end_to_end`` records of rot2 and const0_2 from 11 at z = 1, under both problems."""
+    return {
+        (name, problem): end_to_end(circuit, (1, 1), 1, problem)
+        for name, circuit in (("rot2", rotation_circuit(2)), ("const0_2", constant_zero_circuit(2)))
+        for problem in ("actionswitch", "dantzigsol")
+    }
+
+
+def test_catalog_names_the_event_whose_appeal_is_off_for_every_role(catalog_runs):
     # On rot2 and const0_2, under both problems, the first event of each
     # role in turn is given appeal 0; the catalog must fail and name it.
     seen = set()
-    for circuit in (rotation_circuit(2), constant_zero_circuit(2)):
+    for circuit in ("rot2", "const0_2"):
         for problem in ("actionswitch", "dantzigsol"):
-            e = end_to_end(circuit, (1, 1), 1, problem)
+            e = catalog_runs[circuit, problem]
             assert audit_appeal_catalog(e.run, e.construction).ok
             first = {}
             for pos, ev in enumerate(e.run.trace):
@@ -292,6 +304,39 @@ def test_catalog_names_the_event_whose_appeal_is_off_for_every_role():
                 assert not report.ok and any(f.startswith(named) for f in report.failures), (problem, role)
             seen |= first.keys()
     assert seen == CATALOG_ROLES
+
+
+def _relabeled(role):
+    return lambda ev: dataclasses.replace(ev, annotations={**ev.annotations, "role": role})
+
+
+RESIDUAL_CEILING = f"appeal {MAGIC} not below the residual ceiling {MAGIC}"
+
+
+@pytest.mark.parametrize(
+    "problem, role, offset, edit, message",
+    [
+        ("actionswitch", "s1", 0, lambda ev: dataclasses.replace(ev, annotations={}), "missing role annotation"),
+        ("actionswitch", "s1", 0, lambda ev: dataclasses.replace(ev, appeal=Fraction(1)),
+         "switched at appeal exactly 1"),
+        ("actionswitch", "residual", 0, lambda ev: dataclasses.replace(ev, appeal=MAGIC), RESIDUAL_CEILING),
+        ("dantzigsol", "freeze", 1, lambda ev: dataclasses.replace(_relabeled("residual")(ev), appeal=MAGIC),
+         RESIDUAL_CEILING),
+        ("actionswitch", "s1", 0, _relabeled("bogus"), "unclassified switch (role bogus)"),
+    ],
+    ids=["missing-role", "appeal-1", "residual-ceiling", "residual-ceiling-after-freeze", "unclassified"],
+)
+def test_catalog_names_the_event_each_check_rejects(catalog_runs, problem, role, offset, edit, message):
+    # One event of const0_2's run, found by its role (the one after it for
+    # an offset of 1), is edited so that exactly this check fails on it.
+    e = catalog_runs["const0_2", problem]
+    trace = list(e.run.trace)
+    pos = [ev.annotations["role"] for ev in trace].index(role) + offset
+    ev = trace[pos] = edit(trace[pos])
+    report = audit_appeal_catalog(dataclasses.replace(e.run, trace=trace), e.construction)
+    name = e.construction.mdp.state_names[ev.state]
+    assert not report.ok
+    assert f"event {ev.iteration} ({name}, {ev.annotations.get('role')}): {message}" in report.failures
 
 
 def test_transitions_flag_a_class_that_starts_before_the_previous_completes(rot2_run):
@@ -308,19 +353,82 @@ def test_transitions_flag_a_class_that_starts_before_the_previous_completes(rot2
     assert report.failures == ["boundary 1: class s2 starts before the previous class completes"]
 
 
-def test_policies_at_replays_the_requested_positions(rot2_run):
-    _, _, result = rot2_run
+def _first_phase(result):
+    """Boundary 1 of a run: its phase's (position, event) pairs and the policies that open and close it."""
+    clock = next(pos for pos, ev in enumerate(result.trace) if ev.annotations["role"] == "clock")
+    return list(enumerate(result.trace[: clock + 1])), result.initial, result.policies()[clock + 1]
+
+
+def _first_of(events, role):
+    return next(k for k, ev in enumerate(events) if ev.annotations["role"] == role)
+
+
+def _without_first(events, role):
+    k = _first_of(events, role)
+    return events[:k] + events[k + 1 :]
+
+
+def _first_moved(events, role, to):
+    events = list(events)
+    events.insert(to, events.pop(_first_of(events, role)))
+    return events
+
+
+def _holding_switch_after_first_s1(cons, events):
+    k = _first_of(events, "s1")
+    stray = dataclasses.replace(
+        events[k], state=cons.index.o(1, 1), new_action=cons.index.action("o1_1->r1_1"), annotations={"phase": 0}
+    )
+    return events[: k + 1] + [stray] + events[k + 1 :]
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (lambda cons, events: _without_first(events, "s1"), "class s1: 1 events, expected 2"),
+        (lambda cons, events: _first_moved(events, "s4a", len(events)), "class s4a continues past the clock switch"),
+        (lambda cons, events: _first_moved(events, "s4a", 0), "hookup/detach work starts before re-homing completes"),
+        (_holding_switch_after_first_s1, "holding state o1_1 switched during the hand-over"),
+    ],
+    ids=["s1-short", "s4a-past-clock", "hookup-early", "holding-switched"],
+)
+def test_transitions_name_each_event_out_of_script(rot2_run, edit, expected):
+    # One edit to the events of rot2's first phase, renumbered from its start.
+    cons, _, result = rot2_run
+    segment, before, after = _first_phase(result)
+    assert _transition_failures(cons, segment, before, after) == []
+    events = edit(cons, [ev for _, ev in segment])
+    assert _transition_failures(cons, list(enumerate(events)), before, after) == [expected]
+
+
+@pytest.mark.parametrize(
+    "action, expected",
+    [
+        ("x1_3~>c0", ["post-boundary policy is not coherent", "  gate 3: x(own) detached"]),
+        ("o1_1->r1_1", ["post-boundary bits (0, 0) do not encode the next iterate (1, 0)"]),
+        ("o0_1->r0_1", ["outgoing bit 1 not re-homed for copying"]),
+        ("a1_4~>c0", ["arming state of gate 4 not reset for the new phase"]),
+    ],
+    ids=["incoherent", "wrong-bits", "not-re-homed", "arming-not-reset"],
+)
+def test_transitions_name_each_fault_of_the_policy_after_the_clock(rot2_run, action, expected):
+    # The policy right after rot2's first clock switch, with one action switched in.
+    cons, _, result = rot2_run
+    segment, before, after = _first_phase(result)
+    aid = cons.index.action(action)
+    broken = after.with_switch(cons.mdp.actions[aid].state, aid)
+    assert _transition_failures(cons, segment, before, broken) == expected
+
+
+def test_policies_replay_the_trace(rot2_run):
+    _, policy, result = rot2_run
     policies = result.policies()
-    last = len(result.trace)
-    assert len(policies) == last + 1
-    positions = [last, 17, 0, 17, last - 1, 3, last]
-    assert result.policies_at(positions) == [policies[k] for k in positions]
-    assert result.policies_at([]) == []
-    assert result.policies_at([last]) == [result.policy]
-    with pytest.raises(KeyError):
-        result.policies_at([last + 1])
-    with pytest.raises(KeyError):
-        result.policies_at([-1])
+    assert len(policies) == len(result.trace) + 1
+    assert policies[0] == result.initial == policy
+    assert policies[-1] == result.policy
+    for ev, before, after in zip(result.trace, policies, policies[1:]):
+        assert before.choice[ev.state] == ev.old_action
+        assert before.with_switch(ev.state, ev.new_action) == after
 
 
 def test_decode_phases_follows_iteration(rot2_run):
