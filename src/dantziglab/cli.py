@@ -49,6 +49,7 @@ from .mdp import (
     NonZeroGainPolicyError,
     TieBreak,
     UnsupportedChainStructureError,
+    fresh_value_check,
     mdp_to_json,
     parse_tiebreak,
     run_policy_iteration,
@@ -63,7 +64,6 @@ from .verify import (
     check_all_transitions,
     check_clock_trace,
     end_to_end,
-    run_annotated,
 )
 
 EXIT_OK = 0
@@ -167,10 +167,13 @@ def _budget(cons: Construction, args: argparse.Namespace) -> int:
 
 
 def _write(args: argparse.Namespace, name: str, text: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
     return path
 
 
@@ -197,7 +200,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     cons = _build(instance, args)
     policy = _start_policy(cons, instance)
-    result = run_annotated(cons, policy, tie=args.tie, budget=_budget(cons, args))
+    result = run_policy_iteration(
+        cons.mdp, policy, tie=args.tie, budget=_budget(cons, args), watchers=[TraceAnnotator(cons)]
+    )
     _write(args, "trace.jsonl", trace_to_jsonl(cons.mdp, result.trace))
     summary = {
         "instance": instance.label,
@@ -220,9 +225,9 @@ AUDIT_NEEDS = {"clock": "clock", "catalog": "circuit", "transition": "circuit"}
 def _verify_reports(instance: Instance, args: argparse.Namespace) -> list:
     """Every requested audit, made on one run that carries all of their watchers.
 
-    The run also checks the values of every policy it reaches against a
-    fresh evaluation (``crosscheck``); ``run`` and ``decide`` check only
-    the final policy.
+    The first watcher, ``fresh_value_check``, checks the values of every
+    policy the run reaches against a fresh evaluation, before any audit
+    reads them; ``run`` and ``decide`` check only the final policy.
     """
     which = args.which
     if AUDIT_NEEDS.get(which, instance.kind) != instance.kind:
@@ -236,7 +241,9 @@ def _verify_reports(instance: Instance, args: argparse.Namespace) -> list:
     policy = _start_policy(cons, instance)
     budget = _budget(cons, args)
     clock = ClockAuditor(cons) if "clock" in wants else None
-    watchers = [clock] if clock is not None else []
+    watchers = [fresh_value_check(cons.mdp)]
+    if clock is not None:
+        watchers.append(clock)
     if wants & {"catalog", "transition"}:
         watchers.append(TraceAnnotator(cons))
     if "equivalence" in wants:
@@ -247,13 +254,10 @@ def _verify_reports(instance: Instance, args: argparse.Namespace) -> list:
             tie=args.tie,
             budget=budget,
             watchers=watchers,
-            crosscheck=True,
         )
         result = eq.run
     else:
-        result = run_policy_iteration(
-            cons.mdp, policy, tie=args.tie, budget=budget, watchers=watchers, crosscheck=True
-        )
+        result = run_policy_iteration(cons.mdp, policy, tie=args.tie, budget=budget, watchers=watchers)
 
     reports = []
     if clock is not None:
@@ -348,8 +352,9 @@ FLAGS = {
 }
 SOURCE = ("circuit", "tm", "builtin", "input", "space")
 # The flags each command reads, and so the only ones its parser accepts.
-# build never reads --tie; it keeps the flag so that one --tie can be passed
-# to every command alike (CI's hash-seed loop does so).
+# build never reads --tie, and decide writes nothing to --out; each keeps the
+# flag so that one --tie and one --out can be passed to every command alike
+# (CI's hash-seed loop and the benchmark runner do so).
 COMMANDS = {
     "build": (cmd_build, SOURCE + ("tie", "alpha", "out")),
     "run": (cmd_run, SOURCE + ("bits", "tie", "alpha", "budget", "out")),

@@ -41,7 +41,6 @@ from .mdp import (
     Mdp,
     Policy,
     add_gadget,
-    default_budget,
     make_policy,
     mdp_to_json,
 )
@@ -471,7 +470,8 @@ class Construction:
     w: Fraction | None = None
 
     def budget(self) -> int:
-        return default_budget(self.params.n, self.mdp.num_states)
+        """Iteration cap: ten times the expected phase count (2^n) times the state count."""
+        return 10 * (2**self.params.n) * self.mdp.num_states
 
     def input_bits(self) -> range:
         assert self.circuit is not None

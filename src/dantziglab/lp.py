@@ -434,7 +434,6 @@ def check_pi_simplex_equivalence(
     tie: TieBreak = TieBreak(),
     budget: int,
     watchers: Iterable[Watcher] = (),
-    crosscheck: bool = False,
 ) -> EquivalenceReport:
     """Run greedy policy iteration once, with a ``Lockstep`` auditing that run.
 
@@ -442,13 +441,11 @@ def check_pi_simplex_equivalence(
     basis, duals, reduced costs and pivot with what the run hands it, and at
     the final policy its kept vectors with a from-scratch solve; its ties
     come from its own picker, made from the same ``tie`` as the run's.
-    ``watchers`` and ``crosscheck`` go to the same run, and the report
+    ``watchers`` go to the same run, ahead of the lockstep, and the report
     keeps the run as ``run``.
     """
     lockstep = Lockstep(mdp, policy, sink, tie=tie)
-    result = run_policy_iteration(
-        mdp, policy, tie=tie, budget=budget, watchers=[*watchers, lockstep], crosscheck=crosscheck
-    )
+    result = run_policy_iteration(mdp, policy, tie=tie, budget=budget, watchers=[*watchers, lockstep])
     report = lockstep.finish(result)
     report.run = result
     return report

@@ -32,8 +32,8 @@ the appeals that read their values.  A switch that closes a cycle or picks
 a rewarded self-loop sends the run to a full evaluation instead.
 ``evaluate_values`` and the full ``appeals`` pass are the oracles: every
 run ends by checking its kept values and appeals against them, and that no
-fresh appeal is positive; with ``crosscheck`` it checks the values of every
-policy it reaches.
+fresh appeal is positive.  The watcher ``fresh_value_check`` checks the
+values of every policy a run reaches against the same oracle.
 """
 
 from __future__ import annotations
@@ -486,11 +486,6 @@ class PIResult:
         return replayed
 
 
-def default_budget(n_bits: int, num_states: int) -> int:
-    """Iteration cap: ten times the expected phase count times the state count."""
-    return 10 * (2**n_bits) * num_states
-
-
 def _switch_reach(
     mdp: Mdp, policy: Policy, entering: Sequence[Sequence[int]], state: int
 ) -> tuple[set[int], set[int]]:
@@ -534,6 +529,26 @@ def _crosscheck(
             )
 
 
+def fresh_value_check(mdp: Mdp) -> Watcher:
+    """A watcher that checks the values handed at each switch against a fresh evaluation.
+
+    It raises ``CrosscheckError`` at the first state whose kept value
+    differs from ``evaluate_values`` of the policy before the switch.  The
+    first switch is skipped: its values are the start policy's own
+    from-scratch evaluation.  Put first among a run's watchers, it fires
+    before any other reads a wrong value; the final policy is checked by
+    the run itself.
+    """
+
+    def check(
+        event: TraceEvent, policy: Policy, values: Sequence[Fraction], gains: Sequence[Fraction]
+    ) -> None:
+        if event.iteration:
+            _crosscheck(values, evaluate_values(mdp, policy), mdp.state_names, "value", event.iteration)
+
+    return check
+
+
 def run_policy_iteration(
     mdp: Mdp,
     policy: Policy,
@@ -541,7 +556,6 @@ def run_policy_iteration(
     tie: TieBreak = TieBreak(),
     budget: int,
     watchers: Iterable[Watcher] = (),
-    crosscheck: bool = False,
 ) -> PIResult:
     """Greedy single-switch policy iteration to optimality, with a full trace.
 
@@ -559,9 +573,8 @@ def run_policy_iteration(
     ``CrosscheckError`` unless they equal the kept ones and none of the
     fresh appeals is positive.  So the run may stop only at a policy the
     oracle finds optimal, whether or not the kept set of positive appeals
-    was complete.  With ``crosscheck`` the run also compares the values of
-    every policy it switches to with a fresh evaluation, which then serves
-    the final check as well.
+    was complete.  To check the values of every policy it reaches, attach
+    ``fresh_value_check``.
 
     Each watcher sees every switch as (event, policy before the switch,
     that policy's values, its appeals); the final policy, its values and
@@ -579,17 +592,15 @@ def run_policy_iteration(
         for t in act.transitions:
             entering[t].append(aid)
     values = evaluate_values(mdp, policy)
-    fresh: list[Fraction] | None = values  # the current policy's values from scratch, when known
     gains = appeals(mdp, policy, values)
     positive = {aid: appeal for aid, appeal in enumerate(gains) if appeal > 0}
     while True:
         step = dantzig_step(mdp, policy, pick, positive)
         if step is None:
-            if fresh is None:
-                fresh = evaluate_values(mdp, policy)
-                _crosscheck(values, fresh, mdp.state_names, "value", len(trace))
+            oracle = evaluate_values(mdp, policy)
+            _crosscheck(values, oracle, mdp.state_names, "value", len(trace))
             names = [a.name for a in mdp.actions]
-            final = appeals(mdp, policy, fresh)
+            final = appeals(mdp, policy, oracle)
             _crosscheck(gains, final, names, "appeal", len(trace))
             for name, appeal in zip(names, final):
                 if appeal > 0:
@@ -611,13 +622,8 @@ def run_policy_iteration(
         for s in changed:
             start[s] = None
         resolved = _acyclic_expectation(mdp, policy, values=start, roots=changed)
-        if resolved is None:  # the switch closed a cycle or picked a rewarded self-loop
-            fresh = values = evaluate_values(mdp, policy)
-        else:
-            values, fresh = resolved, None
-            if crosscheck:
-                fresh = evaluate_values(mdp, policy)
-                _crosscheck(values, fresh, mdp.state_names, "value", len(trace))
+        # None: the switch closed a cycle or picked a rewarded self-loop.
+        values = resolved if resolved is not None else evaluate_values(mdp, policy)
         gains = list(gains)
         for aid in stale:
             appeal = gains[aid] = _appeal(mdp.actions[aid], values)

@@ -353,23 +353,6 @@ def classify_event(construction: Construction, event: TraceEvent, phase: int) ->
     return "unexpected", extra
 
 
-def run_annotated(
-    construction: Construction,
-    policy: Policy,
-    *,
-    tie: TieBreak = TieBreak(),
-    budget: int | None = None,
-) -> PIResult:
-    """Run the greedy rule with the trace annotator attached."""
-    return run_policy_iteration(
-        construction.mdp,
-        policy,
-        tie=tie,
-        budget=budget if budget is not None else construction.budget(),
-        watchers=[TraceAnnotator(construction)],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Appeal catalog
 
@@ -780,6 +763,12 @@ def end_to_end(
     else:
         construction = build_construction_z(negated, z, w=bound_w(derive_params(negated)))
         decide, oracle = decide_dantzig_mdp_sol, decide_circuitvalue
-    run = run_annotated(construction, initial_policy(construction, b_init), tie=tie, budget=budget)
+    run = run_policy_iteration(
+        construction.mdp,
+        initial_policy(construction, b_init),
+        tie=tie,
+        budget=budget if budget is not None else construction.budget(),
+        watchers=[TraceAnnotator(construction)],
+    )
     verdict = decide(construction.mdp, run, construction.index.action(f"o0_{z}->r0_{z}"))
     return EndToEnd(construction, run, verdict, oracle(circuit_f, b_init, z))

@@ -49,11 +49,15 @@ def tight_decision_run(plain, b_init, z):
     of ``bound_w``.
     """
     from dantziglab.construction import build_construction_z, initial_policy
-    from dantziglab.verify import run_annotated
+    from dantziglab.mdp import run_policy_iteration
+    from dantziglab.verify import TraceAnnotator
 
     w = max(plain.run.values)
     cons = build_construction_z(plain.construction.circuit, z, w=w)
-    return cons, run_annotated(cons, initial_policy(cons, b_init))
+    run = run_policy_iteration(
+        cons.mdp, initial_policy(cons, b_init), budget=cons.budget(), watchers=[TraceAnnotator(cons)]
+    )
+    return cons, run
 
 
 def policy_graph_is_acyclic(mdp, policy) -> bool:

@@ -59,6 +59,27 @@ def test_unknown_builtin_is_input_error(tmp_path):
     assert run_cli("build", "--builtin", "nonsense", "--out", str(tmp_path)) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["build", "--builtin", "identity1"], "manifest.json"),
+        (["run", "--builtin", "identity1", "--bits", "1"], "trace.jsonl"),
+        (["verify", "--builtin", "identity1", "--bits", "1", "--which", "all"], "report.json"),
+    ],
+    ids=["build", "run", "verify"],
+)
+def test_an_unwritable_out_is_input_error(tmp_path, capsys, argv, first):
+    # --out names an existing file, so nothing can be written under it; an
+    # escaping OSError would exit 1, which reads as "verdict false".
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run_cli(*argv, "--out", str(blocker)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: cannot write {os.path.join(str(blocker), first)}: ")
+    assert blocker.read_text() == ""
+
+
 def test_run_clock_event_count(tmp_path):
     out = str(tmp_path / "run2")
     assert run_cli("run", "--builtin", "clock:n=2", "--out", out) == 0
@@ -419,8 +440,9 @@ def test_verify_all_evaluates_each_policy_once(tmp_path, patch_everywhere):
     assert run_cli("verify", "--builtin", "clock:n=3", "--which", "all", "--out", out) == 0
     report = json.loads(read(os.path.join(out, "report.json")))
     assert [r["name"] for r in report["reports"]] == ["clock", "equivalence"]
-    # verify crosschecks each policy of the 7-switch run against one fresh
-    # evaluation, which the engine's own update never calls.  The engine,
+    # verify's first watcher checks each policy of the 7-switch run after the
+    # start against one fresh evaluation, which the engine's own update never
+    # calls, and the run checks its final policy the same way.  The engine,
     # the clock oracle and the lockstep share one full appeal pass at the
     # start; after each switch the engine recomputes only the appeals it
     # changed, and the run ends with the one from-scratch pass it checks
@@ -439,8 +461,8 @@ def test_a_crosscheck_failure_exits_4_not_verdict_false(tmp_path, monkeypatch, c
         return solved
 
     monkeypatch.setattr(mdp, "_acyclic_expectation", corrupting)
-    # verify compares every switch with a fresh evaluation, before any
-    # auditor reads the wrong value.
+    # verify's first watcher compares every switch with a fresh evaluation,
+    # before any auditor reads the wrong value.
     assert run_cli("verify", "--builtin", "rot2", "--bits", "11", "--which", "all", "--out", str(tmp_path)) == 4
     err = capsys.readouterr().err
     assert err.startswith("invariant violation: after switch 1 the kept value of ")

@@ -34,6 +34,7 @@ from dantziglab.mdp import (
     decide_dantzig_mdp_sol,
     evaluate_gain,
     evaluate_values,
+    fresh_value_check,
     make_policy,
     mdp_to_json,
     parse_tiebreak,
@@ -653,10 +654,14 @@ def _counting_evaluations(monkeypatch):
 def test_crosscheck_finds_every_incremental_solve_equal_to_a_fresh_evaluation(make, tie, monkeypatch):
     m, start = make()
     calls = _counting_evaluations(monkeypatch)
-    checked = run_policy_iteration(m, start, tie=parse_tiebreak(tie), budget=100_000, crosscheck=True)
+    checked = run_policy_iteration(
+        m, start, tie=parse_tiebreak(tie), budget=100_000, watchers=[fresh_value_check(m)]
+    )
     assert checked.iterations > 0
-    # The start policy, then one fresh evaluation per switch; none of these
-    # instances closes a cycle, so the incremental walk never falls back.
+    # The start policy, one fresh evaluation per later policy (the watcher
+    # checks each switch after the first, the run its final policy); none
+    # of these instances closes a cycle, so the incremental walk never
+    # falls back.
     assert len(calls) == checked.iterations + 1
     calls.clear()
     plain = run_policy_iteration(m, start, tie=parse_tiebreak(tie), budget=100_000)
@@ -721,7 +726,9 @@ def test_crosscheck_catches_an_ancestor_left_out_of_the_changed_states(tie, monk
     monkeypatch.setattr(mdp_module, "_switch_reach", drop_one_ancestor)
     m, start = _construction_start(rotation_circuit(2), (1, 1))
     with pytest.raises(CrosscheckError, match=r"^after switch \d+ the kept value of "):
-        run_policy_iteration(m, start, tie=parse_tiebreak(tie), budget=10_000, crosscheck=True)
+        run_policy_iteration(
+            m, start, tie=parse_tiebreak(tie), budget=10_000, watchers=[fresh_value_check(m)]
+        )
     assert len(dropped) == 1  # caught at the first switch that left one out
 
 

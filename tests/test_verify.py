@@ -16,10 +16,11 @@ from dantziglab.construction import (
     make_params,
 )
 from dantziglab.library import constant_zero_circuit, identity_circuit, rotation_circuit
-from dantziglab.mdp import decide_dantzig_mdp_sol, evaluate_values, run_policy_iteration
+from dantziglab.mdp import TraceEvent, decide_dantzig_mdp_sol, evaluate_values, run_policy_iteration
 from dantziglab.verify import (
     ClockAuditor,
     ClockOracle,
+    TraceAnnotator,
     audit_appeal_catalog,
     check_all_transitions,
     check_b_correct,
@@ -33,7 +34,6 @@ from dantziglab.verify import (
     gray_code,
     least_significant_zero,
     phase_from_values,
-    run_annotated,
     _transition_failures,
 )
 
@@ -132,6 +132,19 @@ def test_clock_auditor_flags_a_policy_or_a_value_off_the_oracle():
     assert auditor.policy_failures == ["step 5: value of c1 differs from the oracle"]
 
 
+def test_clock_auditor_flags_a_switch_outside_the_clock():
+    # Every state of a clock but the clock states has one action, so no run
+    # switches one; the auditor is handed such an event directly.
+    cons = build_clock(3)
+    auditor = ClockAuditor(cons)
+    policy = clock_initial_policy(cons)
+    c0 = cons.index.state("c0")
+    (only,) = cons.mdp.state_actions[c0]
+    auditor(TraceEvent(0, c0, only, only, Fraction(1, 4)), policy, evaluate_values(cons.mdp, policy), [])
+    assert auditor.switch_failures == ["step 0: switch outside the clock at c0"]
+    assert auditor.policy_failures == auditor.band_failures == []
+
+
 def test_printed_alpha_is_an_expected_fail():
     cons = build_clock(2, make_params(2, 0, alpha_mode="printed"))
     auditor = ClockAuditor(cons)
@@ -157,7 +170,7 @@ NEG_ROT2 = negated_form(normalize_depths(rotation_circuit(2)))
 def rot2_run():
     cons = build_construction(NEG_ROT2)
     policy = initial_policy(cons, (1, 1))
-    result = run_annotated(cons, policy)
+    result = run_policy_iteration(cons.mdp, policy, budget=cons.budget(), watchers=[TraceAnnotator(cons)])
     return cons, policy, result
 
 
