@@ -29,7 +29,14 @@ transition into each state, following only the actions the new policy
 chooses.  It re-solves just those states, by the same depth-first walk
 started from them over the kept values of the others, and recomputes only
 the appeals that read their values.  A switch that closes a cycle or picks
-a rewarded self-loop sends the run to a full evaluation instead.
+a rewarded self-loop sends the run to a full evaluation instead.  Values
+come from each action's ``solved`` equation, appeals from its
+``lookahead``, read straight off the raw transitions: so after each
+re-solve the run checks the Bellman residual, that every re-solved state's
+chosen action has appeal exactly 0, by arithmetic the evaluation does not
+share.  Each positive appeal is kept with an integer key, its floor at
+``_KEY_BITS`` fraction bits, so the greedy pick compares machine ints and
+reaches the Fractions only where two keys are equal.
 ``evaluate_values`` and the full ``appeals`` pass are the oracles: every
 run ends by checking its kept values and appeals against them, and that no
 fresh appeal is positive.  The watcher ``fresh_value_check`` checks the
@@ -70,15 +77,15 @@ class IterationBudgetExceededError(RuntimeError):
 
 
 class CrosscheckError(RuntimeError):
-    """The values or appeals a run kept differ from a from-scratch evaluation."""
+    """The values or appeals a run kept differ from a from-scratch evaluation, or leave a Bellman residual."""
 
 
 @dataclass
 class Action:
     """One action: its state, reward and transition probabilities.
 
-    Actions do not change after ``Mdp.add_action``; ``solved`` is computed
-    from them once, on first use, and kept.
+    Actions do not change after ``Mdp.add_action``; ``solved`` and
+    ``lookahead`` are each computed from them once, on first use, and kept.
     """
 
     state: int
@@ -101,6 +108,18 @@ class Action:
         leave = 1 - stay
         exits = tuple((t, p / leave) for t, p in self.transitions.items() if t != self.state)
         return self.reward / leave, exits
+
+    @cached_property
+    def lookahead(self) -> tuple[Fraction, Fraction, tuple[tuple[int, Fraction], ...]]:
+        """The one-step lookahead read straight off ``transitions``, for ``_appeal``.
+
+        Returns ``(reward, leave, exits)``: ``leave`` is 1 minus the
+        self-loop mass and ``exits`` are the transitions ``(t, p)`` with
+        ``t != state``, undivided.  It shares nothing with ``solved``, so an
+        appeal checks the values ``solved`` gave by a route of its own.
+        """
+        exits = tuple((t, p) for t, p in self.transitions.items() if t != self.state)
+        return self.reward, 1 - self.transitions.get(self.state, ZERO), exits
 
 
 class Mdp:
@@ -359,10 +378,23 @@ def evaluate_gain(mdp: Mdp, policy: Policy) -> list[Fraction]:
 
 
 def _appeal(act: Action, values: Sequence[Fraction]) -> Fraction:
-    acc = act.reward
-    for t, p in act.transitions.items():
-        acc += p * values[t]
-    return acc - values[act.state]
+    """``reward + sum p(t) v(t) - v(s)``, from ``Action.lookahead`` in few Fraction operations.
+
+    A sole exit, whose probability is then ``leave``, gives
+    ``reward + p (v(t) - v(s))``; any other action gives
+    ``reward + sum p v(t) - leave v(s)``.
+    """
+    reward, leave, exits = act.lookahead
+    if len(exits) == 1:
+        t, p = exits[0]
+        acc = values[t] - values[act.state]
+        if p != 1:
+            acc = p * acc
+    else:
+        acc = -leave * values[act.state]
+        for t, p in exits:
+            acc += p * values[t]
+    return acc + reward if reward else acc
 
 
 def appeals(mdp: Mdp, policy: Policy, values: Sequence[Fraction]) -> list[Fraction]:
@@ -433,34 +465,40 @@ class TraceEvent:
 # policy's values, its appeals): the very numbers the run picked it from.
 Watcher = Callable[[TraceEvent, Policy, Sequence[Fraction], Sequence[Fraction]], None]
 
+# The fraction bits an appeal's selection key keeps.  Equal keys go on to
+# compare the appeals, so no value of it changes a result.
+_KEY_BITS = 64
+
+
+def _keyed(appeal: Fraction) -> tuple[int, Fraction]:
+    """``(floor(appeal * 2**_KEY_BITS), appeal)``: ordered exactly as the appeals are."""
+    return (appeal.numerator << _KEY_BITS) // appeal.denominator, appeal
+
 
 def dantzig_step(
     mdp: Mdp,
     policy: Policy,
     pick: Picker,
-    positive: dict[int, Fraction],
+    positive: dict[int, tuple[int, Fraction]],
 ) -> tuple[Policy, TraceEvent] | None:
     """One greedy switch: the action of maximal positive appeal, or None at optimum.
 
     ``positive`` maps each action of positive appeal under the policy to
-    that appeal.  The engine builds it from its one full appeal pass per
-    run and, after each switch, updates only the appeals the switch
-    changed.  ``pick`` is the run's tie picker (``TieBreak.picker``), made
-    once per run; it picks the same action whatever order the candidates
-    come in.
+    ``_keyed(appeal)``.  Flooring keeps order, so the pairs sort exactly as
+    their appeals do: the maximum and its ties are found comparing machine
+    ints, and two appeals are compared as Fractions only where their keys
+    are equal.  The engine
+    builds the map from its one full appeal pass per run and, after each
+    switch, updates only the appeals the switch changed.  ``pick`` is the
+    run's tie picker (``TieBreak.picker``), made once per run; it picks the
+    same action whatever order the candidates come in.
     """
-    best: Fraction | None = None
-    candidates: list[tuple[int, int]] = []
-    for aid, appeal in positive.items():
-        if best is None or appeal > best:
-            best = appeal
-            candidates = [(mdp.actions[aid].state, aid)]
-        elif appeal == best:
-            candidates.append((mdp.actions[aid].state, aid))
-    if best is None:
+    if not positive:
         return None
+    top = max(positive.values())
+    candidates = [(mdp.actions[aid].state, aid) for aid, key in positive.items() if key == top]
     state, aid = pick(candidates)
-    event = TraceEvent(0, state, policy.choice[state], aid, best)
+    event = TraceEvent(0, state, policy.choice[state], aid, top[1])
     return policy.with_switch(state, aid), event
 
 
@@ -568,6 +606,11 @@ def run_policy_iteration(
     run then evaluates the new policy in full, which solves a transient
     cycle exactly and raises the chain-structure error for anything else.
 
+    After each re-solve it raises ``CrosscheckError`` unless the appeal of
+    every re-solved state's chosen action, just recomputed from the raw
+    transitions, is exactly 0.  The positive appeals are kept with their
+    integer keys for ``dantzig_step``.
+
     ``evaluate_values`` stays the oracle.  Every run ends by deriving its
     final policy's values and all appeals from scratch, and raises
     ``CrosscheckError`` unless they equal the kept ones and none of the
@@ -593,7 +636,7 @@ def run_policy_iteration(
             entering[t].append(aid)
     values = evaluate_values(mdp, policy)
     gains = appeals(mdp, policy, values)
-    positive = {aid: appeal for aid, appeal in enumerate(gains) if appeal > 0}
+    positive = {aid: _keyed(appeal) for aid, appeal in enumerate(gains) if appeal > 0}
     while True:
         step = dantzig_step(mdp, policy, pick, positive)
         if step is None:
@@ -628,9 +671,16 @@ def run_policy_iteration(
         for aid in stale:
             appeal = gains[aid] = _appeal(mdp.actions[aid], values)
             if appeal > 0:
-                positive[aid] = appeal
+                positive[aid] = _keyed(appeal)
             else:
                 positive.pop(aid, None)
+        residual = [s for s in changed if gains[policy.choice[s]]]
+        if residual:
+            s = min(residual)
+            raise CrosscheckError(
+                f"after switch {len(trace)} the chosen action at {mdp.state_names[s]} "
+                f"has appeal {format_rational(gains[policy.choice[s]])}, not 0"
+            )
 
 
 def decide_action_switch(mdp: Mdp, result: PIResult, action: int) -> bool:

@@ -53,7 +53,6 @@ from .mdp import (
     make_policy,
     run_policy_iteration,
 )
-from .numerics import ZERO
 
 HALF = Fraction(1, 2)
 FLOOR = Fraction(7, 2)
@@ -118,25 +117,25 @@ class ClockOracle:
         """The clock state switched when leaving the j-th policy."""
         return self.f(least_significant_zero(j))
 
-    def x(self, j: int, i: int) -> Fraction:
+    def x(self, j: int, i: int) -> int:
         f = self.f(i)
-        return Fraction(2**f + (j >> (f + 1)) * 2 ** (f + 1))
+        return 2**f + (j >> (f + 1)) * 2 ** (f + 1)
 
-    def y(self, j: int, i: int) -> Fraction:
+    def y(self, j: int, i: int) -> int:
         f = self.f(i)
-        return Fraction(((j + 2 ** (f - 1)) >> f) * 2**f)
+        return ((j + 2 ** (f - 1)) >> f) * 2**f
 
     def switch_appeal(self, i: int) -> Fraction:
         return HALF - Fraction(1, 4 * i)
 
-    def values(self, j: int) -> dict[str, Fraction]:
-        """Expected state values at the j-th policy, in units of the phase gap."""
-        vals: dict[str, Fraction] = {
-            "si": ZERO,
-            "si'": Fraction(2 ** (self.n + 1)),
-            "0": ZERO,
-            "c1": Fraction(1 + 2 * (j >> 1)),
-            "c0": Fraction(2 * ((j + 1) >> 1)),
+    def values(self, j: int) -> dict[str, int]:
+        """Expected state values at the j-th policy: integers, in units of the phase gap."""
+        vals = {
+            "si": 0,
+            "si'": 2 ** (self.n + 1),
+            "0": 0,
+            "c1": 1 + 2 * (j >> 1),
+            "c0": 2 * ((j + 1) >> 1),
         }
         for i in range(1, self.n + 1):
             vals[f"{i}'"] = self.x(j, i)
@@ -179,7 +178,7 @@ class ClockAuditor:
         self.clock_moves = [
             (index.clock(i), index.action(f"{i}~>{i}'"), index.action(f"{i}~>{i - 1}")) for i in range(1, n + 1)
         ]
-        self.value_states = {name: index.state(name) for name in self.oracle.values(0)}
+        self.value_states = [(name, index.state(name)) for name in self.oracle.values(0)]
         self.policy_failures: list[str] = []
         self.switch_failures: list[str] = []
         self.band_failures: list[str] = []
@@ -213,11 +212,12 @@ class ClockAuditor:
             if policy.choice[sid] != (down if bit else right):
                 self.policy_failures.append(f"step {j}: state {i} off the Gray-code sequence")
         t = self.construction.params.t
-        for name, scaled in self.oracle.values(j).items():
-            value = values[self.value_states[name]]
+        t_num, t_den = t.numerator, t.denominator
+        # values() lists its names in one order for every j.
+        for (name, sid), scaled in zip(self.value_states, self.oracle.values(j).values()):
+            value = values[sid]
             # value == t * scaled, cross-multiplied over the integers
-            lhs = value.numerator * t.denominator * scaled.denominator
-            if lhs != t.numerator * scaled.numerator * value.denominator:
+            if value.numerator * t_den != t_num * scaled * value.denominator:
                 self.policy_failures.append(f"step {j}: value of {name} differs from the oracle")
 
 

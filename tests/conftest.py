@@ -70,3 +70,30 @@ def policy_graph_is_acyclic(mdp, policy) -> bool:
     except CycleError:
         return False
     return True
+
+
+def planting_walk(where: str):
+    """``mdp._acyclic_expectation`` with one wrong value planted after each re-solve.
+
+    The walk runs as is, then 1 is added to the value of the lowest
+    re-solved state (``where="resolved"``), or of the lowest kept state that
+    no re-solved state's chosen action enters (``where="kept"``).  The
+    engine's residual check sees the first at once; the second leaves every
+    residual at 0, so only a from-scratch evaluation can see it.
+    """
+    from dantziglab import mdp
+
+    walk = mdp._acyclic_expectation
+
+    def corrupting(m, policy, *, values=None, roots=None):
+        kept = None if values is None else {s for s, v in enumerate(values) if v is not None}
+        solved = walk(m, policy, values=values, roots=roots)
+        if roots is not None and solved is not None:
+            if where == "resolved":
+                solved[min(roots)] += 1
+            else:
+                entered = {t for s in roots for t in m.actions[policy.choice[s]].transitions}
+                solved[min(kept - entered)] += 1
+        return solved
+
+    return corrupting

@@ -7,6 +7,8 @@ import re
 
 import pytest
 
+from conftest import planting_walk
+
 from dantziglab import mdp
 from dantziglab.circuit import decide_bitswitch, save_circuit
 from dantziglab.cli import _parser, main
@@ -452,20 +454,48 @@ def test_verify_all_evaluates_each_policy_once(tmp_path, patch_everywhere):
 
 
 def test_a_crosscheck_failure_exits_4_not_verdict_false(tmp_path, monkeypatch, capsys):
-    walk = mdp._acyclic_expectation
-
-    def corrupting(m, policy, *, values=None, roots=None):
-        solved = walk(m, policy, values=values, roots=roots)
-        if roots is not None and solved is not None:
-            solved[min(roots)] += 1  # one wrong value from the incremental walk
-        return solved
-
-    monkeypatch.setattr(mdp, "_acyclic_expectation", corrupting)
+    # One wrong kept value that no re-solved state's chosen action reads:
     # verify's first watcher compares every switch with a fresh evaluation,
-    # before any auditor reads the wrong value.
+    # before any auditor reads it.
+    monkeypatch.setattr(mdp, "_acyclic_expectation", planting_walk("kept"))
     assert run_cli("verify", "--builtin", "rot2", "--bits", "11", "--which", "all", "--out", str(tmp_path)) == 4
     err = capsys.readouterr().err
     assert err.startswith("invariant violation: after switch 1 the kept value of ")
+
+
+def test_a_residual_failure_exits_4_not_verdict_false(tmp_path, monkeypatch, capsys):
+    # One wrong re-solved value: its chosen action's appeal is not 0.
+    monkeypatch.setattr(mdp, "_acyclic_expectation", planting_walk("resolved"))
+    assert run_cli("verify", "--builtin", "rot2", "--bits", "11", "--which", "all", "--out", str(tmp_path)) == 4
+    err = capsys.readouterr().err
+    assert err == "invariant violation: after switch 1 the chosen action at o0_3 has appeal -1, not 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--builtin", "rot2", "--bits", "11"],
+        ["decide", "--builtin", "rot2", "--bits", "11", "--z", "1", "--problem", "dantzigsol"],
+        ["decide", "--builtin", "rot2", "--bits", "11", "--z", "1", "--problem", "actionswitch"],
+    ],
+    ids=["run", "decide-dantzigsol", "decide-actionswitch"],
+)
+def test_a_wrong_solved_form_fails_the_bellman_residual(tmp_path, monkeypatch, capsys, argv):
+    # The solved form forgets to divide a rewarded self-loop's reward by the
+    # leaving mass.  evaluate_values reads the same form, so the run's values
+    # agree with it; only the appeals, read off the raw transitions, see it.
+    def unscaled(act):
+        stay = act.transitions.get(act.state, 0)
+        if stay == 1:
+            return None
+        exits = tuple((t, p / (1 - stay)) for t, p in act.transitions.items() if t != act.state)
+        return act.reward, exits
+
+    monkeypatch.setattr(mdp.Action, "solved", property(unscaled))
+    assert run_cli(*argv, "--out", str(tmp_path)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invariant violation: after switch 9 the chosen action at o0_12 has appeal 8/9, not 0\n"
 
 
 @pytest.mark.parametrize(

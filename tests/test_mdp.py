@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from conftest import policy_graph_is_acyclic
+from conftest import planting_walk, policy_graph_is_acyclic
 from hypothesis import given, settings, strategies as st
 
 from dantziglab import mdp as mdp_module
@@ -18,7 +18,7 @@ from dantziglab.construction import (
     initial_policy,
     make_params,
 )
-from dantziglab.library import identity_circuit, rotation_circuit
+from dantziglab.library import BUILTIN_CIRCUITS, identity_circuit, rotation_circuit, writer_machine
 from dantziglab.mdp import (
     BadProbabilityError,
     CrosscheckError,
@@ -40,6 +40,7 @@ from dantziglab.mdp import (
     parse_tiebreak,
     run_policy_iteration,
 )
+from dantziglab.turing import compile_machine
 
 ONE = Fraction(1)
 
@@ -222,6 +223,49 @@ def test_appeal_of_chosen_action_is_zero():
         gains = appeals(m, policy, values)
         for state, aid in enumerate(policy.choice):
             assert gains[aid] == 0
+
+
+def _hand_made_appeal_mdp():
+    m, sink = sink_mdp()
+    s, a, b = (m.add_state(name) for name in "sab")
+    m.add_action(s, {s: ONE}, 0)  # pure self-loop
+    m.add_action(s, {s: ONE}, Fraction(-3, 2))  # rewarded pure self-loop
+    m.add_action(s, {s: Fraction(2, 3), a: Fraction(1, 3)}, Fraction(5, 7))  # rewarded self-loop with an exit
+    m.add_action(s, {a: Fraction(1, 6), b: Fraction(1, 3), sink: Fraction(1, 2)}, 2)  # three targets
+    m.add_action(s, {s: Fraction(1, 4), a: Fraction(1, 4), b: Fraction(1, 4), sink: Fraction(1, 4)}, -1)
+    m.add_action(a, {b: ONE}, 0)  # a plain hop
+    add_gadget(m, b, sink, Fraction(1, 5), 3, Fraction(3, 8))
+    return m
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(_hand_made_appeal_mdp, id="hand-made")]
+    + [
+        pytest.param(
+            lambda name=name: build_construction(negated_form(normalize_depths(BUILTIN_CIRCUITS[name]()))).mdp,
+            id=name,
+        )
+        for name in sorted(BUILTIN_CIRCUITS)
+    ]
+    + [
+        pytest.param(lambda: build_clock(4, make_params(4, 0)).mdp, id="clock4"),
+        pytest.param(
+            lambda: build_construction(negated_form(normalize_depths(compile_machine(writer_machine(), (), 1)[0]))).mdp,
+            id="writer",
+        ),
+    ],
+)
+def test_appeal_equals_the_textbook_lookahead(make):
+    m = make()
+    rng = random.Random(m.num_actions)
+    for _ in range(3):
+        values = [Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(m.num_states)]
+        for act in m.actions:
+            textbook = act.reward + sum(p * values[t] for t, p in act.transitions.items()) - values[act.state]
+            assert mdp_module._appeal(act, values) == textbook, act.name
+    # Appeals read their own form off the raw transitions, never the solved equation.
+    assert not any("solved" in vars(act) for act in m.actions)
 
 
 def test_values_satisfy_the_value_equation_by_substitution():
@@ -733,17 +777,18 @@ def test_crosscheck_catches_an_ancestor_left_out_of_the_changed_states(tie, monk
 
 
 def test_every_run_checks_its_final_policy_from_scratch(monkeypatch):
-    walk = mdp_module._acyclic_expectation
-
-    def corrupting(m, policy, *, values=None, roots=None):
-        solved = walk(m, policy, values=values, roots=roots)
-        if roots is not None and solved is not None:
-            solved[min(roots)] += 1
-        return solved
-
-    monkeypatch.setattr(mdp_module, "_acyclic_expectation", corrupting)
+    # A wrong kept value that no re-solved state's chosen action reads
+    # leaves every residual at 0, so only the final check can find it.
+    monkeypatch.setattr(mdp_module, "_acyclic_expectation", planting_walk("kept"))
     m, start = _construction_start(rotation_circuit(2), (1, 1))
     with pytest.raises(CrosscheckError, match=r"^after switch \d+ the kept value of "):
+        run_policy_iteration(m, start, budget=10_000)
+
+
+def test_a_wrong_resolved_value_fails_the_residual_check(monkeypatch):
+    monkeypatch.setattr(mdp_module, "_acyclic_expectation", planting_walk("resolved"))
+    m, start = _construction_start(rotation_circuit(2), (1, 1))
+    with pytest.raises(CrosscheckError, match=r"^after switch 1 the chosen action at o0_3 has appeal -1, not 0$"):
         run_policy_iteration(m, start, budget=10_000)
 
 
@@ -768,6 +813,28 @@ def test_tiebreak_rules_pick_expected_candidates():
         first_switch(m, policy, TieBreak("random:3")).state
         == first_switch(m, policy, TieBreak("random:3")).state
     )
+
+
+@pytest.mark.parametrize("tie", ["lowest", "highest", "random:3"])
+@pytest.mark.parametrize("larger", ["u", "v", "neither"])
+def test_appeals_closer_than_the_key_resolution_still_order_exactly(tie, larger):
+    # Switchable actions at u and v whose appeals differ by 2^-70 have equal
+    # selection keys, so only comparing the appeals tells them apart; two
+    # exactly equal appeals go to the tie picker.
+    m, sink = sink_mdp()
+    picks = {sink: 0}
+    candidates = []
+    for name in "uv":
+        s = m.add_state(name)
+        picks[s] = m.add_action(s, {sink: ONE}, 0)
+        reward = ONE if larger not in (name, "neither") else 1 + Fraction(1, 2**70)
+        candidates.append((s, m.add_action(s, {sink: ONE}, reward)))
+    event = first_switch(m, make_policy(m, picks), parse_tiebreak(tie))
+    if larger == "neither":
+        assert (event.state, event.new_action) == parse_tiebreak(tie).picker()(candidates)
+    else:
+        assert (event.state, event.new_action) == candidates["uv".index(larger)]
+    assert event.appeal == 1 + Fraction(1, 2**70)
 
 
 def _run_from(m, start):
