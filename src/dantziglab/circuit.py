@@ -158,9 +158,6 @@ class Circuit:
             problems.append("output bits have differing depths")
         return problems
 
-    def is_normalized(self) -> bool:
-        return not self.normalization_problems()
-
 
 def evaluate(c: Circuit, bits: Sequence[int]) -> tuple[int, ...]:
     """Truth value of every gate under the given input; index i lives at [i-1]."""
@@ -324,9 +321,3 @@ def circuit_from_json(data: dict) -> Circuit:
 def load_circuit(path: str) -> Circuit:
     with open(path, "r", encoding="utf-8") as fh:
         return circuit_from_json(json.load(fh))
-
-
-def save_circuit(c: Circuit, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(circuit_to_json(c), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -19,32 +19,32 @@ seeded rule draws from a generator of its own, seeded like the run's.  It
 never evaluates a policy or computes an appeal, so it stays independent of
 the engine it audits.
 
-A basis keeps its inverse as sparse rows (dicts from column to nonzero
-``Fraction``), built from the LP's sparse columns by one ``numerics.inverse``
-call per basis.  The basis is I - Pᵀ on the non-sink states, so its inverse
-is the transpose of Σ Pᵏ: row i holds column j exactly when row i's state is
-reachable from row j's state under the policy.  Every basis a run visits
-comes from a policy that is acyclic apart from self-loops, so it is
-triangular under a permutation and the inverse's singleton-first
-elimination stores nothing but those entries.  The entering direction
-looks each inverse row up only at the entering column's few nonzero rows.
-That inverse is still the largest cost of a pivot.  Most basis columns are
-a hop or a detour, whose one entry off the pivot is the negated pivot, so
-their elimination adds the pivot row with one Fraction addition per entry
-and neither divides nor multiplies (see ``numerics``).
+A basis keeps its inverse B⁻¹ by columns: column i is the sparse dict
+{position: B⁻¹[position][i]}.  The rows of Bᵀ are the basis columns of
+the LP, so one ``numerics.inverse`` call per basis on those columns gives
+(Bᵀ)⁻¹, whose rows are exactly these columns.  The basis is I - Pᵀ on the
+non-sink states, so its inverse is the transpose of Σ Pᵏ, the fundamental
+matrix of the absorbing chain: column i holds position j exactly when row
+j's state is reachable from row i's state under the policy.  Every basis a
+run visits comes from a policy that is acyclic apart from self-loops, so
+Bᵀ is triangular under a permutation and ``inverse`` substitutes in
+singleton order without elimination: a hop or a detour column makes its
+state's inverse column a copy of its target's plus one entry (see
+``numerics``).  The entering direction combines the two or three inverse
+columns at the entering column's nonzero rows.
 
 A basis also keeps its basic solution x_B, its duals y and its reduced
 costs.  Only the start basis computes them from scratch, with
-``Basis.basic_solution`` (each inverse row's sum times the uniform
-right-hand side 1/n) and ``dual_and_reduced_costs``.  Every pivot then
-carries them over by the revised-simplex update (Dantzig & Orchard-Hays
-1954): with d the entering direction, r the leaving position,
-θ = x_r/d_r and rc_q the entering reduced cost, x_B' = x_B − θ·d with
-x_r' = θ, y' = y + (rc_q/d_r)·B⁻¹[r], and only the columns with a nonzero
-in a row where y changed get their reduced cost recomputed.  The two
-from-scratch functions stay as the oracle: at the final policy the
-lockstep recomputes all three vectors and counts any difference from the
-kept ones as a divergence.
+``Basis.basic_solution`` (each position's entries summed across the
+inverse's columns, times the uniform right-hand side 1/n) and
+``dual_and_reduced_costs``.  Every pivot then carries them over by the
+revised-simplex update (Dantzig & Orchard-Hays 1954): with d the entering
+direction, r the leaving position, θ = x_r/d_r and rc_q the entering
+reduced cost, x_B' = x_B − θ·d with x_r' = θ, y' = y + (rc_q/d_r)·B⁻¹[r],
+and only the columns with a nonzero in a row where y changed get their
+reduced cost recomputed.  The two from-scratch functions stay as the
+oracle: at the final policy the lockstep recomputes all three vectors and
+counts any difference from the kept ones as a divergence.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def mdp_to_primal(mdp: Mdp, sink: int) -> LinearProgram:
 class Basis:
     lp: LinearProgram
     cols: tuple[int, ...]  # one column index per row, in row order
-    inv: list[dict[int, Fraction]]  # sparse rows of the basis inverse
+    inv_cols: list[dict[int, Fraction]]  # column i of B^-1 as {pos: B^-1[pos][i]}
     # Kept from pivot to pivot; ``fresh_vectors`` is their oracle.
     x_b: list[Fraction]  # basic solution, per row position
     y: list[Fraction]  # duals, per row
@@ -163,24 +163,23 @@ class Basis:
         return frozenset(self.lp.cols[j] for j in self.cols)
 
     def basic_solution(self) -> list[Fraction]:
-        """x_B = B^-1 · rhs: each inverse row's sum times 1/n.
+        """x_B = B^-1 · rhs: each position's entries across the inverse's columns, summed, times 1/n.
 
         The right-hand side is uniformly 1/n, as ``mdp_to_primal`` builds it.
         """
+        sums = [ZERO] * len(self.cols)
+        for column in self.inv_cols:
+            for pos, v in column.items():
+                sums[pos] += v
         share = self.lp.rhs[0]
-        return [share * sum(row.values(), ZERO) for row in self.inv]
+        return [share * v for v in sums]
 
     def direction(self, col: int) -> list[Fraction]:
-        """The entering direction B^-1 · a_col, read at ``a_col``'s nonzero rows only."""
-        column = self.lp.columns[col].items()
-        out = []
-        for row in self.inv:
-            acc = ZERO
-            for i, v in column:
-                e = row.get(i)
-                if e:
-                    acc += e * v
-            out.append(acc)
+        """The entering direction B^-1 · a_col: a combination of the inverse's columns at a_col's rows."""
+        out = [ZERO] * len(self.cols)
+        for i, a in self.lp.columns[col].items():
+            for pos, v in self.inv_cols[i].items():
+                out[pos] += v if a == 1 else a * v
         return out
 
 
@@ -191,15 +190,11 @@ def make_basis(lp: LinearProgram, cols: Sequence[int], kept: Kept | None = None)
     """The basis of ``cols``: its inverse, and ``kept`` or, without it, ``fresh_vectors``."""
     if len(cols) != lp.num_rows:
         raise LpError(f"basis needs {lp.num_rows} columns, got {len(cols)}")
-    rows: list[dict[int, Fraction]] = [{} for _ in cols]
-    for pos, j in enumerate(cols):
-        for i, v in lp.columns[j].items():
-            rows[i][pos] = v
     try:
-        inv = inverse(rows)
+        inv_cols = inverse([lp.columns[j] for j in cols])  # the rows of Bᵀ are the basis columns
     except SingularMatrixError as exc:
         raise SingularBasisError(f"dependent basis columns: {exc}") from exc
-    basis = Basis(lp, tuple(cols), inv, [], [], [])
+    basis = Basis(lp, tuple(cols), inv_cols, [], [], [])
     basis.x_b, basis.y, basis.reduced = kept if kept is not None else fresh_vectors(basis)
     return basis
 
@@ -217,14 +212,9 @@ def basis_from_policy(lp: LinearProgram, policy: Policy) -> Basis:
 
 def dual_and_reduced_costs(lp: LinearProgram, basis: Basis) -> tuple[list[Fraction], list[Fraction]]:
     """Dual solution y (per row) and reduced costs (per column) of the basis, from scratch."""
-    # y = B^-T · c_B: add up the rows of B^-1 whose basic objective is nonzero.
-    y = [ZERO] * lp.num_rows
-    for row, j in zip(basis.inv, basis.cols):
-        c = lp.objective[j]
-        if not c:
-            continue
-        for i, v in row.items():
-            y[i] += c * v
+    # y = B^-T · c_B: y[i] is column i of B^-1 against the basic objective.
+    c_b = [lp.objective[j] for j in basis.cols]
+    y = [sum((c_b[p] * v for p, v in column.items() if c_b[p]), ZERO) for column in basis.inv_cols]
     reduced = []
     for j in range(lp.num_cols):
         acc = lp.objective[j]
@@ -325,7 +315,7 @@ def _pivot(
         if d:
             x_b[pos] -= theta * d
     x_b[r] = theta
-    inv_r = basis.inv[r]
+    inv_r = {i: column[r] for i, column in enumerate(basis.inv_cols) if r in column}  # B^-1[r]
     factor = rc / direction[r]
     y = list(basis.y)
     for i, v in inv_r.items():

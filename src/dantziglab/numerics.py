@@ -12,27 +12,30 @@ included, raises ``TypeError``; a column key outside ``range(n)`` raises
 ``ValueError``; a given zero is dropped, and an entry that cancels to zero
 during elimination is deleted, so no row ever stores a zero.
 
-Both run one sparse Gauss-Jordan elimination over the rationals.  It pivots
-first on row singletons: rows with one nonzero left among the unpivoted
-columns, kept in a queue as in Kahn's topological sort (the "singleton"
-phase of LP basis factorization; Suhl & Suhl 1990, ORSA J. Computing 2(4)).
-A singleton's column is its only unpivoted entry, so eliminating that
-column from the rows that hold it touches only their right-hand sides.  A
+The inverse first tries substitution in singleton order, with no
+elimination (the "singleton" phase of LP basis factorization; Suhl & Suhl
+1990, ORSA J. Computing 2(4)).  The inverse X of A satisfies
+Σ_c a_rc·X[c] = e_r for every row r, so a row r with one column c whose X
+row is still unknown gives X[c] = e_r/a_rc − Σ_{k≠c} (a_rk/a_rc)·X[k].  The
+rows with one open column are kept on a stack, as in Kahn's topological
+sort; a row that runs out of open columns without becoming a pivot is
+dependent on the pivoted rows, so the matrix is singular.  A
 matrix that is triangular under some row and column permutation, as the
-basis of every acyclic policy is, therefore eliminates with no fill at all
-in its left block.  When no singleton is left (a transient cycle), the
-elimination pivots on the first unpivoted column's first open row, and a
-column with no nonzero left among the open rows means the matrix is
-singular.  The inverse and the solution are unique, so the pivot order
-never changes a result.
+transposed basis of every acyclic policy is, inverts this way completely.
+Most rows of those matrices are a hop {s: 1, t: -1} or a detour
+{s: p, mid: -p}, whose one coefficient a_rk/a_rc is exactly -1, so X[s] is
+a copy of X[t] or X[mid] plus the one entry 1/p: no Fraction is multiplied
+or divided across the copied row.
 
-Each row h holding the pivot column subtracts ratio × the unscaled pivot
-row, ratio = h's entry / the pivot, and only then is the pivot row divided
-by the pivot.  Most columns of the construction's LP bases are a hop
-{s: 1, t: -1} or a detour {s: p, mid: -p}, whose one entry off the pivot
-is the negated pivot.  That ratio is exactly -1, so eliminating it adds
-the pivot row with one Fraction addition per entry, where scaling first
-would divide each entry and then multiply the quotient back.
+Only when no singleton is left (a transient cycle), and always for the solver,
+does one sparse Gauss-Jordan elimination run.  It pivots first on row
+singletons too, then on the first unpivoted column's first open row, and a
+column with no nonzero left among the open rows means the matrix is
+singular.  Each row h holding the pivot column subtracts ratio × the
+unscaled pivot row, ratio = h's entry / the pivot, and only then is the
+pivot row divided by the pivot, so a ratio of exactly -1 adds the pivot
+row with one Fraction addition per entry.  The inverse and the solution
+are unique, so neither the method nor the pivot order changes a result.
 """
 
 from __future__ import annotations
@@ -170,7 +173,49 @@ def solve_linear_system(a: Sequence[Mapping[int, Fraction]], b: Sequence[Fractio
     return [row.get(0, ZERO) for row in _gauss_jordan(left, right)]
 
 
+def _substitute(left: list[SparseRow]) -> list[SparseRow] | None:
+    """The inverse X of ``left`` by substitution in singleton order, or None on a stall.
+
+    A row r whose one open column is c gives X[c] = e_r/a_rc − Σ_{k≠c} (a_rk/a_rc)·X[k].
+    ``left`` is not changed.
+    """
+    n = len(left)
+    holders: list[list[int]] = [[] for _ in range(n)]
+    for r, row in enumerate(left):
+        for c in row:
+            holders[c].append(r)
+    open_count = [len(row) for row in left]
+    singles = [r for r, count in enumerate(open_count) if count == 1]
+    out: list[SparseRow | None] = [None] * n
+    for _ in range(n):
+        if not singles:
+            return None
+        r = singles.pop()
+        row = left[r]
+        c = next(k for k in row if out[k] is None)
+        scale = row[c]
+        unit = scale == 1
+        x: SparseRow = {}
+        for k, v in row.items():
+            if k != c:
+                ratio = v if unit else v / scale
+                if not x and ratio == -1:
+                    x = out[k].copy()  # type: ignore[union-attr]
+                else:
+                    _axpy(x, ratio, out[k])  # type: ignore[arg-type]
+        x[r] = ONE if unit else 1 / scale  # each X[k] so far holds only rows pivoted before r
+        out[c] = x
+        for h in holders[c]:
+            open_count[h] -= 1
+            if open_count[h] == 1:
+                singles.append(h)
+            elif open_count[h] == 0 and h != r:
+                raise SingularMatrixError(f"row {h} has no open column left to pivot on")
+    return out  # type: ignore[return-value]
+
+
 def inverse(a: Sequence[Mapping[int, Fraction]]) -> list[SparseRow]:
     """Sparse rows of the exact inverse of a square nonsingular matrix, given as sparse rows."""
     left = _square(a)
-    return _gauss_jordan(left, [{i: ONE} for i in range(len(left))])
+    inv = _substitute(left)
+    return inv if inv is not None else _gauss_jordan(left, [{i: ONE} for i in range(len(left))])

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
 import sys
 from graphlib import CycleError, TopologicalSorter
 
 import pytest
 from hypothesis import settings
+
+from dantziglab.circuit import circuit_to_json
 
 # The CI workflow loads this profile: the same examples on every run.
 settings.register_profile("ci", derandomize=True)
@@ -97,3 +100,15 @@ def planting_walk(where: str):
         return solved
 
     return corrupting
+
+
+def is_normalized(circuit) -> bool:
+    """Is the circuit in the normal form the construction reads?"""
+    return not circuit.normalization_problems()
+
+
+def save_circuit(circuit, path: str) -> None:
+    """Write the circuit as ``load_circuit`` reads it back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(circuit_to_json(circuit), fh, indent=2, sort_keys=True)
+        fh.write("\n")

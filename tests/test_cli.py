@@ -7,10 +7,10 @@ import re
 
 import pytest
 
-from conftest import planting_walk
+from conftest import planting_walk, save_circuit
 
 from dantziglab import mdp
-from dantziglab.circuit import decide_bitswitch, save_circuit
+from dantziglab.circuit import decide_bitswitch
 from dantziglab.cli import _parser, main
 from dantziglab.library import identity_circuit, rotation_circuit
 from dantziglab.library import writer_machine

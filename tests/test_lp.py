@@ -289,12 +289,13 @@ def _reached_from(lp, basis):
 
 def assert_inverse_pattern_is_reachability(lp, basis):
     # B = I - Pᵀ on the transient rows, so B⁻¹ = (Σ Pᵏ)ᵀ: a nonnegative sum in
-    # which no entry cancels.  Row i holds key j exactly when row i's state is
-    # reachable from row j's state; a stored zero or a lost nonzero fails.
+    # which no entry cancels.  Column i holds key j exactly when row j's state
+    # is reachable from row i's state; a stored zero or a lost nonzero fails.
     reached = _reached_from(lp, basis)
-    for i, row in enumerate(basis.inv):
-        assert set(row) == {j for j in range(lp.num_rows) if i in reached[j]}
-        assert all(v > 0 for v in row.values())
+    assert len(basis.inv_cols) == lp.num_rows
+    for i, column in enumerate(basis.inv_cols):
+        assert set(column) == reached[i]
+        assert all(v > 0 for v in column.values())
 
 
 def test_basis_inverse_holds_exactly_the_reachable_pairs(monkeypatch):

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from dantziglab import numerics
+from dantziglab.cli import main
 from dantziglab.numerics import (
     SingularMatrixError,
     format_rational,
@@ -333,3 +335,48 @@ def test_elimination_agrees_with_a_cofactor_determinant(case, data):
     assert matmul(inv, a) == identity(n)
     assert mul_vec(a, solve_linear_system(a, b)) == b
     assert a == given_rows
+
+
+class FallbackReached(Exception):
+    pass
+
+
+def _refuse_elimination(left, right):
+    raise FallbackReached
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_matrices())
+def test_substitution_inverts_a_triangular_matrix_and_stalls_on_a_cycle(case):
+    # A triangular matrix always has a row singleton, and each row it pivots
+    # leaves another, so the substitution never stalls and the elimination is
+    # never reached.  A cycle of n ≥ 2 has no singleton to start from.
+    shape, a = case
+    assume(shape != "singular")
+    n = len(a)
+    if shape == "triangular":
+        expected = numerics._gauss_jordan(numerics._square(a), identity(n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_gauss_jordan", _refuse_elimination)
+        if shape == "triangular":
+            assert inverse(a) == expected
+        elif n >= 2:
+            with pytest.raises(FallbackReached):
+                inverse(a)
+
+
+def test_every_lockstep_basis_inverts_without_the_elimination(tmp_path, monkeypatch):
+    import dantziglab.lp as lp_module
+
+    calls = []
+    original = lp_module.inverse
+
+    def counting(a):
+        calls.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(lp_module, "inverse", counting)
+    monkeypatch.setattr(numerics, "_gauss_jordan", _refuse_elimination)
+    argv = ["verify", "--builtin", "identity1", "--bits", "1", "--which", "equivalence"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 23
