@@ -48,7 +48,6 @@ from .mdp import (
     MdpError,
     NonZeroGainPolicyError,
     TieBreak,
-    UnsupportedChainStructureError,
     fresh_value_check,
     mdp_to_json,
     parse_tiebreak,
@@ -392,13 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     except IterationBudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (
-        AssertionError,
-        CrosscheckError,
-        LpError,
-        NonZeroGainPolicyError,
-        UnsupportedChainStructureError,
-    ) as exc:
+    except (AssertionError, CrosscheckError, LpError, NonZeroGainPolicyError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -257,7 +257,7 @@ def simplex_dantzig_step(
     best: Fraction | None = None
     candidates: list[tuple[int, int]] = []
     for j, rc in enumerate(basis.reduced):
-        if rc <= 0:
+        if rc.numerator <= 0:  # the sign, exactly: a Fraction's denominator is positive
             continue
         if best is None or rc > best:
             best = rc
@@ -275,7 +275,7 @@ def simplex_dantzig_step(
     leaving_pos: int | None = None
     tie_count = 0
     for pos, d in enumerate(direction):
-        if d <= 0:
+        if d.numerator <= 0:
             continue
         ratio = x_b[pos] / d
         if best_ratio is None or ratio < best_ratio:

@@ -68,10 +68,6 @@ class NonZeroGainPolicyError(MdpError):
     """A recurrent class is not a single absorbing zero-reward state."""
 
 
-class UnsupportedChainStructureError(MdpError):
-    """A recurrent class has more than one state."""
-
-
 class IterationBudgetExceededError(RuntimeError):
     pass
 
@@ -301,31 +297,30 @@ def _acyclic_expectation(
     return values  # type: ignore[return-value]
 
 
-def _solved_expectation(mdp: Mdp, policy: Policy, *, gain: bool) -> list[Fraction]:
+def _solved_expectation(mdp: Mdp, policy: Policy) -> list[Fraction]:
     """Solve the value equation of any policy exactly, or raise for its chain structure.
 
-    Each absorbing state (``solved`` is None) is pinned: to 0 in the values
-    form, which first rejects a rewarded one, and to its loop reward in the
-    gain form.  Every other state ``s`` gives the sparse row
-    ``v(s) - sum c v(t) = base + sum c pinned(t)`` from its action's
-    ``solved`` exits, with ``base`` dropped in the gain form.  That system is
-    ``I - Q`` over the unpinned states, and in exact arithmetic it is
-    singular exactly when some of them never reach a pinned state, i.e. the
-    policy has a recurrent class of more than one state.  The elimination
-    reports that as ``SingularMatrixError``, which becomes the chain-structure
-    error, as a singular LP basis does in ``lp.make_basis``.
+    A rewarded absorbing state (``solved`` is None) is rejected, and the
+    others are pinned to 0.  Every other state ``s`` gives the sparse row
+    ``v(s) - sum c v(t) = base`` from its action's ``solved`` exits.  That
+    system is ``I - Q`` over the unpinned states, and in exact arithmetic
+    it is singular exactly when some of them never reach a pinned state,
+    i.e. the policy has a recurrent class of more than one state.  The
+    elimination reports that as ``SingularMatrixError``, which becomes the
+    chain-structure error, as a singular LP basis does in
+    ``lp.make_basis``.
     """
     actions, choice = mdp.actions, policy.choice
     n = len(choice)
-    pinned: dict[int, Fraction] = {}
+    pinned: set[int] = set()
     for s in range(n):
         act = actions[choice[s]]
         if act.solved is None:
-            if not gain and act.reward:
+            if act.reward:
                 raise NonZeroGainPolicyError(
                     f"absorbing state {mdp.state_names[s]} loops with reward {act.reward}"
                 )
-            pinned[s] = act.reward if gain else ZERO
+            pinned.add(s)
     transient = [s for s in range(n) if s not in pinned]
     idx = {s: i for i, s in enumerate(transient)}
     rows = []
@@ -333,22 +328,17 @@ def _solved_expectation(mdp: Mdp, policy: Policy, *, gain: bool) -> list[Fractio
     for s in transient:
         base, exits = actions[choice[s]].solved  # type: ignore[misc]
         row = {idx[s]: ONE}
-        acc = ZERO if gain else base
         for t, c in exits:
             if t in idx:
                 row[idx[t]] = -c
-            else:
-                acc += c * pinned[t]
         rows.append(row)
-        rhs.append(acc)
+        rhs.append(base)
     try:
         solution = solve_linear_system(rows, rhs)
     except SingularMatrixError:
-        if gain:
-            raise UnsupportedChainStructureError("recurrent class with more than one state") from None
         raise NonZeroGainPolicyError("recurrent class with more than one state") from None
     solved = iter(solution)
-    return [pinned[s] if s in pinned else next(solved) for s in range(n)]
+    return [ZERO if s in pinned else next(solved) for s in range(n)]
 
 
 def evaluate_values(mdp: Mdp, policy: Policy) -> list[Fraction]:
@@ -359,22 +349,14 @@ def evaluate_values(mdp: Mdp, policy: Policy) -> list[Fraction]:
     back-substituted in one walk; a policy with a cycle, or a rewarded
     absorbing state, goes to the exact sparse solve, which rejects a
     rewarded absorbing state up front and a recurrent cycle by finding the
-    system singular.
+    system singular.  Total reward is the one criterion the lab solves for:
+    the paper's average reward (gain) is 0 at every state of such a policy,
+    which the tests check by a solve of their own.
     """
     values = _acyclic_expectation(mdp, policy)
     if values is not None:
         return values
-    return _solved_expectation(mdp, policy, gain=False)
-
-
-def evaluate_gain(mdp: Mdp, policy: Policy) -> list[Fraction]:
-    """Expected average reward per state: the absorbed self-loop reward, in expectation.
-
-    One exact solve of the gain equations, acyclic policy or not: the
-    elimination takes singleton rows first, so an acyclic policy still
-    eliminates without fill.
-    """
-    return _solved_expectation(mdp, policy, gain=True)
+    return _solved_expectation(mdp, policy)
 
 
 def _appeal(act: Action, values: Sequence[Fraction]) -> Fraction:

@@ -10,8 +10,9 @@ expected behaviour by an independent route and compares:
   happened in and the gadget role it plays;
 * an appeal-catalog auditor asserting each tagged switch fired at its
   exactly-known appeal (or inside its exactly-known band);
-* structural predicates on policies: coherence, bit-correctness of gate
-  values, and finality (no appeal above 7/2 anywhere in a finished gate);
+* a structural predicate on policies, coherence: the housekeeping
+  conditions every mid-phase policy meets (the paper's B-correct and final
+  invariants are predicates of ``tests/test_verify.py``, their only user);
 * a phase-transition auditor asserting the scripted event classes complete
   in order across each clock tick and hand over a clean start policy;
 * the one path to the MDP-side verdicts: ``end_to_end`` builds and runs
@@ -46,11 +47,8 @@ from .mdp import (
     Policy,
     TieBreak,
     TraceEvent,
-    appeals as action_appeals,
     decide_action_switch,
     decide_dantzig_mdp_sol,
-    evaluate_values,
-    make_policy,
     run_policy_iteration,
 )
 
@@ -141,22 +139,6 @@ class ClockOracle:
             vals[f"{i}'"] = self.x(j, i)
             vals[str(i)] = self.y(j, i)
         return vals
-
-
-def clock_gray_policy(construction: Construction, j: int) -> Policy:
-    """The clock policy the oracle predicts at step j.
-
-    State i goes down to i' when its Gray bit is 1, and right to i-1 otherwise.
-    """
-    n = construction.params.n
-    word = gray_code(n, j)
-    index = construction.index
-    mdp = construction.mdp
-    picks = [mdp.state_actions[s][0] for s in range(mdp.num_states)]
-    for i in range(1, n + 1):
-        target = f"{i}'" if word[i - 1] == 1 else str(i - 1)
-        picks[index.clock(i)] = index.action(f"{i}~>{target}")
-    return make_policy(mdp, picks)
 
 
 class ClockAuditor:
@@ -498,60 +480,6 @@ def check_coherent(construction: Construction, policy: Policy, phase: int) -> Re
     for i in construction.not_gates():
         check(i, _chooses(construction, policy, index.a(1 - phase, i), c_own), "arming state (other) detached")
     return Report("coherent", not failures, failures, {"phase": phase})
-
-
-def check_b_correct(
-    construction: Construction, policy: Policy, bits: Sequence[int], phase: int
-) -> dict[int, bool]:
-    """Per gate: does the output state's value encode the gate's truth on ``bits``?"""
-    circuit = construction.circuit
-    assert circuit is not None
-    values = evaluate_values(construction.mdp, policy)
-    truth = evaluate(circuit, bits)
-    index = construction.index
-    base = values[index.c(phase)]
-    out = {}
-    for i in range(1, circuit.size + 1):
-        d = circuit.depth(i)
-        offset = construction.params.high[d] if truth[i - 1] else construction.params.low[d]
-        out[i] = values[index.o(phase, i)] == base + offset
-    return out
-
-
-def check_final(construction: Construction, policy: Policy, phase: int) -> dict[int, bool]:
-    """Per gate: finished, in the inductive no-high-appeal sense.
-
-    A state is settled when none of its actions has appeal above 7/2; a
-    gate is final when every strictly shallower gate is final and its own
-    states are settled.
-    """
-    circuit = construction.circuit
-    assert circuit is not None
-    mdp = construction.mdp
-    index = construction.index
-    values = evaluate_values(mdp, policy)
-    gains = action_appeals(mdp, policy, values)
-
-    def settled(state: int) -> bool:
-        return all(gains[aid] <= FLOOR for aid in mdp.state_actions[state])
-
-    depths = circuit.depths()
-    final: dict[int, bool] = {}
-    order = sorted(range(1, circuit.size + 1), key=lambda i: depths[i - 1])
-    for i in order:
-        below = all(final[i2] for i2 in final if depths[i2 - 1] < depths[i - 1])
-        kind = circuit.gate(i).kind
-        if kind == KIND_INPUT:
-            own = all(
-                settled(s)
-                for s in (index.o(phase, i), index.l(phase, i), index.r(phase, i))
-            )
-        elif kind == "or":
-            own = all(settled(s) for s in (index.o(phase, i), index.v(phase, i), index.x(phase, i)))
-        else:
-            own = all(settled(s) for s in (index.o(phase, i), index.a(phase, i)))
-        final[i] = below and own
-    return final
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from dantziglab.circuit import circuit_to_json
+from dantziglab.numerics import solve_linear_system
 
 # The CI workflow loads this profile: the same examples on every run.
 settings.register_profile("ci", derandomize=True)
@@ -73,6 +74,31 @@ def policy_graph_is_acyclic(mdp, policy) -> bool:
     except CycleError:
         return False
     return True
+
+
+def evaluate_gain(mdp, policy) -> list:
+    """Expected average reward (gain) per state under the policy: the absorbed loop reward, in expectation.
+
+    Read off each chosen action's raw ``transitions``, so it shares nothing
+    with the ``Action.solved`` equations the engine evaluates by.  An
+    absorbing state's gain is its loop reward; any other state ``s`` gives
+    the row ``(1 - p(s)) g(s) - sum p(t) g(t) = 0`` over its exits ``t``.
+    One exact solve: a recurrent class of more than one state makes the
+    system singular and raises ``SingularMatrixError``.
+    """
+    rows, rhs = [], []
+    for s, aid in enumerate(policy.choice):
+        act = mdp.actions[aid]
+        stay = act.transitions.get(s, 0)
+        if stay == 1:
+            rows.append({s: 1})
+            rhs.append(act.reward)
+        else:
+            row = {t: -p for t, p in act.transitions.items() if t != s}
+            row[s] = 1 - stay
+            rows.append(row)
+            rhs.append(0)
+    return solve_linear_system(rows, rhs)
 
 
 def planting_walk(where: str):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import tight_decision_run
+from conftest import evaluate_gain, tight_decision_run
 from dantziglab.circuit import (
     decide_bitswitch,
     decide_circuitvalue,
@@ -43,7 +43,6 @@ from dantziglab.mdp import (
     appeals,
     decide_action_switch,
     decide_dantzig_mdp_sol,
-    evaluate_gain,
     evaluate_values,
     make_policy,
     parse_tiebreak,

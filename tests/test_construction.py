@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from conftest import policy_graph_is_acyclic
+from conftest import evaluate_gain, policy_graph_is_acyclic
 
 from dantziglab.circuit import negated_form, normalize_depths
 from dantziglab.construction import (
@@ -20,7 +20,6 @@ from dantziglab.construction import (
 from dantziglab.library import identity_circuit, rotation_circuit
 from dantziglab.mdp import (
     appeals,
-    evaluate_gain,
     evaluate_values,
     make_policy,
     parse_tiebreak,

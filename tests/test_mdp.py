@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from conftest import planting_walk, policy_graph_is_acyclic
+from conftest import evaluate_gain, planting_walk, policy_graph_is_acyclic
 from hypothesis import given, settings, strategies as st
 
 from dantziglab import mdp as mdp_module
@@ -27,12 +27,10 @@ from dantziglab.mdp import (
     MdpError,
     NonZeroGainPolicyError,
     TieBreak,
-    UnsupportedChainStructureError,
     add_gadget,
     appeals,
     decide_action_switch,
     decide_dantzig_mdp_sol,
-    evaluate_gain,
     evaluate_values,
     fresh_value_check,
     make_policy,
@@ -40,6 +38,7 @@ from dantziglab.mdp import (
     parse_tiebreak,
     run_policy_iteration,
 )
+from dantziglab.numerics import SingularMatrixError
 from dantziglab.turing import compile_machine
 
 ONE = Fraction(1)
@@ -138,7 +137,7 @@ def test_gain_rejects_big_recurrent_class():
     b_state = m.add_state()
     m.add_action(a_state, {b_state: ONE}, 1)
     m.add_action(b_state, {a_state: ONE}, 0)
-    with pytest.raises(UnsupportedChainStructureError):
+    with pytest.raises(SingularMatrixError):
         evaluate_gain(m, make_policy(m, [0, 1]))
 
 
@@ -380,7 +379,7 @@ def test_chain_check_agrees_with_reverse_reachability(graph):
         for s, act in enumerate(chosen):
             assert values[s] == act.reward + sum(p * values[t] for t, p in act.transitions.items())
     if not proper:
-        with pytest.raises(UnsupportedChainStructureError):
+        with pytest.raises(SingularMatrixError):
             evaluate_gain(m, policy)
     else:
         gains = evaluate_gain(m, policy)
@@ -425,9 +424,9 @@ def test_evaluation_walks_a_chain_deeper_than_the_recursion_limit():
     # v(i) = 2 + v(i + 1), the 2 being the reward 1 over the leaving mass 1/2.
     assert evaluate_values(m, policy) == [2 * (n - 1 - i) for i in range(n)]
     m, policy = chain(5)
-    # The gain form takes no walk: it is one exact solve of the whole chain,
-    # which pivots on the row next to the sink, a singleton, and so on up
-    # the chain without fill.  That solve is most of this test's time.
+    # The gain takes no walk: it is one exact solve of the whole chain,
+    # which pivots on the sink's row, a singleton, and so on up the chain
+    # without fill.  That solve is most of this test's time.
     assert evaluate_gain(m, policy) == [5] * n
 
 

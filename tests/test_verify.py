@@ -2,13 +2,23 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from conftest import tight_decision_run
-from dantziglab.circuit import decide_bitswitch, decide_circuitvalue, iterate, negated_form, normalize_depths
+from dantziglab.circuit import (
+    KIND_INPUT,
+    decide_bitswitch,
+    decide_circuitvalue,
+    evaluate,
+    iterate,
+    negated_form,
+    normalize_depths,
+)
 from dantziglab.construction import (
     MAGIC,
+    Construction,
     build_clock,
     build_construction,
     clock_initial_policy,
@@ -16,18 +26,24 @@ from dantziglab.construction import (
     make_params,
 )
 from dantziglab.library import constant_zero_circuit, identity_circuit, rotation_circuit
-from dantziglab.mdp import TraceEvent, decide_dantzig_mdp_sol, evaluate_values, run_policy_iteration
+from dantziglab.mdp import (
+    Policy,
+    TraceEvent,
+    appeals as action_appeals,
+    decide_dantzig_mdp_sol,
+    evaluate_values,
+    make_policy,
+    run_policy_iteration,
+)
 from dantziglab.verify import (
+    FLOOR,
     ClockAuditor,
     ClockOracle,
     TraceAnnotator,
     audit_appeal_catalog,
     check_all_transitions,
-    check_b_correct,
     check_clock_trace,
     check_coherent,
-    check_final,
-    clock_gray_policy,
     decode_input_bits,
     decode_phases,
     end_to_end,
@@ -58,6 +74,22 @@ def test_gray_code_is_a_gray_permutation():
         for j in range(2**n - 1):
             diff = [i + 1 for i in range(n) if words[j][i] != words[j + 1][i]]
             assert diff == [oracle.f(least_significant_zero(j))]
+
+
+def clock_gray_policy(construction: Construction, j: int) -> Policy:
+    """The clock policy the oracle predicts at step j.
+
+    State i goes down to i' when its Gray bit is 1, and right to i-1 otherwise.
+    """
+    n = construction.params.n
+    word = gray_code(n, j)
+    index = construction.index
+    mdp = construction.mdp
+    picks = [mdp.state_actions[s][0] for s in range(mdp.num_states)]
+    for i in range(1, n + 1):
+        target = f"{i}'" if word[i - 1] == 1 else str(i - 1)
+        picks[index.clock(i)] = index.action(f"{i}~>{target}")
+    return make_policy(mdp, picks)
 
 
 def test_clock_value_formulas_against_exact_evaluation():
@@ -164,6 +196,60 @@ def test_printed_alpha_is_an_expected_fail():
 
 
 NEG_ROT2 = negated_form(normalize_depths(rotation_circuit(2)))
+
+
+def check_b_correct(
+    construction: Construction, policy: Policy, bits: Sequence[int], phase: int
+) -> dict[int, bool]:
+    """Per gate: does the output state's value encode the gate's truth on ``bits``?"""
+    circuit = construction.circuit
+    assert circuit is not None
+    values = evaluate_values(construction.mdp, policy)
+    truth = evaluate(circuit, bits)
+    index = construction.index
+    base = values[index.c(phase)]
+    out = {}
+    for i in range(1, circuit.size + 1):
+        d = circuit.depth(i)
+        offset = construction.params.high[d] if truth[i - 1] else construction.params.low[d]
+        out[i] = values[index.o(phase, i)] == base + offset
+    return out
+
+
+def check_final(construction: Construction, policy: Policy, phase: int) -> dict[int, bool]:
+    """Per gate: finished, in the inductive no-high-appeal sense.
+
+    A state is settled when none of its actions has appeal above 7/2; a
+    gate is final when every strictly shallower gate is final and its own
+    states are settled.
+    """
+    circuit = construction.circuit
+    assert circuit is not None
+    mdp = construction.mdp
+    index = construction.index
+    values = evaluate_values(mdp, policy)
+    gains = action_appeals(mdp, policy, values)
+
+    def settled(state: int) -> bool:
+        return all(gains[aid] <= FLOOR for aid in mdp.state_actions[state])
+
+    depths = circuit.depths()
+    final: dict[int, bool] = {}
+    order = sorted(range(1, circuit.size + 1), key=lambda i: depths[i - 1])
+    for i in order:
+        below = all(final[i2] for i2 in final if depths[i2 - 1] < depths[i - 1])
+        kind = circuit.gate(i).kind
+        if kind == KIND_INPUT:
+            own = all(
+                settled(s)
+                for s in (index.o(phase, i), index.l(phase, i), index.r(phase, i))
+            )
+        elif kind == "or":
+            own = all(settled(s) for s in (index.o(phase, i), index.v(phase, i), index.x(phase, i)))
+        else:
+            own = all(settled(s) for s in (index.o(phase, i), index.a(phase, i)))
+        final[i] = below and own
+    return final
 
 
 @pytest.fixture(scope="module")
