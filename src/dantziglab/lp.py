@@ -59,7 +59,7 @@ from .mdp import Mdp, PIResult, Picker, Policy, TieBreak, TraceEvent, Watcher, r
 # because the benchmark's tracer test (perfbench/test_harness.py) restores
 # it by name; it goes when that test is mended.
 from .mdp import evaluate_values  # noqa: F401
-from .numerics import ONE, ZERO, SingularMatrixError, format_rational, inverse
+from .numerics import ONE, ZERO, SingularMatrixError, format_rational, inverse, same
 
 
 class LpError(ValueError):
@@ -388,8 +388,8 @@ class Lockstep:
         entry: dict = {
             "iteration": iteration,
             "basis_match": basis.action_ids() == frozenset(policy.choice[s] for s in lp.rows),
-            "dual_match": all(y[lp.row_of[s]] == values[s] for s in lp.rows) and values[lp.sink] == 0,
-            "reduced_cost_match": all(reduced[j] == gains[lp.cols[j]] for j in range(lp.num_cols)),
+            "dual_match": same(y, [values[s] for s in lp.rows]) and values[lp.sink] == 0,
+            "reduced_cost_match": same(reduced, [gains[a] for a in lp.cols]),
         }
         step = simplex_dantzig_step(lp, basis, self.pick)
         if event is None or step is None:

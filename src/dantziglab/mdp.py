@@ -9,8 +9,10 @@ base such a policy indicates a construction bug, never a case to smooth over.
 
 When the policy graph is acyclic apart from self-loops, evaluation is one
 depth-first walk that back-substitutes in post-order: each action carries
-its value equation already solved for its own state, so a state whose
-chosen action leaves for a single other state costs one addition, or none.
+its value equation already solved for its own state, with its exits
+grouped by coefficient, so a state whose chosen action leaves for a single
+other state costs one addition, or none, and a fair coin one addition and
+one multiplication.
 Only when the walk meets a cycle (or a rewarded absorbing state) does
 evaluation build the same solved equations as sparse rows and
 eliminate them exactly.  That one elimination is also the chain-structure
@@ -38,9 +40,10 @@ share.  Each positive appeal is kept with an integer key, its floor at
 ``_KEY_BITS`` fraction bits, so the greedy pick compares machine ints and
 reaches the Fractions only where two keys are equal.
 ``evaluate_values`` and the full ``appeals`` pass are the oracles: every
-run ends by checking its kept values and appeals against them, and that no
-fresh appeal is positive.  The watcher ``fresh_value_check`` checks the
-values of every policy a run reaches against the same oracle.
+run ends by checking its kept values and appeals against them, compared as
+integer pairs (``numerics.same``), and that no fresh appeal is positive.
+The watcher ``fresh_value_check`` checks the values of every policy a run
+reaches against the same oracle.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .numerics import ZERO, ONE, SingularMatrixError, format_rational, rat, solve_linear_system
+from .numerics import ZERO, ONE, SingularMatrixError, format_rational, rat, same, solve_linear_system
 
 
 class MdpError(ValueError):
@@ -90,20 +93,26 @@ class Action:
     name: str
 
     @cached_property
-    def solved(self) -> tuple[Fraction, tuple[tuple[int, Fraction], ...]] | None:
+    def solved(self) -> tuple[Fraction, tuple[int, ...], tuple[tuple[Fraction, tuple[int, ...]], ...]] | None:
         """The value equation ``v(s) = reward + sum p(t) v(t)`` solved for this state's value.
 
-        Returns ``(base, exits)`` with ``v(s) = base + sum c v(t)`` over the
-        exits ``(t, c)``, ``t != s``: with self-loop mass ``p``, ``base`` is
-        ``reward / (1 - p)`` and each ``c`` is ``p(t) / (1 - p)``.  A pure
-        self-loop fixes no value and gives None.
+        Returns ``(base, targets, groups)``: ``targets`` are the exits
+        ``t != s`` in transition order, and ``groups`` pairs each distinct
+        coefficient ``c`` with the exits it scales, so that
+        ``v(s) = base + sum c (sum v(t))``.  With self-loop mass ``p``,
+        ``base`` is ``reward / (1 - p)`` and each ``c`` is ``p(t) / (1 - p)``.
+        A fair coin, such as a clock's primed state, is one group of two
+        exits.  A pure self-loop fixes no value and gives None.
         """
         stay = self.transitions.get(self.state, ZERO)
         if stay == 1:
             return None
         leave = 1 - stay
-        exits = tuple((t, p / leave) for t, p in self.transitions.items() if t != self.state)
-        return self.reward / leave, exits
+        targets = tuple(t for t in self.transitions if t != self.state)
+        groups: dict[Fraction, list[int]] = {}
+        for t in targets:
+            groups.setdefault(self.transitions[t] / leave, []).append(t)
+        return self.reward / leave, targets, tuple((c, tuple(ts)) for c, ts in groups.items())
 
     @cached_property
     def lookahead(self) -> tuple[Fraction, Fraction, tuple[tuple[int, Fraction], ...]]:
@@ -239,7 +248,8 @@ def _acyclic_expectation(
 
     One iterative depth-first walk over each chosen action's ``solved``
     exits gives a state its value in post-order, once every exit has one;
-    a sole exit's coefficient is exactly 1, so it costs no multiplication.
+    a sole exit's coefficient is exactly 1, so it costs no multiplication,
+    and each group of exits sharing a coefficient costs one.
     An absorbing state (``solved`` is None) is pinned to 0.  The walk gives
     up and returns None when it reaches a state still on its path (the
     policy has a cycle), or an absorbing state with a nonzero reward; the
@@ -273,9 +283,9 @@ def _acyclic_expectation(
                     return None
                 values[s] = ZERO
             else:
-                base, exits = solved
+                base, targets, groups = solved
                 pending = None
-                for t, _ in exits:
+                for t in targets:
                     if values[t] is None:
                         pending = t
                         break
@@ -285,12 +295,15 @@ def _acyclic_expectation(
                     on_path[pending] = True
                     path.append(pending)
                     continue
-                if len(exits) == 1:
-                    acc = values[exits[0][0]]
+                if len(targets) == 1:
+                    acc = values[targets[0]]
                 else:
-                    acc = ZERO
-                    for t, c in exits:
-                        acc += c * values[t]  # type: ignore[operator]
+                    acc = None
+                    for c, ts in groups:
+                        term = values[ts[0]]
+                        for t in ts[1:]:
+                            term += values[t]  # type: ignore[operator]
+                        acc = c * term if acc is None else acc + c * term  # type: ignore[operator]
                 values[s] = acc + base if base else acc
             on_path[s] = False
             path.pop()
@@ -326,11 +339,12 @@ def _solved_expectation(mdp: Mdp, policy: Policy) -> list[Fraction]:
     rows = []
     rhs = []
     for s in transient:
-        base, exits = actions[choice[s]].solved  # type: ignore[misc]
+        base, _, groups = actions[choice[s]].solved  # type: ignore[misc]
         row = {idx[s]: ONE}
-        for t, c in exits:
-            if t in idx:
-                row[idx[t]] = -c
+        for c, ts in groups:
+            for t in ts:
+                if t in idx:
+                    row[idx[t]] = -c
         rows.append(row)
         rhs.append(base)
     try:
@@ -539,7 +553,7 @@ def _crosscheck(
     kept: Sequence[Fraction], fresh: Sequence[Fraction], names: Sequence[str], what: str, switch: int
 ) -> None:
     """Raise ``CrosscheckError`` at the first entry where the kept numbers differ from fresh ones."""
-    if kept == fresh:
+    if same(kept, fresh):
         return
     for name, old, new in zip(names, kept, fresh):
         if old != new:
@@ -628,7 +642,7 @@ def run_policy_iteration(
             final = appeals(mdp, policy, oracle)
             _crosscheck(gains, final, names, "appeal", len(trace))
             for name, appeal in zip(names, final):
-                if appeal > 0:
+                if appeal.numerator > 0:
                     raise CrosscheckError(
                         f"the run stopped after switch {len(trace)}, but a fresh evaluation "
                         f"gives {name} the positive appeal {format_rational(appeal)}"
@@ -652,7 +666,7 @@ def run_policy_iteration(
         gains = list(gains)
         for aid in stale:
             appeal = gains[aid] = _appeal(mdp.actions[aid], values)
-            if appeal > 0:
+            if appeal.numerator > 0:
                 positive[aid] = _keyed(appeal)
             else:
                 positive.pop(aid, None)

@@ -73,6 +73,14 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+def same(xs: Sequence[Fraction | int], ys: Sequence[Fraction | int]) -> bool:
+    """Exact equality of two vectors of rationals, compared as ``as_integer_ratio()`` pairs.
+
+    Exact, since a Fraction is kept in lowest terms over a positive denominator and an int n is (n, 1).
+    """
+    return [x.as_integer_ratio() for x in xs] == [y.as_integer_ratio() for y in ys]
+
+
 def _square(rows: Sequence[Mapping[int, Fraction]]) -> list[SparseRow]:
     """Fresh sparse rows of a square matrix: entries coerced by ``rat``, zeros dropped."""
     n = len(rows)

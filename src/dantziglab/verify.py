@@ -115,14 +115,6 @@ class ClockOracle:
         """The clock state switched when leaving the j-th policy."""
         return self.f(least_significant_zero(j))
 
-    def x(self, j: int, i: int) -> int:
-        f = self.f(i)
-        return 2**f + (j >> (f + 1)) * 2 ** (f + 1)
-
-    def y(self, j: int, i: int) -> int:
-        f = self.f(i)
-        return ((j + 2 ** (f - 1)) >> f) * 2**f
-
     def switch_appeal(self, i: int) -> Fraction:
         return HALF - Fraction(1, 4 * i)
 
@@ -136,8 +128,9 @@ class ClockOracle:
             "c0": 2 * ((j + 1) >> 1),
         }
         for i in range(1, self.n + 1):
-            vals[f"{i}'"] = self.x(j, i)
-            vals[str(i)] = self.y(j, i)
+            f = self.f(i)
+            vals[f"{i}'"] = (1 << f) + (j >> (f + 1) << (f + 1))
+            vals[str(i)] = (j + (1 << (f - 1))) >> f << f
         return vals
 
 
@@ -161,6 +154,9 @@ class ClockAuditor:
             (index.clock(i), index.action(f"{i}~>{i}'"), index.action(f"{i}~>{i - 1}")) for i in range(1, n + 1)
         ]
         self.value_states = [(name, index.state(name)) for name in self.oracle.values(0)]
+        # Each clock state's switch appeal, and whether it lies in [1/4, 1/2).
+        appeals = {i: self.oracle.switch_appeal(i) for i in range(1, n + 1)}
+        self.expected_appeals = {i: (a, Fraction(1, 4) <= a < HALF) for i, a in appeals.items()}
         self.policy_failures: list[str] = []
         self.switch_failures: list[str] = []
         self.band_failures: list[str] = []
@@ -179,10 +175,11 @@ class ClockAuditor:
             self.switch_failures.append(
                 f"step {j}: switched state {info.i}, expected {self.oracle.flip_position(j)}"
             )
-        expected_appeal = self.oracle.switch_appeal(info.i)
+        expected_appeal, in_band = self.expected_appeals[info.i]
         if event.appeal != expected_appeal:
             self.band_failures.append(f"step {j}: appeal {event.appeal} != {expected_appeal}")
-        if not Fraction(1, 4) <= event.appeal < HALF:
+            in_band = Fraction(1, 4) <= event.appeal < HALF
+        if not in_band:
             self.band_failures.append(f"step {j}: appeal {event.appeal} outside [1/4, 1/2)")
 
     def check_policy(self, j: int, policy: Policy, values: Sequence[Fraction]) -> None:
@@ -197,9 +194,9 @@ class ClockAuditor:
         t_num, t_den = t.numerator, t.denominator
         # values() lists its names in one order for every j.
         for (name, sid), scaled in zip(self.value_states, self.oracle.values(j).values()):
-            value = values[sid]
+            num, den = values[sid].as_integer_ratio()
             # value == t * scaled, cross-multiplied over the integers
-            if value.numerator * t_den != t_num * scaled * value.denominator:
+            if num * t_den != t_num * scaled * den:
                 self.policy_failures.append(f"step {j}: value of {name} differs from the oracle")
 
 

@@ -539,12 +539,14 @@ def test_a_wrong_solved_form_fails_the_bellman_residual(tmp_path, monkeypatch, c
     # The solved form forgets to divide a rewarded self-loop's reward by the
     # leaving mass.  evaluate_values reads the same form, so the run's values
     # agree with it; only the appeals, read off the raw transitions, see it.
+    solve = mdp.Action.solved.func
+
     def unscaled(act):
         stay = act.transitions.get(act.state, 0)
         if stay == 1:
             return None
-        exits = tuple((t, p / (1 - stay)) for t, p in act.transitions.items() if t != act.state)
-        return act.reward, exits
+        _, targets, groups = solve(act)
+        return act.reward, targets, groups
 
     monkeypatch.setattr(mdp.Action, "solved", property(unscaled))
     assert run_cli(*argv, "--out", str(tmp_path)) == 4

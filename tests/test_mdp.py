@@ -440,7 +440,7 @@ def test_solved_form_of_a_detour_entry():
     mid = m.num_states - 1
     assert entry.transitions == {mid: Fraction(1, 3), s: Fraction(2, 3)}
     assert "solved" not in vars(entry)  # computed on first use, not by add_action
-    assert entry.solved == (3 * r, ((mid, 1),))
+    assert entry.solved == (3 * r, (mid,), ((1, (mid,)),))
 
 
 def test_solved_form_of_a_pure_self_loop_is_none():
@@ -453,9 +453,47 @@ def test_solved_form_divides_every_exit_by_the_leaving_mass():
     s = m.add_state("s")
     u = m.add_state("u")
     act = m.actions[m.add_action(s, {u: Fraction(1, 6), s: Fraction(1, 2), sink: Fraction(1, 3)}, 3)]
-    base, exits = act.solved
+    base, targets, groups = act.solved
     assert base == 6
-    assert dict(exits) == {u: Fraction(1, 3), sink: Fraction(2, 3)}
+    assert targets == (u, sink)
+    assert dict(groups) == {Fraction(1, 3): (u,), Fraction(2, 3): (sink,)}
+
+
+def test_solved_form_groups_exits_by_coefficient_on_both_evaluation_paths():
+    # s keeps 1/6 of its mass and leaves to a and b with 1/4 each and to c
+    # with 1/3: solved, a and b share the coefficient 3/10 and c has 2/5.
+    m, sink = sink_mdp()
+    s, a, b, c = (m.add_state(name) for name in "sabc")
+    act = m.actions[m.add_action(s, {s: Fraction(1, 6), a: Fraction(1, 4), b: Fraction(1, 4), c: Fraction(1, 3)}, 5)]
+    assert act.solved == (6, (a, b, c), ((Fraction(3, 10), (a, b)), (Fraction(2, 5), (c,))))
+    m.add_action(a, {sink: ONE}, 2)
+    m.add_action(b, {sink: ONE}, 7)
+    c_out = m.add_action(c, {sink: ONE}, Fraction(-11, 3))
+    c_back = m.add_action(c, {s: Fraction(1, 2), sink: Fraction(1, 2)}, 1)
+    acyclic = make_policy(m, [0, 1, 2, 3, c_out])
+    walked = mdp_module._acyclic_expectation(m, acyclic)
+    assert walked[s] == 6 + Fraction(3, 10) * 9 + Fraction(2, 5) * Fraction(-11, 3)
+    # c back to s closes the transient cycle s -> c -> s, which the walk
+    # gives up on and the sparse solve takes.
+    cyclic = make_policy(m, [0, 1, 2, 3, c_back])
+    assert mdp_module._acyclic_expectation(m, cyclic) is None
+    for policy, values in ((acyclic, walked), (cyclic, mdp_module._solved_expectation(m, cyclic))):
+        for state, aid in enumerate(policy.choice):
+            act = m.actions[aid]
+            assert values[state] == act.reward + sum(p * values[t] for t, p in act.transitions.items())
+
+
+def test_crosscheck_names_the_first_entry_that_differs():
+    names = ["s0", "s1", "s2", "s3"]
+    # Equal entries built by different routes are the same numbers.
+    mdp_module._crosscheck([Fraction(4, 2), Fraction(2, 6), 0], [2, Fraction(1, 3), Fraction(0)], names, "value", 1)
+    for k in range(4):
+        kept = [Fraction(i, 2) for i in range(4)]
+        fresh = list(kept)
+        kept[k], fresh[k] = Fraction(1, 3), Fraction(2, 3)
+        message = f"after switch 7 the kept value of s{k} is 1/3, but a fresh evaluation gives 2/3"
+        with pytest.raises(CrosscheckError, match=f"^{message}$"):
+            mdp_module._crosscheck(kept, fresh, names, "value", 7)
 
 
 def two_action_mdp(r_good=1, r_bad=0):

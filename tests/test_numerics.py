@@ -13,6 +13,7 @@ from dantziglab.numerics import (
     format_rational,
     inverse,
     rat,
+    same,
     solve_linear_system,
 )
 
@@ -48,6 +49,15 @@ def matmul(a, b):
                 acc[k] = acc.get(k, ZERO) + e * f
         out.append({k: v for k, v in acc.items() if v})
     return out
+
+
+def test_same_compares_vectors_exactly_whatever_route_built_their_entries():
+    assert same([Fraction(4, 2), Fraction(-6, 9), 0, ONE], [2, Fraction(-2, 3), ZERO, 1])
+    assert same([], [])
+    assert not same([Fraction(1, 3)], [Fraction(2, 3)])
+    assert not same([Fraction(1, 3)], [Fraction(1, 2)])
+    assert not same([Fraction(1, 3)], [Fraction(1, 3), ZERO])
+    assert not same([Fraction(-1, 2)], [Fraction(1, 2)])
 
 
 def test_rat_accepts_int_str_fraction():

@@ -189,6 +189,35 @@ def test_printed_alpha_is_an_expected_fail():
     assert not report.details["band_ok"]
     # The doubled calibration lands each switch at 1 - 1/(2i) instead.
     assert {ev.appeal for ev in result.trace} == {Fraction(1, 2), Fraction(3, 4)}
+    assert auditor.band_failures == [
+        "step 0: appeal 3/4 != 3/8",
+        "step 0: appeal 3/4 outside [1/4, 1/2)",
+        "step 1: appeal 1/2 != 1/4",
+        "step 1: appeal 1/2 outside [1/4, 1/2)",
+        "step 2: appeal 3/4 != 3/8",
+        "step 2: appeal 3/4 outside [1/4, 1/2)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "appeal, failures",
+    [
+        (Fraction(5, 12), []),
+        (Fraction(1, 3), ["step 0: appeal 1/3 != 5/12"]),
+        (Fraction(1, 5), ["step 0: appeal 1/5 != 5/12", "step 0: appeal 1/5 outside [1/4, 1/2)"]),
+    ],
+)
+def test_clock_auditor_tests_the_band_on_the_switch_appeal_it_is_handed(appeal, failures):
+    # At step 0 the clock switches state 3, whose appeal is 1/2 - 1/12; an
+    # appeal that differs from it is also checked against [1/4, 1/2) itself.
+    cons = build_clock(3)
+    auditor = ClockAuditor(cons)
+    policy = clock_initial_policy(cons)
+    sid = cons.index.clock(3)
+    event = TraceEvent(0, sid, policy.choice[sid], cons.index.action("3~>3'"), appeal)
+    auditor(event, policy, evaluate_values(cons.mdp, policy), [])
+    assert auditor.band_failures == failures
+    assert auditor.policy_failures == auditor.switch_failures == []
 
 
 # ---------------------------------------------------------------------------
