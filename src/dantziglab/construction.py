@@ -60,10 +60,6 @@ class ConstructionError(ValueError):
     pass
 
 
-class MissingDependencyError(ConstructionError):
-    """A gadget builder needs a state that has not been created yet."""
-
-
 # ---------------------------------------------------------------------------
 # Parameters
 
@@ -243,13 +239,13 @@ class ConstructionIndex:
         try:
             return self.states[name]
         except KeyError:
-            raise MissingDependencyError(f"no state named {name!r}") from None
+            raise ConstructionError(f"no state named {name!r}") from None
 
     def action(self, name: str) -> int:
         try:
             return self.actions[name]
         except KeyError:
-            raise MissingDependencyError(f"no action named {name!r}") from None
+            raise ConstructionError(f"no action named {name!r}") from None
 
     def target(self, aid: int) -> int:
         """Semantic target of an action (a detour entry points at its exit's target)."""
@@ -316,10 +312,8 @@ class _Builder:
         name = f"{self.mdp.state_names[s]}->{self.mdp.state_names[t]}"
         if name in self.index.actions:
             # A dummy Or gate reads the same input twice; keep both actions.
-            suffix = 2
-            while f"{name}#{suffix}" in self.index.actions:
-                suffix += 1
-            name = f"{name}#{suffix}"
+            # A third repeat would be refused by ``_register_action``.
+            name += "#2"
         aid = self.mdp.add_action(s, {t: ONE}, reward, name)
         return self._register_action(aid, name, t)
 

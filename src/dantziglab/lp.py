@@ -74,18 +74,6 @@ class SingularBasisError(LpError):
     """A policy's columns are dependent: its policy graph has a trapped cycle."""
 
 
-class UnboundedDirectionError(LpError):
-    """No leaving candidate: cannot happen on a well-formed instance."""
-
-
-class DegenerateLeavingError(LpError):
-    """The ratio test tied: the instance or the converter is wrong."""
-
-
-class PivotInvariantError(LpError):
-    """The leaving column was not the other action at the entering state."""
-
-
 @dataclass
 class LinearProgram:
     mdp: Mdp
@@ -159,9 +147,6 @@ class Basis:
     y: list[Fraction]  # duals, per row
     reduced: list[Fraction]  # reduced costs, per column
 
-    def action_ids(self) -> frozenset[int]:
-        return frozenset(self.lp.cols[j] for j in self.cols)
-
     def basic_solution(self) -> list[Fraction]:
         """x_B = B^-1 · rhs: each position's entries across the inverse's columns, summed, times 1/n.
 
@@ -210,18 +195,20 @@ def basis_from_policy(lp: LinearProgram, policy: Policy) -> Basis:
     return make_basis(lp, cols)
 
 
+def _reduced_cost(lp: LinearProgram, j: int, y: Sequence[Fraction]) -> Fraction:
+    """Column j's reduced cost c_j - a_j · y against the duals y."""
+    acc = lp.objective[j]
+    for i, v in lp.columns[j].items():
+        acc -= v * y[i]
+    return acc
+
+
 def dual_and_reduced_costs(lp: LinearProgram, basis: Basis) -> tuple[list[Fraction], list[Fraction]]:
     """Dual solution y (per row) and reduced costs (per column) of the basis, from scratch."""
     # y = B^-T · c_B: y[i] is column i of B^-1 against the basic objective.
     c_b = [lp.objective[j] for j in basis.cols]
     y = [sum((c_b[p] * v for p, v in column.items() if c_b[p]), ZERO) for column in basis.inv_cols]
-    reduced = []
-    for j in range(lp.num_cols):
-        acc = lp.objective[j]
-        for i, v in lp.columns[j].items():
-            acc -= v * y[i]
-        reduced.append(acc)
-    return y, reduced
+    return y, [_reduced_cost(lp, j, y) for j in range(lp.num_cols)]
 
 
 def fresh_vectors(basis: Basis) -> Kept:
@@ -285,16 +272,14 @@ def simplex_dantzig_step(
         elif ratio == best_ratio:
             tie_count += 1
     if leaving_pos is None:
-        raise UnboundedDirectionError("entering column has no positive direction entry")
+        raise LpError("entering column has no positive direction entry")
     if tie_count > 1:
-        raise DegenerateLeavingError("ratio test minimizer is not unique")
+        raise LpError("ratio test minimizer is not unique")
     leaving = basis.cols[leaving_pos]
     enter_state = actions[aid].state
     leave_state = actions[lp.cols[leaving]].state
     if enter_state != leave_state:
-        raise PivotInvariantError(
-            f"leaving column lives at state {leave_state}, entering at {enter_state}"
-        )
+        raise LpError(f"leaving column lives at state {leave_state}, entering at {enter_state}")
     return SimplexStep(
         _pivot(lp, basis, entering, leaving_pos, direction, best_ratio, best), entering, leaving, best
     )
@@ -322,10 +307,7 @@ def _pivot(
         y[i] += factor * v
     reduced = list(basis.reduced)
     for j in {j for i in inv_r for j in lp.row_cols[i]}:
-        acc = lp.objective[j]
-        for i, v in lp.columns[j].items():
-            acc -= v * y[i]
-        reduced[j] = acc
+        reduced[j] = _reduced_cost(lp, j, y)
     cols = list(basis.cols)
     cols[r] = entering
     return make_basis(lp, cols, (x_b, y, reduced))
@@ -387,7 +369,7 @@ class Lockstep:
         y, reduced = basis.y, basis.reduced
         entry: dict = {
             "iteration": iteration,
-            "basis_match": basis.action_ids() == frozenset(policy.choice[s] for s in lp.rows),
+            "basis_match": {lp.cols[j] for j in basis.cols} == {policy.choice[s] for s in lp.rows},
             "dual_match": same(y, [values[s] for s in lp.rows]) and values[lp.sink] == 0,
             "reduced_cost_match": same(reduced, [gains[a] for a in lp.cols]),
         }

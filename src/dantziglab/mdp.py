@@ -2,8 +2,8 @@
 
 The optimality criterion is expected total reward in the regime where every
 recurrent class under the policies of interest is a single absorbing
-zero-reward state.  Evaluation pins each absorbing state to value 0 and
-solves the transient part of the value equation exactly.  Policies whose
+zero-reward state.  Evaluation gives each absorbing state value 0 and
+solves the value equation of the others exactly.  Policies whose
 chain structure falls outside that regime are rejected loudly: in this code
 base such a policy indicates a construction bug, never a case to smooth over.
 
@@ -15,10 +15,11 @@ other state costs one addition, or none, and a fair coin one addition and
 one multiplication.
 Only when the walk meets a cycle (or a rewarded absorbing state) does
 evaluation build the same solved equations as sparse rows and
-eliminate them exactly.  That one elimination is also the chain-structure
-check: with the absorbing states pinned, the system is singular exactly
-when a recurrent class has more than one state, so a singular solve is
-reported as that class, as a singular LP basis is.
+eliminate them exactly, one row per state, an absorbing state's row
+being ``v(s) = 0``.  That one elimination is also the chain-structure
+check: the system is singular exactly when a recurrent class has more
+than one state, so a singular solve is reported as that class, as a
+singular LP basis is.
 
 The switching engine ("greedy single-switch rule") always switches one
 action of maximal positive appeal.  Ties are resolved by a ``TieBreak``, one
@@ -313,53 +314,45 @@ def _acyclic_expectation(
 def _solved_expectation(mdp: Mdp, policy: Policy) -> list[Fraction]:
     """Solve the value equation of any policy exactly, or raise for its chain structure.
 
-    A rewarded absorbing state (``solved`` is None) is rejected, and the
-    others are pinned to 0.  Every other state ``s`` gives the sparse row
-    ``v(s) - sum c v(t) = base`` from its action's ``solved`` exits.  That
-    system is ``I - Q`` over the unpinned states, and in exact arithmetic
-    it is singular exactly when some of them never reach a pinned state,
-    i.e. the policy has a recurrent class of more than one state.  The
-    elimination reports that as ``SingularMatrixError``, which becomes the
-    chain-structure error, as a singular LP basis does in
+    One sparse row per state: an absorbing state (``solved`` is None) gives
+    ``v(s) = 0``, or is rejected if its loop is rewarded, and every other
+    state ``s`` gives ``v(s) - sum c v(t) = base`` from its action's
+    ``solved`` exits.  The absorbing rows are unit rows, so the system's
+    determinant is that of ``I - Q`` over the other states, and in exact
+    arithmetic it is singular exactly when some of them never reach an
+    absorbing state, i.e. the policy has a recurrent class of more than one
+    state.  The elimination reports that as ``SingularMatrixError``, which
+    becomes the chain-structure error, as a singular LP basis does in
     ``lp.make_basis``.
     """
-    actions, choice = mdp.actions, policy.choice
-    n = len(choice)
-    pinned: set[int] = set()
-    for s in range(n):
-        act = actions[choice[s]]
+    rows, rhs = [], []
+    for s, aid in enumerate(policy.choice):
+        act = mdp.actions[aid]
+        row = {s: ONE}
         if act.solved is None:
             if act.reward:
                 raise NonZeroGainPolicyError(
                     f"absorbing state {mdp.state_names[s]} loops with reward {act.reward}"
                 )
-            pinned.add(s)
-    transient = [s for s in range(n) if s not in pinned]
-    idx = {s: i for i, s in enumerate(transient)}
-    rows = []
-    rhs = []
-    for s in transient:
-        base, _, groups = actions[choice[s]].solved  # type: ignore[misc]
-        row = {idx[s]: ONE}
-        for c, ts in groups:
-            for t in ts:
-                if t in idx:
-                    row[idx[t]] = -c
+            rhs.append(ZERO)
+        else:
+            base, _, groups = act.solved
+            for c, ts in groups:
+                for t in ts:
+                    row[t] = -c
+            rhs.append(base)
         rows.append(row)
-        rhs.append(base)
     try:
-        solution = solve_linear_system(rows, rhs)
+        return solve_linear_system(rows, rhs)
     except SingularMatrixError:
         raise NonZeroGainPolicyError("recurrent class with more than one state") from None
-    solved = iter(solution)
-    return [ZERO if s in pinned else next(solved) for s in range(n)]
 
 
 def evaluate_values(mdp: Mdp, policy: Policy) -> list[Fraction]:
     """Exact expected total reward per state under the policy.
 
     Requires every recurrent class to be a single absorbing zero-reward
-    state; those states are pinned to value 0.  An acyclic policy is
+    state; those states have value 0.  An acyclic policy is
     back-substituted in one walk; a policy with a cycle, or a rewarded
     absorbing state, goes to the exact sparse solve, which rejects a
     rewarded absorbing state up front and a recurrent cycle by finding the

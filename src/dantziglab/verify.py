@@ -453,8 +453,8 @@ def _chooses(construction: Construction, policy: Policy, state: int, target: int
     return construction.index.target(policy.choice[state]) == target
 
 
-def check_coherent(construction: Construction, policy: Policy, phase: int) -> Report:
-    """The housekeeping conditions every mid-phase policy must satisfy."""
+def check_coherent(construction: Construction, policy: Policy, phase: int) -> list[str]:
+    """The housekeeping conditions every mid-phase policy must satisfy: one line per failed one."""
     index = construction.index
     circuit = construction.circuit
     assert circuit is not None
@@ -476,7 +476,7 @@ def check_coherent(construction: Construction, policy: Policy, phase: int) -> Re
         check(i, _chooses(construction, policy, index.x(1 - phase, i), c_own), "x(other) detached")
     for i in construction.not_gates():
         check(i, _chooses(construction, policy, index.a(1 - phase, i), c_own), "arming state (other) detached")
-    return Report("coherent", not failures, failures, {"phase": phase})
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +575,10 @@ def _transition_failures(construction: Construction, segment: Segment, before: P
                 failures.append(f"holding state o{1 - phase}_{info.gate} switched during the hand-over")
 
     new_phase = 1 - phase
-    coherent = check_coherent(construction, after, new_phase)
-    if not coherent.ok:
+    incoherent = check_coherent(construction, after, new_phase)
+    if incoherent:
         failures.append("post-boundary policy is not coherent")
-        failures.extend("  " + f for f in coherent.failures)
+        failures.extend("  " + f for f in incoherent)
     decoded = decode_input_bits(construction, after, new_phase)
     if decoded != next_bits:
         failures.append(f"post-boundary bits {decoded} do not encode the next iterate {next_bits}")

@@ -327,6 +327,37 @@ def test_flags_the_instance_does_not_read_are_input_errors(tmp_path, capsys, arg
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build"], "choose exactly one of --circuit, --tm, --builtin"),
+        (["build", "--builtin", "clock:n=x"], "bad clock size in 'clock:n=x'"),
+        (["build", "--builtin", "clock:n=0"], "clock needs n >= 1"),
+        (["build", "--tm", "writer.json"], "--tm needs --space"),
+        (["run", "--builtin", "rot2", "--bits", "111"], "instance has 2 bits, got start string of length 3"),
+        (["decide", "--builtin", "rot2", "--bits", "11", "--z", "3", "--problem", "bitswitch"],
+         "bit index 3 outside 1..2"),
+        (["run", "--builtin", "rot2"], "circuit instances need --bits for the starting policy"),
+        (["verify", "--builtin", "rot2", "--bits", "11", "--which", "clock"],
+         "clock verification needs a clock instance"),
+        (["decide", "--builtin", "clock:n=3", "--problem", "bitswitch"],
+         "decision problems need a circuit or machine instance"),
+        (["decide", "--builtin", "rot2", "--bits", "11", "--problem", "bitswitch"],
+         "decision problems need --bits and --z (or a --tm instance)"),
+    ],
+    ids=["no-source", "clock-size", "clock-zero", "tm-space", "bits-length", "z-range", "run-bits",
+         "clock-audit", "decide-clock", "decide-z"],
+)
+def test_each_input_error_exits_2_with_its_line(tmp_path, capsys, argv, message):
+    with open(tmp_path / "writer.json", "w") as fh:
+        json.dump(machine_to_json(writer_machine()), fh)
+    argv = [str(tmp_path / arg) if arg == "writer.json" else arg for arg in argv]
+    out = str(tmp_path / "rejected")
+    assert run_cli(*argv, "--out", out) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
     "argv, unread",
     [
         (["run", "--builtin", "rot2", "--bits", "11"], ["--z", "1"]),

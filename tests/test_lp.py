@@ -444,6 +444,29 @@ def test_final_oracle_flags_a_kept_vector_perturbed_after_the_last_switch(monkey
     assert all(e["ok"] for e in report.iterations[:22])
 
 
+def test_lockstep_stops_once_its_side_finds_no_pivot_but_the_run_goes_on(monkeypatch):
+    # From switch k on the LP side finds no pivot while the run still
+    # switches: switch k fails its comparison, the lockstep stops there, and
+    # neither the later switches nor the final policy add an iteration.
+    import dantziglab.lp as lp_module
+
+    k = 5
+    steps = []
+    original = lp_module.simplex_dantzig_step
+
+    def exhausted(*args):
+        steps.append(1)
+        return original(*args) if len(steps) <= k else None
+
+    monkeypatch.setattr(lp_module, "simplex_dantzig_step", exhausted)
+    report = _identity1_lockstep()
+    assert report.ok is False and report.first_divergence == k
+    assert report.pivots == k and len(report.iterations) == k + 1 and len(steps) == k + 1
+    assert report.iterations[k]["same_entering"] is False
+    assert all(e["ok"] for e in report.iterations[:k])
+    assert report.run.iterations == 22 and max(report.run.appeals) <= 0
+
+
 def test_lockstep_with_seeded_ties():
     # Two states with tied top appeals: both engines must draw the same
     # candidate from their same-seeded generators at every iteration.

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dantziglab import numerics
+from dantziglab import mdp, numerics
 from dantziglab.cli import main
 from dantziglab.numerics import (
     SingularMatrixError,
@@ -390,3 +390,10 @@ def test_every_lockstep_basis_inverts_without_the_elimination(tmp_path, monkeypa
     argv = ["verify", "--builtin", "identity1", "--bits", "1", "--which", "equivalence"]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert len(calls) == 23
+    # Nor does any policy a full audit or an MDP-side decision reaches need
+    # the cyclic value solve: every one is acyclic apart from self-loops.
+    monkeypatch.setattr(mdp, "_solved_expectation", _refuse_elimination)
+    argv = ["verify", "--builtin", "rot2", "--bits", "11", "--which", "all"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    argv = ["decide", "--builtin", "rot3", "--bits", "111", "--z", "1", "--problem", "dantzigsol"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
