@@ -21,17 +21,17 @@ the engine it audits.
 
 A basis keeps its inverse B⁻¹ by columns: column i is the sparse dict
 {position: B⁻¹[position][i]}.  The rows of Bᵀ are the basis columns of
-the LP, so one ``numerics.inverse`` call per basis on those columns gives
-(Bᵀ)⁻¹, whose rows are exactly these columns.  The basis is I - Pᵀ on the
-non-sink states, so its inverse is the transpose of Σ Pᵏ, the fundamental
-matrix of the absorbing chain: column i holds position j exactly when row
-j's state is reachable from row i's state under the policy.  Every basis a
-run visits comes from a policy that is acyclic apart from self-loops, so
-Bᵀ is triangular under a permutation and ``inverse`` substitutes in
-singleton order without elimination: a hop or a detour column makes its
-state's inverse column a copy of its target's plus one entry (see
-``numerics``).  The entering direction combines the two or three inverse
-columns at the entering column's nonzero rows.
+the LP, so ``numerics.inverse`` on those columns gives (Bᵀ)⁻¹, whose rows
+are exactly these columns.  The basis is I - Pᵀ on the non-sink states, so
+its inverse is the transpose of Σ Pᵏ, the fundamental matrix of the
+absorbing chain: column i holds position j exactly when row j's state is
+reachable from row i's state under the policy.  Every basis a run visits
+comes from a policy that is acyclic apart from self-loops, so Bᵀ is
+triangular under a permutation and ``inverse`` substitutes in singleton
+order without elimination: a hop or a detour column makes its state's
+inverse column a copy of its target's plus one entry (see ``numerics``).
+The entering direction combines the two or three inverse columns at the
+entering column's nonzero rows.
 
 A basis also keeps its basic solution x_B, its duals y and its reduced
 costs.  Only the start basis computes them from scratch, with
@@ -42,9 +42,16 @@ revised-simplex update (Dantzig & Orchard-Hays 1954): with d the entering
 direction, r the leaving position, θ = x_r/d_r and rc_q the entering
 reduced cost, x_B' = x_B − θ·d with x_r' = θ, y' = y + (rc_q/d_r)·B⁻¹[r],
 and only the columns with a nonzero in a row where y changed get their
-reduced cost recomputed.  The two from-scratch functions stay as the
-oracle: at the final policy the lockstep recomputes all three vectors and
-counts any difference from the kept ones as a divergence.
+reduced cost recomputed.
+
+The inverse is carried too, with one ``inverse`` call per basis.  By the
+same update column i of B⁻¹ loses (d − e_r)·B⁻¹[r][i]/d_r, so only the
+columns of the states that reach the switched one change: about three per
+pivot on the acceptance instances.  The pivot re-solves those and shares
+every other column, never changed in place, with the basis before.  The
+from-scratch computations stay as the oracle: at the final policy the
+lockstep checks Bᵀ·X = I exactly against the LP's own columns, recomputes
+all three vectors, and counts any failure or difference as a divergence.
 """
 
 from __future__ import annotations
@@ -141,7 +148,7 @@ def mdp_to_primal(mdp: Mdp, sink: int) -> LinearProgram:
 class Basis:
     lp: LinearProgram
     cols: tuple[int, ...]  # one column index per row, in row order
-    inv_cols: list[dict[int, Fraction]]  # column i of B^-1 as {pos: B^-1[pos][i]}
+    inv_cols: list[dict[int, Fraction]]  # column i of B^-1 as {pos: B^-1[pos][i]}, never changed in place
     # Kept from pivot to pivot; ``fresh_vectors`` is their oracle.
     x_b: list[Fraction]  # basic solution, per row position
     y: list[Fraction]  # duals, per row
@@ -159,6 +166,15 @@ class Basis:
         share = self.lp.rhs[0]
         return [share * v for v in sums]
 
+    def inverts(self) -> bool:
+        """Bᵀ·X = I exactly: B^-1 maps the basic column at each position p to e_p."""
+        n = len(self.cols)
+        for p, j in enumerate(self.cols):
+            d = self.direction(j)
+            if d[p] != 1 or d.count(ZERO) != n - 1:
+                return False
+        return True
+
     def direction(self, col: int) -> list[Fraction]:
         """The entering direction B^-1 · a_col: a combination of the inverse's columns at a_col's rows."""
         out = [ZERO] * len(self.cols)
@@ -171,12 +187,22 @@ class Basis:
 Kept = tuple[list[Fraction], list[Fraction], list[Fraction]]  # x_B, y, reduced costs
 
 
-def make_basis(lp: LinearProgram, cols: Sequence[int], kept: Kept | None = None) -> Basis:
-    """The basis of ``cols``: its inverse, and ``kept`` or, without it, ``fresh_vectors``."""
+def make_basis(
+    lp: LinearProgram,
+    cols: Sequence[int],
+    kept: Kept | None = None,
+    known: list[dict[int, Fraction] | None] | None = None,
+    rows: Iterable[int] | None = None,
+) -> Basis:
+    """The basis of ``cols``: its inverse, and ``kept`` or, without it, ``fresh_vectors``.
+
+    ``known`` (the inverse's columns carried over) and ``rows`` (the positions to re-solve) go to ``inverse``.
+    """
     if len(cols) != lp.num_rows:
         raise LpError(f"basis needs {lp.num_rows} columns, got {len(cols)}")
     try:
-        inv_cols = inverse([lp.columns[j] for j in cols])  # the rows of Bᵀ are the basis columns
+        # The rows of Bᵀ are the basis columns.
+        inv_cols = inverse([lp.columns[j] for j in cols], known=known, rows=rows)
     except SingularMatrixError as exc:
         raise SingularBasisError(f"dependent basis columns: {exc}") from exc
     basis = Basis(lp, tuple(cols), inv_cols, [], [], [])
@@ -310,7 +336,13 @@ def _pivot(
         reduced[j] = _reduced_cost(lp, j, y)
     cols = list(basis.cols)
     cols[r] = entering
-    return make_basis(lp, cols, (x_b, y, reduced))
+    # Column i of B^-1 changes exactly when row i's state reaches r's (B^-1[r][i] != 0).
+    # Position p's column is nonzero only at row p and p's targets' rows, so the
+    # positions whose columns meet a changed inverse column are these same indices.
+    known: list[dict[int, Fraction] | None] = list(basis.inv_cols)
+    for i in inv_r:
+        known[i] = None
+    return make_basis(lp, cols, (x_b, y, reduced), known, inv_r)
 
 
 @dataclass
@@ -386,7 +418,7 @@ class Lockstep:
             entry[k] for k in ("basis_match", "dual_match", "reduced_cost_match", "same_entering")
         )
         if event is None:
-            entry["ok"] &= (basis.x_b, y, reduced) == fresh_vectors(basis)
+            entry["ok"] &= basis.inverts() and (basis.x_b, y, reduced) == fresh_vectors(basis)
         report.iterations.append(entry)
         if not entry["ok"] and report.first_divergence is None:
             report.ok = False

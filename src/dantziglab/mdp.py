@@ -94,16 +94,17 @@ class Action:
     name: str
 
     @cached_property
-    def solved(self) -> tuple[Fraction, tuple[int, ...], tuple[tuple[Fraction, tuple[int, ...]], ...]] | None:
+    def solved(self) -> tuple[Fraction | None, tuple[int, ...], tuple[tuple[Fraction, tuple[int, ...]], ...]] | None:
         """The value equation ``v(s) = reward + sum p(t) v(t)`` solved for this state's value.
 
         Returns ``(base, targets, groups)``: ``targets`` are the exits
         ``t != s`` in transition order, and ``groups`` pairs each distinct
         coefficient ``c`` with the exits it scales, so that
         ``v(s) = base + sum c (sum v(t))``.  With self-loop mass ``p``,
-        ``base`` is ``reward / (1 - p)`` and each ``c`` is ``p(t) / (1 - p)``.
-        A fair coin, such as a clock's primed state, is one group of two
-        exits.  A pure self-loop fixes no value and gives None.
+        ``base`` is ``reward / (1 - p)``, or None for a zero reward, so a
+        zero is tested once, here; each ``c`` is ``p(t) / (1 - p)``.  A fair
+        coin, such as a clock's primed state, is one group of two exits.  A
+        pure self-loop fixes no value and gives None.
         """
         stay = self.transitions.get(self.state, ZERO)
         if stay == 1:
@@ -113,19 +114,22 @@ class Action:
         groups: dict[Fraction, list[int]] = {}
         for t in targets:
             groups.setdefault(self.transitions[t] / leave, []).append(t)
-        return self.reward / leave, targets, tuple((c, tuple(ts)) for c, ts in groups.items())
+        base = self.reward / leave if self.reward else None
+        return base, targets, tuple((c, tuple(ts)) for c, ts in groups.items())
 
     @cached_property
-    def lookahead(self) -> tuple[Fraction, Fraction, tuple[tuple[int, Fraction], ...]]:
+    def lookahead(self) -> tuple[Fraction | None, Fraction, tuple[tuple[int, Fraction], ...]]:
         """The one-step lookahead read straight off ``transitions``, for ``_appeal``.
 
-        Returns ``(reward, leave, exits)``: ``leave`` is 1 minus the
+        Returns ``(reward, leave, exits)``: ``reward`` is None when it is 0,
+        as ``solved`` keeps a zero base; ``leave`` is 1 minus the
         self-loop mass and ``exits`` are the transitions ``(t, p)`` with
         ``t != state``, undivided.  It shares nothing with ``solved``, so an
         appeal checks the values ``solved`` gave by a route of its own.
         """
         exits = tuple((t, p) for t, p in self.transitions.items() if t != self.state)
-        return self.reward, 1 - self.transitions.get(self.state, ZERO), exits
+        reward = self.reward if self.reward else None
+        return reward, 1 - self.transitions.get(self.state, ZERO), exits
 
 
 class Mdp:
@@ -280,7 +284,7 @@ def _acyclic_expectation(
             act = actions[choice[s]]
             solved = act.solved
             if solved is None:
-                if act.reward:
+                if act.lookahead[0] is not None:  # a rewarded absorbing loop
                     return None
                 values[s] = ZERO
             else:
@@ -305,7 +309,7 @@ def _acyclic_expectation(
                         for t in ts[1:]:
                             term += values[t]  # type: ignore[operator]
                         acc = c * term if acc is None else acc + c * term  # type: ignore[operator]
-                values[s] = acc + base if base else acc
+                values[s] = acc if base is None else acc + base
             on_path[s] = False
             path.pop()
     return values  # type: ignore[return-value]
@@ -340,7 +344,7 @@ def _solved_expectation(mdp: Mdp, policy: Policy) -> list[Fraction]:
             for c, ts in groups:
                 for t in ts:
                     row[t] = -c
-            rhs.append(base)
+            rhs.append(ZERO if base is None else base)
         rows.append(row)
     try:
         return solve_linear_system(rows, rhs)
@@ -383,7 +387,7 @@ def _appeal(act: Action, values: Sequence[Fraction]) -> Fraction:
         acc = -leave * values[act.state]
         for t, p in exits:
             acc += p * values[t]
-    return acc + reward if reward else acc
+    return acc if reward is None else acc + reward
 
 
 def appeals(mdp: Mdp, policy: Policy, values: Sequence[Fraction]) -> list[Fraction]:

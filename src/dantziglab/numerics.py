@@ -6,9 +6,9 @@ constants such as 16/5 and 33/10 after division by quantities of magnitude
 3^(d+6), so exactness is a correctness requirement, not a nicety.
 
 A square n×n matrix is a list of n sparse rows, each a dict from column
-index to its nonzero entry.  The solver and the inverse copy their input and
-coerce every given entry with ``rat``, so a float anywhere, ``0.0``
-included, raises ``TypeError``; a column key outside ``range(n)`` raises
+index to its nonzero entry.  The solver and the inverse copy each row they
+read and coerce its entries with ``rat``, so a float, ``0.0`` included,
+raises ``TypeError``; a column key outside ``range(n)`` raises
 ``ValueError``; a given zero is dropped, and an entry that cancels to zero
 during elimination is deleted, so no row ever stores a zero.
 
@@ -27,6 +27,9 @@ Most rows of those matrices are a hop {s: 1, t: -1} or a detour
 a copy of X[t] or X[mid] plus the one entry 1/p: no Fraction is multiplied
 or divided across the copied row.
 
+Handed the X rows it already knows, the inverse counts them as closed
+columns and substitutes only the rows of A that meet the others.
+
 Only when no singleton is left (a transient cycle), and always for the solver,
 does one sparse Gauss-Jordan elimination run.  It pivots first on row
 singletons too, then on the first unpivoted column's first open row, and a
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -81,20 +84,21 @@ def same(xs: Sequence[Fraction | int], ys: Sequence[Fraction | int]) -> bool:
     return [x.as_integer_ratio() for x in xs] == [y.as_integer_ratio() for y in ys]
 
 
+def _coerced(row: Mapping[int, Fraction], n: int) -> SparseRow:
+    """A fresh sparse row of an n-column matrix: entries coerced by ``rat``, zeros dropped."""
+    fresh = {}
+    for j, x in row.items():
+        if j not in range(n):
+            raise ValueError(f"matrix must be square: column {j!r} is outside range({n})")
+        x = rat(x)
+        if x:
+            fresh[j] = x
+    return fresh
+
+
 def _square(rows: Sequence[Mapping[int, Fraction]]) -> list[SparseRow]:
     """Fresh sparse rows of a square matrix: entries coerced by ``rat``, zeros dropped."""
-    n = len(rows)
-    out = []
-    for row in rows:
-        fresh = {}
-        for j, x in row.items():
-            if j not in range(n):
-                raise ValueError(f"matrix must be square: column {j!r} is outside range({n})")
-            x = rat(x)
-            if x:
-                fresh[j] = x
-        out.append(fresh)
-    return out
+    return [_coerced(row, len(rows)) for row in rows]
 
 
 def _axpy(row: SparseRow, factor: Fraction, pivot: SparseRow) -> None:
@@ -181,21 +185,31 @@ def solve_linear_system(a: Sequence[Mapping[int, Fraction]], b: Sequence[Fractio
     return [row.get(0, ZERO) for row in _gauss_jordan(left, right)]
 
 
-def _substitute(left: list[SparseRow]) -> list[SparseRow] | None:
-    """The inverse X of ``left`` by substitution in singleton order, or None on a stall.
+def _substitute(
+    a: Sequence[Mapping[int, Fraction]], out: list[SparseRow | None], rows: Iterable[int]
+) -> list[SparseRow] | None:
+    """Fill the None rows of ``out``, the inverse X of ``a``, by substitution in singleton order.
 
-    A row r whose one open column is c gives X[c] = e_r/a_rc − Σ_{k≠c} (a_rk/a_rc)·X[k].
-    ``left`` is not changed.
+    Only ``rows`` of ``a`` are read, and a column whose X row is known counts
+    as closed.  A row r whose one open column is c gives
+    X[c] = e_r/a_rc − Σ_{k≠c} (a_rk/a_rc)·X[k].  Returns ``out``, or None on a
+    stall.  ``a`` is not changed, nor is any X row already in ``out``.
     """
-    n = len(left)
-    holders: list[list[int]] = [[] for _ in range(n)]
-    for r, row in enumerate(left):
+    n = len(a)
+    left = {r: _coerced(a[r], n) for r in rows}
+    holders: dict[int, list[int]] = {}
+    open_count: dict[int, int] = {}
+    singles = []
+    for r, row in left.items():
+        count = 0
         for c in row:
-            holders[c].append(r)
-    open_count = [len(row) for row in left]
-    singles = [r for r, count in enumerate(open_count) if count == 1]
-    out: list[SparseRow | None] = [None] * n
-    for _ in range(n):
+            if out[c] is None:
+                holders.setdefault(c, []).append(r)
+                count += 1
+        open_count[r] = count
+        if count == 1:
+            singles.append(r)
+    for _ in left:
         if not singles:
             return None
         r = singles.pop()
@@ -211,7 +225,7 @@ def _substitute(left: list[SparseRow]) -> list[SparseRow] | None:
                     x = out[k].copy()  # type: ignore[union-attr]
                 else:
                     _axpy(x, ratio, out[k])  # type: ignore[arg-type]
-        x[r] = ONE if unit else 1 / scale  # each X[k] so far holds only rows pivoted before r
+        x[r] = ONE if unit else 1 / scale  # no X[k] read here holds r: see ``inverse``
         out[c] = x
         for h in holders[c]:
             open_count[h] -= 1
@@ -222,8 +236,21 @@ def _substitute(left: list[SparseRow]) -> list[SparseRow] | None:
     return out  # type: ignore[return-value]
 
 
-def inverse(a: Sequence[Mapping[int, Fraction]]) -> list[SparseRow]:
-    """Sparse rows of the exact inverse of a square nonsingular matrix, given as sparse rows."""
-    left = _square(a)
-    inv = _substitute(left)
-    return inv if inv is not None else _gauss_jordan(left, [{i: ONE} for i in range(len(left))])
+def inverse(
+    a: Sequence[Mapping[int, Fraction]],
+    *,
+    known: list[SparseRow | None] | None = None,
+    rows: Iterable[int] | None = None,
+) -> list[SparseRow]:
+    """Sparse rows of the exact inverse X of a square nonsingular matrix, given as sparse rows.
+
+    Given ``known``, its X rows that are not None are kept, the very dicts,
+    and its None rows are filled in place; given ``rows``, only those rows of
+    ``a`` are read, coerced and range-checked.  They must be every row
+    holding a column whose X row is None, and as many: then by X·a = I no
+    kept X row holds one of them.  On a stall the elimination inverts the
+    whole of ``a`` afresh.
+    """
+    n = len(a)
+    inv = _substitute(a, [None] * n if known is None else known, range(n) if rows is None else rows)
+    return inv if inv is not None else _gauss_jordan(_square(a), [{i: ONE} for i in range(n)])

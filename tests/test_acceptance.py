@@ -25,7 +25,9 @@ from dantziglab.construction import (
     bound_w,
     build_clock,
     build_construction,
+    build_construction_z,
     clock_initial_policy,
+    derive_params,
     initial_policy,
     make_params,
 )
@@ -195,31 +197,31 @@ def test_criterion_5_lockstep_equivalence():
         cons.mdp, initial_policy(cons, (1,)), cons.index.si(), budget=cons.budget()
     )
     assert report.ok and report.first_divergence is None
+    # Each acceptance instance, plain and as the decision variant the CLI
+    # builds for ``dantzigsol``: the pivot count is that of a plain run, made
+    # without the lockstep.
     pivots = {}
-    for name, expected in (("identity2", 133), ("rot2", 232)):
-        circuit, bits, _ = INSTANCES[name]
-        cons = build_construction(negated_form(normalize_depths(circuit)))
-        wide = check_pi_simplex_equivalence(
-            cons.mdp, initial_policy(cons, bits), cons.index.si(), budget=cons.budget()
-        )
-        assert wide.ok and wide.first_divergence is None and wide.pivots == expected
-        assert all(entry["ok"] for entry in wide.iterations)
-        pivots[name] = wide.pivots
-    # const0_2: the pivot count is pinned by a plain run, made without the lockstep.
-    circuit, bits, _ = INSTANCES["const0_2"]
-    cons = build_construction(negated_form(normalize_depths(circuit)))
-    plain = run_policy_iteration(cons.mdp, initial_policy(cons, bits), budget=cons.budget())
-    wide = check_pi_simplex_equivalence(
-        cons.mdp, initial_policy(cons, bits), cons.index.si(), budget=cons.budget()
-    )
-    assert wide.ok and wide.first_divergence is None and wide.pivots == len(plain.trace)
-    assert all(entry["ok"] for entry in wide.iterations)
-    pivots["const0_2"] = wide.pivots
+    for name, (circuit, bits, z) in INSTANCES.items():
+        negated = negated_form(normalize_depths(circuit))
+        variants = {
+            name: build_construction(negated),
+            f"{name}/z": build_construction_z(negated, z, w=bound_w(derive_params(negated))),
+        }
+        for label, cons in variants.items():
+            plain = run_policy_iteration(cons.mdp, initial_policy(cons, bits), budget=cons.budget())
+            wide = check_pi_simplex_equivalence(
+                cons.mdp, initial_policy(cons, bits), cons.index.si(), budget=cons.budget()
+            )
+            assert wide.ok and wide.first_divergence is None and wide.pivots == len(plain.trace), label
+            assert all(entry["ok"] for entry in wide.iterations)
+            pivots[label] = wide.pivots
+    assert (pivots["identity2"], pivots["rot2"], pivots["rot3"]) == (133, 232, 692)
     ok(
         5,
         "pivoting retraces switching with zero divergences "
-        f"({report.pivots} pivots on identity1, {pivots['identity2']} on identity2, "
-        f"{pivots['rot2']} on rot2, {pivots['const0_2']} on const0_2)",
+        f"({report.pivots} pivots on identity1, "
+        + ", ".join(f"{count} on {label}" for label, count in pivots.items())
+        + ")",
     )
 
 

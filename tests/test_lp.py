@@ -7,6 +7,7 @@ from conftest import policy_graph_is_acyclic
 from hypothesis import given, settings, strategies as st
 
 from dantziglab.circuit import negated_form, normalize_depths
+from dantziglab.cli import main
 from dantziglab.construction import (
     build_clock,
     build_construction,
@@ -22,6 +23,7 @@ from dantziglab.lp import (
     basis_from_policy,
     check_pi_simplex_equivalence,
     dual_and_reduced_costs,
+    fresh_vectors,
     lp_manifest,
     lp_to_text,
     mdp_to_primal,
@@ -37,6 +39,7 @@ from dantziglab.mdp import (
     make_policy,
     run_policy_iteration,
 )
+from dantziglab.numerics import inverse
 
 ONE = Fraction(1)
 
@@ -298,7 +301,8 @@ def assert_inverse_pattern_is_reachability(lp, basis):
         assert all(v > 0 for v in column.values())
 
 
-def test_basis_inverse_holds_exactly_the_reachable_pairs(monkeypatch):
+def _recording_lockstep(monkeypatch, circuit, bits, tie="lowest"):
+    """The lockstep report of a plain construction, and every basis it visited, in order."""
     import dantziglab.lp as lp_module
 
     visited = []
@@ -309,10 +313,15 @@ def test_basis_inverse_holds_exactly_the_reachable_pairs(monkeypatch):
         return original(lp, basis, *args)
 
     monkeypatch.setattr(lp_module, "simplex_dantzig_step", recording_step)
-    cons = build_construction(negated_form(normalize_depths(identity_circuit(1))))
+    cons = build_construction(negated_form(normalize_depths(circuit)))
     report = check_pi_simplex_equivalence(
-        cons.mdp, initial_policy(cons, (1,)), cons.index.si(), budget=cons.budget()
+        cons.mdp, initial_policy(cons, bits), cons.index.si(), tie=TieBreak(tie), budget=cons.budget()
     )
+    return report, visited
+
+
+def test_basis_inverse_holds_exactly_the_reachable_pairs(monkeypatch):
+    report, visited = _recording_lockstep(monkeypatch, identity_circuit(1), (1,))
     assert report.ok and len(visited) == 23
     for lp, basis in visited:
         assert_inverse_pattern_is_reachability(lp, basis)
@@ -326,6 +335,90 @@ def test_basis_inverse_holds_exactly_the_reachable_pairs(monkeypatch):
     assert len(sample) >= 10
     for policy in sample:
         assert_inverse_pattern_is_reachability(lp, basis_from_policy(lp, policy))
+
+
+@pytest.mark.parametrize(
+    "name, tie",
+    [("identity2", "lowest"), ("identity2", "highest"), ("identity2", "random:3"), ("rot2", "lowest")],
+)
+def test_every_lockstep_basis_carries_the_inverse_a_fresh_solve_gives(monkeypatch, name, tie):
+    # A pivot at position r re-solves exactly the inverse columns i with
+    # B⁻¹[r][i] ≠ 0 and shares every other column, the same dict, with the
+    # basis before it.  Read after the whole run, each basis's columns still
+    # equal a from-scratch inverse of its own basic columns, so no later
+    # pivot changed a shared column in place.
+    circuit, bits = {"identity2": (identity_circuit(2), (1, 1)), "rot2": (rotation_circuit(2), (1, 1))}[name]
+    report, visited = _recording_lockstep(monkeypatch, circuit, bits, tie)
+    assert report.ok and len(visited) == report.pivots + 1
+    resolved = 0
+    for (lp, before), (_, after) in zip(visited, visited[1:]):
+        (r,) = [p for p, (j, k) in enumerate(zip(before.cols, after.cols)) if j != k]
+        for i, column in enumerate(before.inv_cols):
+            assert (after.inv_cols[i] is column) is (r not in column)
+        resolved += sum(r in column for column in before.inv_cols)
+    assert resolved < report.pivots * lp.num_rows / 10
+    for lp, basis in visited:
+        assert basis.inv_cols == inverse([lp.columns[j] for j in basis.cols])
+
+
+def test_a_corrupted_carried_column_fails_the_final_oracle(tmp_path, monkeypatch):
+    # The fifth pivot leaves its shortest inverse column doubled.  No later
+    # pivot re-solves that column, and no comparison with the run reads it,
+    # so only the final check, Bᵀ·X = I on the final basis, can see it.
+    import dantziglab.lp as lp_module
+
+    original = lp_module._pivot
+    planted = []
+
+    def corrupting(lp, *args):
+        basis = original(lp, *args)
+        planted.append(basis)
+        if len(planted) == 5:
+            i = min(range(lp.num_rows), key=lambda i: len(basis.inv_cols[i]))
+            basis.inv_cols[i] = {pos: 2 * v for pos, v in basis.inv_cols[i].items()}
+        return basis
+
+    monkeypatch.setattr(lp_module, "_pivot", corrupting)
+    cons = build_construction(negated_form(normalize_depths(identity_circuit(2))))
+    report = check_pi_simplex_equivalence(
+        cons.mdp, initial_policy(cons, (1, 1)), cons.index.si(), budget=cons.budget()
+    )
+    assert report.pivots == 133 and len(report.iterations) == 134
+    assert report.ok is False and report.first_divergence == 133
+    final = report.iterations[133]
+    assert final["basis_match"] and final["dual_match"] and final["reduced_cost_match"]
+    assert final["same_entering"] and final["ok"] is False
+    assert planted[-1].inverts() is False
+    planted.clear()
+    argv = ["verify", "--builtin", "identity2", "--bits", "11", "--which", "equivalence"]
+    assert main([*argv, "--out", str(tmp_path)]) == 4
+
+
+def test_final_oracle_flags_an_inverse_that_the_kept_vectors_cannot_see(monkeypatch):
+    # One entry of the final inverse moves to another column, at a position
+    # whose basic column has objective 0: every x_B sum, every dual and hence
+    # every reduced cost stays the same, so the from-scratch vectors agree
+    # with the kept ones, and only Bᵀ·X = I fails.
+    import dantziglab.lp as lp_module
+
+    original = lp_module.Lockstep.finish
+
+    def moving(self, result):
+        basis, lp = self.basis, self.lp
+        i = next(i for i, j in enumerate(basis.cols) if lp.objective[j] == 0)
+        other = (i + 1) % lp.num_rows
+        column = dict(basis.inv_cols[i])
+        moved = column.pop(i)
+        target = dict(basis.inv_cols[other])
+        target[i] = target.get(i, 0) + moved
+        basis.inv_cols[i], basis.inv_cols[other] = column, target
+        assert fresh_vectors(basis) == (basis.x_b, basis.y, basis.reduced)
+        return original(self, result)
+
+    monkeypatch.setattr(lp_module.Lockstep, "finish", moving)
+    report = _identity1_lockstep()
+    assert report.pivots == 22 and report.ok is False and report.first_divergence == 22
+    assert all(e["ok"] for e in report.iterations[:22])
 
 
 def test_feasibility_preserved_across_pivots():

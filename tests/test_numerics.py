@@ -375,15 +375,39 @@ def test_substitution_inverts_a_triangular_matrix_and_stalls_on_a_cycle(case):
                 inverse(a)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inverse_re_solves_only_the_rows_it_is_not_given(data):
+    # L is lower triangular, so rows k.. of L are exactly the rows holding a
+    # column k.. of X = L⁻¹.  Given X's rows ..k-1, the inverse substitutes
+    # rows k.. alone, never reads rows ..k-1 of L (here None), and shares
+    # the given rows.  Without ``rows`` every row of L is read, those with no
+    # open column never pivot, and the elimination inverts L afresh.
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(0, n))
+    diagonal = data.draw(st.lists(nonzero, min_size=n, max_size=n))
+    below = iter(data.draw(st.lists(small, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+    a = sparse([[diagonal[i] if j == i else next(below) if j < i else ZERO for j in range(n)] for i in range(n)])
+    x = numerics._gauss_jordan(numerics._square(a), identity(n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_gauss_jordan", _refuse_elimination)
+        known = [*x[:k], *[None] * (n - k)]
+        out = inverse([*[None] * k, *a[k:]], known=known, rows=range(k, n))
+    assert out is known and out == x
+    assert all(out[c] is x[c] for c in range(k))
+    if k:
+        assert inverse(a, known=[*x[:k], *[None] * (n - k)]) == x
+
+
 def test_every_lockstep_basis_inverts_without_the_elimination(tmp_path, monkeypatch):
     import dantziglab.lp as lp_module
 
     calls = []
     original = lp_module.inverse
 
-    def counting(a):
+    def counting(a, **carried):
         calls.append(len(a))
-        return original(a)
+        return original(a, **carried)
 
     monkeypatch.setattr(lp_module, "inverse", counting)
     monkeypatch.setattr(numerics, "_gauss_jordan", _refuse_elimination)
