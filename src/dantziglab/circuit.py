@@ -8,9 +8,12 @@ value it receives when the circuit's output is fed back into its input.
 
 Circuits used by the MDP compiler must additionally be depth-normalized:
 both inputs of every Or gate have equal depth, every Not gate has depth at
-least 2, and all output bits share a single depth.  ``normalize_depths``
-establishes those invariants by inserting dummy Or gates (an Or whose two
-inputs coincide), preserving the circuit's input/output behaviour.
+least 2, all output bits share a single depth, and every Or and Not gate
+reaches an output.  ``normalize_depths`` establishes those invariants by
+dropping the dead gates, which reach no output, and inserting dummy Or
+gates (an Or whose two inputs coincide), preserving the circuit's
+input/output behaviour.  A dead gate deeper than the outputs would need
+construction parameters past the output depth.
 
 ``CircuitBuilder`` assembles every circuit the lab makes: the built-in
 circuits, compiled machines and ``normalize_depths`` all emit through it,
@@ -144,9 +147,17 @@ class Circuit:
         d = self.depths()
         return max(d[i - 1] for i in self.output_gates())
 
+    def dead_gates(self) -> list[int]:
+        """The Or and Not gates that reach no output, in index order."""
+        live = set(self.output_gates())
+        for i in range(self.size, self.n, -1):
+            if i in live:
+                live.update(self.gates[i - 1].inputs)
+        return [i for i in range(self.n + 1, self.size + 1) if i not in live]
+
     def normalization_problems(self) -> list[str]:
         d = self.depths()
-        problems = []
+        problems = [f"gate {i} reaches no output" for i in self.dead_gates()]
         for pos, g in enumerate(self.gates):
             i = pos + 1
             if g.kind == KIND_OR and d[g.inputs[0] - 1] != d[g.inputs[1] - 1]:
@@ -241,14 +252,17 @@ class CircuitBuilder:
 
 
 def normalize_depths(c: Circuit) -> Circuit:
-    """Insert dummy Or gates until the three depth invariants hold.
+    """Drop the dead gates, then insert dummy Or gates until the three depth invariants hold.
 
     The result computes the same n-bit function; an already-normalized
     circuit comes back unchanged.
     """
     rb = CircuitBuilder(c.n)
     remap: dict[int, int] = {i: i for i in range(1, c.n + 1)}
+    dead = set(c.dead_gates())
     for old in range(c.n + 1, c.size + 1):
+        if old in dead:
+            continue
         g = c.gate(old)
         if g.kind == KIND_OR:
             a, b = (remap[j] for j in g.inputs)

@@ -31,7 +31,8 @@ triangular under a permutation and ``inverse`` substitutes in singleton
 order without elimination: a hop or a detour column makes its state's
 inverse column a copy of its target's plus one entry (see ``numerics``).
 The entering direction combines the two or three inverse columns at the
-entering column's nonzero rows.
+entering column's nonzero rows, and keeps only its nonzeros: the ratio
+test and the x_B update walk that support, never a dense vector.
 
 A basis also keeps its basic solution x_B, its duals y and its reduced
 costs.  Only the start basis computes them from scratch, with
@@ -42,7 +43,19 @@ revised-simplex update (Dantzig & Orchard-Hays 1954): with d the entering
 direction, r the leaving position, θ = x_r/d_r and rc_q the entering
 reduced cost, x_B' = x_B − θ·d with x_r' = θ, y' = y + (rc_q/d_r)·B⁻¹[r],
 and only the columns with a nonzero in a row where y changed get their
-reduced cost recomputed.
+reduced cost recomputed.  The basis also keeps its positive map, each
+column of positive reduced cost with its ``numerics.keyed`` selection
+key, as the engine keeps its positive appeals; a pivot re-keys only the
+columns it recomputes, and the next pivot picks the largest key and its
+ties from the map alone.
+
+The lockstep compares each vector only where it moved.  It keeps tuple
+snapshots of both sides of each comparison from the last time it passed,
+and compares exactly the positions where either side's entry is not the
+snapshot's object.  An entry neither side moved is the very pair that
+comparison found equal, and a Fraction never changes, so the result is
+that of the full comparison; a failure resets the snapshots to
+sentinels, so the next comparison reads every entry, as the first does.
 
 The inverse is carried too, with one ``inverse`` call per basis.  By the
 same update column i of B⁻¹ loses (d − e_r)·B⁻¹[r][i]/d_r, so only the
@@ -51,22 +64,25 @@ pivot on the acceptance instances.  The pivot re-solves those and shares
 every other column, never changed in place, with the basis before.  The
 from-scratch computations stay as the oracle: at the final policy the
 lockstep checks Bᵀ·X = I exactly against the LP's own columns, recomputes
-all three vectors, and counts any failure or difference as a divergence.
+all three vectors and the positive map, and counts any failure or
+difference as a divergence.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import compress, count
+from operator import is_not
 
 from .mdp import Mdp, PIResult, Picker, Policy, TieBreak, TraceEvent, Watcher, run_policy_iteration
 # The LP side never evaluates a policy.  The alias stays importable only
 # because the benchmark's tracer test (perfbench/test_harness.py) restores
 # it by name; it goes when that test is mended.
 from .mdp import evaluate_values  # noqa: F401
-from .numerics import ONE, ZERO, SingularMatrixError, format_rational, inverse, same
+from .numerics import ONE, ZERO, SingularMatrixError, format_rational, inverse, keyed, positive_keys, same
 
 
 class LpError(ValueError):
@@ -149,10 +165,11 @@ class Basis:
     lp: LinearProgram
     cols: tuple[int, ...]  # one column index per row, in row order
     inv_cols: list[dict[int, Fraction]]  # column i of B^-1 as {pos: B^-1[pos][i]}, never changed in place
-    # Kept from pivot to pivot; ``fresh_vectors`` is their oracle.
+    # Kept from pivot to pivot; ``fresh_vectors`` and ``positive_keys`` are their oracle.
     x_b: list[Fraction]  # basic solution, per row position
     y: list[Fraction]  # duals, per row
     reduced: list[Fraction]  # reduced costs, per column
+    positive: dict[int, tuple[int, Fraction]]  # each column of positive reduced cost -> keyed(rc)
 
     def basic_solution(self) -> list[Fraction]:
         """x_B = B^-1 · rhs: each position's entries across the inverse's columns, summed, times 1/n.
@@ -167,24 +184,37 @@ class Basis:
         return [share * v for v in sums]
 
     def inverts(self) -> bool:
-        """Bᵀ·X = I exactly: B^-1 maps the basic column at each position p to e_p."""
-        n = len(self.cols)
-        for p, j in enumerate(self.cols):
-            d = self.direction(j)
-            if d[p] != 1 or d.count(ZERO) != n - 1:
-                return False
-        return True
+        """Bᵀ·X = I exactly: B^-1 maps the basic column at each position p to e_p, and to nothing else."""
+        return all(self.direction(j) == {p: 1} for p, j in enumerate(self.cols))
 
-    def direction(self, col: int) -> list[Fraction]:
-        """The entering direction B^-1 · a_col: a combination of the inverse's columns at a_col's rows."""
-        out = [ZERO] * len(self.cols)
+    def direction(self, col: int) -> dict[int, Fraction]:
+        """The entering direction B^-1 · a_col over its support: the inverse's columns at a_col's rows, combined.
+
+        An entry that cancels to 0 is left out.
+        """
+        out: dict[int, Fraction] = {}
         for i, a in self.lp.columns[col].items():
             for pos, v in self.inv_cols[i].items():
-                out[pos] += v if a == 1 else a * v
-        return out
+                term = v if a == 1 else -v if a == -1 else a * v
+                out[pos] = out[pos] + term if pos in out else term
+        return {pos: d for pos, d in out.items() if d}
 
 
-Kept = tuple[list[Fraction], list[Fraction], list[Fraction]]  # x_B, y, reduced costs
+class _BasicColumns(Sequence):
+    """The basis columns in row order, the rows of Bᵀ, each read from the LP only where ``inverse`` reads it."""
+
+    def __init__(self, lp: LinearProgram, cols: tuple[int, ...]):
+        self.columns, self.cols = lp.columns, cols
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def __getitem__(self, p: int) -> dict[int, Fraction]:
+        return self.columns[self.cols[p]]
+
+
+# x_B, y, the reduced costs and the positive map
+Kept = tuple[list[Fraction], list[Fraction], list[Fraction], dict[int, tuple[int, Fraction]]]
 
 
 def make_basis(
@@ -194,19 +224,22 @@ def make_basis(
     known: list[dict[int, Fraction] | None] | None = None,
     rows: Iterable[int] | None = None,
 ) -> Basis:
-    """The basis of ``cols``: its inverse, and ``kept`` or, without it, ``fresh_vectors``.
+    """The basis of ``cols``: its inverse, and ``kept`` or, without it, ``fresh_vectors`` and ``positive_keys``.
 
     ``known`` (the inverse's columns carried over) and ``rows`` (the positions to re-solve) go to ``inverse``.
     """
     if len(cols) != lp.num_rows:
         raise LpError(f"basis needs {lp.num_rows} columns, got {len(cols)}")
+    cols = tuple(cols)
     try:
-        # The rows of Bᵀ are the basis columns.
-        inv_cols = inverse([lp.columns[j] for j in cols], known=known, rows=rows)
+        inv_cols = inverse(_BasicColumns(lp, cols), known=known, rows=rows)
     except SingularMatrixError as exc:
         raise SingularBasisError(f"dependent basis columns: {exc}") from exc
-    basis = Basis(lp, tuple(cols), inv_cols, [], [], [])
-    basis.x_b, basis.y, basis.reduced = kept if kept is not None else fresh_vectors(basis)
+    basis = Basis(lp, cols, inv_cols, [], [], [], {})
+    if kept is None:
+        x_b, y, reduced = fresh_vectors(basis)
+        kept = x_b, y, reduced, positive_keys(reduced)
+    basis.x_b, basis.y, basis.reduced, basis.positive = kept
     return basis
 
 
@@ -225,7 +258,7 @@ def _reduced_cost(lp: LinearProgram, j: int, y: Sequence[Fraction]) -> Fraction:
     """Column j's reduced cost c_j - a_j · y against the duals y."""
     acc = lp.objective[j]
     for i, v in lp.columns[j].items():
-        acc -= v * y[i]
+        acc -= y[i] if v == 1 else -y[i] if v == -1 else v * y[i]
     return acc
 
 
@@ -237,7 +270,7 @@ def dual_and_reduced_costs(lp: LinearProgram, basis: Basis) -> tuple[list[Fracti
     return y, [_reduced_cost(lp, j, y) for j in range(lp.num_cols)]
 
 
-def fresh_vectors(basis: Basis) -> Kept:
+def fresh_vectors(basis: Basis) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
     """x_B, y and the reduced costs of the basis, computed from scratch."""
     return (basis.basic_solution(), *dual_and_reduced_costs(basis.lp, basis))
 
@@ -257,28 +290,22 @@ def simplex_dantzig_step(
 ) -> SimplexStep | None:
     """One largest-reduced-cost pivot, or None at optimality.
 
-    It reads the basis's kept reduced costs and basic solution, and the
-    next basis carries its own, updated from this pivot.  ``pick`` is the
+    It reads the basis's kept positive map and basic solution, and the next
+    basis carries its own, updated from this pivot.  The largest key of the
+    map and the columns that share it are the candidates.  ``pick`` is the
     tie picker (``TieBreak.picker``), made once per lockstep and applied to
-    (state, action) pairs as the engine applies its own.  The ratio test
-    must have a unique minimizer, and the leaving column must be the basic
-    action at the entering column's state; both are structural facts here,
-    so their failure aborts loudly rather than falling back to an
-    anti-cycling rule.
+    (state, action) pairs as the engine applies its own, in any order.  The
+    ratio test reads only the direction's support; it must have a unique
+    minimizer, and the leaving column must be the basic action at the
+    entering column's state.  Both are structural facts here, so their
+    failure aborts loudly rather than falling back to an anti-cycling rule.
     """
     actions = lp.mdp.actions
-    best: Fraction | None = None
-    candidates: list[tuple[int, int]] = []
-    for j, rc in enumerate(basis.reduced):
-        if rc.numerator <= 0:  # the sign, exactly: a Fraction's denominator is positive
-            continue
-        if best is None or rc > best:
-            best = rc
-            candidates = [(actions[lp.cols[j]].state, lp.cols[j])]
-        elif rc == best:
-            candidates.append((actions[lp.cols[j]].state, lp.cols[j]))
-    if best is None:
+    if not basis.positive:
         return None
+    top = max(basis.positive.values())
+    best = top[1]
+    candidates = [(actions[lp.cols[j]].state, lp.cols[j]) for j, key in basis.positive.items() if key == top]
     state, aid = pick(candidates)
     entering = lp.col_of[aid]
 
@@ -287,8 +314,8 @@ def simplex_dantzig_step(
     best_ratio: Fraction | None = None
     leaving_pos: int | None = None
     tie_count = 0
-    for pos, d in enumerate(direction):
-        if d.numerator <= 0:
+    for pos, d in direction.items():
+        if d.numerator <= 0:  # the sign, exactly: a Fraction's denominator is positive
             continue
         ratio = x_b[pos] / d
         if best_ratio is None or ratio < best_ratio:
@@ -316,15 +343,14 @@ def _pivot(
     basis: Basis,
     entering: int,
     r: int,
-    direction: Sequence[Fraction],
+    direction: dict[int, Fraction],
     theta: Fraction,
     rc: Fraction,
 ) -> Basis:
-    """The basis with ``entering`` at position r, its kept vectors updated, not recomputed."""
+    """The basis with ``entering`` at position r, its kept vectors and positive map updated, not recomputed."""
     x_b = list(basis.x_b)
-    for pos, d in enumerate(direction):
-        if d:
-            x_b[pos] -= theta * d
+    for pos, d in direction.items():
+        x_b[pos] -= theta * d
     x_b[r] = theta
     inv_r = {i: column[r] for i, column in enumerate(basis.inv_cols) if r in column}  # B^-1[r]
     factor = rc / direction[r]
@@ -332,8 +358,13 @@ def _pivot(
     for i, v in inv_r.items():
         y[i] += factor * v
     reduced = list(basis.reduced)
+    positive = dict(basis.positive)
     for j in {j for i in inv_r for j in lp.row_cols[i]}:
-        reduced[j] = _reduced_cost(lp, j, y)
+        reduced[j] = value = _reduced_cost(lp, j, y)
+        if value.numerator > 0:
+            positive[j] = keyed(value)
+        else:
+            positive.pop(j, None)
     cols = list(basis.cols)
     cols[r] = entering
     # Column i of B^-1 changes exactly when row i's state reaches r's (B^-1[r][i] != 0).
@@ -342,7 +373,7 @@ def _pivot(
     known: list[dict[int, Fraction] | None] = list(basis.inv_cols)
     for i in inv_r:
         known[i] = None
-    return make_basis(lp, cols, (x_b, y, reduced), known, inv_r)
+    return make_basis(lp, cols, (x_b, y, reduced, positive), known, inv_r)
 
 
 @dataclass
@@ -372,10 +403,10 @@ class Lockstep:
     switched-in action, drops the switched-out one and has the switch's
     appeal as its reduced cost (at the final policy: no pivot at all).
     The duals and reduced costs it compares are the basis's kept ones, so
-    at the final policy it also recomputes x_B, y and the reduced costs
-    from scratch, and a difference from the kept ones fails that
-    iteration.  A mismatch is recorded, and the first one marks the
-    report, but the lockstep keeps pivoting on its own basis and
+    at the final policy it also recomputes x_B, y, the reduced costs and
+    the positive map from scratch, and a difference from the kept ones
+    fails that iteration.  A mismatch is recorded, and the first one marks
+    the report, but the lockstep keeps pivoting on its own basis and
     comparing; once the two sides cannot both move on, it stops.
     """
 
@@ -385,6 +416,9 @@ class Lockstep:
         self.pick = tie.picker()
         self.report = EquivalenceReport()
         self.stopped = False
+        # A fresh sentinel at every index of every vector: no entry handed in is it.
+        self.unseen = ((object(),) * len(mdp.actions),) * 2
+        self.seen = {"dual": self.unseen, "reduced_cost": self.unseen}
 
     def finish(self, result: PIResult) -> EquivalenceReport:
         self(None, result.policy, result.values, result.appeals)
@@ -398,12 +432,12 @@ class Lockstep:
             return
         lp, basis, report = self.lp, self.basis, self.report
         iteration = len(report.iterations)
-        y, reduced = basis.y, basis.reduced
         entry: dict = {
             "iteration": iteration,
-            "basis_match": {lp.cols[j] for j in basis.cols} == {policy.choice[s] for s in lp.rows},
-            "dual_match": same(y, [values[s] for s in lp.rows]) and values[lp.sink] == 0,
-            "reduced_cost_match": same(reduced, [gains[a] for a in lp.cols]),
+            "basis_match": tuple(map(lp.cols.__getitem__, basis.cols))
+            == tuple(map(policy.choice.__getitem__, lp.rows)),
+            "dual_match": self._agrees("dual", basis.y, values, lp.rows, lp.row_of) and values[lp.sink] == 0,
+            "reduced_cost_match": self._agrees("reduced_cost", basis.reduced, gains, lp.cols, lp.col_of),
         }
         step = simplex_dantzig_step(lp, basis, self.pick)
         if event is None or step is None:
@@ -418,7 +452,9 @@ class Lockstep:
             entry[k] for k in ("basis_match", "dual_match", "reduced_cost_match", "same_entering")
         )
         if event is None:
-            entry["ok"] &= basis.inverts() and (basis.x_b, y, reduced) == fresh_vectors(basis)
+            fresh = fresh_vectors(basis)
+            kept = (basis.x_b, basis.y, basis.reduced)
+            entry["ok"] &= basis.inverts() and kept == fresh and basis.positive == positive_keys(fresh[2])
         report.iterations.append(entry)
         if not entry["ok"] and report.first_divergence is None:
             report.ok = False
@@ -428,6 +464,22 @@ class Lockstep:
             return
         self.basis = step.basis
         report.pivots += 1
+
+    def _agrees(
+        self, name: str, ours: Sequence[Fraction], theirs: Sequence[Fraction], index: list[int], position: dict
+    ) -> bool:
+        """``ours[p] == theirs[index[p]]`` at every LP position p, compared only where either side moved.
+
+        An entry moved when it is not the object in the snapshot of the
+        last comparison that passed; ``position`` maps the run's indices
+        back to LP positions.  A failure resets the snapshots to sentinels.
+        """
+        seen_ours, seen_theirs = self.seen[name]
+        moved = set(compress(count(), map(is_not, ours, seen_ours)))
+        moved.update(position[i] for i in compress(count(), map(is_not, theirs, seen_theirs)) if i in position)
+        ok = same([ours[p] for p in moved], [theirs[index[p]] for p in moved])
+        self.seen[name] = (tuple(ours), tuple(theirs)) if ok else self.unseen
+        return ok
 
 
 def check_pi_simplex_equivalence(

@@ -37,9 +37,9 @@ come from each action's ``solved`` equation, appeals from its
 ``lookahead``, read straight off the raw transitions: so after each
 re-solve the run checks the Bellman residual, that every re-solved state's
 chosen action has appeal exactly 0, by arithmetic the evaluation does not
-share.  Each positive appeal is kept with an integer key, its floor at
-``_KEY_BITS`` fraction bits, so the greedy pick compares machine ints and
-reaches the Fractions only where two keys are equal.
+share.  Each positive appeal is kept with its ``numerics.keyed`` integer
+key, its floor at ``KEY_BITS`` fraction bits, so the greedy pick compares
+machine ints and reaches the Fractions only where two keys are equal.
 ``evaluate_values`` and the full ``appeals`` pass are the oracles: every
 run ends by checking its kept values and appeals against them, compared as
 integer pairs (``numerics.same``), and that no fresh appeal is positive.
@@ -57,7 +57,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .numerics import ZERO, ONE, SingularMatrixError, format_rational, rat, same, solve_linear_system
+from .numerics import (
+    ZERO, ONE, SingularMatrixError, format_rational, keyed, positive_keys, rat, same, solve_linear_system,
+)
 
 
 class MdpError(ValueError):
@@ -458,16 +460,6 @@ class TraceEvent:
 # policy's values, its appeals): the very numbers the run picked it from.
 Watcher = Callable[[TraceEvent, Policy, Sequence[Fraction], Sequence[Fraction]], None]
 
-# The fraction bits an appeal's selection key keeps.  Equal keys go on to
-# compare the appeals, so no value of it changes a result.
-_KEY_BITS = 64
-
-
-def _keyed(appeal: Fraction) -> tuple[int, Fraction]:
-    """``(floor(appeal * 2**_KEY_BITS), appeal)``: ordered exactly as the appeals are."""
-    return (appeal.numerator << _KEY_BITS) // appeal.denominator, appeal
-
-
 def dantzig_step(
     mdp: Mdp,
     policy: Policy,
@@ -477,7 +469,7 @@ def dantzig_step(
     """One greedy switch: the action of maximal positive appeal, or None at optimum.
 
     ``positive`` maps each action of positive appeal under the policy to
-    ``_keyed(appeal)``.  Flooring keeps order, so the pairs sort exactly as
+    ``keyed(appeal)``.  Flooring keeps order, so the pairs sort exactly as
     their appeals do: the maximum and its ties are found comparing machine
     ints, and two appeals are compared as Fractions only where their keys
     are equal.  The engine
@@ -629,7 +621,7 @@ def run_policy_iteration(
             entering[t].append(aid)
     values = evaluate_values(mdp, policy)
     gains = appeals(mdp, policy, values)
-    positive = {aid: _keyed(appeal) for aid, appeal in enumerate(gains) if appeal > 0}
+    positive = positive_keys(gains)
     while True:
         step = dantzig_step(mdp, policy, pick, positive)
         if step is None:
@@ -664,7 +656,7 @@ def run_policy_iteration(
         for aid in stale:
             appeal = gains[aid] = _appeal(mdp.actions[aid], values)
             if appeal.numerator > 0:
-                positive[aid] = _keyed(appeal)
+                positive[aid] = keyed(appeal)
             else:
                 positive.pop(aid, None)
         residual = [s for s in changed if gains[policy.choice[s]]]

@@ -84,6 +84,26 @@ def same(xs: Sequence[Fraction | int], ys: Sequence[Fraction | int]) -> bool:
     return [x.as_integer_ratio() for x in xs] == [y.as_integer_ratio() for y in ys]
 
 
+# The fraction bits a selection key keeps.  Equal keys go on to compare the
+# rationals, so no value of it changes a result.
+KEY_BITS = 64
+
+
+def keyed(x: Fraction) -> tuple[int, Fraction]:
+    """``(floor(x * 2**KEY_BITS), x)``: ordered exactly as the rationals are.
+
+    Both greedy pivots, the engine's and the simplex's, take the maximum of
+    these keys, so they compare machine ints and reach the Fractions only
+    where two floors are equal.
+    """
+    return (x.numerator << KEY_BITS) // x.denominator, x
+
+
+def positive_keys(xs: Sequence[Fraction]) -> dict[int, tuple[int, Fraction]]:
+    """Each index of a positive entry, mapped to the entry's ``keyed`` selection key."""
+    return {i: keyed(x) for i, x in enumerate(xs) if x.numerator > 0}
+
+
 def _coerced(row: Mapping[int, Fraction], n: int) -> SparseRow:
     """A fresh sparse row of an n-column matrix: entries coerced by ``rat``, zeros dropped."""
     fresh = {}

@@ -155,6 +155,18 @@ def test_normalize_preserves_semantics_randomized():
             assert outputs(normalized, bits) == outputs(c, bits)
 
 
+def test_normalize_drops_the_gates_that_reach_no_output():
+    # Gates 3 and 4 feed no output; gate 4 sits deeper than the outputs 5 and 6.
+    c = Circuit(2, (input_gate(), input_gate(), not_gate(1), or_gate(3, 2), or_gate(2, 2), or_gate(1, 1)))
+    assert c.dead_gates() == [3, 4]
+    assert c.normalization_problems()[:2] == ["gate 3 reaches no output", "gate 4 reaches no output"]
+    normalized = normalize_depths(c)
+    assert normalized.gates == (input_gate(), input_gate(), or_gate(2, 2), or_gate(1, 1))
+    assert is_normalized(normalized) and normalized.dead_gates() == []
+    for bits in all_inputs(2):
+        assert outputs(normalized, bits) == outputs(c, bits)
+
+
 def test_negated_identity_is_a_not_chain():
     c = negated_form(identity_circuit(1))
     assert is_normalized(c)

@@ -12,7 +12,7 @@ import pytest
 from conftest import planting_walk, save_circuit
 
 from dantziglab import mdp
-from dantziglab.circuit import decide_bitswitch
+from dantziglab.circuit import Circuit, decide_bitswitch, decide_circuitvalue, input_gate, not_gate, or_gate
 from dantziglab.cli import _parser, main
 from dantziglab.library import identity_circuit, rotation_circuit
 from dantziglab.library import writer_machine
@@ -181,6 +181,23 @@ def test_decide_on_machine_instance(tmp_path):
         json.dump(machine_to_json(writer_machine()), fh)
     assert run_cli("decide", "--tm", path, "--input", "1", "--space", "2",
                    "--problem", "circuitvalue", "--out", str(tmp_path)) == 0
+
+
+def test_a_circuit_with_a_dead_gate_deeper_than_its_outputs_builds_runs_and_decides(tmp_path, capsys):
+    # Gates 3 and 4 reach no output, and gate 4 sits one level deeper than
+    # the outputs: kept, it once indexed past the construction's parameter
+    # tables and crashed every command with an IndexError.
+    circuit = Circuit(2, (input_gate(), input_gate(), not_gate(1), or_gate(3, 2), or_gate(2, 2), or_gate(1, 1)))
+    path = str(tmp_path / "dead.json")
+    save_circuit(circuit, path)
+    out = str(tmp_path / "out")
+    assert run_cli("build", "--circuit", path, "--out", out) == 0
+    assert run_cli("run", "--circuit", path, "--bits", "11", "--out", out) == 0
+    for problem, oracle in (("actionswitch", decide_bitswitch), ("dantzigsol", decide_circuitvalue)):
+        expected = 0 if oracle(circuit, (1, 1), 1) else 1
+        assert run_cli("decide", "--circuit", path, "--bits", "11", "--z", "1",
+                       "--problem", problem, "--out", out) == expected, problem
+    assert capsys.readouterr().err == ""
 
 
 def test_tm_instance_rejects_bits_and_z(tmp_path, capsys):

@@ -39,7 +39,7 @@ from dantziglab.mdp import (
     make_policy,
     run_policy_iteration,
 )
-from dantziglab.numerics import inverse
+from dantziglab.numerics import inverse, positive_keys
 
 ONE = Fraction(1)
 
@@ -262,7 +262,10 @@ def test_lockstep_bases_solve_their_systems_exactly(monkeypatch):
             assert basis.reduced[j] == lp.objective[j] - times_column(lp, basis.y, j)
         if step is not None:
             a_q = [lp.columns[step.entering].get(i, Fraction(0)) for i in range(lp.num_rows)]
-            assert times_b(lp, basis, basis.direction(step.entering)) == a_q
+            # The direction holds its support only; read densely, a missing position is 0.
+            support = basis.direction(step.entering)
+            d = [support.get(pos, Fraction(0)) for pos in range(lp.num_rows)]
+            assert times_b(lp, basis, d) == a_q
             assert step.basis.cols != basis.cols
 
 
@@ -359,6 +362,110 @@ def test_every_lockstep_basis_carries_the_inverse_a_fresh_solve_gives(monkeypatc
     assert resolved < report.pivots * lp.num_rows / 10
     for lp, basis in visited:
         assert basis.inv_cols == inverse([lp.columns[j] for j in basis.cols])
+
+
+@pytest.mark.parametrize(
+    "name, tie",
+    [("identity2", "lowest"), ("identity2", "highest"), ("identity2", "random:3"), ("rot2", "lowest")],
+)
+def test_every_lockstep_basis_keeps_the_positive_map_a_fresh_pass_gives(monkeypatch, name, tie):
+    # Each pivot re-keys only the columns whose reduced cost it recomputes;
+    # at every basis the kept map still equals the one built from a
+    # from-scratch reduced-cost pass, and it is empty only at the optimum.
+    circuit, bits = {"identity2": (identity_circuit(2), (1, 1)), "rot2": (rotation_circuit(2), (1, 1))}[name]
+    report, visited = _recording_lockstep(monkeypatch, circuit, bits, tie)
+    assert report.ok and len(visited) == report.pivots + 1
+    for lp, basis in visited:
+        assert basis.positive == positive_keys(dual_and_reduced_costs(lp, basis)[1])
+    assert all(basis.positive for _, basis in visited[:-1]) and not visited[-1][1].positive
+
+
+def _identity1_lockstep_handed(hand):
+    """The identity1 lockstep report, with each switch's values passed through ``hand(iteration, values)`` first."""
+    cons = build_construction(negated_form(normalize_depths(identity_circuit(1))))
+    policy = initial_policy(cons, (1,))
+    lockstep = Lockstep(cons.mdp, policy, cons.index.si())
+
+    def watch(event, policy, values, gains):
+        lockstep(event, policy, hand(event.iteration, values), gains)
+
+    result = run_policy_iteration(cons.mdp, policy, budget=cons.budget(), watchers=[watch])
+    return lockstep.finish(result), cons.index.si()
+
+
+def test_lockstep_flags_a_value_put_back_to_the_object_before_the_switch():
+    # At switch 5 one value the switch changed is handed as the very object
+    # handed at switch 4.  The run's side did not move there, but the
+    # lockstep's dual did, so that entry is compared and fails.
+    k = 5
+    handed = []
+
+    def put_back(iteration, values):
+        values = list(values)
+        if iteration == k:
+            before = handed[-1]
+            s = next(s for s, (v, w) in enumerate(zip(values, before)) if v != w)
+            values[s] = before[s]
+        handed.append(values)
+        return values
+
+    report, _ = _identity1_lockstep_handed(put_back)
+    assert report.ok is False and report.first_divergence == k
+    entry = report.iterations[k]
+    assert entry["dual_match"] is False
+    assert entry["basis_match"] and entry["reduced_cost_match"] and entry["same_entering"]
+    assert all(e["ok"] for i, e in enumerate(report.iterations) if i != k)
+
+
+def test_lockstep_flags_a_mismatch_written_into_a_list_it_was_handed_before():
+    # One list is handed at every switch, refreshed in place.  At switch 5 a
+    # value that switch leaves alone is written over with a wrong one: a
+    # snapshot that kept the handed list itself would change along with it
+    # and see nothing move.
+    k = 5
+    shared = []
+    last = []
+
+    def in_place(iteration, values):
+        if iteration == k:
+            s = next(s for s in range(1, len(values)) if values[s] is last[s] and values[s] != 0)
+        last[:] = values
+        shared[:] = values
+        if iteration == k:
+            shared[s] = values[s] + 1
+        return shared
+
+    report, sink = _identity1_lockstep_handed(in_place)
+    assert sink == 0
+    assert report.ok is False and report.first_divergence == k
+    assert report.iterations[k]["dual_match"] is False
+    assert all(e["ok"] for e in report.iterations[:k])
+
+
+def test_after_a_failing_comparison_the_next_reads_every_entry():
+    # The same wrong object is handed at switches 5 and 6, for a state whose
+    # value switches 4 to 7 leave alone, so neither side's entry moves
+    # between those two comparisons.  Only because the failure at 5 resets
+    # the snapshots does switch 6 compare that entry and fail too; at 7 the
+    # right object is back and the comparison passes.
+    k = 5
+    recorded = []
+    _identity1_lockstep_handed(lambda iteration, values: recorded.append(values) or values)
+    s = next(
+        s for s in range(1, len(recorded[k])) if all(recorded[i][s] is recorded[k][s] for i in range(k - 1, k + 3))
+    )
+    wrong = recorded[k][s] + 1
+
+    def planted(iteration, values):
+        if iteration in (k, k + 1):
+            values = list(values)
+            values[s] = wrong
+        return values
+
+    report, _ = _identity1_lockstep_handed(planted)
+    assert report.first_divergence == k
+    assert [e["dual_match"] for e in report.iterations[k - 1 : k + 3]] == [True, False, False, True]
+    assert all(e["ok"] for i, e in enumerate(report.iterations) if i not in (k, k + 1))
 
 
 def test_a_corrupted_carried_column_fails_the_final_oracle(tmp_path, monkeypatch):
