@@ -11,8 +11,11 @@ When the policy graph is acyclic apart from self-loops, evaluation is one
 depth-first walk that back-substitutes in post-order: each action carries
 its value equation already solved for its own state, with its exits
 grouped by coefficient, so a state whose chosen action leaves for a single
-other state costs one addition, or none, and a fair coin one addition and
-one multiplication.
+other state with no reward copies that state's value, and a fair coin
+costs one addition and one multiplication.  The walk and the appeals
+compute on ``(numerator, denominator)`` int pairs, never through a
+``Fraction`` operator, and build one normalizing ``Fraction`` per value or
+appeal: every number they hand out is a ``Fraction``.
 Only when the walk meets a cycle (or a rewarded absorbing state) does
 evaluation build the same solved equations as sparse rows and
 eliminate them exactly, one row per state, an absorbing state's row
@@ -61,6 +64,8 @@ from .numerics import (
     ZERO, ONE, SingularMatrixError, format_rational, keyed, positive_keys, rat, same, solve_linear_system,
 )
 
+Pair = tuple[int, int]  # an exact rational as ``(numerator, denominator)``, the denominator positive
+
 
 class MdpError(ValueError):
     pass
@@ -96,7 +101,7 @@ class Action:
     name: str
 
     @cached_property
-    def solved(self) -> tuple[Fraction | None, tuple[int, ...], tuple[tuple[Fraction, tuple[int, ...]], ...]] | None:
+    def solved(self) -> tuple[Pair | None, tuple[int, ...], tuple[tuple[Pair, tuple[int, ...]], ...]] | None:
         """The value equation ``v(s) = reward + sum p(t) v(t)`` solved for this state's value.
 
         Returns ``(base, targets, groups)``: ``targets`` are the exits
@@ -104,34 +109,38 @@ class Action:
         coefficient ``c`` with the exits it scales, so that
         ``v(s) = base + sum c (sum v(t))``.  With self-loop mass ``p``,
         ``base`` is ``reward / (1 - p)``, or None for a zero reward, so a
-        zero is tested once, here; each ``c`` is ``p(t) / (1 - p)``.  A fair
-        coin, such as a clock's primed state, is one group of two exits.  A
-        pure self-loop fixes no value and gives None.
+        zero is tested once, here; each ``c`` is ``p(t) / (1 - p)``.  Both
+        are exact ``(numerator, denominator)`` int pairs in lowest terms,
+        which ``_acyclic_expectation`` combines without a ``Fraction``
+        operator.  A fair coin, such as a clock's primed state, is one group
+        of two exits.  A pure self-loop fixes no value and gives None.
         """
         stay = self.transitions.get(self.state, ZERO)
         if stay == 1:
             return None
         leave = 1 - stay
         targets = tuple(t for t in self.transitions if t != self.state)
-        groups: dict[Fraction, list[int]] = {}
+        groups: dict[Pair, list[int]] = {}
         for t in targets:
-            groups.setdefault(self.transitions[t] / leave, []).append(t)
-        base = self.reward / leave if self.reward else None
+            groups.setdefault((self.transitions[t] / leave).as_integer_ratio(), []).append(t)
+        base = (self.reward / leave).as_integer_ratio() if self.reward else None
         return base, targets, tuple((c, tuple(ts)) for c, ts in groups.items())
 
     @cached_property
-    def lookahead(self) -> tuple[Fraction | None, Fraction, tuple[tuple[int, Fraction], ...]]:
+    def lookahead(self) -> tuple[Pair | None, Pair, tuple[tuple[int, int, int], ...]]:
         """The one-step lookahead read straight off ``transitions``, for ``_appeal``.
 
-        Returns ``(reward, leave, exits)``: ``reward`` is None when it is 0,
-        as ``solved`` keeps a zero base; ``leave`` is 1 minus the
-        self-loop mass and ``exits`` are the transitions ``(t, p)`` with
-        ``t != state``, undivided.  It shares nothing with ``solved``, so an
-        appeal checks the values ``solved`` gave by a route of its own.
+        Returns ``(reward, leave, exits)``, each rational an exact int pair:
+        ``reward`` is None when it is 0, as ``solved`` keeps a zero base;
+        ``leave`` is 1 minus the self-loop mass and ``exits`` are the
+        transitions ``(t, numerator, denominator)`` with ``t != state``,
+        undivided.  It
+        shares nothing with ``solved``, so an appeal checks the values
+        ``solved`` gave by a route of its own.
         """
-        exits = tuple((t, p) for t, p in self.transitions.items() if t != self.state)
-        reward = self.reward if self.reward else None
-        return reward, 1 - self.transitions.get(self.state, ZERO), exits
+        exits = tuple((t, *p.as_integer_ratio()) for t, p in self.transitions.items() if t != self.state)
+        reward = self.reward.as_integer_ratio() if self.reward else None
+        return reward, (1 - self.transitions.get(self.state, ZERO)).as_integer_ratio(), exits
 
 
 class Mdp:
@@ -244,6 +253,11 @@ def make_policy(mdp: Mdp, choices: dict[int, int] | Sequence[int]) -> Policy:
     return Policy(tuple(picks))
 
 
+def _add(n: int, d: int, un: int, ud: int) -> Pair:
+    """``n/d + un/ud`` as an unreduced int pair, adding the numerators alone when the denominators are equal."""
+    return (n + un, d) if d == ud else (n * ud + un * d, d * ud)
+
+
 def _acyclic_expectation(
     mdp: Mdp,
     policy: Policy,
@@ -254,9 +268,11 @@ def _acyclic_expectation(
     """The values of a policy graph with no cycle apart from self-loops, or None.
 
     One iterative depth-first walk over each chosen action's ``solved``
-    exits gives a state its value in post-order, once every exit has one;
-    a sole exit's coefficient is exactly 1, so it costs no multiplication,
-    and each group of exits sharing a coefficient costs one.
+    exits gives a state its value in post-order, once every exit has one.
+    A sole exit with no base copies its target's ``Fraction``.  Any other
+    state sums its exits' ``as_integer_ratio()`` pairs as ints, one
+    multiplication per group of exits sharing a coefficient and none where
+    two denominators are equal, and stores one ``Fraction(n, d)``.
     An absorbing state (``solved`` is None) is pinned to 0.  The walk gives
     up and returns None when it reaches a state still on its path (the
     policy has a cycle), or an absorbing state with a nonzero reward; the
@@ -270,12 +286,12 @@ def _acyclic_expectation(
     enters nor checks the states behind it.
     """
     actions, choice = mdp.actions, policy.choice
-    n = len(choice)
+    size = len(choice)
     if values is None:
-        values = [None] * n
+        values = [None] * size
     if roots is None:
-        roots = range(n)
-    on_path = [False] * n
+        roots = range(size)
+    on_path = [False] * size
     for root in roots:
         if values[root] is not None:
             continue
@@ -302,16 +318,16 @@ def _acyclic_expectation(
                     on_path[pending] = True
                     path.append(pending)
                     continue
-                if len(targets) == 1:
-                    acc = values[targets[0]]
+                if len(targets) == 1 and base is None:
+                    values[s] = values[targets[0]]
                 else:
-                    acc = None
-                    for c, ts in groups:
-                        term = values[ts[0]]
+                    n, d = (0, 1) if base is None else base
+                    for (cn, cd), ts in groups:
+                        tn, td = values[ts[0]].as_integer_ratio()  # type: ignore[union-attr]
                         for t in ts[1:]:
-                            term += values[t]  # type: ignore[operator]
-                        acc = c * term if acc is None else acc + c * term  # type: ignore[operator]
-                values[s] = acc if base is None else acc + base
+                            tn, td = _add(tn, td, *values[t].as_integer_ratio())  # type: ignore[union-attr]
+                        n, d = _add(n, d, cn * tn, cd * td)
+                    values[s] = Fraction(n, d)
             on_path[s] = False
             path.pop()
     return values  # type: ignore[return-value]
@@ -343,10 +359,10 @@ def _solved_expectation(mdp: Mdp, policy: Policy) -> list[Fraction]:
             rhs.append(ZERO)
         else:
             base, _, groups = act.solved
-            for c, ts in groups:
+            for (cn, cd), ts in groups:
                 for t in ts:
-                    row[t] = -c
-            rhs.append(ZERO if base is None else base)
+                    row[t] = Fraction(-cn, cd)
+            rhs.append(ZERO if base is None else Fraction(*base))
         rows.append(row)
     try:
         return solve_linear_system(rows, rhs)
@@ -373,23 +389,28 @@ def evaluate_values(mdp: Mdp, policy: Policy) -> list[Fraction]:
 
 
 def _appeal(act: Action, values: Sequence[Fraction]) -> Fraction:
-    """``reward + sum p(t) v(t) - v(s)``, from ``Action.lookahead`` in few Fraction operations.
+    """``reward + sum p(t) v(t) - v(s)``, from ``Action.lookahead`` on int pairs.
 
     A sole exit, whose probability is then ``leave``, gives
     ``reward + p (v(t) - v(s))``; any other action gives
-    ``reward + sum p v(t) - leave v(s)``.
+    ``reward + sum p v(t) - leave v(s)``.  Numerators and denominators are
+    combined as ints, adding numerators alone where two denominators are
+    equal, and one ``Fraction`` normalizes the result.
     """
-    reward, leave, exits = act.lookahead
+    reward, (ln, ld), exits = act.lookahead
+    vn, vd = values[act.state].as_integer_ratio()
     if len(exits) == 1:
-        t, p = exits[0]
-        acc = values[t] - values[act.state]
-        if p != 1:
-            acc = p * acc
+        t, pn, pd = exits[0]
+        n, d = _add(*values[t].as_integer_ratio(), -vn, vd)
+        n, d = n * pn, d * pd
     else:
-        acc = -leave * values[act.state]
-        for t, p in exits:
-            acc += p * values[t]
-    return acc if reward is None else acc + reward
+        n, d = -ln * vn, ld * vd
+        for t, pn, pd in exits:
+            tn, td = values[t].as_integer_ratio()
+            n, d = _add(n, d, pn * tn, pd * td)
+    if reward is not None:
+        n, d = _add(n, d, *reward)
+    return Fraction(n, d)
 
 
 def appeals(mdp: Mdp, policy: Policy, values: Sequence[Fraction]) -> list[Fraction]:
@@ -541,9 +562,13 @@ def _switch_reach(
 def _crosscheck(
     kept: Sequence[Fraction], fresh: Sequence[Fraction], names: Sequence[str], what: str, switch: int
 ) -> None:
-    """Raise ``CrosscheckError`` at the first entry where the kept numbers differ from fresh ones."""
+    """Raise ``CrosscheckError`` where the kept numbers first differ from fresh ones: at an entry, or in their count."""
     if same(kept, fresh):
         return
+    if len(kept) != len(fresh):
+        raise CrosscheckError(
+            f"after switch {switch} {len(kept)} {what}s are kept, but a fresh evaluation gives {len(fresh)}"
+        )
     for name, old, new in zip(names, kept, fresh):
         if old != new:
             raise CrosscheckError(

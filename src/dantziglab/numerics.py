@@ -1,9 +1,12 @@
 """Exact rational scalars and sparse rational linear algebra on rows.
 
-Every number in this package is a ``fractions.Fraction``; nothing is ever
-computed in floating point.  The decisive comparisons downstream separate
-constants such as 16/5 and 33/10 after division by quantities of magnitude
-3^(d+6), so exactness is a correctness requirement, not a nicety.
+Every number handed between functions in this package is a
+``fractions.Fraction``; inside, ``mdp.Action``'s ``solved`` and ``lookahead``
+forms hold the same exact rationals as ``(numerator, denominator)`` int
+pairs.  Nothing is ever computed in floating point.  The decisive
+comparisons downstream separate constants such as 16/5 and 33/10 after
+division by quantities of magnitude 3^(d+6), so exactness is a correctness
+requirement, not a nicety.
 
 A square n×n matrix is a list of n sparse rows, each a dict from column
 index to its nonzero entry.  The solver and the inverse copy each row they

@@ -594,7 +594,7 @@ def test_a_wrong_solved_form_fails_the_bellman_residual(tmp_path, monkeypatch, c
         if stay == 1:
             return None
         _, targets, groups = solve(act)
-        return act.reward, targets, groups
+        return act.reward.as_integer_ratio(), targets, groups
 
     monkeypatch.setattr(mdp.Action, "solved", property(unscaled))
     assert run_cli(*argv, "--out", str(tmp_path)) == 4

@@ -388,6 +388,73 @@ def test_chain_check_agrees_with_reverse_reachability(graph):
             assert gains[s] == sum(p * gains[t] for t, p in act.transitions.items())
 
 
+@st.composite
+def exact_acyclic_mdps(draw):
+    """An acyclic policy over large exact probabilities, a second action at every transient state, and a re-solve.
+
+    Transient state k of a shuffled order chooses an action to sinks and
+    earlier states; its second action may go to any other state.  Each exit
+    weight comes from a pool of up to three integers below 2**70, so exits
+    often share a coefficient; an optional self-loop weight is drawn freely,
+    so the probabilities' denominators are large and mostly coprime.  A sole
+    exit happens, as do negative, zero and positive rewards over large
+    denominators.  Returns (mdp, policy, topological order, states to forget).
+    """
+    n_sinks = draw(st.integers(1, 2))
+    n_transient = draw(st.integers(1, 6))
+    ids = draw(st.permutations(range(n_sinks + n_transient)))
+    sinks, order = ids[:n_sinks], ids[n_sinks:]
+    pool = draw(st.lists(st.integers(1, 2**70), min_size=1, max_size=3))
+    rewards = st.just(0) | st.fractions(-7, 7, max_denominator=2**70)
+
+    def transitions(s, targets):
+        exits = draw(st.lists(st.sampled_from(targets), min_size=1, max_size=4, unique=True))
+        weights = {t: draw(st.sampled_from(pool)) for t in exits}
+        if draw(st.booleans()):
+            weights[s] = draw(st.integers(1, 2**70))
+        total = sum(weights.values())
+        return {t: Fraction(w, total) for t, w in weights.items()}
+
+    m = Mdp()
+    for _ in ids:
+        m.add_state()
+    for s in sinks:
+        m.add_action(s, {s: ONE}, 0)
+    for k, s in enumerate(order):
+        m.add_action(s, transitions(s, [*sinks, *order[:k]]), draw(rewards))
+        m.add_action(s, transitions(s, [t for t in ids if t != s]), draw(rewards))
+    policy = make_policy(m, [m.state_actions[s][0] for s in range(len(ids))])
+    return m, policy, order, draw(st.sets(st.sampled_from(ids), min_size=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_acyclic_mdps())
+def test_the_integer_kernels_equal_a_fraction_only_textbook_computation(instance):
+    m, policy, order, forget = instance
+    textbook = [Fraction(0)] * m.num_states
+    for s in order:  # each state after every state it leaves for
+        act = m.actions[policy.choice[s]]
+        stay = act.transitions.get(s, 0)
+        textbook[s] = (act.reward + sum(p * textbook[t] for t, p in act.transitions.items() if t != s)) / (1 - stay)
+    walked = mdp_module._acyclic_expectation(m, policy)
+    assert walked == textbook
+    assert all(type(v) is Fraction for v in walked)
+    start = [None if s in forget else v for s, v in enumerate(textbook)]
+    kept = list(start)
+    resolved = mdp_module._acyclic_expectation(m, policy, values=start, roots=sorted(forget))
+    assert resolved == textbook
+    assert all(type(v) is Fraction for v in resolved)
+    assert all(resolved[s] is v for s, v in enumerate(kept) if v is not None)
+    rng = random.Random(len(forget))
+    arbitrary = [Fraction(rng.randint(-(2**70), 2**70), rng.randint(1, 2**70)) for _ in range(m.num_states)]
+    for values in (textbook, arbitrary):
+        for act in m.actions:
+            appeal = mdp_module._appeal(act, values)
+            assert type(appeal) is Fraction
+            assert appeal == act.reward + sum(p * values[t] for t, p in act.transitions.items()) - values[act.state]
+    assert all(mdp_module._appeal(m.actions[aid], textbook) == 0 for aid in policy.choice)
+
+
 def test_evaluation_solves_only_on_a_cycle(monkeypatch):
     calls = []
     solve = mdp_module.solve_linear_system
@@ -440,7 +507,7 @@ def test_solved_form_of_a_detour_entry():
     mid = m.num_states - 1
     assert entry.transitions == {mid: Fraction(1, 3), s: Fraction(2, 3)}
     assert "solved" not in vars(entry)  # computed on first use, not by add_action
-    assert entry.solved == (3 * r, (mid,), ((1, (mid,)),))
+    assert entry.solved == ((3 * r).as_integer_ratio(), (mid,), (((1, 1), (mid,)),))
 
 
 def test_solved_form_of_a_pure_self_loop_is_none():
@@ -454,9 +521,9 @@ def test_solved_form_divides_every_exit_by_the_leaving_mass():
     u = m.add_state("u")
     act = m.actions[m.add_action(s, {u: Fraction(1, 6), s: Fraction(1, 2), sink: Fraction(1, 3)}, 3)]
     base, targets, groups = act.solved
-    assert base == 6
+    assert base == (6, 1)
     assert targets == (u, sink)
-    assert dict(groups) == {Fraction(1, 3): (u,), Fraction(2, 3): (sink,)}
+    assert dict(groups) == {(1, 3): (u,), (2, 3): (sink,)}
 
 
 def test_solved_form_groups_exits_by_coefficient_on_both_evaluation_paths():
@@ -465,7 +532,7 @@ def test_solved_form_groups_exits_by_coefficient_on_both_evaluation_paths():
     m, sink = sink_mdp()
     s, a, b, c = (m.add_state(name) for name in "sabc")
     act = m.actions[m.add_action(s, {s: Fraction(1, 6), a: Fraction(1, 4), b: Fraction(1, 4), c: Fraction(1, 3)}, 5)]
-    assert act.solved == (6, (a, b, c), ((Fraction(3, 10), (a, b)), (Fraction(2, 5), (c,))))
+    assert act.solved == ((6, 1), (a, b, c), (((3, 10), (a, b)), ((2, 5), (c,))))
     m.add_action(a, {sink: ONE}, 2)
     m.add_action(b, {sink: ONE}, 7)
     c_out = m.add_action(c, {sink: ONE}, Fraction(-11, 3))
@@ -494,6 +561,14 @@ def test_crosscheck_names_the_first_entry_that_differs():
         message = f"after switch 7 the kept value of s{k} is 1/3, but a fresh evaluation gives 2/3"
         with pytest.raises(CrosscheckError, match=f"^{message}$"):
             mdp_module._crosscheck(kept, fresh, names, "value", 7)
+
+
+@pytest.mark.parametrize("kept, fresh", [([1, 2], [1]), ([1], [1, 2]), ([], [0])])
+def test_crosscheck_names_both_lengths_when_they_differ(kept, fresh):
+    # Every shared entry agrees, so only the lengths can tell the vectors apart.
+    message = f"after switch 3 {len(kept)} values are kept, but a fresh evaluation gives {len(fresh)}"
+    with pytest.raises(CrosscheckError, match=f"^{message}$"):
+        mdp_module._crosscheck(kept, fresh, ["s0", "s1"], "value", 3)
 
 
 def two_action_mdp(r_good=1, r_bad=0):

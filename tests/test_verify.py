@@ -5,16 +5,21 @@ from fractions import Fraction
 from typing import Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import tight_decision_run
 from dantziglab.circuit import (
     KIND_INPUT,
+    Circuit,
     decide_bitswitch,
     decide_circuitvalue,
     evaluate,
+    input_gate,
     iterate,
     negated_form,
     normalize_depths,
+    not_gate,
+    or_gate,
 )
 from dantziglab.construction import (
     MAGIC,
@@ -28,6 +33,7 @@ from dantziglab.construction import (
 from dantziglab.library import constant_zero_circuit, identity_circuit, rotation_circuit
 from dantziglab.mdp import (
     Policy,
+    TieBreak,
     TraceEvent,
     appeals as action_appeals,
     decide_dantzig_mdp_sol,
@@ -713,3 +719,35 @@ def test_end_to_end_verdicts_on_randomized_two_bit_functions():
         assert audit_appeal_catalog(switch.run, switch.construction).ok
         assert check_all_transitions(switch.run, switch.construction).ok
         built += 1
+
+
+@st.composite
+def random_circuits(draw):
+    """A well-formed circuit on n <= 3 bits with at most 2n + 2 gates in all, a start string, and a query bit set in it.
+
+    Each Or or Not gate reads any earlier gates, so gates that reach no
+    output, even ones deeper than the outputs, come up often.
+    """
+    n = draw(st.integers(1, 3))
+    gates = [input_gate() for _ in range(n)]
+    for i in range(n + 1, draw(st.integers(n, 2 * n + 2)) + 1):
+        earlier = st.integers(1, i - 1)
+        gates.append(draw(st.builds(or_gate, earlier, earlier) | st.builds(not_gate, earlier)))
+    z = draw(st.integers(1, n))
+    bits = tuple(1 if i == z else draw(st.integers(0, 1)) for i in range(1, n + 1))
+    return Circuit(n, tuple(gates)), bits, z
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_circuits(), st.sampled_from(["lowest", "highest"]) | st.integers(0, 99).map("random:{}".format))
+def test_random_circuits_build_and_track_their_oracles_under_every_tie_rule(instance, tie):
+    circuit, bits, z = instance
+    switch = end_to_end(circuit, bits, z, "actionswitch", tie=TieBreak(tie))
+    sol = end_to_end(circuit, bits, z, "dantzigsol", tie=TieBreak(tie))
+    assert switch.verdict == switch.oracle
+    assert sol.verdict == sol.oracle
+    expected = [iterate(circuit, bits, i) for i in range(2**circuit.n + 1)]
+    assert decode_phases(switch.run, switch.construction, bits) == expected
+    assert audit_appeal_catalog(switch.run, switch.construction).ok
+    assert check_all_transitions(switch.run, switch.construction).ok
+    assert audit_appeal_catalog(sol.run, sol.construction).ok
