@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .circuit import Circuit, KIND_INPUT, KIND_NOT, KIND_OR
+from .circuit import Circuit, KIND_INPUT, KIND_NOT, KIND_OR, circuit_to_json
 from .mdp import (
     Mdp,
     Policy,
@@ -615,7 +615,5 @@ def manifest(construction: Construction) -> dict:
         data["z"] = construction.z
         data["w"] = format_rational(construction.w)
     if construction.circuit is not None:
-        from .circuit import circuit_to_json
-
         data["circuit"] = circuit_to_json(construction.circuit)
     return data

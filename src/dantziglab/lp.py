@@ -26,10 +26,12 @@ are exactly these columns.  The basis is I - Pᵀ on the non-sink states, so
 its inverse is the transpose of Σ Pᵏ, the fundamental matrix of the
 absorbing chain: column i holds position j exactly when row j's state is
 reachable from row i's state under the policy.  Every basis a run visits
-comes from a policy that is acyclic apart from self-loops, so Bᵀ is
-triangular under a permutation and ``inverse`` substitutes in singleton
-order without elimination: a hop or a detour column makes its state's
-inverse column a copy of its target's plus one entry (see ``numerics``).
+must come from a policy that is acyclic apart from self-loops, and
+``make_basis`` checks it: Bᵀ is then triangular under a permutation and
+``inverse`` substitutes in singleton order without elimination, a hop or a
+detour column making its state's inverse column a copy of its target's
+plus one entry (see ``numerics``).  A basis with no singleton order, whose
+policy has a cycle, raises ``SingularBasisError``.
 The entering direction combines the two or three inverse columns at the
 entering column's nonzero rows, and keeps only its nonzeros: the ratio
 test and the x_B update walk that support, never a dense vector.
@@ -94,7 +96,7 @@ class NoSinkError(LpError):
 
 
 class SingularBasisError(LpError):
-    """A policy's columns are dependent: its policy graph has a trapped cycle."""
+    """A policy's columns have no singleton order: its policy graph has a cycle, transient or trapped."""
 
 
 @dataclass
@@ -234,7 +236,7 @@ def make_basis(
     try:
         inv_cols = inverse(_BasicColumns(lp, cols), known=known, rows=rows)
     except SingularMatrixError as exc:
-        raise SingularBasisError(f"dependent basis columns: {exc}") from exc
+        raise SingularBasisError(f"the basis's policy has a cycle: {exc}") from exc
     basis = Basis(lp, cols, inv_cols, [], [], [], {})
     if kept is None:
         x_b, y, reduced = fresh_vectors(basis)
@@ -416,7 +418,7 @@ class Lockstep:
         self.pick = tie.picker()
         self.report = EquivalenceReport()
         self.stopped = False
-        # A fresh sentinel at every index of every vector: no entry handed in is it.
+        # One shared sentinel, repeated at every index of both vectors: no entry handed in is it.
         self.unseen = ((object(),) * len(mdp.actions),) * 2
         self.seen = {"dual": self.unseen, "reduced_cost": self.unseen}
 

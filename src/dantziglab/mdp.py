@@ -1,28 +1,22 @@
 """Finite MDPs, exact policy evaluation, appeals, and the greedy switching engine.
 
-The optimality criterion is expected total reward in the regime where every
-recurrent class under the policies of interest is a single absorbing
-zero-reward state.  Evaluation gives each absorbing state value 0 and
-solves the value equation of the others exactly.  Policies whose
-chain structure falls outside that regime are rejected loudly: in this code
-base such a policy indicates a construction bug, never a case to smooth over.
+The optimality criterion is expected total reward over policies whose
+graph is acyclic apart from self-loops and whose absorbing states have
+reward 0: the only policies the runs on the lab's constructions meet, which
+the tests check.  Evaluation gives each absorbing state value 0 and solves
+the value equation of the others exactly.  A policy outside that regime,
+with a cycle (transient or recurrent) or a rewarded absorbing state, is
+rejected loudly with ``NonZeroGainPolicyError``: in this code base it
+indicates a construction bug, never a case to smooth over.
 
-When the policy graph is acyclic apart from self-loops, evaluation is one
-depth-first walk that back-substitutes in post-order: each action carries
-its value equation already solved for its own state, with its exits
-grouped by coefficient, so a state whose chosen action leaves for a single
-other state with no reward copies that state's value, and a fair coin
-costs one addition and one multiplication.  The walk and the appeals
-compute on ``(numerator, denominator)`` int pairs, never through a
-``Fraction`` operator, and build one normalizing ``Fraction`` per value or
-appeal: every number they hand out is a ``Fraction``.
-Only when the walk meets a cycle (or a rewarded absorbing state) does
-evaluation build the same solved equations as sparse rows and
-eliminate them exactly, one row per state, an absorbing state's row
-being ``v(s) = 0``.  That one elimination is also the chain-structure
-check: the system is singular exactly when a recurrent class has more
-than one state, so a singular solve is reported as that class, as a
-singular LP basis is.
+Evaluation is one depth-first walk that back-substitutes in post-order.
+Each action carries its value equation already solved for its own state,
+with its exits grouped by coefficient, so a state whose chosen action
+leaves for a single other state with no reward copies that state's value,
+and a fair coin costs one addition and one multiplication.  The walk and
+the appeals compute on ``(numerator, denominator)`` int pairs, never
+through a ``Fraction`` operator, and build one normalizing ``Fraction`` per
+value or appeal: every number they hand out is a ``Fraction``.
 
 The switching engine ("greedy single-switch rule") always switches one
 action of maximal positive appeal.  Ties are resolved by a ``TieBreak``, one
@@ -35,7 +29,7 @@ transition into each state, following only the actions the new policy
 chooses.  It re-solves just those states, by the same depth-first walk
 started from them over the kept values of the others, and recomputes only
 the appeals that read their values.  A switch that closes a cycle or picks
-a rewarded self-loop sends the run to a full evaluation instead.  Values
+a rewarded self-loop raises at that switch.  Values
 come from each action's ``solved`` equation, appeals from its
 ``lookahead``, read straight off the raw transitions: so after each
 re-solve the run checks the Bellman residual, that every re-solved state's
@@ -60,9 +54,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .numerics import (
-    ZERO, ONE, SingularMatrixError, format_rational, keyed, positive_keys, rat, same, solve_linear_system,
-)
+from .numerics import ZERO, ONE, format_rational, keyed, positive_keys, rat, same
 
 Pair = tuple[int, int]  # an exact rational as ``(numerator, denominator)``, the denominator positive
 
@@ -76,7 +68,7 @@ class BadProbabilityError(MdpError):
 
 
 class NonZeroGainPolicyError(MdpError):
-    """A recurrent class is not a single absorbing zero-reward state."""
+    """The policy graph has a cycle apart from self-loops, or an absorbing state with a nonzero reward."""
 
 
 class IterationBudgetExceededError(RuntimeError):
@@ -264,8 +256,8 @@ def _acyclic_expectation(
     *,
     values: list[Fraction | None] | None = None,
     roots: Iterable[int] | None = None,
-) -> list[Fraction] | None:
-    """The values of a policy graph with no cycle apart from self-loops, or None.
+) -> list[Fraction]:
+    """The values of a policy graph with no cycle apart from self-loops.
 
     One iterative depth-first walk over each chosen action's ``solved``
     exits gives a state its value in post-order, once every exit has one.
@@ -273,10 +265,10 @@ def _acyclic_expectation(
     state sums its exits' ``as_integer_ratio()`` pairs as ints, one
     multiplication per group of exits sharing a coefficient and none where
     two denominators are equal, and stores one ``Fraction(n, d)``.
-    An absorbing state (``solved`` is None) is pinned to 0.  The walk gives
-    up and returns None when it reaches a state still on its path (the
-    policy has a cycle), or an absorbing state with a nonzero reward; the
-    caller then takes the path that reports or solves those.
+    An absorbing state (``solved`` is None) is pinned to 0.  The walk raises
+    ``NonZeroGainPolicyError`` when it reaches a state still on its path,
+    naming that state, which lies on a cycle of the policy, or an absorbing
+    state with a nonzero reward.
 
     By default the walk knows no value and starts from every state.  Given
     start ``values``, it keeps each entry that is not None and fills the
@@ -302,8 +294,10 @@ def _acyclic_expectation(
             act = actions[choice[s]]
             solved = act.solved
             if solved is None:
-                if act.lookahead[0] is not None:  # a rewarded absorbing loop
-                    return None
+                if act.reward:
+                    raise NonZeroGainPolicyError(
+                        f"absorbing state {mdp.state_names[s]} loops with reward {act.reward}"
+                    )
                 values[s] = ZERO
             else:
                 base, targets, groups = solved
@@ -314,7 +308,9 @@ def _acyclic_expectation(
                         break
                 if pending is not None:
                     if on_path[pending]:
-                        return None
+                        raise NonZeroGainPolicyError(
+                            f"the policy has a cycle through state {mdp.state_names[pending]}"
+                        )
                     on_path[pending] = True
                     path.append(pending)
                     continue
@@ -333,59 +329,17 @@ def _acyclic_expectation(
     return values  # type: ignore[return-value]
 
 
-def _solved_expectation(mdp: Mdp, policy: Policy) -> list[Fraction]:
-    """Solve the value equation of any policy exactly, or raise for its chain structure.
-
-    One sparse row per state: an absorbing state (``solved`` is None) gives
-    ``v(s) = 0``, or is rejected if its loop is rewarded, and every other
-    state ``s`` gives ``v(s) - sum c v(t) = base`` from its action's
-    ``solved`` exits.  The absorbing rows are unit rows, so the system's
-    determinant is that of ``I - Q`` over the other states, and in exact
-    arithmetic it is singular exactly when some of them never reach an
-    absorbing state, i.e. the policy has a recurrent class of more than one
-    state.  The elimination reports that as ``SingularMatrixError``, which
-    becomes the chain-structure error, as a singular LP basis does in
-    ``lp.make_basis``.
-    """
-    rows, rhs = [], []
-    for s, aid in enumerate(policy.choice):
-        act = mdp.actions[aid]
-        row = {s: ONE}
-        if act.solved is None:
-            if act.reward:
-                raise NonZeroGainPolicyError(
-                    f"absorbing state {mdp.state_names[s]} loops with reward {act.reward}"
-                )
-            rhs.append(ZERO)
-        else:
-            base, _, groups = act.solved
-            for (cn, cd), ts in groups:
-                for t in ts:
-                    row[t] = Fraction(-cn, cd)
-            rhs.append(ZERO if base is None else Fraction(*base))
-        rows.append(row)
-    try:
-        return solve_linear_system(rows, rhs)
-    except SingularMatrixError:
-        raise NonZeroGainPolicyError("recurrent class with more than one state") from None
-
-
 def evaluate_values(mdp: Mdp, policy: Policy) -> list[Fraction]:
-    """Exact expected total reward per state under the policy.
+    """Exact expected total reward per state under the policy, by one ``_acyclic_expectation`` walk.
 
-    Requires every recurrent class to be a single absorbing zero-reward
-    state; those states have value 0.  An acyclic policy is
-    back-substituted in one walk; a policy with a cycle, or a rewarded
-    absorbing state, goes to the exact sparse solve, which rejects a
-    rewarded absorbing state up front and a recurrent cycle by finding the
-    system singular.  Total reward is the one criterion the lab solves for:
-    the paper's average reward (gain) is 0 at every state of such a policy,
-    which the tests check by a solve of their own.
+    Requires the policy graph to be acyclic apart from self-loops, and every
+    absorbing state to have reward 0; those states have value 0.  Any cycle,
+    transient or recurrent, and any rewarded absorbing state raises
+    ``NonZeroGainPolicyError``.  Total reward is the one criterion the lab
+    solves for: the paper's average reward (gain) is 0 at every state of such
+    a policy, which the tests check by a solve of their own.
     """
-    values = _acyclic_expectation(mdp, policy)
-    if values is not None:
-        return values
-    return _solved_expectation(mdp, policy)
+    return _acyclic_expectation(mdp, policy)
 
 
 def _appeal(act: Action, values: Sequence[Fraction]) -> Fraction:
@@ -611,10 +565,10 @@ def run_policy_iteration(
     policy and computes every action's appeal once; after each switch it
     re-solves only the values and appeals the switch changes
     (``_switch_reach``), by one walk of ``_acyclic_expectation`` from the
-    changed states over the kept values of the others.  That walk gives up
-    only when the switch closed a cycle or chose a rewarded self-loop; the
-    run then evaluates the new policy in full, which solves a transient
-    cycle exactly and raises the chain-structure error for anything else.
+    changed states over the kept values of the others.  A switch that closes
+    a cycle makes every state on it reach the switched state, so the walk
+    enters them all and raises ``NonZeroGainPolicyError`` at that switch, as
+    it does for a rewarded self-loop.
 
     After each re-solve it raises ``CrosscheckError`` unless the appeal of
     every re-solved state's chosen action, just recomputed from the raw
@@ -674,9 +628,7 @@ def run_policy_iteration(
         start: list[Fraction | None] = list(values)
         for s in changed:
             start[s] = None
-        resolved = _acyclic_expectation(mdp, policy, values=start, roots=changed)
-        # None: the switch closed a cycle or picked a rewarded self-loop.
-        values = resolved if resolved is not None else evaluate_values(mdp, policy)
+        values = _acyclic_expectation(mdp, policy, values=start, roots=changed)
         gains = list(gains)
         for aid in stale:
             appeal = gains[aid] = _appeal(mdp.actions[aid], values)

@@ -15,16 +15,17 @@ raises ``TypeError``; a column key outside ``range(n)`` raises
 ``ValueError``; a given zero is dropped, and an entry that cancels to zero
 during elimination is deleted, so no row ever stores a zero.
 
-The inverse first tries substitution in singleton order, with no
-elimination (the "singleton" phase of LP basis factorization; Suhl & Suhl
-1990, ORSA J. Computing 2(4)).  The inverse X of A satisfies
-Σ_c a_rc·X[c] = e_r for every row r, so a row r with one column c whose X
-row is still unknown gives X[c] = e_r/a_rc − Σ_{k≠c} (a_rk/a_rc)·X[k].  The
-rows with one open column are kept on a stack, as in Kahn's topological
-sort; a row that runs out of open columns without becoming a pivot is
-dependent on the pivoted rows, so the matrix is singular.  A
-matrix that is triangular under some row and column permutation, as the
-transposed basis of every acyclic policy is, inverts this way completely.
+The inverse substitutes in singleton order, with no elimination (the
+"singleton" phase of LP basis factorization; Suhl & Suhl 1990, ORSA J.
+Computing 2(4)).  The inverse X of A satisfies Σ_c a_rc·X[c] = e_r for
+every row r, so a row r with one column c whose X row is still unknown
+gives X[c] = e_r/a_rc − Σ_{k≠c} (a_rk/a_rc)·X[k].  The rows with one open
+column are kept on a stack, as in Kahn's topological sort; a row that runs
+out of open columns without becoming a pivot is dependent on the pivoted
+rows, so the matrix is singular.  A matrix that is triangular under some
+row and column permutation, as the transposed basis of every acyclic
+policy is, inverts this way completely; any other matrix leaves the stack
+empty with rows still open, and the inverse raises rather than eliminate.
 Most rows of those matrices are a hop {s: 1, t: -1} or a detour
 {s: p, mid: -p}, whose one coefficient a_rk/a_rc is exactly -1, so X[s] is
 a copy of X[t] or X[mid] plus the one entry 1/p: no Fraction is multiplied
@@ -33,15 +34,14 @@ or divided across the copied row.
 Handed the X rows it already knows, the inverse counts them as closed
 columns and substitutes only the rows of A that meet the others.
 
-Only when no singleton is left (a transient cycle), and always for the solver,
-does one sparse Gauss-Jordan elimination run.  It pivots first on row
-singletons too, then on the first unpivoted column's first open row, and a
-column with no nonzero left among the open rows means the matrix is
-singular.  Each row h holding the pivot column subtracts ratio × the
-unscaled pivot row, ratio = h's entry / the pivot, and only then is the
-pivot row divided by the pivot, so a ratio of exactly -1 adds the pivot
-row with one Fraction addition per entry.  The inverse and the solution
-are unique, so neither the method nor the pivot order changes a result.
+The elimination serves only the solver.  One sparse Gauss-Jordan pass
+pivots first on row singletons too, then on the first unpivoted column's
+first open row, and a column with no nonzero left among the open rows
+means the matrix is singular.  Each row h holding the pivot column
+subtracts ratio × the unscaled pivot row, ratio = h's entry / the pivot,
+and only then is the pivot row divided by the pivot, so a ratio of exactly
+-1 adds the pivot row with one Fraction addition per entry.  The solution
+is unique, so the pivot order does not change it.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ SparseRow = dict[int, Fraction]
 
 
 class SingularMatrixError(ValueError):
-    """Exact elimination found a zero pivot column: the matrix is singular."""
+    """The matrix is singular, or ``inverse`` found it has no singleton order."""
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -208,18 +208,29 @@ def solve_linear_system(a: Sequence[Mapping[int, Fraction]], b: Sequence[Fractio
     return [row.get(0, ZERO) for row in _gauss_jordan(left, right)]
 
 
-def _substitute(
-    a: Sequence[Mapping[int, Fraction]], out: list[SparseRow | None], rows: Iterable[int]
-) -> list[SparseRow] | None:
-    """Fill the None rows of ``out``, the inverse X of ``a``, by substitution in singleton order.
+def inverse(
+    a: Sequence[Mapping[int, Fraction]],
+    *,
+    known: list[SparseRow | None] | None = None,
+    rows: Iterable[int] | None = None,
+) -> list[SparseRow]:
+    """Sparse rows of the exact inverse X of a square matrix, given as sparse rows, by substitution in singleton order.
 
-    Only ``rows`` of ``a`` are read, and a column whose X row is known counts
-    as closed.  A row r whose one open column is c gives
-    X[c] = e_r/a_rc − Σ_{k≠c} (a_rk/a_rc)·X[k].  Returns ``out``, or None on a
-    stall.  ``a`` is not changed, nor is any X row already in ``out``.
+    A row r whose one open column is c gives
+    X[c] = e_r/a_rc − Σ_{k≠c} (a_rk/a_rc)·X[k].  Raises
+    ``SingularMatrixError`` for a singular matrix, and for one that is not
+    triangular under any permutation: no row is left with one open column
+    while an X row is still unknown.  ``a`` is not changed.
+
+    Given ``known``, its X rows that are not None are kept, the very dicts,
+    and count as closed columns; its None rows are filled in place.  Given
+    ``rows``, only those rows of ``a`` are read, coerced and range-checked.
+    They must be every row holding a column whose X row is None, and as
+    many: then by X·a = I no kept X row holds one of them.
     """
     n = len(a)
-    left = {r: _coerced(a[r], n) for r in rows}
+    out = [None] * n if known is None else known
+    left = {r: _coerced(a[r], n) for r in (range(n) if rows is None else rows)}
     holders: dict[int, list[int]] = {}
     open_count: dict[int, int] = {}
     singles = []
@@ -232,9 +243,9 @@ def _substitute(
         open_count[r] = count
         if count == 1:
             singles.append(r)
-    for _ in left:
+    for missing in range(out.count(None), 0, -1):
         if not singles:
-            return None
+            raise SingularMatrixError(f"no singleton order: {missing} rows of the inverse stay unknown")
         r = singles.pop()
         row = left[r]
         c = next(k for k in row if out[k] is None)
@@ -248,7 +259,7 @@ def _substitute(
                     x = out[k].copy()  # type: ignore[union-attr]
                 else:
                     _axpy(x, ratio, out[k])  # type: ignore[arg-type]
-        x[r] = ONE if unit else 1 / scale  # no X[k] read here holds r: see ``inverse``
+        x[r] = ONE if unit else 1 / scale  # no X[k] read here holds r: see ``known`` above
         out[c] = x
         for h in holders[c]:
             open_count[h] -= 1
@@ -257,23 +268,3 @@ def _substitute(
             elif open_count[h] == 0 and h != r:
                 raise SingularMatrixError(f"row {h} has no open column left to pivot on")
     return out  # type: ignore[return-value]
-
-
-def inverse(
-    a: Sequence[Mapping[int, Fraction]],
-    *,
-    known: list[SparseRow | None] | None = None,
-    rows: Iterable[int] | None = None,
-) -> list[SparseRow]:
-    """Sparse rows of the exact inverse X of a square nonsingular matrix, given as sparse rows.
-
-    Given ``known``, its X rows that are not None are kept, the very dicts,
-    and its None rows are filled in place; given ``rows``, only those rows of
-    ``a`` are read, coerced and range-checked.  They must be every row
-    holding a column whose X row is None, and as many: then by X·a = I no
-    kept X row holds one of them.  On a stall the elimination inverts the
-    whole of ``a`` afresh.
-    """
-    n = len(a)
-    inv = _substitute(a, [None] * n if known is None else known, range(n) if rows is None else rows)
-    return inv if inv is not None else _gauss_jordan(_square(a), [{i: ONE} for i in range(n)])

@@ -117,7 +117,7 @@ def planting_walk(where: str):
     def corrupting(m, policy, *, values=None, roots=None):
         kept = None if values is None else {s for s, v in enumerate(values) if v is not None}
         solved = walk(m, policy, values=values, roots=roots)
-        if roots is not None and solved is not None:
+        if roots is not None:
             if where == "resolved":
                 solved[min(roots)] += 1
             else:

@@ -136,6 +136,21 @@ def test_two_state_probability_one_cycle_is_singular():
         basis_from_policy(lp, policy)
 
 
+def test_a_transient_two_cycle_basis_is_refused():
+    # The cycle leaks to the sink, so its basis is nonsingular, but it has
+    # no singleton order: no run's policy has a cycle, and the LP checks it.
+    m = Mdp()
+    sink = m.add_state("sink")
+    m.add_action(sink, {sink: ONE}, 0)
+    a_state = m.add_state("a")
+    b_state = m.add_state("b")
+    to_b = m.add_action(a_state, {b_state: ONE}, 0)
+    to_a = m.add_action(b_state, {a_state: Fraction(1, 2), sink: Fraction(1, 2)}, 0)
+    lp = mdp_to_primal(m, sink)
+    with pytest.raises(SingularBasisError, match=r"^the basis's policy has a cycle: no singleton order: "):
+        basis_from_policy(lp, make_policy(m, [0, to_b, to_a]))
+
+
 def test_dual_equals_values_and_reduced_costs_equal_appeals():
     cons = build_clock(2)
     policy = clock_initial_policy(cons)

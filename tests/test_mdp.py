@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import re
 from fractions import Fraction
 
 import pytest
@@ -88,21 +89,39 @@ def test_values_reject_recurrent_cycle():
     b_state = m.add_state()
     m.add_action(a_state, {b_state: ONE}, 0)
     m.add_action(b_state, {a_state: ONE}, 0)
-    with pytest.raises(NonZeroGainPolicyError, match=r"^recurrent class with more than one state$"):
+    with pytest.raises(NonZeroGainPolicyError, match=r"^the policy has a cycle through state [01]$"):
         evaluate_values(m, make_policy(m, [0, 1]))
 
 
-def test_values_transient_cycle_through_dense_solver():
-    # A probabilistic two-cycle with an exit is fine: solved exactly.
+def test_values_reject_transient_cycle():
+    # A probabilistic two-cycle with an exit has finite values (u 4, v 3),
+    # but no run meets one, so evaluation rejects it as it does a recurrent one.
     m, sink = sink_mdp()
     u = m.add_state("u")
     v = m.add_state("v")
     m.add_action(u, {v: ONE}, 1)
     m.add_action(v, {u: Fraction(1, 2), sink: Fraction(1, 2)}, 1)
-    policy = make_policy(m, [0, 1, 2])
-    values = evaluate_values(m, policy)
-    # val(u) = 1 + val(v); val(v) = 1 + val(u)/2  =>  val(u) = 4, val(v) = 3.
-    assert values[u] == 4 and values[v] == 3
+    with pytest.raises(NonZeroGainPolicyError, match=r"^the policy has a cycle through state [uv]$"):
+        evaluate_values(m, make_policy(m, [0, 1, 2]))
+
+
+def _on_a_cycle(m, policy, state):
+    """Does ``state`` reach itself under the policy through another state?  Read off the raw transitions."""
+    seen = set()
+    frontier = [t for t in m.actions[policy.choice[state]].transitions if t != state]
+    while frontier:
+        u = frontier.pop()
+        if u == state:
+            return True
+        if u not in seen:
+            seen.add(u)
+            frontier.extend(t for t in m.actions[policy.choice[u]].transitions if t != u)
+    return False
+
+
+def _cycle_state(m, error):
+    """The state a cycle error names."""
+    return m.state_names.index(re.fullmatch(r"the policy has a cycle through state (.+)", str(error))[1])
 
 
 def test_gain_examples():
@@ -289,6 +308,7 @@ def policy_graphs(draw):
     states, with an optional self-loop of mass below 1.  A drawn cycle adds
     one edge back up the order between two transient states; the lower one
     still exits, so the cycle stays transient.  Returns (mdp, policy, cyclic).
+    State names are the state ids.
     """
     n_sinks = draw(st.integers(1, 2))
     n_transient = draw(st.integers(1, 7))
@@ -322,13 +342,19 @@ def policy_graphs(draw):
 @given(policy_graphs())
 def test_evaluation_solves_the_value_equation_on_shuffled_graphs(graph):
     m, policy, cyclic = graph
-    # Cyclic graphs take the dense solve, the others back-substitution.
+    # Acyclic graphs are back-substituted; a cyclic one is rejected at a
+    # state on its cycle, though its gain is 0 and its values are finite.
     assert cyclic == (not policy_graph_is_acyclic(m, policy))
+    assert evaluate_gain(m, policy) == [0] * m.num_states
+    if cyclic:
+        with pytest.raises(NonZeroGainPolicyError) as caught:
+            evaluate_values(m, policy)
+        assert _on_a_cycle(m, policy, _cycle_state(m, caught.value))
+        return
     values = evaluate_values(m, policy)
     for state in range(m.num_states):
         act = m.actions[policy.choice[state]]
         assert values[state] == act.reward + sum(p * values[t] for t, p in act.transitions.items())
-    assert evaluate_gain(m, policy) == [0] * m.num_states
 
 
 @st.composite
@@ -338,7 +364,7 @@ def any_policy_graphs(draw):
     Each state is an absorbing loop, with reward 0 or (less often) not, or
     leaves for one to three other states, maybe staying put with some mass.
     Closed classes of several states, downstream of transient ones or not,
-    come from the random targets.  Returns (mdp, policy).
+    come from the random targets.  Returns (mdp, policy); state names are the state ids.
     """
     n = draw(st.integers(2, 8))
     m = Mdp()
@@ -366,13 +392,18 @@ def test_chain_check_agrees_with_reverse_reachability(graph):
     chosen = [m.actions[aid] for aid in policy.choice]
     absorbing = [s for s, act in enumerate(chosen) if act.transitions.keys() == {s}]
     proper = set().union(*(_reaching(m, policy, s) for s in absorbing)) == set(range(m.num_states))
-    rewarded = any(chosen[s].reward for s in absorbing)
-    if rewarded:
-        with pytest.raises(NonZeroGainPolicyError, match=r"^absorbing state \d+ loops with reward [1-5]$"):
+    rewarded = [s for s in absorbing if chosen[s].reward]
+    cyclic = not policy_graph_is_acyclic(m, policy)
+    assert proper or cyclic  # a state that reaches no absorbing state is on or behind a cycle
+    if rewarded or cyclic:
+        # The walk raises at the first of the two it meets.
+        with pytest.raises(NonZeroGainPolicyError) as caught:
             evaluate_values(m, policy)
-    elif not proper:
-        with pytest.raises(NonZeroGainPolicyError, match=r"^recurrent class with more than one state$"):
-            evaluate_values(m, policy)
+        loop = re.fullmatch(r"absorbing state (\d+) loops with reward ([1-5])", str(caught.value))
+        if loop:
+            assert int(loop[1]) in rewarded and chosen[int(loop[1])].reward == int(loop[2])
+        else:
+            assert cyclic and _on_a_cycle(m, policy, _cycle_state(m, caught.value))
     else:
         values = evaluate_values(m, policy)
         assert all(values[s] == 0 for s in absorbing)
@@ -455,23 +486,6 @@ def test_the_integer_kernels_equal_a_fraction_only_textbook_computation(instance
     assert all(mdp_module._appeal(m.actions[aid], textbook) == 0 for aid in policy.choice)
 
 
-def test_evaluation_solves_only_on_a_cycle(monkeypatch):
-    calls = []
-    solve = mdp_module.solve_linear_system
-    monkeypatch.setattr(mdp_module, "solve_linear_system", lambda *args: calls.append(1) or solve(*args))
-    m, sink = sink_mdp()
-    u = m.add_state("u")
-    v = m.add_state("v")
-    m.add_action(u, {v: Fraction(1, 3), u: Fraction(2, 3)}, 1)
-    m.add_action(v, {sink: ONE}, 2)
-    m.add_action(v, {u: Fraction(1, 2), sink: Fraction(1, 2)}, 1)
-    # Back-substitution needs no solve; the cycle u -> v -> u takes exactly one.
-    for picks, passes in (([0, 1, 2], 0), ([0, 1, 3], 1)):
-        calls.clear()
-        evaluate_values(m, make_policy(m, picks))
-        assert len(calls) == passes
-
-
 def test_evaluation_walks_a_chain_deeper_than_the_recursion_limit():
     n = 20_000
     assert n > sys.getrecursionlimit()
@@ -540,14 +554,16 @@ def test_solved_form_groups_exits_by_coefficient_on_both_evaluation_paths():
     acyclic = make_policy(m, [0, 1, 2, 3, c_out])
     walked = mdp_module._acyclic_expectation(m, acyclic)
     assert walked[s] == 6 + Fraction(3, 10) * 9 + Fraction(2, 5) * Fraction(-11, 3)
-    # c back to s closes the transient cycle s -> c -> s, which the walk
-    # gives up on and the sparse solve takes.
+    for state, aid in enumerate(acyclic.choice):
+        act = m.actions[aid]
+        assert walked[state] == act.reward + sum(p * walked[t] for t, p in act.transitions.items())
+    # The engine's re-solve of s alone, over the kept values of a, b and c.
+    start = [None if state == s else v for state, v in enumerate(walked)]
+    assert mdp_module._acyclic_expectation(m, acyclic, values=start, roots=[s]) == walked
+    # c back to s closes the transient cycle s -> c -> s, which the walk rejects.
     cyclic = make_policy(m, [0, 1, 2, 3, c_back])
-    assert mdp_module._acyclic_expectation(m, cyclic) is None
-    for policy, values in ((acyclic, walked), (cyclic, mdp_module._solved_expectation(m, cyclic))):
-        for state, aid in enumerate(policy.choice):
-            act = m.actions[aid]
-            assert values[state] == act.reward + sum(p * values[t] for t, p in act.transitions.items())
+    with pytest.raises(NonZeroGainPolicyError, match=r"^the policy has a cycle through state [sc]$"):
+        mdp_module._acyclic_expectation(m, cyclic)
 
 
 def test_crosscheck_names_the_first_entry_that_differs():
@@ -669,17 +685,18 @@ def test_values_never_decrease_along_trace():
     assert all(g <= 0 for g in final_appeals)
 
 
-def _cyclic_random_mdp(rng):
+def _rings_mdp(rng):
     # Two rings of four transient states, a0 -> a1 -> ... -> a0 and likewise b.
     # Every action exits to the sink with positive probability, so every
-    # policy is proper, and moves on around its ring, so every policy has
-    # two transient cycles.  Ring a may also jump anywhere, ring b only
-    # within b, so a switch can leave some values (and appeals) unchanged.
+    # cycle is transient.  The start policy's actions go straight to the
+    # sink; every other action moves on around its ring, and ring a may
+    # also jump anywhere, ring b only within b.
     m, sink = sink_mdp()
     rings = [[m.add_state(f"{name}{i}") for i in range(4)] for name in "ab"]
     for states, reach in zip(rings, (rings[0] + rings[1], rings[1])):
         for i, s in enumerate(states):
-            for _ in range(4):
+            m.add_action(s, {sink: ONE}, Fraction(rng.randint(-10, 30), rng.randint(1, 3)))
+            for _ in range(3):
                 exit_p = Fraction(rng.randint(1, 3), 8)
                 transitions = {sink: exit_p, states[(i + 1) % 4]: (1 - exit_p) / 2}
                 other = rng.choice(reach)
@@ -691,22 +708,27 @@ def _cyclic_random_mdp(rng):
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("tie", ["lowest", "highest", "random:3"])
 def test_kept_appeals_equal_a_fresh_pass_on_transient_cycles(seed, tie):
-    m, start = _cyclic_random_mdp(random.Random(seed))
+    # The rings' action graph has transient cycles, as the construction's
+    # has.  On these draws greedy goes around a ring after a few switches:
+    # every policy before that is acyclic and keeps the values and appeals
+    # a fresh pass gives, and the switch that closes the cycle raises.
+    m, start = _rings_mdp(random.Random(seed))
     switches = []
 
     def watch(event, policy, values, gains):
-        assert not policy_graph_is_acyclic(m, policy)  # the dense solve
         fresh = evaluate_values(m, policy)
         assert values == fresh
         assert gains == appeals(m, policy, fresh)
         assert gains[event.new_action] == event.appeal == max(gains)
-        switches.append(event)
+        switches.append((event, policy))
 
-    result = run_policy_iteration(m, start, tie=parse_tiebreak(tie), budget=500, watchers=[watch])
-    assert len(switches) == result.iterations > 0
-    assert result.values == evaluate_values(m, result.policy)
-    assert result.appeals == appeals(m, result.policy, result.values)
-    assert max(result.appeals) == 0
+    with pytest.raises(NonZeroGainPolicyError) as caught:
+        run_policy_iteration(m, start, tie=parse_tiebreak(tie), budget=500, watchers=[watch])
+    assert len(switches) > 1
+    event, policy = switches[-1]
+    closed = policy.with_switch(event.state, event.new_action)
+    assert _on_a_cycle(m, closed, event.state)
+    assert _on_a_cycle(m, closed, _cycle_state(m, caught.value))
 
 
 def _reaching(m, policy, target):
@@ -735,10 +757,6 @@ def _construction_start(circuit, bits):
             lambda: _construction_start(identity_circuit(2), (1, 1)), tie, id=f"identity2-{tie.replace(':', '')}"
         )
         for tie in ("lowest", "highest", "random:3")
-    ]
-    + [
-        pytest.param(lambda seed=seed: _cyclic_random_mdp(random.Random(seed)), "lowest", id=f"rings{seed}-lowest")
-        for seed in range(4)
     ],
 )
 def test_a_switch_changes_the_values_of_exactly_the_states_that_reach_it(make, tie):
@@ -815,9 +833,7 @@ def test_crosscheck_finds_every_incremental_solve_equal_to_a_fresh_evaluation(ma
     )
     assert checked.iterations > 0
     # The start policy, one fresh evaluation per later policy (the watcher
-    # checks each switch after the first, the run its final policy); none
-    # of these instances closes a cycle, so the incremental walk never
-    # falls back.
+    # checks each switch after the first, the run its final policy).
     assert len(calls) == checked.iterations + 1
     calls.clear()
     plain = run_policy_iteration(m, start, tie=parse_tiebreak(tie), budget=100_000)
@@ -842,6 +858,19 @@ def _switch_into_a_recurrent_cycle():
     return m, make_policy(m, start)
 
 
+def _switch_into_a_transient_cycle():
+    # As above, but v's second action pays 1/2 and leaves for the sink half
+    # the time: greedy switches u to v (appeal 1), then v towards u (appeal
+    # 1/2 + 1/2), which closes the transient cycle u -> v -> u.
+    m, sink = sink_mdp()
+    u = m.add_state("u")
+    v = m.add_state("v")
+    start = [0, m.add_action(u, {sink: ONE}, 0), m.add_action(v, {sink: ONE}, 0)]
+    m.add_action(u, {v: ONE}, 1)
+    m.add_action(v, {u: Fraction(1, 2), sink: Fraction(1, 2)}, Fraction(1, 2))
+    return m, make_policy(m, start)
+
+
 def _switch_into_a_rewarded_self_loop():
     m, sink = sink_mdp()
     u = m.add_state("u")
@@ -851,19 +880,23 @@ def _switch_into_a_rewarded_self_loop():
 
 
 @pytest.mark.parametrize(
-    "make, message",
+    "make, message, switches",
     [
-        (_switch_into_a_recurrent_cycle, "recurrent class with more than one state"),
-        (_switch_into_a_rewarded_self_loop, "absorbing state u loops with reward 1"),
+        pytest.param(_switch_into_a_recurrent_cycle, "the policy has a cycle through state [uv]", 2, id="recurrent-cycle"),
+        pytest.param(_switch_into_a_transient_cycle, "the policy has a cycle through state [uv]", 2, id="transient-cycle"),
+        pytest.param(_switch_into_a_rewarded_self_loop, "absorbing state u loops with reward 1", 1, id="rewarded-self-loop"),
     ],
 )
-def test_a_switch_the_incremental_walk_cannot_solve_falls_back_to_the_full_evaluation(make, message, monkeypatch):
+def test_a_switch_that_closes_a_cycle_raises_at_that_switch(make, message, switches, monkeypatch):
     m, start = make()
     calls = _counting_evaluations(monkeypatch)
+    seen = []
     with pytest.raises(NonZeroGainPolicyError, match=f"^{message}$"):
-        run_policy_iteration(m, start, budget=10)
-    # The start policy, then the fallback on the policy the last switch made.
-    assert len(calls) == 2 and calls[0] == start != calls[1]
+        run_policy_iteration(m, start, budget=10, watchers=[lambda event, *_: seen.append(event)])
+    # The incremental walk raises: no full evaluation follows the start's.
+    assert calls == [start]
+    assert len(seen) == switches
+    assert m.actions[seen[-1].new_action].reward  # the switch into the cycle or the loop
 
 
 @pytest.mark.parametrize("tie", ["lowest", "highest", "random:3"])

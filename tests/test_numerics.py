@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dantziglab import mdp, numerics
+from dantziglab import numerics
 from dantziglab.cli import main
 from dantziglab.numerics import (
     SingularMatrixError,
@@ -100,10 +100,11 @@ def test_inverse_identity_and_diagonal():
 
     # The LP's column shapes, rows s, mid, t, u, v, w: a detour column
     # {s: p, mid: -p}, a hop {mid: 1, t: -1} and a split {t: 1, u: -1/2,
-    # v: -1/2}, then a cycle block on u, v, w with no row singleton.  Worked
+    # v: -1/2}, then a cycle block on u, v, w with no row singleton, which
+    # the inverse refuses and only the solver's elimination takes.  Worked
     # by hand: s pivots with scale p and mid adds row s (ratio -1), then mid
     # and t pivot in turn and t's row goes to u and v at ratio -1/2.  The
-    # fallback pivots column 3 on u with scale 2; v adds row u (ratio -1),
+    # elimination pivots column 3 on u with scale 2; v adds row u (ratio -1),
     # which cancels v's column 4 entry, so v is a singleton on column 5.
     # w subtracts 4·v and pivots column 4 with scale 5, and u subtracts
     # 3/10·w.  A cancelled entry kept as 0 would leave v no singleton and
@@ -117,7 +118,9 @@ def test_inverse_identity_and_diagonal():
         {2: -h, 3: rat(-2), 4: rat(-3), 5: ONE},
         {4: rat(5), 5: rat(4)},
     ]
-    inv = inverse(a)
+    with pytest.raises(SingularMatrixError, match=r"^no singleton order: 3 rows of the inverse stay unknown$"):
+        inverse(a)
+    inv = numerics._gauss_jordan(numerics._square(a), identity(6))
     assert inv[0] == {0: 1 / p}
     assert inv[1] == {0: ONE, 1: ONE}
     assert inv[2] == {0: ONE, 1: ONE, 2: ONE}
@@ -235,32 +238,34 @@ def test_transient_system_matches_path_sum_oracle():
         assert solution[idx[s]] == _brute_force_total_reward(chain, rewards, s, "si")[s]
 
 
-def _random_nonsingular(rng, n):
-    while True:
-        rows = sparse([
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
-            for _ in range(n)
-        ])
-        try:
-            return rows, inverse(rows)
-        except SingularMatrixError:
-            continue
-
-
 def test_random_solve_substitutes_back():
     rng = random.Random(20240211)
     for n in range(1, 9):
-        for _ in range(4):
-            a, _ = _random_nonsingular(rng, n)
+        solved = 0
+        while solved < 4:
+            a = sparse([[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)])
             b = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(n)]
-            x = solve_linear_system(a, b)
+            try:
+                x = solve_linear_system(a, b)
+            except SingularMatrixError:
+                continue
             assert mul_vec(a, x) == b
+            solved += 1
 
 
 def test_random_inverse_multiplies_to_identity():
+    # The inverse takes the matrices that are triangular under some row and
+    # column permutation, the shape of every acyclic policy's basis.
     rng = random.Random(7)
     for n in range(1, 9):
-        a, inv = _random_nonsingular(rng, n)
+        rows = [
+            [Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9)) if j == i
+             else Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if j < i else ZERO for j in range(n)]
+            for i in range(n)
+        ]
+        row_order, col_order = rng.sample(range(n), n), rng.sample(range(n), n)
+        a = sparse([[rows[row_order[i]][col_order[j]] for j in range(n)] for i in range(n)])
+        inv = inverse(a)
         assert matmul(inv, a) == identity(n)
         assert matmul(a, inv) == identity(n)
 
@@ -297,8 +302,9 @@ def shaped_matrices(draw):
 
     "triangular" is lower triangular with a nonzero diagonal, so it always
     has a row singleton; "cycle" also closes the cycle 0 → 1 → … → n-1 → 0
-    above the diagonal, so for n ≥ 2 no row starts as a singleton and the
-    elimination needs its fallback pivot (and may find it singular);
+    above the diagonal, so for n ≥ 2 no row starts as a singleton: the
+    inverse refuses it, and the elimination needs its fallback pivot (and
+    may find it singular);
     "singular" replaces one row of a triangular matrix with a combination of
     the other rows.
     """
@@ -339,7 +345,7 @@ def test_elimination_agrees_with_a_cofactor_determinant(case, data):
         with pytest.raises(SingularMatrixError):
             solve_linear_system(a, b)
         return
-    inv = inverse(a)
+    inv = numerics._gauss_jordan(numerics._square(a), identity(n))
     assert all(v for row in inv for v in row.values())
     assert matmul(a, inv) == identity(n)
     assert matmul(inv, a) == identity(n)
@@ -347,32 +353,20 @@ def test_elimination_agrees_with_a_cofactor_determinant(case, data):
     assert a == given_rows
 
 
-class FallbackReached(Exception):
-    pass
-
-
-def _refuse_elimination(left, right):
-    raise FallbackReached
-
-
 @settings(max_examples=200, deadline=None)
 @given(shaped_matrices())
 def test_substitution_inverts_a_triangular_matrix_and_stalls_on_a_cycle(case):
     # A triangular matrix always has a row singleton, and each row it pivots
-    # leaves another, so the substitution never stalls and the elimination is
-    # never reached.  A cycle of n ≥ 2 has no singleton to start from.
+    # leaves another, so the substitution never stalls.  A cycle of n ≥ 2
+    # has no singleton to start from, and the stall raises.
     shape, a = case
     assume(shape != "singular")
     n = len(a)
     if shape == "triangular":
-        expected = numerics._gauss_jordan(numerics._square(a), identity(n))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numerics, "_gauss_jordan", _refuse_elimination)
-        if shape == "triangular":
-            assert inverse(a) == expected
-        elif n >= 2:
-            with pytest.raises(FallbackReached):
-                inverse(a)
+        assert inverse(a) == numerics._gauss_jordan(numerics._square(a), identity(n))
+    elif n >= 2:
+        with pytest.raises(SingularMatrixError, match=f"^no singleton order: {n} rows of the inverse stay unknown$"):
+            inverse(a)
 
 
 @settings(max_examples=200, deadline=None)
@@ -381,18 +375,16 @@ def test_inverse_re_solves_only_the_rows_it_is_not_given(data):
     # L is lower triangular, so rows k.. of L are exactly the rows holding a
     # column k.. of X = L⁻¹.  Given X's rows ..k-1, the inverse substitutes
     # rows k.. alone, never reads rows ..k-1 of L (here None), and shares
-    # the given rows.  Without ``rows`` every row of L is read, those with no
-    # open column never pivot, and the elimination inverts L afresh.
+    # the given rows.  Without ``rows`` every row of L is read, and those
+    # with no open column never pivot.
     n = data.draw(st.integers(1, 6))
     k = data.draw(st.integers(0, n))
     diagonal = data.draw(st.lists(nonzero, min_size=n, max_size=n))
     below = iter(data.draw(st.lists(small, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
     a = sparse([[diagonal[i] if j == i else next(below) if j < i else ZERO for j in range(n)] for i in range(n)])
     x = numerics._gauss_jordan(numerics._square(a), identity(n))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numerics, "_gauss_jordan", _refuse_elimination)
-        known = [*x[:k], *[None] * (n - k)]
-        out = inverse([*[None] * k, *a[k:]], known=known, rows=range(k, n))
+    known = [*x[:k], *[None] * (n - k)]
+    out = inverse([*[None] * k, *a[k:]], known=known, rows=range(k, n))
     assert out is known and out == x
     assert all(out[c] is x[c] for c in range(k))
     if k:
@@ -400,6 +392,9 @@ def test_inverse_re_solves_only_the_rows_it_is_not_given(data):
 
 
 def test_every_lockstep_basis_inverts_without_the_elimination(tmp_path, monkeypatch):
+    # A basis with no singleton order, or a policy with a cycle, raises and
+    # exits 4, so these commands exit as they do only if every basis and
+    # every policy they reach is acyclic apart from self-loops.
     import dantziglab.lp as lp_module
 
     calls = []
@@ -410,13 +405,9 @@ def test_every_lockstep_basis_inverts_without_the_elimination(tmp_path, monkeypa
         return original(a, **carried)
 
     monkeypatch.setattr(lp_module, "inverse", counting)
-    monkeypatch.setattr(numerics, "_gauss_jordan", _refuse_elimination)
     argv = ["verify", "--builtin", "identity1", "--bits", "1", "--which", "equivalence"]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert len(calls) == 23
-    # Nor does any policy a full audit or an MDP-side decision reaches need
-    # the cyclic value solve: every one is acyclic apart from self-loops.
-    monkeypatch.setattr(mdp, "_solved_expectation", _refuse_elimination)
     argv = ["verify", "--builtin", "rot2", "--bits", "11", "--which", "all"]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     argv = ["decide", "--builtin", "rot3", "--bits", "111", "--z", "1", "--problem", "dantzigsol"]

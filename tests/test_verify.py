@@ -31,6 +31,7 @@ from dantziglab.construction import (
     make_params,
 )
 from dantziglab.library import constant_zero_circuit, identity_circuit, rotation_circuit
+from dantziglab.lp import check_pi_simplex_equivalence
 from dantziglab.mdp import (
     Policy,
     TieBreak,
@@ -751,3 +752,11 @@ def test_random_circuits_build_and_track_their_oracles_under_every_tie_rule(inst
     assert audit_appeal_catalog(switch.run, switch.construction).ok
     assert check_all_transitions(switch.run, switch.construction).ok
     assert audit_appeal_catalog(sol.run, sol.construction).ok
+    if circuit.n <= 2:
+        # The LP half of the acyclic invariant: every basis the lockstep
+        # meets under this tie rule has a singleton order.
+        cons = switch.construction
+        lockstep = check_pi_simplex_equivalence(
+            cons.mdp, switch.run.initial, cons.index.si(), tie=TieBreak(tie), budget=cons.budget()
+        )
+        assert lockstep.ok and lockstep.pivots == switch.run.iterations
