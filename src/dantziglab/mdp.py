@@ -38,10 +38,11 @@ share.  Each positive appeal is kept with its ``numerics.keyed`` integer
 key, its floor at ``KEY_BITS`` fraction bits, so the greedy pick compares
 machine ints and reaches the Fractions only where two keys are equal.
 ``evaluate_values`` and the full ``appeals`` pass are the oracles: every
-run ends by checking its kept values and appeals against them, compared as
-integer pairs (``numerics.same``), and that no fresh appeal is positive.
-The watcher ``fresh_value_check`` checks the values of every policy a run
-reaches against the same oracle.
+run ends by checking its kept values and appeals against them, exactly, and
+that no fresh appeal is positive.  The watcher ``fresh_value_check`` checks
+the values of every policy a run reaches against the same oracle.  Both hand
+it the kept values as a claim: the walk still derives each value, and keeps
+a claimed entry only where it is equal, in place of a new ``Fraction``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .numerics import ZERO, ONE, format_rational, keyed, positive_keys, rat, same
+from .numerics import ZERO, ONE, format_rational, keyed, positive_keys, rat
 
 Pair = tuple[int, int]  # an exact rational as ``(numerator, denominator)``, the denominator positive
 
@@ -256,6 +257,7 @@ def _acyclic_expectation(
     *,
     values: list[Fraction | None] | None = None,
     roots: Iterable[int] | None = None,
+    claimed: Sequence[Fraction] | None = None,
 ) -> list[Fraction]:
     """The values of a policy graph with no cycle apart from self-loops.
 
@@ -276,6 +278,11 @@ def _acyclic_expectation(
     then include every None entry.  The engine re-solves the states a switch
     changed this way.  A kept entry is read as is, so the walk neither
     enters nor checks the states behind it.
+
+    Where it would build ``Fraction(n, d)``, a ``claimed`` entry that is a
+    ``Fraction`` ``kn/kd`` with ``n * kd == kn * d`` is stored instead.  Each
+    exit is checked before its state, so by induction the result equals the
+    unclaimed walk's entry for entry.  A claim of the wrong length is ignored.
     """
     actions, choice = mdp.actions, policy.choice
     size = len(choice)
@@ -283,6 +290,8 @@ def _acyclic_expectation(
         values = [None] * size
     if roots is None:
         roots = range(size)
+    if claimed is not None and len(claimed) != size:
+        claimed = None
     on_path = [False] * size
     for root in roots:
         if values[root] is not None:
@@ -323,14 +332,20 @@ def _acyclic_expectation(
                         for t in ts[1:]:
                             tn, td = _add(tn, td, *values[t].as_integer_ratio())  # type: ignore[union-attr]
                         n, d = _add(n, d, cn * tn, cd * td)
-                    values[s] = Fraction(n, d)
+                    known = None if claimed is None else claimed[s]
+                    if type(known) is not Fraction or n * known.denominator != known.numerator * d:
+                        known = Fraction(n, d)
+                    values[s] = known
             on_path[s] = False
             path.pop()
     return values  # type: ignore[return-value]
 
 
-def evaluate_values(mdp: Mdp, policy: Policy) -> list[Fraction]:
+def evaluate_values(mdp: Mdp, policy: Policy, claimed: Sequence[Fraction] | None = None) -> list[Fraction]:
     """Exact expected total reward per state under the policy, by one ``_acyclic_expectation`` walk.
+
+    The walk runs from scratch; each ``claimed`` entry it derives an equal
+    value for comes back as the same object, and the result does not change.
 
     Requires the policy graph to be acyclic apart from self-loops, and every
     absorbing state to have reward 0; those states have value 0.  Any cycle,
@@ -339,7 +354,7 @@ def evaluate_values(mdp: Mdp, policy: Policy) -> list[Fraction]:
     solves for: the paper's average reward (gain) is 0 at every state of such
     a policy, which the tests check by a solve of their own.
     """
-    return _acyclic_expectation(mdp, policy)
+    return _acyclic_expectation(mdp, policy, claimed=claimed)
 
 
 def _appeal(act: Action, values: Sequence[Fraction]) -> Fraction:
@@ -514,10 +529,10 @@ def _switch_reach(
 
 
 def _crosscheck(
-    kept: Sequence[Fraction], fresh: Sequence[Fraction], names: Sequence[str], what: str, switch: int
+    kept: Sequence[Fraction], fresh: list[Fraction], names: Sequence[str], what: str, switch: int
 ) -> None:
     """Raise ``CrosscheckError`` where the kept numbers first differ from fresh ones: at an entry, or in their count."""
-    if same(kept, fresh):
+    if kept == fresh:  # list ``==`` passes an entry shared by both before it compares the others exactly
         return
     if len(kept) != len(fresh):
         raise CrosscheckError(
@@ -535,18 +550,19 @@ def fresh_value_check(mdp: Mdp) -> Watcher:
     """A watcher that checks the values handed at each switch against a fresh evaluation.
 
     It raises ``CrosscheckError`` at the first state whose kept value
-    differs from ``evaluate_values`` of the policy before the switch.  The
-    first switch is skipped: its values are the start policy's own
-    from-scratch evaluation.  Put first among a run's watchers, it fires
-    before any other reads a wrong value; the final policy is checked by
-    the run itself.
+    differs from ``evaluate_values`` of the policy before the switch, which
+    reuses each kept entry it finds equal.  The first switch is skipped: its
+    values are the start policy's own from-scratch evaluation.  Put first
+    among a run's watchers, it fires before any other reads a wrong value;
+    the final policy is checked by the run itself.
     """
 
     def check(
         event: TraceEvent, policy: Policy, values: Sequence[Fraction], gains: Sequence[Fraction]
     ) -> None:
         if event.iteration:
-            _crosscheck(values, evaluate_values(mdp, policy), mdp.state_names, "value", event.iteration)
+            fresh = evaluate_values(mdp, policy, claimed=values)
+            _crosscheck(values, fresh, mdp.state_names, "value", event.iteration)
 
     return check
 
@@ -604,7 +620,7 @@ def run_policy_iteration(
     while True:
         step = dantzig_step(mdp, policy, pick, positive)
         if step is None:
-            oracle = evaluate_values(mdp, policy)
+            oracle = evaluate_values(mdp, policy, claimed=values)
             _crosscheck(values, oracle, mdp.state_names, "value", len(trace))
             names = [a.name for a in mdp.actions]
             final = appeals(mdp, policy, oracle)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .circuit import BitString, Circuit, KIND_INPUT, decide_bitswitch, decide_circuitvalue, evaluate
@@ -78,16 +79,9 @@ class Report:
 # Gray-code clock oracle
 
 
-def bit_of(x: int, i: int) -> int:
-    """Bit i of x, counting from 1 at the least significant end."""
-    return (x >> (i - 1)) & 1
-
-
 def least_significant_zero(j: int) -> int:
-    i = 1
-    while bit_of(j, i):
-        i += 1
-    return i
+    """The lowest i with bit i of j clear: the bit that j + 1 sets and j does not."""
+    return (~j & (j + 1)).bit_length()
 
 
 def gray_code(n: int, j: int) -> BitString:
@@ -99,7 +93,7 @@ def gray_code(n: int, j: int) -> BitString:
     if not 0 <= j < 2**n:
         raise ValueError(f"index {j} outside 0..2^{n}-1")
     g = j ^ (j >> 1)
-    return tuple(bit_of(g, n - i + 1) for i in range(1, n + 1))
+    return tuple([g >> (n - i) & 1 for i in range(1, n + 1)])
 
 
 @dataclass(frozen=True)
@@ -118,20 +112,21 @@ class ClockOracle:
     def switch_appeal(self, i: int) -> Fraction:
         return HALF - Fraction(1, 4 * i)
 
-    def values(self, j: int) -> dict[str, int]:
-        """Expected state values at the j-th policy: integers, in units of the phase gap."""
-        vals = {
-            "si": 0,
-            "si'": 2 ** (self.n + 1),
-            "0": 0,
-            "c1": 1 + 2 * (j >> 1),
-            "c0": 2 * ((j + 1) >> 1),
-        }
-        for i in range(1, self.n + 1):
-            f = self.f(i)
-            vals[f"{i}'"] = (1 << f) + (j >> (f + 1) << (f + 1))
-            vals[str(i)] = (j + (1 << (f - 1))) >> f << f
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """The states ``scaled`` gives values for, in its order: named once per oracle, not at every j."""
+        return ("si", "si'", "0", "c1", "c0", *(name for i in range(1, self.n + 1) for name in (f"{i}'", str(i))))
+
+    def scaled(self, j: int) -> list[int]:
+        """Expected state values at the j-th policy, in units of the phase gap, in the order of ``names``."""
+        vals = [0, 2 ** (self.n + 1), 0, 1 + 2 * (j >> 1), 2 * ((j + 1) >> 1)]
+        for f in range(self.n, 0, -1):  # f(i) for i = 1..n: the values of i' and i
+            vals += ((1 << f) + (j >> (f + 1) << (f + 1)), (j + (1 << (f - 1))) >> f << f)
         return vals
+
+    def values(self, j: int) -> dict[str, int]:
+        """``scaled(j)`` keyed by state name."""
+        return dict(zip(self.names, self.scaled(j)))
 
 
 class ClockAuditor:
@@ -148,12 +143,14 @@ class ClockAuditor:
         n = construction.params.n
         self.oracle = ClockOracle(n)
         index = construction.index
-        # Looked up once per run: each clock state with its down and right
-        # actions, and the state behind each of the oracle's value names.
+        # Looked up once per run: each clock state with its actions for Gray
+        # bit 0 (right) and 1 (down), the state behind each of the oracle's
+        # value names, and the phase gap t as an int pair.
         self.clock_moves = [
-            (index.clock(i), index.action(f"{i}~>{i}'"), index.action(f"{i}~>{i - 1}")) for i in range(1, n + 1)
+            (index.clock(i), (index.action(f"{i}~>{i - 1}"), index.action(f"{i}~>{i}'"))) for i in range(1, n + 1)
         ]
-        self.value_states = [(name, index.state(name)) for name in self.oracle.values(0)]
+        self.value_states = [(name, index.state(name)) for name in self.oracle.names]
+        self.t = construction.params.t.as_integer_ratio()
         # Each clock state's switch appeal, and whether it lies in [1/4, 1/2).
         appeals = {i: self.oracle.switch_appeal(i) for i in range(1, n + 1)}
         self.expected_appeals = {i: (a, Fraction(1, 4) <= a < HALF) for i, a in appeals.items()}
@@ -187,13 +184,11 @@ class ClockAuditor:
         n = self.oracle.n
         if j >= 2**n:
             return
-        for i, ((sid, down, right), bit) in enumerate(zip(self.clock_moves, gray_code(n, j)), 1):
-            if policy.choice[sid] != (down if bit else right):
+        for i, ((sid, moves), bit) in enumerate(zip(self.clock_moves, gray_code(n, j)), 1):
+            if policy.choice[sid] != moves[bit]:
                 self.policy_failures.append(f"step {j}: state {i} off the Gray-code sequence")
-        t = self.construction.params.t
-        t_num, t_den = t.numerator, t.denominator
-        # values() lists its names in one order for every j.
-        for (name, sid), scaled in zip(self.value_states, self.oracle.values(j).values()):
+        t_num, t_den = self.t
+        for (name, sid), scaled in zip(self.value_states, self.oracle.scaled(j)):
             num, den = values[sid].as_integer_ratio()
             # value == t * scaled, cross-multiplied over the integers
             if num * t_den != t_num * scaled * den:

@@ -114,9 +114,9 @@ def planting_walk(where: str):
 
     walk = mdp._acyclic_expectation
 
-    def corrupting(m, policy, *, values=None, roots=None):
+    def corrupting(m, policy, *, values=None, roots=None, claimed=None):
         kept = None if values is None else {s for s, v in enumerate(values) if v is not None}
-        solved = walk(m, policy, values=values, roots=roots)
+        solved = walk(m, policy, values=values, roots=roots, claimed=claimed)
         if roots is not None:
             if where == "resolved":
                 solved[min(roots)] += 1

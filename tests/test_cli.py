@@ -543,9 +543,9 @@ def test_verify_all_evaluates_each_policy_once(tmp_path, patch_everywhere):
     appealed = []
     original_values, original_appeals = mdp.evaluate_values, mdp.appeals
 
-    def counting_values(m, policy):
+    def counting_values(m, policy, claimed=None):
         evaluated.append(policy)
-        return original_values(m, policy)
+        return original_values(m, policy, claimed=claimed)
 
     def counting_appeals(m, policy, values):
         appealed.append(policy)
@@ -660,10 +660,10 @@ def test_a_chain_structure_error_exits_4_not_verdict_false(tmp_path, monkeypatch
     # evaluator cannot handle; for decide, exit 1 would read as "false".
     walk = mdp._acyclic_expectation
 
-    def failing(m, policy, *, values=None, roots=None):
+    def failing(m, policy, *, values=None, roots=None, claimed=None):
         if roots is not None:
             raise error("planted recurrent class")
-        return walk(m, policy, values=values, roots=roots)
+        return walk(m, policy, values=values, roots=roots, claimed=claimed)
 
     monkeypatch.setattr(mdp, "_acyclic_expectation", failing)
     assert run_cli(*argv, "--out", str(tmp_path)) == 4

@@ -28,6 +28,7 @@ from dantziglab.mdp import (
     MdpError,
     NonZeroGainPolicyError,
     TieBreak,
+    TraceEvent,
     add_gadget,
     appeals,
     decide_action_switch,
@@ -39,7 +40,7 @@ from dantziglab.mdp import (
     parse_tiebreak,
     run_policy_iteration,
 )
-from dantziglab.numerics import SingularMatrixError
+from dantziglab.numerics import SingularMatrixError, format_rational
 from dantziglab.turing import compile_machine
 
 ONE = Fraction(1)
@@ -486,6 +487,50 @@ def test_the_integer_kernels_equal_a_fraction_only_textbook_computation(instance
     assert all(mdp_module._appeal(m.actions[aid], textbook) == 0 for aid in policy.choice)
 
 
+def _copied_states(m, policy):
+    """Each state whose chosen action copies one other state's value (a sole exit, no reward), mapped to that state."""
+    copied = {}
+    for s, aid in enumerate(policy.choice):
+        act = m.actions[aid]
+        exits = [t for t in act.transitions if t != s]
+        if len(exits) == 1 and not act.reward:
+            copied[s] = exits[0]
+    return copied
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_acyclic_mdps(), st.data())
+def test_a_claimed_evaluation_equals_the_unclaimed_one_and_returns_no_wrong_claim(instance, data):
+    m, policy, _, _ = instance
+    truth = evaluate_values(m, policy)
+    s = data.draw(st.integers(0, m.num_states - 1), label="off")
+    off = list(truth)
+    off[s] = truth[s] + Fraction(1, 2**80)
+    # One wrong object kept at a state and at the state its value copies.
+    copied = _copied_states(m, policy)
+    u = data.draw(st.sampled_from(sorted(copied)), label="copier") if copied else s
+    shared = truth[copied.get(u, u)] + Fraction(1, 3)
+    chain = list(truth)
+    chain[u] = chain[copied.get(u, u)] = shared
+    claims = {
+        "true": (list(truth), []),
+        "off": (off, [off[s]]),
+        "chain": (chain, [shared]),
+        "ints": ([int(v) for v in truth], []),  # equal where a value is integral, wrong elsewhere
+        "short": (truth[:-1], []),
+        "long": ([*truth, ONE], []),
+    }
+    for name, (claim, wrong) in claims.items():
+        got = evaluate_values(m, policy, claimed=claim)
+        assert got == truth, name
+        assert all(type(v) is Fraction for v in got), name
+        assert not any(v is w for v in got for w in wrong), name
+    # A true claim comes back object for object: copies and absorbing
+    # states share their objects in the unclaimed evaluation too.
+    claim = list(truth)
+    assert all(v is c for v, c in zip(evaluate_values(m, policy, claimed=claim), claim))
+
+
 def test_evaluation_walks_a_chain_deeper_than_the_recursion_limit():
     n = 20_000
     assert n > sys.getrecursionlimit()
@@ -806,9 +851,9 @@ def _counting_evaluations(monkeypatch):
     calls = []
     original = mdp_module.evaluate_values
 
-    def counting(m, policy):
+    def counting(m, policy, claimed=None):
         calls.append(policy)
-        return original(m, policy)
+        return original(m, policy, claimed=claimed)
 
     monkeypatch.setattr(mdp_module, "evaluate_values", counting)
     return calls
@@ -928,6 +973,40 @@ def test_every_run_checks_its_final_policy_from_scratch(monkeypatch):
     m, start = _construction_start(rotation_circuit(2), (1, 1))
     with pytest.raises(CrosscheckError, match=r"^after switch \d+ the kept value of "):
         run_policy_iteration(m, start, budget=10_000)
+
+
+def test_a_wrong_value_shared_along_a_copy_chain_is_named_at_its_lowest_state():
+    # The kept value of a state that the walk builds, and of every state
+    # that copies it down a chain, is one wrong object (kept[s] is kept[t]).
+    # The walk compares the claim where the chain ends and builds a fresh
+    # Fraction there, so every state of the chain differs from the kept
+    # object and the watcher names the lowest of them.
+    m, policy = _construction_start(rotation_circuit(2), (1, 1))
+    copied = _copied_states(m, policy)
+
+    def chain(s):
+        states = [s]
+        while states[-1] in copied:
+            states.append(copied[states[-1]])
+        return states
+
+    def built(t):  # neither a copy nor absorbing: the walk builds its value
+        return m.actions[policy.choice[t]].transitions.keys() != {t}
+
+    states = max((c for c in map(chain, copied) if built(c[-1])), key=len)
+    assert len(states) >= 3
+    values = evaluate_values(m, policy)
+    right = values[states[0]]
+    wrong = right + Fraction(1, 7)
+    for s in states:
+        values[s] = wrong
+    event = TraceEvent(5, states[0], policy.choice[states[0]], policy.choice[states[0]], ONE)
+    message = (
+        f"after switch 5 the kept value of {m.state_names[min(states)]} is {format_rational(wrong)}, "
+        f"but a fresh evaluation gives {format_rational(right)}"
+    )
+    with pytest.raises(CrosscheckError, match=f"^{re.escape(message)}$"):
+        fresh_value_check(m)(event, policy, values, appeals(m, policy, values))
 
 
 def test_a_wrong_resolved_value_fails_the_residual_check(monkeypatch):

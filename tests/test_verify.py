@@ -171,6 +171,36 @@ def test_clock_auditor_flags_a_policy_or_a_value_off_the_oracle():
     assert auditor.policy_failures == ["step 5: value of c1 differs from the oracle"]
 
 
+def test_clock_auditor_reads_the_closed_forms_of_values_and_gray_code():
+    # At every step of every clock up to n = 6 the auditor passes the Gray
+    # policy with the values ClockOracle.values(j) gives (times t) at the
+    # states it names; the others hold a number it must not read.  A policy
+    # one Gray bit off, or one value off by t, is recorded at that state.
+    for n in range(1, 7):
+        cons = build_clock(n)
+        t = cons.params.t
+        index = cons.index
+        auditor = ClockAuditor(cons)
+        for j in range(2**n):
+            policy = clock_gray_policy(cons, j)
+            values = [Fraction(-1, 3)] * cons.mdp.num_states
+            for name, scaled in ClockOracle(n).values(j).items():
+                values[index.state(name)] = t * scaled
+            auditor.check_policy(j, policy, values)
+            assert auditor.policy_failures == [], (n, j)
+            for i, bit in enumerate(gray_code(n, j), 1):
+                off = index.action(f"{i}~>{i - 1}" if bit else f"{i}~>{i}'")
+                auditor.check_policy(j, policy.with_switch(index.clock(i), off), values)
+                assert auditor.policy_failures == [f"step {j}: state {i} off the Gray-code sequence"]
+                auditor.policy_failures.clear()
+            for name in ClockOracle(n).values(j):
+                shifted = list(values)
+                shifted[index.state(name)] += t
+                auditor.check_policy(j, policy, shifted)
+                assert auditor.policy_failures == [f"step {j}: value of {name} differs from the oracle"]
+                auditor.policy_failures.clear()
+
+
 def test_clock_auditor_flags_a_switch_outside_the_clock():
     # Every state of a clock but the clock states has one action, so no run
     # switches one; the auditor is handed such an event directly.
