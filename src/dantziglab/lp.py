@@ -51,6 +51,15 @@ key, as the engine keeps its positive appeals; a pivot re-keys only the
 columns it recomputes, and the next pivot picks the largest key and its
 ties from the map alone.
 
+The pivot's arithmetic runs on int pairs.  The entering direction, a
+column's reduced cost, the ratio test and the x_B and y updates read each
+operand's ``as_integer_ratio()``, add and multiply numerators and
+denominators as ints (numerators alone where two denominators are equal)
+and build one normalizing ``Fraction`` per result, so every number handed
+on is a Fraction.  The ratio test compares x_r/d_r by cross-multiplying,
+its minimizer and tie check exact, and builds θ once.  These kernels are
+the LP side's own and share no helper with the engine it audits.
+
 The lockstep compares each vector only where it moved.  It keeps tuple
 snapshots of both sides of each comparison from the last time it passed,
 and compares exactly the positions where either side's entry is not the
@@ -97,6 +106,11 @@ class NoSinkError(LpError):
 
 class SingularBasisError(LpError):
     """A policy's columns have no singleton order: its policy graph has a cycle, transient or trapped."""
+
+
+def _sum(n: int, d: int, un: int, ud: int) -> tuple[int, int]:
+    """``n/d + un/ud`` as an unreduced int pair, adding the numerators alone when the denominators are equal."""
+    return (n + un, d) if d == ud else (n * ud + un * d, d * ud)
 
 
 @dataclass
@@ -194,12 +208,13 @@ class Basis:
 
         An entry that cancels to 0 is left out.
         """
-        out: dict[int, Fraction] = {}
+        out: dict[int, tuple[int, int]] = {}
         for i, a in self.lp.columns[col].items():
+            an, ad = a.as_integer_ratio()
             for pos, v in self.inv_cols[i].items():
-                term = v if a == 1 else -v if a == -1 else a * v
-                out[pos] = out[pos] + term if pos in out else term
-        return {pos: d for pos, d in out.items() if d}
+                n, d = v.as_integer_ratio()
+                out[pos] = _sum(*out[pos], n * an, d * ad) if pos in out else (n * an, d * ad)
+        return {pos: Fraction(n, d) for pos, (n, d) in out.items() if n}
 
 
 class _BasicColumns(Sequence):
@@ -258,10 +273,12 @@ def basis_from_policy(lp: LinearProgram, policy: Policy) -> Basis:
 
 def _reduced_cost(lp: LinearProgram, j: int, y: Sequence[Fraction]) -> Fraction:
     """Column j's reduced cost c_j - a_j · y against the duals y."""
-    acc = lp.objective[j]
+    n, d = lp.objective[j].as_integer_ratio()
     for i, v in lp.columns[j].items():
-        acc -= y[i] if v == 1 else -y[i] if v == -1 else v * y[i]
-    return acc
+        an, ad = v.as_integer_ratio()
+        yn, yd = y[i].as_integer_ratio()
+        n, d = _sum(n, d, -an * yn, ad * yd)
+    return Fraction(n, d)
 
 
 def dual_and_reduced_costs(lp: LinearProgram, basis: Basis) -> tuple[list[Fraction], list[Fraction]]:
@@ -312,32 +329,39 @@ def simplex_dantzig_step(
     entering = lp.col_of[aid]
 
     direction = basis.direction(entering)
-    x_b = basis.x_b
-    best_ratio: Fraction | None = None
-    leaving_pos: int | None = None
-    tie_count = 0
-    for pos, d in direction.items():
-        if d.numerator <= 0:  # the sign, exactly: a Fraction's denominator is positive
-            continue
-        ratio = x_b[pos] / d
-        if best_ratio is None or ratio < best_ratio:
-            best_ratio = ratio
-            leaving_pos = pos
-            tie_count = 1
-        elif ratio == best_ratio:
-            tie_count += 1
-    if leaving_pos is None:
-        raise LpError("entering column has no positive direction entry")
-    if tie_count > 1:
-        raise LpError("ratio test minimizer is not unique")
+    leaving_pos, theta = _ratio_test(direction, basis.x_b)
     leaving = basis.cols[leaving_pos]
     enter_state = actions[aid].state
     leave_state = actions[lp.cols[leaving]].state
     if enter_state != leave_state:
         raise LpError(f"leaving column lives at state {leave_state}, entering at {enter_state}")
     return SimplexStep(
-        _pivot(lp, basis, entering, leaving_pos, direction, best_ratio, best), entering, leaving, best
+        _pivot(lp, basis, entering, leaving_pos, direction, theta, best), entering, leaving, best
     )
+
+
+def _ratio_test(direction: dict[int, Fraction], x_b: Sequence[Fraction]) -> tuple[int, Fraction]:
+    """The leaving position r, the unique minimizer of x_B[r]/d_r over d's positive entries, and θ = x_B[r]/d_r.
+
+    Each ratio is the pair (x_n·d_d, x_d·d_n) with a positive denominator, so two compare exactly cross-multiplied.
+    """
+    r = ties = bn = 0
+    bd = 1
+    for pos, d in direction.items():
+        dn, dd = d.as_integer_ratio()
+        if dn <= 0:
+            continue
+        xn, xd = x_b[pos].as_integer_ratio()
+        n, q = xn * dd, xd * dn
+        if not ties or n * bd < bn * q:
+            r, ties, bn, bd = pos, 1, n, q
+        elif n * bd == bn * q:
+            ties += 1
+    if not ties:
+        raise LpError("entering column has no positive direction entry")
+    if ties > 1:
+        raise LpError("ratio test minimizer is not unique")
+    return r, Fraction(bn, bd)
 
 
 def _pivot(
@@ -350,15 +374,19 @@ def _pivot(
     rc: Fraction,
 ) -> Basis:
     """The basis with ``entering`` at position r, its kept vectors and positive map updated, not recomputed."""
+    tn, td = theta.as_integer_ratio()
     x_b = list(basis.x_b)
     for pos, d in direction.items():
-        x_b[pos] -= theta * d
+        dn, dd = d.as_integer_ratio()
+        x_b[pos] = Fraction(*_sum(*x_b[pos].as_integer_ratio(), -tn * dn, td * dd))
     x_b[r] = theta
     inv_r = {i: column[r] for i, column in enumerate(basis.inv_cols) if r in column}  # B^-1[r]
-    factor = rc / direction[r]
+    (rn, rd), (dn, dd) = rc.as_integer_ratio(), direction[r].as_integer_ratio()
+    fn, fd = rn * dd, rd * dn  # rc/d_r
     y = list(basis.y)
     for i, v in inv_r.items():
-        y[i] += factor * v
+        vn, vd = v.as_integer_ratio()
+        y[i] = Fraction(*_sum(*y[i].as_integer_ratio(), fn * vn, fd * vd))
     reduced = list(basis.reduced)
     positive = dict(basis.positive)
     for j in {j for i in inv_r for j in lp.row_cols[i]}:

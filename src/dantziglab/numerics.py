@@ -2,8 +2,8 @@
 
 Every number handed between functions in this package is a
 ``fractions.Fraction``; inside, ``mdp.Action``'s ``solved`` and ``lookahead``
-forms hold the same exact rationals as ``(numerator, denominator)`` int
-pairs.  Nothing is ever computed in floating point.  The decisive
+forms and the LP side's pivot kernels in ``lp`` hold the same exact
+rationals as ``(numerator, denominator)`` int pairs.  Nothing is ever computed in floating point.  The decisive
 comparisons downstream separate constants such as 16/5 and 33/10 after
 division by quantities of magnitude 3^(d+6), so exactness is a correctness
 requirement, not a nicety.

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from conftest import policy_graph_is_acyclic
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dantziglab.circuit import negated_form, normalize_depths
 from dantziglab.cli import main
@@ -20,6 +21,9 @@ from dantziglab.lp import (
     LpError,
     NoSinkError,
     SingularBasisError,
+    _pivot,
+    _ratio_test,
+    _reduced_cost,
     basis_from_policy,
     check_pi_simplex_equivalence,
     dual_and_reduced_costs,
@@ -739,6 +743,130 @@ def test_lockstep_agrees_on_random_funnel_mdps(m):
         )
         assert report.ok and report.first_divergence is None, tie
         assert report.pivots == len(report.run.trace)
+
+
+def big_rationals(low=-(2**70)):
+    return st.builds(Fraction, st.integers(low, 2**70), st.integers(1, 2**70))
+
+
+@st.composite
+def splits(draw, parts):
+    """``parts`` positive probabilities over one denominator up to 2^70, summing to 1: just 1 for one part."""
+    denominator = draw(st.integers(max(parts, 2), 2**70))
+    cuts = draw(st.lists(st.integers(1, denominator - 1), min_size=parts - 1, max_size=parts - 1, unique=True))
+    bounds = [0, *sorted(cuts), denominator]
+    return [Fraction(b - a, denominator) for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def big_funnel_bases(draw):
+    """A funnel MDP with sink 0, its LP, and the basis of a drawn policy.
+
+    Each action moves to one to three lower-numbered states and may stay
+    put with some mass, its probabilities over denominators up to 2^70, and
+    a sole exit is a hop of probability 1: the LP's columns hold ±1, 1 less
+    a self-loop's mass, and minus each exit's probability.  Every policy is
+    acyclic, so every basis, and every basis one column away, inverts.
+    """
+    n = draw(st.integers(2, 6))
+    m = Mdp()
+    for _ in range(n):
+        m.add_state()
+    m.add_action(0, {0: ONE}, 0)
+    for s in range(1, n):
+        for _ in range(draw(st.integers(1, 3))):
+            ends = draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=3, unique=True))
+            ends += [s] * draw(st.booleans())
+            m.add_action(s, dict(zip(ends, draw(splits(len(ends))))), draw(big_rationals()))
+    lp = mdp_to_primal(m, 0)
+    policy = make_policy(m, [draw(st.sampled_from(actions)) for actions in m.state_actions])
+    return m, lp, basis_from_policy(lp, policy)
+
+
+def textbook_reduced_cost(lp, j, y):
+    return lp.objective[j] - sum((a * y[i] for i, a in lp.columns[j].items()), start=Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_funnel_bases(), st.data())
+def test_direction_and_reduced_cost_kernels_match_fraction_arithmetic(case, data):
+    # The int-pair kernels against the same sums in Fraction operators.  A
+    # basic column's direction is a unit vector, so its other entries all
+    # cancel to 0, and the support must leave each of them out.
+    _, lp, basis = case
+    for j, column in enumerate(lp.columns):
+        dense = [
+            sum((a * basis.inv_cols[i].get(pos, 0) for i, a in column.items()), start=Fraction(0))
+            for pos in range(lp.num_rows)
+        ]
+        direction = basis.direction(j)
+        assert direction == {pos: d for pos, d in enumerate(dense) if d}
+        assert all(type(d) is Fraction for d in direction.values())
+    drawn = data.draw(st.lists(big_rationals(), min_size=lp.num_rows, max_size=lp.num_rows))
+    for y in (basis.y, drawn):
+        for j in range(lp.num_cols):
+            rc = _reduced_cost(lp, j, y)
+            assert type(rc) is Fraction and rc == textbook_reduced_cost(lp, j, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ratio_test_kernel_finds_the_unique_least_ratio_or_raises(data):
+    # Ratios drawn from a pool of at most three make exact ties common.
+    n = data.draw(st.integers(1, 8))
+    pool = data.draw(st.lists(big_rationals(0), min_size=1, max_size=3))
+    entries = st.sampled_from([ONE, -ONE]) | big_rationals().filter(bool)
+    direction, x_b = {}, []
+    for pos in range(n):
+        d = data.draw(st.none() | entries)
+        if d is not None:
+            direction[pos] = d
+        x_b.append(data.draw(st.sampled_from(pool)) * d if d and d > 0 else data.draw(big_rationals(0)))
+    direction = {pos: direction[pos] for pos in data.draw(st.permutations(list(direction)))}
+    ratios = {pos: x_b[pos] / d for pos, d in direction.items() if d > 0}
+    if not ratios:
+        with pytest.raises(LpError, match="no positive direction entry"):
+            _ratio_test(direction, x_b)
+        return
+    least = min(ratios.values())
+    at = [pos for pos, ratio in ratios.items() if ratio == least]
+    if len(at) > 1:
+        with pytest.raises(LpError, match="not unique"):
+            _ratio_test(direction, x_b)
+        return
+    r, theta = _ratio_test(direction, x_b)
+    assert (r, theta) == (at[0], least) and type(theta) is Fraction
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_funnel_bases(), st.data())
+def test_pivot_kernel_updates_match_fraction_arithmetic(case, data):
+    # Swap one column into its state's position, first on drawn x_B, y, θ
+    # and rc, where the update is plain arithmetic to check term by term,
+    # then on the basis's own, where it must give the new basis's fresh vectors.
+    m, lp, basis = case
+    outside = [j for j in range(lp.num_cols) if j not in basis.cols]
+    assume(outside)
+    entering = data.draw(st.sampled_from(outside))
+    r = lp.row_of[m.actions[lp.cols[entering]].state]
+    direction = basis.direction(entering)
+    rows = range(lp.num_rows)
+    x_b, y = (data.draw(st.lists(big_rationals(), min_size=lp.num_rows, max_size=lp.num_rows)) for _ in "xy")
+    theta, rc = data.draw(big_rationals()), data.draw(big_rationals())
+    new = _pivot(lp, replace(basis, x_b=x_b, y=y), entering, r, direction, theta, rc)
+    expected_x = [x_b[pos] - theta * direction.get(pos, 0) for pos in rows]
+    expected_x[r] = theta
+    expected_y = [y[i] + rc / direction[r] * basis.inv_cols[i].get(r, 0) for i in rows]
+    assert new.x_b == expected_x and new.y == expected_y
+    assert all(type(v) is Fraction for v in (*new.x_b, *new.y))
+    moved = {j for i in rows if new.y[i] != y[i] for j in lp.row_cols[i]}
+    assert all(new.reduced[j] == textbook_reduced_cost(lp, j, new.y) for j in moved)
+
+    theta = basis.x_b[r] / direction[r]
+    new = _pivot(lp, basis, entering, r, direction, theta, basis.reduced[entering])
+    assert new.cols[r] == entering
+    assert (new.x_b, new.y, new.reduced) == fresh_vectors(new)
+    assert new.positive == positive_keys(new.reduced)
 
 
 def test_lp_export_has_no_decimals():
