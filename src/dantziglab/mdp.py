@@ -16,7 +16,10 @@ leaves for a single other state with no reward copies that state's value,
 and a fair coin costs one addition and one multiplication.  The walk and
 the appeals compute on ``(numerator, denominator)`` int pairs, never
 through a ``Fraction`` operator, and build one normalizing ``Fraction`` per
-value or appeal: every number they hand out is a ``Fraction``.
+value or appeal: every number they hand out is a ``Fraction``.  Building an
+instance does the same: ``add_action`` and ``add_gadget`` check and sum
+probabilities as int pairs, and each action derives its ``solved`` and
+``lookahead`` pairs from its stored ones with ``math.gcd``.
 
 The switching engine ("greedy single-switch rule") always switches one
 action of maximal positive appeal.  Ties are resolved by a ``TieBreak``, one
@@ -53,6 +56,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .numerics import ZERO, ONE, format_rational, keyed, positive_keys, rat
@@ -103,20 +107,29 @@ class Action:
         ``v(s) = base + sum c (sum v(t))``.  With self-loop mass ``p``,
         ``base`` is ``reward / (1 - p)``, or None for a zero reward, so a
         zero is tested once, here; each ``c`` is ``p(t) / (1 - p)``.  Both
-        are exact ``(numerator, denominator)`` int pairs in lowest terms,
+        are exact ``(numerator, denominator)`` int pairs, cross-multiplied
+        from the stored pairs and reduced by ``math.gcd`` to lowest terms,
         which ``_acyclic_expectation`` combines without a ``Fraction``
         operator.  A fair coin, such as a clock's primed state, is one group
         of two exits.  A pure self-loop fixes no value and gives None.
         """
-        stay = self.transitions.get(self.state, ZERO)
-        if stay == 1:
+        sn, sd = self.transitions.get(self.state, ZERO).as_integer_ratio()
+        if sn == sd:
             return None
-        leave = 1 - stay
+        ln = sd - sn  # 1 - p is ln/sd, already in lowest terms
         targets = tuple(t for t in self.transitions if t != self.state)
         groups: dict[Pair, list[int]] = {}
         for t in targets:
-            groups.setdefault((self.transitions[t] / leave).as_integer_ratio(), []).append(t)
-        base = (self.reward / leave).as_integer_ratio() if self.reward else None
+            pn, pd = self.transitions[t].as_integer_ratio()
+            n, d = pn * sd, pd * ln
+            g = gcd(n, d)
+            groups.setdefault((n // g, d // g), []).append(t)
+        base = None
+        if self.reward:
+            rn, rd = self.reward.as_integer_ratio()
+            n, d = rn * sd, rd * ln
+            g = gcd(n, d)
+            base = (n // g, d // g)
         return base, targets, tuple((c, tuple(ts)) for c, ts in groups.items())
 
     @cached_property
@@ -125,15 +138,16 @@ class Action:
 
         Returns ``(reward, leave, exits)``, each rational an exact int pair:
         ``reward`` is None when it is 0, as ``solved`` keeps a zero base;
-        ``leave`` is 1 minus the self-loop mass and ``exits`` are the
-        transitions ``(t, numerator, denominator)`` with ``t != state``,
-        undivided.  It
+        ``leave`` is 1 minus the self-loop mass ``n/d``, ``(d - n, d)`` and
+        so in lowest terms, and ``exits`` are the transitions
+        ``(t, numerator, denominator)`` with ``t != state``, undivided.  It
         shares nothing with ``solved``, so an appeal checks the values
         ``solved`` gave by a route of its own.
         """
         exits = tuple((t, *p.as_integer_ratio()) for t, p in self.transitions.items() if t != self.state)
         reward = self.reward.as_integer_ratio() if self.reward else None
-        return reward, (1 - self.transitions.get(self.state, ZERO)).as_integer_ratio(), exits
+        sn, sd = self.transitions.get(self.state, ZERO).as_integer_ratio()
+        return reward, (sd - sn, sd), exits
 
 
 class Mdp:
@@ -165,21 +179,26 @@ class Mdp:
         reward: Fraction | int,
         name: str | None = None,
     ) -> int:
+        """Add an action whose probabilities lie in [0, 1] and sum to 1, checked as int pairs.
+
+        ``transitions`` keeps the ``Fraction`` that ``rat`` gives each nonzero probability.
+        """
         if not 0 <= state < self.num_states:
             raise MdpError(f"no such state {state}")
         cleaned: dict[int, Fraction] = {}
-        total = ZERO
+        n, d = 0, 1  # the running sum, unreduced
         for target, prob in transitions.items():
             p = rat(prob)
-            if p < 0 or p > 1:
+            pn, pd = p.as_integer_ratio()
+            if not 0 <= pn <= pd:
                 raise BadProbabilityError(f"probability {p} outside [0, 1]")
             if not 0 <= target < self.num_states:
                 raise MdpError(f"no such target state {target}")
-            if p:
-                cleaned[target] = cleaned.get(target, ZERO) + p
-                total += p
-        if total != 1:
-            raise BadProbabilityError(f"transition probabilities sum to {total}, not 1")
+            if pn:
+                cleaned[target] = p
+                n, d = _add(n, d, pn, pd)
+        if n != d:
+            raise BadProbabilityError(f"transition probabilities sum to {Fraction(n, d)}, not 1")
         aid = len(self.actions)
         self.actions.append(Action(state, rat(reward), cleaned, name if name is not None else str(aid)))
         self.state_actions[state].append(aid)
@@ -212,12 +231,13 @@ def add_gadget(
     by r_d.  Returns the id of the new action at s.
     """
     p = rat(p)
-    if not 0 < p <= 1:
+    pn, pd = p.as_integer_ratio()
+    if not 0 < pn <= pd:
         raise BadProbabilityError(f"detour probability must be in (0, 1], got {p}")
     mid = mdp.add_state(intermediate_name)
     transitions = {mid: p}
-    if p != 1:
-        transitions[s] = 1 - p
+    if pn != pd:
+        transitions[s] = Fraction(pd - pn, pd)
     entry = mdp.add_action(s, transitions, rat(r_d), entry_name)
     mdp.add_action(mid, {t: ONE}, rat(r_f), exit_name)
     return entry

@@ -231,13 +231,16 @@ def check_clock_trace(result: PIResult, auditor: ClockAuditor) -> Report:
 
 
 def phase_from_values(construction: Construction, values: Sequence[Fraction]) -> int:
-    """0 when c1 leads c0 by the phase gap, 1 the other way around."""
-    gap = values[construction.index.c(1)] - values[construction.index.c(0)]
-    if gap == construction.params.t:
+    """0 when c1 leads c0 by the phase gap, 1 the other way around: int pairs, cross-multiplied."""
+    an, ad = values[construction.index.c(1)].as_integer_ratio()
+    bn, bd = values[construction.index.c(0)].as_integer_ratio()
+    tn, td = construction.params.t.as_integer_ratio()
+    gn, gd = an * bd - bn * ad, ad * bd
+    if gn * td == tn * gd:
         return 0
-    if gap == -construction.params.t:
+    if gn * td == -tn * gd:
         return 1
-    raise AssertionError(f"clock outputs differ by {gap}, not by the phase gap")
+    raise AssertionError(f"clock outputs differ by {Fraction(gn, gd)}, not by the phase gap")
 
 
 def decode_input_bits(construction: Construction, policy: Policy, copy: int) -> BitString:

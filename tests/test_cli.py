@@ -6,14 +6,17 @@ import glob
 import json
 import os
 import re
+from fractions import Fraction
 
 import pytest
 
 from conftest import planting_walk, save_circuit
 
-from dantziglab import mdp
+from dantziglab import mdp, verify
 from dantziglab.circuit import Circuit, decide_bitswitch, decide_circuitvalue, input_gate, not_gate, or_gate
+from dantziglab.circuit import negated_form, normalize_depths
 from dantziglab.cli import _parser, main
+from dantziglab.construction import derive_params
 from dantziglab.library import identity_circuit, rotation_circuit
 from dantziglab.library import writer_machine
 from dantziglab.turing import machine_to_json
@@ -584,6 +587,24 @@ def test_a_residual_failure_exits_4_not_verdict_false(tmp_path, monkeypatch, cap
     assert run_cli("verify", "--builtin", "rot2", "--bits", "11", "--which", "all", "--out", str(tmp_path)) == 4
     err = capsys.readouterr().err
     assert err == "invariant violation: after switch 1 the chosen action at o0_3 has appeal -1, not 0\n"
+
+
+def test_a_phase_gap_off_by_2_to_the_minus_80_exits_4_not_verdict_false(tmp_path, monkeypatch, capsys):
+    # The trace annotator sees c1 moved by 2^-80 from the first switch on.
+    annotate = verify.TraceAnnotator.__call__
+
+    def bent(self, event, policy, values, gains):
+        values = list(values)
+        values[self.construction.index.c(1)] += Fraction(1, 2**80)
+        return annotate(self, event, policy, values, gains)
+
+    monkeypatch.setattr(verify.TraceAnnotator, "__call__", bent)
+    gap = derive_params(negated_form(normalize_depths(rotation_circuit(2)))).t + Fraction(1, 2**80)
+    argv = ["decide", "--builtin", "rot2", "--bits", "11", "--z", "1", "--problem", "dantzigsol"]
+    assert run_cli(*argv, "--out", str(tmp_path)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invariant violation: clock outputs differ by {gap}, not by the phase gap\n"
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,13 @@ from dantziglab.construction import (
     make_params,
     manifest,
 )
-from dantziglab.library import identity_circuit, rotation_circuit
+from dantziglab.library import (
+    constant_zero_circuit,
+    identity_circuit,
+    rotation_circuit,
+    unary_counter_machine,
+    writer_machine,
+)
 from dantziglab.mdp import (
     appeals,
     evaluate_values,
@@ -25,6 +31,7 @@ from dantziglab.mdp import (
     parse_tiebreak,
     run_policy_iteration,
 )
+from dantziglab.turing import compile_machine
 
 
 def negated(circ):
@@ -304,3 +311,62 @@ def test_manifest_is_deterministic_and_complete():
 def test_clock_budget_formula():
     cons = build_clock(3)
     assert cons.budget() == 10 * 2**3 * cons.mdp.num_states
+
+
+def _both_variants(circuit, z):
+    """The plain construction of a circuit and the decision variant ``decide`` builds for z."""
+    negated_circuit = negated(circuit)
+    return (
+        build_construction(negated_circuit),
+        build_construction_z(negated_circuit, z, w=bound_w(derive_params(negated_circuit))),
+    )
+
+
+def _machine_variants(machine, tape, space):
+    circuit, _, z = compile_machine(machine, tape, space)
+    return _both_variants(circuit, z)
+
+
+def _fraction_only_forms(act):
+    """``solved`` and ``lookahead`` recomputed by ``Fraction`` operators, each rational as ``as_integer_ratio()``."""
+    stay = act.transitions.get(act.state, Fraction(0))
+    targets = tuple(t for t in act.transitions if t != act.state)
+    reward = act.reward.as_integer_ratio() if act.reward else None
+    exits = tuple((t, *act.transitions[t].as_integer_ratio()) for t in targets)
+    lookahead = (reward, (1 - stay).as_integer_ratio(), exits)
+    if stay == 1:
+        return None, lookahead
+    groups = {}
+    for t in targets:
+        groups.setdefault((act.transitions[t] / (1 - stay)).as_integer_ratio(), []).append(t)
+    base = (act.reward / (1 - stay)).as_integer_ratio() if act.reward else None
+    return (base, targets, tuple((c, tuple(ts)) for c, ts in groups.items())), lookahead
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda circuit=circuit, z=z: _both_variants(circuit, z), id=name)
+        for name, circuit, z in (
+            ("identity2", identity_circuit(2), 1),
+            ("const0_2", constant_zero_circuit(2), 1),
+            ("rot2", rotation_circuit(2), 1),
+            ("rot3", rotation_circuit(3), 1),
+        )
+    ]
+    + [pytest.param(lambda: [build_clock(n) for n in range(1, 9)], id="clock1-8")]
+    + [
+        pytest.param(lambda machine=machine, tape=tape, space=space: _machine_variants(machine, tape, space), id=name)
+        for name, machine, tape, space in (
+            ("writer", writer_machine(), (), 1),
+            ("unary", unary_counter_machine(), (1, 1, 1), 3),
+        )
+    ],
+)
+def test_every_actions_solved_and_lookahead_forms_equal_a_fraction_only_recomputation(make):
+    # Pairs compared with as_integer_ratio() must also be in lowest terms over a positive denominator.
+    for cons in make():
+        for act in cons.mdp.actions:
+            solved, lookahead = _fraction_only_forms(act)
+            assert act.solved == solved, act.name
+            assert act.lookahead == lookahead, act.name

@@ -40,7 +40,7 @@ from dantziglab.mdp import (
     parse_tiebreak,
     run_policy_iteration,
 )
-from dantziglab.numerics import SingularMatrixError, format_rational
+from dantziglab.numerics import SingularMatrixError, format_rational, rat
 from dantziglab.turing import compile_machine
 
 ONE = Fraction(1)
@@ -230,6 +230,128 @@ def test_gadget_identities_on_500_random_embeddings():
         values = evaluate_values(m, avoiding)
         b = values[t] - values[s]
         assert appeals(m, avoiding, values)[gadget] == p * (b + r_f) + r_d
+
+
+TINY = Fraction(1, 2**80)
+
+
+def _reference_add_action(num_states, state, transitions, reward):
+    """What ``add_action`` must store, (transitions, reward), or raise, by ``Fraction`` operators alone."""
+    if not 0 <= state < num_states:
+        return MdpError(f"no such state {state}")
+    cleaned, total = {}, Fraction(0)
+    for target, prob in transitions.items():
+        try:
+            p = rat(prob)
+        except TypeError as exc:
+            return exc
+        if p < 0 or p > 1:
+            return BadProbabilityError(f"probability {p} outside [0, 1]")
+        if not 0 <= target < num_states:
+            return MdpError(f"no such target state {target}")
+        if p:
+            cleaned[target] = p
+            total += p
+    if total != 1:
+        return BadProbabilityError(f"transition probabilities sum to {total}, not 1")
+    return cleaned, rat(reward)
+
+
+def _reference_add_gadget(s, mid, p):
+    """The entry transitions ``add_gadget`` must store, or the exception, by ``Fraction`` operators alone."""
+    try:
+        p = rat(p)
+    except TypeError as exc:
+        return exc
+    if not 0 < p <= 1:
+        return BadProbabilityError(f"detour probability must be in (0, 1], got {p}")
+    return {mid: p} if p == 1 else {mid: p, s: 1 - p}
+
+
+def _presented(draw, value):
+    """``value`` as a Fraction, an int where it is integral, or a "p/q" string."""
+    form = draw(st.sampled_from(("fraction", "int", "str")))
+    if form == "int" and value.denominator == 1:
+        return int(value)
+    return f"{value.numerator}/{value.denominator}" if form == "str" else value
+
+
+@st.composite
+def probability_rows(draw):
+    """(state, transitions) over six states: a row that sums to 1, often bent by one entry.
+
+    Entries have denominators up to 2^70; a bend adds or takes 2^-80, zeroes
+    an entry, negates it, or replaces it with any value in [-2, 2].  An
+    extra zero entry, an out-of-range state or target, or a float may join.
+    """
+    k = draw(st.integers(1, 4))
+    denominators = draw(st.lists(st.integers(1, 2**70), min_size=k - 1, max_size=k - 1))
+    parts = [Fraction(draw(st.integers(0, d)), d) for d in denominators]
+    parts.append(1 - sum(parts))
+    j = draw(st.integers(0, k - 1))
+    bend = draw(st.sampled_from(("none", "up", "down", "zero", "negate", "any")))
+    if bend == "up":
+        parts[j] += TINY
+    elif bend == "down":
+        parts[j] -= TINY
+    elif bend == "zero":
+        parts[j] = Fraction(0)
+    elif bend == "negate":
+        parts[j] = -parts[j] - TINY
+    elif bend == "any":
+        parts[j] = draw(st.fractions(-2, 2, max_denominator=2**70))
+    if draw(st.booleans()):
+        parts.append(Fraction(0))
+    targets = list(draw(st.permutations(range(6))))[: len(parts)]
+    if draw(st.sampled_from(range(12))) == 11:
+        targets[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from((-1, 6)))
+    row = {t: _presented(draw, p) for t, p in zip(targets, parts)}
+    if draw(st.sampled_from(range(12))) == 11:
+        row[targets[draw(st.integers(0, len(parts) - 1))]] = float(parts[0])
+    return draw(st.sampled_from((0,) * 10 + (5, 6))), row
+
+
+@settings(max_examples=300, deadline=None)
+@given(probability_rows(), st.fractions(-9, 9, max_denominator=2**70))
+def test_add_action_accepts_and_rejects_what_a_fraction_only_rule_does(row, reward):
+    state, transitions = row
+    m = Mdp()
+    for _ in range(6):
+        m.add_state()
+    expected = _reference_add_action(m.num_states, state, transitions, reward)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as info:
+            m.add_action(state, transitions, reward)
+        assert type(info.value) is type(expected) and str(info.value) == str(expected)
+        assert m.num_actions == 0
+        return
+    act = m.actions[m.add_action(state, transitions, reward)]
+    assert list(act.transitions.items()) == list(expected[0].items())
+    assert all(type(p) is Fraction for p in act.transitions.values())
+    assert act.reward == expected[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_add_gadget_accepts_and_rejects_what_a_fraction_only_rule_does(data):
+    value = data.draw(
+        st.sampled_from((Fraction(0), Fraction(1), TINY, 1 - TINY, 1 + TINY, -TINY))
+        | st.fractions(-1, 2, max_denominator=2**70)
+    )
+    p = float(value) if data.draw(st.sampled_from(range(12))) == 11 else _presented(data.draw, value)
+    m, sink = sink_mdp()
+    s = m.add_state("s")
+    expected = _reference_add_gadget(s, m.num_states, p)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as info:
+            add_gadget(m, s, sink, 1, 2, p)
+        assert type(info.value) is type(expected) and str(info.value) == str(expected)
+        assert (m.num_states, m.num_actions) == (2, 1)
+        return
+    entry = m.actions[add_gadget(m, s, sink, 1, 2, p)]
+    assert list(entry.transitions.items()) == list(expected.items())
+    assert all(type(q) is Fraction for q in entry.transitions.values())
+    assert m.actions[-1].transitions == {sink: 1}
 
 
 def test_appeal_of_chosen_action_is_zero():

@@ -382,6 +382,22 @@ def test_phase_detection(rot2_run):
     assert phase_from_values(cons, after_first) == 1
 
 
+@pytest.mark.parametrize("off", [Fraction(1, 2**80), Fraction(-1, 2**80)])
+@pytest.mark.parametrize("phase", [0, 1])
+def test_a_phase_gap_off_by_2_to_the_minus_80_raises_its_fraction_message(rot2_run, phase, off):
+    cons, policy, _ = rot2_run
+    values = list(evaluate_values(cons.mdp, policy))
+    c0, c1 = cons.index.c(0), cons.index.c(1)
+    if phase:
+        values[c0], values[c1] = values[c1], values[c0]
+    assert phase_from_values(cons, values) == phase
+    values[c1] += off
+    gap = values[c1] - values[c0]
+    with pytest.raises(AssertionError) as info:
+        phase_from_values(cons, values)
+    assert str(info.value) == f"clock outputs differ by {gap}, not by the phase gap"
+
+
 def test_decoded_bits(rot2_run):
     cons, policy, _ = rot2_run
     assert decode_input_bits(cons, policy, 0) == (1, 1)
