@@ -276,9 +276,6 @@ class ConstructionIndex:
     def r(self, j: int, i: int) -> int:
         return self.state(f"r{j}_{i}")
 
-    def v(self, j: int, i: int) -> int:
-        return self.state(f"v{j}_{i}")
-
     def x(self, j: int, i: int) -> int:
         return self.state(f"x{j}_{i}")
 

@@ -93,7 +93,7 @@ from .mdp import Mdp, PIResult, Picker, Policy, TieBreak, TraceEvent, Watcher, r
 # because the benchmark's tracer test (perfbench/test_harness.py) restores
 # it by name; it goes when that test is mended.
 from .mdp import evaluate_values  # noqa: F401
-from .numerics import ONE, ZERO, SingularMatrixError, format_rational, inverse, keyed, positive_keys, same
+from .numerics import ONE, ZERO, SingularMatrixError, format_rational, inverse, keyed, positive_keys
 
 
 class LpError(ValueError):
@@ -507,7 +507,7 @@ class Lockstep:
         seen_ours, seen_theirs = self.seen[name]
         moved = set(compress(count(), map(is_not, ours, seen_ours)))
         moved.update(position[i] for i in compress(count(), map(is_not, theirs, seen_theirs)) if i in position)
-        ok = same([ours[p] for p in moved], [theirs[index[p]] for p in moved])
+        ok = [ours[p] for p in moved] == [theirs[index[p]] for p in moved]
         self.seen[name] = (tuple(ours), tuple(theirs)) if ok else self.unseen
         return ok
 

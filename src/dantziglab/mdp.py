@@ -11,9 +11,8 @@ indicates a construction bug, never a case to smooth over.
 
 Evaluation is one depth-first walk that back-substitutes in post-order.
 Each action carries its value equation already solved for its own state,
-with its exits grouped by coefficient, so a state whose chosen action
-leaves for a single other state with no reward copies that state's value,
-and a fair coin costs one addition and one multiplication.  The walk and
+one coefficient per exit, so a state whose chosen action leaves for a
+single other state with no reward copies that state's value.  The walk and
 the appeals compute on ``(numerator, denominator)`` int pairs, never
 through a ``Fraction`` operator, and build one normalizing ``Fraction`` per
 value or appeal: every number they hand out is a ``Fraction``.  Building an
@@ -98,39 +97,36 @@ class Action:
     name: str
 
     @cached_property
-    def solved(self) -> tuple[Pair | None, tuple[int, ...], tuple[tuple[Pair, tuple[int, ...]], ...]] | None:
+    def solved(self) -> tuple[Pair | None, tuple[tuple[int, int, int], ...]] | None:
         """The value equation ``v(s) = reward + sum p(t) v(t)`` solved for this state's value.
 
-        Returns ``(base, targets, groups)``: ``targets`` are the exits
-        ``t != s`` in transition order, and ``groups`` pairs each distinct
-        coefficient ``c`` with the exits it scales, so that
-        ``v(s) = base + sum c (sum v(t))``.  With self-loop mass ``p``,
-        ``base`` is ``reward / (1 - p)``, or None for a zero reward, so a
-        zero is tested once, here; each ``c`` is ``p(t) / (1 - p)``.  Both
-        are exact ``(numerator, denominator)`` int pairs, cross-multiplied
-        from the stored pairs and reduced by ``math.gcd`` to lowest terms,
-        which ``_acyclic_expectation`` combines without a ``Fraction``
-        operator.  A fair coin, such as a clock's primed state, is one group
-        of two exits.  A pure self-loop fixes no value and gives None.
+        Returns ``(base, exits)`` with ``v(s) = base + sum c v(t)``: ``exits``
+        holds ``(t, cn, cd)`` for each exit ``t != s`` in transition order,
+        its coefficient ``cn/cd`` being ``p(t) / (1 - p)`` for self-loop mass
+        ``p``.  ``base`` is ``reward / (1 - p)``, or None for a zero reward,
+        so a zero is tested once, here.  Both are exact int pairs,
+        cross-multiplied from the stored pairs and reduced by ``math.gcd`` to
+        lowest terms, which ``_acyclic_expectation`` combines without a
+        ``Fraction`` operator.  A pure self-loop fixes no value and gives None.
         """
         sn, sd = self.transitions.get(self.state, ZERO).as_integer_ratio()
         if sn == sd:
             return None
         ln = sd - sn  # 1 - p is ln/sd, already in lowest terms
-        targets = tuple(t for t in self.transitions if t != self.state)
-        groups: dict[Pair, list[int]] = {}
-        for t in targets:
-            pn, pd = self.transitions[t].as_integer_ratio()
-            n, d = pn * sd, pd * ln
-            g = gcd(n, d)
-            groups.setdefault((n // g, d // g), []).append(t)
+        exits = []
+        for t, p in self.transitions.items():
+            if t != self.state:
+                pn, pd = p.as_integer_ratio()
+                n, d = pn * sd, pd * ln
+                g = gcd(n, d)
+                exits.append((t, n // g, d // g))
         base = None
         if self.reward:
             rn, rd = self.reward.as_integer_ratio()
             n, d = rn * sd, rd * ln
             g = gcd(n, d)
             base = (n // g, d // g)
-        return base, targets, tuple((c, tuple(ts)) for c, ts in groups.items())
+        return base, tuple(exits)
 
     @cached_property
     def lookahead(self) -> tuple[Pair | None, Pair, tuple[tuple[int, int, int], ...]]:
@@ -284,9 +280,9 @@ def _acyclic_expectation(
     One iterative depth-first walk over each chosen action's ``solved``
     exits gives a state its value in post-order, once every exit has one.
     A sole exit with no base copies its target's ``Fraction``.  Any other
-    state sums its exits' ``as_integer_ratio()`` pairs as ints, one
-    multiplication per group of exits sharing a coefficient and none where
-    two denominators are equal, and stores one ``Fraction(n, d)``.
+    state adds its base and each exit's coefficient times its target's
+    ``as_integer_ratio()`` pair as ints, adding numerators alone where two
+    denominators are equal, and stores one ``Fraction(n, d)``.
     An absorbing state (``solved`` is None) is pinned to 0.  The walk raises
     ``NonZeroGainPolicyError`` when it reaches a state still on its path,
     naming that state, which lies on a cycle of the policy, or an absorbing
@@ -329,9 +325,9 @@ def _acyclic_expectation(
                     )
                 values[s] = ZERO
             else:
-                base, targets, groups = solved
+                base, exits = solved
                 pending = None
-                for t in targets:
+                for t, _, _ in exits:
                     if values[t] is None:
                         pending = t
                         break
@@ -343,14 +339,12 @@ def _acyclic_expectation(
                     on_path[pending] = True
                     path.append(pending)
                     continue
-                if len(targets) == 1 and base is None:
-                    values[s] = values[targets[0]]
+                if len(exits) == 1 and base is None:
+                    values[s] = values[exits[0][0]]
                 else:
                     n, d = (0, 1) if base is None else base
-                    for (cn, cd), ts in groups:
-                        tn, td = values[ts[0]].as_integer_ratio()  # type: ignore[union-attr]
-                        for t in ts[1:]:
-                            tn, td = _add(tn, td, *values[t].as_integer_ratio())  # type: ignore[union-attr]
+                    for t, cn, cd in exits:
+                        tn, td = values[t].as_integer_ratio()  # type: ignore[union-attr]
                         n, d = _add(n, d, cn * tn, cd * td)
                     known = None if claimed is None else claimed[s]
                     if type(known) is not Fraction or n * known.denominator != known.numerator * d:
@@ -380,29 +374,23 @@ def evaluate_values(mdp: Mdp, policy: Policy, claimed: Sequence[Fraction] | None
 def _appeal(act: Action, values: Sequence[Fraction]) -> Fraction:
     """``reward + sum p(t) v(t) - v(s)``, from ``Action.lookahead`` on int pairs.
 
-    A sole exit, whose probability is then ``leave``, gives
-    ``reward + p (v(t) - v(s))``; any other action gives
-    ``reward + sum p v(t) - leave v(s)``.  Numerators and denominators are
-    combined as ints, adding numerators alone where two denominators are
-    equal, and one ``Fraction`` normalizes the result.
+    The self-loop's share of ``v(s)`` cancels, which leaves
+    ``reward + sum p v(t) - leave v(s)`` with ``t != s``.  Numerators and
+    denominators are combined as ints, adding numerators alone where two
+    denominators are equal, and one ``Fraction`` normalizes the result.
     """
     reward, (ln, ld), exits = act.lookahead
     vn, vd = values[act.state].as_integer_ratio()
-    if len(exits) == 1:
-        t, pn, pd = exits[0]
-        n, d = _add(*values[t].as_integer_ratio(), -vn, vd)
-        n, d = n * pn, d * pd
-    else:
-        n, d = -ln * vn, ld * vd
-        for t, pn, pd in exits:
-            tn, td = values[t].as_integer_ratio()
-            n, d = _add(n, d, pn * tn, pd * td)
+    n, d = -ln * vn, ld * vd
+    for t, pn, pd in exits:
+        tn, td = values[t].as_integer_ratio()
+        n, d = _add(n, d, pn * tn, pd * td)
     if reward is not None:
         n, d = _add(n, d, *reward)
     return Fraction(n, d)
 
 
-def appeals(mdp: Mdp, policy: Policy, values: Sequence[Fraction]) -> list[Fraction]:
+def appeals(mdp: Mdp, values: Sequence[Fraction]) -> list[Fraction]:
     """Appeal of every action: one-step lookahead minus the current value.
 
     Chosen actions come out exactly 0; positive appeal means switchable.
@@ -635,7 +623,7 @@ def run_policy_iteration(
         for t in act.transitions:
             entering[t].append(aid)
     values = evaluate_values(mdp, policy)
-    gains = appeals(mdp, policy, values)
+    gains = appeals(mdp, values)
     positive = positive_keys(gains)
     while True:
         step = dantzig_step(mdp, policy, pick, positive)
@@ -643,7 +631,7 @@ def run_policy_iteration(
             oracle = evaluate_values(mdp, policy, claimed=values)
             _crosscheck(values, oracle, mdp.state_names, "value", len(trace))
             names = [a.name for a in mdp.actions]
-            final = appeals(mdp, policy, oracle)
+            final = appeals(mdp, oracle)
             _crosscheck(gains, final, names, "appeal", len(trace))
             for name, appeal in zip(names, final):
                 if appeal.numerator > 0:

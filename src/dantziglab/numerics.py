@@ -1,12 +1,12 @@
 """Exact rational scalars and sparse rational linear algebra on rows.
 
 Every number handed between functions in this package is a
-``fractions.Fraction``; inside, ``mdp.Action``'s ``solved`` and ``lookahead``
-forms and the LP side's pivot kernels in ``lp`` hold the same exact
-rationals as ``(numerator, denominator)`` int pairs.  Nothing is ever computed in floating point.  The decisive
-comparisons downstream separate constants such as 16/5 and 33/10 after
-division by quantities of magnitude 3^(d+6), so exactness is a correctness
-requirement, not a nicety.
+``fractions.Fraction``, compared with ``==``; inside, ``mdp``'s value walk
+and appeals and ``lp``'s pivot kernels hold the same exact rationals as
+``(numerator, denominator)`` int pairs.  Nothing is ever computed in
+floating point.  The decisive comparisons downstream separate constants
+such as 16/5 and 33/10 after division by quantities of magnitude 3^(d+6),
+so exactness is a correctness requirement, not a nicety.
 
 A square n×n matrix is a list of n sparse rows, each a dict from column
 index to its nonzero entry.  The solver and the inverse copy each row they
@@ -77,14 +77,6 @@ def rat(value: int | str | Fraction) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Serialize as "p" or "p/q" (never a decimal)."""
     return str(value)
-
-
-def same(xs: Sequence[Fraction | int], ys: Sequence[Fraction | int]) -> bool:
-    """Exact equality of two vectors of rationals, compared as ``as_integer_ratio()`` pairs.
-
-    Exact, since a Fraction is kept in lowest terms over a positive denominator and an int n is (n, 1).
-    """
-    return [x.as_integer_ratio() for x in xs] == [y.as_integer_ratio() for y in ys]
 
 
 # The fraction bits a selection key keeps.  Equal keys go on to compare the

@@ -61,10 +61,14 @@ class Machine:
 
 def machine_from_json(data: dict) -> Machine:
     try:
+        if type(data["states"]) is not list:
+            raise TypeError(f"states must be a list, got {data['states']!r}")
         states = tuple(str(s) for s in data["states"])
         transitions = {}
         for key, value in data["transitions"].items():
             state, sym = key.rsplit(",", 1)
+            if sym not in ("0", "1"):  # so no two keys name one (state, symbol) pair
+                raise ValueError(f"transition key {key!r} must end in ,0 or ,1")
             nxt, write, move = value
             transitions[(state, int(sym))] = (str(nxt), json_int(write), str(move))
         return Machine(

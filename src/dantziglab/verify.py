@@ -124,10 +124,6 @@ class ClockOracle:
             vals += ((1 << f) + (j >> (f + 1) << (f + 1)), (j + (1 << (f - 1))) >> f << f)
         return vals
 
-    def values(self, j: int) -> dict[str, int]:
-        """``scaled(j)`` keyed by state name."""
-        return dict(zip(self.names, self.scaled(j)))
-
 
 class ClockAuditor:
     """Watcher that checks a standalone-clock run against the Gray-code oracle.

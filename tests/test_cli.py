@@ -279,6 +279,13 @@ def test_non_integer_json_and_a_negative_space_are_input_errors(tmp_path, capsys
     assert run_cli("build", "--tm", path, "--space", "1", "--out", str(tmp_path)) == 2
     assert "expected an integer, got 1.9" in capsys.readouterr().err
     with open(path, "w") as fh:
+        json.dump({**machine_to_json(writer_machine()), "states": "wh"}, fh)
+    assert run_cli("decide", "--tm", path, "--space", "1", "--problem", "circuitvalue",
+                   "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        "input error: cannot load machine: malformed machine JSON: states must be a list, got 'wh'\n"
+    )
+    with open(path, "w") as fh:
         json.dump(machine_to_json(writer_machine()), fh)
     assert run_cli("decide", "--tm", path, "--space", "-1", "--problem", "circuitvalue",
                    "--out", str(tmp_path)) == 2
@@ -461,40 +468,54 @@ def _parsed(pattern):
 def test_src_defines_only_what_it_calls_and_imports_only_what_it_uses():
     # Code only the tests call lives in the tests.  A definition is called
     # when src/ or perfbench/ names it: as a name, an attribute, or a part
-    # of a dotted string in perfbench/ (its span table names functions that
-    # way).  Docstrings and comments name nothing.
+    # of a dotted string in perfbench/ (its span table names functions and
+    # methods that way).  A method counts only as an attribute or a dotted
+    # string, so a local variable of its name does not keep it alive.  No
+    # syntax tree tells one class's method from another's of the same name,
+    # so a method named like a builtin one, as ``values`` is like
+    # ``dict.values``, still escapes.  Docstrings and comments name nothing.
     src = _parsed("src/dantziglab/*.py")
     bench = _parsed("perfbench/*.py")
 
     def names(parsed):
-        named = set()
+        """The names the files read, keyed by whether the definition is a method, which only an attribute reads."""
+        named, attributes = set(), set()
         for _, tree, _ in parsed:
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     named.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    named.add(node.attr)
-        return named
+                    attributes.add(node.attr)
+        return {False: named | attributes, True: attributes}
 
     in_src, in_bench = names(src), names(bench)
     for _, tree, _ in bench:
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, str) and DOTTED.fullmatch(node.value):
-                in_bench.update(node.value.split("."))
+                for read_by in in_bench.values():
+                    read_by.update(node.value.split("."))
+    methods = {
+        node
+        for _, tree, _ in src
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
     defined = [
-        (path, node.name)
+        (path, node.name, node in methods)
         for path, tree, _ in src
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
     ]
-    assert [f"{path}: {name}" for path, name in defined if name not in in_src | in_bench] == []
+    assert [f"{path}: {name}" for path, name, method in defined if name not in in_src[method] | in_bench[method]] == []
     # What only perfbench/ keeps alive.  ``policies`` (the ``mdp.policies``
     # span), ``decode_phases`` (``verify.decode``) and ``solve_linear_system``
     # (``numerics.dense_solve``) wait for the benchmark's span table to drop
     # them (ROADMAP item 1b); the benchmark's gates call ``simulate`` and
     # ``machine_to_json``.  Pinned, so the list cannot grow unnoticed.
-    assert {name for _, name in defined if name in in_bench - in_src} == {
+    assert {name for _, name, method in defined if name in in_bench[method] - in_src[method]} == {
         "policies", "decode_phases", "simulate", "machine_to_json", "solve_linear_system",
     }
     # An import no line of its module reads, unless marked as a re-export.
@@ -550,9 +571,9 @@ def test_verify_all_evaluates_each_policy_once(tmp_path, patch_everywhere):
         evaluated.append(policy)
         return original_values(m, policy, claimed=claimed)
 
-    def counting_appeals(m, policy, values):
-        appealed.append(policy)
-        return original_appeals(m, policy, values)
+    def counting_appeals(m, values):
+        appealed.append(values)
+        return original_appeals(m, values)
 
     patch_everywhere(original_values, counting_values)
     patch_everywhere(original_appeals, counting_appeals)
@@ -626,8 +647,8 @@ def test_a_wrong_solved_form_fails_the_bellman_residual(tmp_path, monkeypatch, c
         stay = act.transitions.get(act.state, 0)
         if stay == 1:
             return None
-        _, targets, groups = solve(act)
-        return act.reward.as_integer_ratio(), targets, groups
+        _, exits = solve(act)
+        return act.reward.as_integer_ratio(), exits
 
     monkeypatch.setattr(mdp.Action, "solved", property(unscaled))
     assert run_cli(*argv, "--out", str(tmp_path)) == 4

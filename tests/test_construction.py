@@ -217,7 +217,7 @@ def test_decision_gadget_arm_appeal_is_one_fifth_independent_of_w():
         policy = initial_policy(cons, (1,))
         values = evaluate_values(cons.mdp, policy)
         assert values[cons.index.state("b2")] == 0
-        gains = appeals(cons.mdp, policy, values)
+        gains = appeals(cons.mdp, values)
         assert gains[cons.index.action("b2~>b1")] == Fraction(1, 5)
 
 
@@ -235,7 +235,7 @@ def test_decision_gadget_freeze_values_and_indifference():
     policy = policy.with_switch(idx.state("l0_1"), idx.action("l0_1->b2"))
     policy = policy.with_switch(idx.state("r0_1"), idx.action("r0_1~>b2"))
     values = evaluate_values(cons.mdp, policy)
-    gains = appeals(cons.mdp, policy, values)
+    gains = appeals(cons.mdp, values)
     o_state = idx.o(0, 1)
     for aid in cons.mdp.state_actions[o_state]:
         assert gains[aid] == 0
@@ -247,7 +247,7 @@ def test_exact_w_is_the_top_state_value():
     result = run_policy_iteration(cons.mdp, policy, budget=cons.budget())
     values = evaluate_values(cons.mdp, result.policy)
     assert result.values == values
-    assert result.appeals == appeals(cons.mdp, result.policy, values)
+    assert result.appeals == appeals(cons.mdp, values)
     w = max(result.values)
     assert w == cons.params.t * 2 ** (cons.params.n + 1)
     assert bound_w(cons.params) >= w
@@ -278,7 +278,7 @@ def test_watchers_are_handed_the_values_and_appeals_of_their_policy(circ, bits, 
                 assert values[s] == act.reward + sum(p * values[t] for t, p in act.transitions.items())
         fresh = evaluate_values(cons.mdp, policy)
         assert values == fresh
-        assert gains == appeals(cons.mdp, policy, fresh)
+        assert gains == appeals(cons.mdp, fresh)
         assert gains[event.new_action] == event.appeal == max(gains)
         handed.append((event.iteration, gains, list(gains)))
 
@@ -288,7 +288,7 @@ def test_watchers_are_handed_the_values_and_appeals_of_their_policy(circ, bits, 
     assert [k for k, _, _ in handed] == list(range(result.iterations)) and result.iterations > 0
     assert all(gains == snapshot for _, gains, snapshot in handed)
     assert result.values == evaluate_values(cons.mdp, result.policy)
-    assert result.appeals == appeals(cons.mdp, result.policy, result.values)
+    assert result.appeals == appeals(cons.mdp, result.values)
 
 
 def test_detour_denominators_positive():
@@ -336,11 +336,9 @@ def _fraction_only_forms(act):
     lookahead = (reward, (1 - stay).as_integer_ratio(), exits)
     if stay == 1:
         return None, lookahead
-    groups = {}
-    for t in targets:
-        groups.setdefault((act.transitions[t] / (1 - stay)).as_integer_ratio(), []).append(t)
     base = (act.reward / (1 - stay)).as_integer_ratio() if act.reward else None
-    return (base, targets, tuple((c, tuple(ts)) for c, ts in groups.items())), lookahead
+    solved_exits = tuple((t, *(act.transitions[t] / (1 - stay)).as_integer_ratio()) for t in targets)
+    return (base, solved_exits), lookahead
 
 
 @pytest.mark.parametrize(

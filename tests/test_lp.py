@@ -162,7 +162,7 @@ def test_dual_equals_values_and_reduced_costs_equal_appeals():
     basis = basis_from_policy(lp, policy)
     y, reduced = dual_and_reduced_costs(lp, basis)
     values = evaluate_values(cons.mdp, policy)
-    gains = appeals(cons.mdp, policy, values)
+    gains = appeals(cons.mdp, values)
     for s in lp.rows:
         assert y[lp.row_of[s]] == values[s]
     for j, aid in enumerate(lp.cols):

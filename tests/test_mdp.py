@@ -229,7 +229,7 @@ def test_gadget_identities_on_500_random_embeddings():
         avoiding = make_policy(m, {**base, s: direct})
         values = evaluate_values(m, avoiding)
         b = values[t] - values[s]
-        assert appeals(m, avoiding, values)[gadget] == p * (b + r_f) + r_d
+        assert appeals(m, values)[gadget] == p * (b + r_f) + r_d
 
 
 TINY = Fraction(1, 2**80)
@@ -361,7 +361,7 @@ def test_appeal_of_chosen_action_is_zero():
         hop = m.num_states - 1
         policy = make_policy(m, {0: 0, t: 1, hop: m.num_actions - 1, s: gadget})
         values = evaluate_values(m, policy)
-        gains = appeals(m, policy, values)
+        gains = appeals(m, values)
         for state, aid in enumerate(policy.choice):
             assert gains[aid] == 0
 
@@ -688,7 +688,7 @@ def test_solved_form_of_a_detour_entry():
     mid = m.num_states - 1
     assert entry.transitions == {mid: Fraction(1, 3), s: Fraction(2, 3)}
     assert "solved" not in vars(entry)  # computed on first use, not by add_action
-    assert entry.solved == ((3 * r).as_integer_ratio(), (mid,), (((1, 1), (mid,)),))
+    assert entry.solved == ((3 * r).as_integer_ratio(), ((mid, 1, 1),))
 
 
 def test_solved_form_of_a_pure_self_loop_is_none():
@@ -701,34 +701,38 @@ def test_solved_form_divides_every_exit_by_the_leaving_mass():
     s = m.add_state("s")
     u = m.add_state("u")
     act = m.actions[m.add_action(s, {u: Fraction(1, 6), s: Fraction(1, 2), sink: Fraction(1, 3)}, 3)]
-    base, targets, groups = act.solved
+    base, exits = act.solved
     assert base == (6, 1)
-    assert targets == (u, sink)
-    assert dict(groups) == {(1, 3): (u,), (2, 3): (sink,)}
+    assert exits == ((u, 1, 3), (sink, 2, 3))
 
 
-def test_solved_form_groups_exits_by_coefficient_on_both_evaluation_paths():
+def test_solved_form_keeps_one_coefficient_per_exit_on_both_evaluation_paths():
     # s keeps 1/6 of its mass and leaves to a and b with 1/4 each and to c
-    # with 1/3: solved, a and b share the coefficient 3/10 and c has 2/5.
+    # with 1/3: solved, a and b each have the coefficient 3/10 and c has
+    # 2/5.  The fair coin f, with no self-loop and no reward, keeps 1/2 for
+    # each of its two exits.
     m, sink = sink_mdp()
-    s, a, b, c = (m.add_state(name) for name in "sabc")
+    s, a, b, c, f = (m.add_state(name) for name in "sabcf")
     act = m.actions[m.add_action(s, {s: Fraction(1, 6), a: Fraction(1, 4), b: Fraction(1, 4), c: Fraction(1, 3)}, 5)]
-    assert act.solved == ((6, 1), (a, b, c), (((3, 10), (a, b)), ((2, 5), (c,))))
+    assert act.solved == ((6, 1), ((a, 3, 10), (b, 3, 10), (c, 2, 5)))
     m.add_action(a, {sink: ONE}, 2)
     m.add_action(b, {sink: ONE}, 7)
     c_out = m.add_action(c, {sink: ONE}, Fraction(-11, 3))
     c_back = m.add_action(c, {s: Fraction(1, 2), sink: Fraction(1, 2)}, 1)
-    acyclic = make_policy(m, [0, 1, 2, 3, c_out])
+    coin = m.add_action(f, {a: Fraction(1, 2), b: Fraction(1, 2)}, 0)
+    assert m.actions[coin].solved == (None, ((a, 1, 2), (b, 1, 2)))
+    acyclic = make_policy(m, [0, 1, 2, 3, c_out, coin])
     walked = mdp_module._acyclic_expectation(m, acyclic)
     assert walked[s] == 6 + Fraction(3, 10) * 9 + Fraction(2, 5) * Fraction(-11, 3)
+    assert walked[f] == Fraction(9, 2)
     for state, aid in enumerate(acyclic.choice):
         act = m.actions[aid]
         assert walked[state] == act.reward + sum(p * walked[t] for t, p in act.transitions.items())
-    # The engine's re-solve of s alone, over the kept values of a, b and c.
-    start = [None if state == s else v for state, v in enumerate(walked)]
-    assert mdp_module._acyclic_expectation(m, acyclic, values=start, roots=[s]) == walked
+    # The engine's re-solve of s and f alone, over the kept values of a, b and c.
+    start = [None if state in (s, f) else v for state, v in enumerate(walked)]
+    assert mdp_module._acyclic_expectation(m, acyclic, values=start, roots=[s, f]) == walked
     # c back to s closes the transient cycle s -> c -> s, which the walk rejects.
-    cyclic = make_policy(m, [0, 1, 2, 3, c_back])
+    cyclic = make_policy(m, [0, 1, 2, 3, c_back, coin])
     with pytest.raises(NonZeroGainPolicyError, match=r"^the policy has a cycle through state [sc]$"):
         mdp_module._acyclic_expectation(m, cyclic)
 
@@ -848,7 +852,7 @@ def test_values_never_decrease_along_trace():
         assert all(g == 0 for g in evaluate_gain(m, current))
         previous = now
     final_values = evaluate_values(m, result.policy)
-    final_appeals = appeals(m, result.policy, final_values)
+    final_appeals = appeals(m, final_values)
     assert all(g <= 0 for g in final_appeals)
 
 
@@ -885,7 +889,7 @@ def test_kept_appeals_equal_a_fresh_pass_on_transient_cycles(seed, tie):
     def watch(event, policy, values, gains):
         fresh = evaluate_values(m, policy)
         assert values == fresh
-        assert gains == appeals(m, policy, fresh)
+        assert gains == appeals(m, fresh)
         assert gains[event.new_action] == event.appeal == max(gains)
         switches.append((event, policy))
 
@@ -1128,7 +1132,7 @@ def test_a_wrong_value_shared_along_a_copy_chain_is_named_at_its_lowest_state():
         f"but a fresh evaluation gives {format_rational(right)}"
     )
     with pytest.raises(CrosscheckError, match=f"^{re.escape(message)}$"):
-        fresh_value_check(m)(event, policy, values, appeals(m, policy, values))
+        fresh_value_check(m)(event, policy, values, appeals(m, values))
 
 
 def test_a_wrong_resolved_value_fails_the_residual_check(monkeypatch):

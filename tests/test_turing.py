@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -61,6 +62,28 @@ def test_machine_json_takes_integers_only(edit):
     data = machine_to_json(writer_machine())
     edit(data)
     with pytest.raises(MalformedMachineError, match="expected an integer"):
+        machine_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: data["transitions"].update({"w,01": ["h", 1, "S"]}), "transition key 'w,01' must end in ,0 or ,1"),
+        (lambda data: data["transitions"].update({"w, 1 ": ["h", 0, "S"]}), "transition key 'w, 1 ' must end in ,0 or ,1"),
+        (lambda data: data["transitions"].update({"w,+1": ["h", 0, "S"]}), "transition key 'w,+1' must end in ,0 or ,1"),
+        (lambda data: data["transitions"].update({"w,2": ["h", 0, "S"]}), "transition key 'w,2' must end in ,0 or ,1"),
+        (lambda data: data.update(states="wh"), "states must be a list, got 'wh'"),
+        (lambda data: data.update(states={"w": 0, "h": 1}), "states must be a list, got "),
+    ],
+    ids=["leading-zero", "spaces", "plus-sign", "symbol-2", "states-string", "states-object"],
+)
+def test_machine_json_names_each_transition_once_and_lists_its_states(edit, message):
+    # int() read "01", " 1 " and "+1" as the symbol 1, so a second key for
+    # (w, 1) replaced the first, and a string of states read as one state
+    # per character.
+    data = machine_to_json(writer_machine())
+    edit(data)
+    with pytest.raises(MalformedMachineError, match="^" + re.escape(f"malformed machine JSON: {message}")):
         machine_from_json(data)
 
 

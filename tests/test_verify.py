@@ -99,6 +99,11 @@ def clock_gray_policy(construction: Construction, j: int) -> Policy:
     return make_policy(mdp, picks)
 
 
+def clock_values(oracle, j):
+    """``oracle.scaled(j)`` keyed by state name."""
+    return dict(zip(oracle.names, oracle.scaled(j)))
+
+
 def test_clock_value_formulas_against_exact_evaluation():
     for n in range(1, 5):
         cons = build_clock(n)
@@ -107,7 +112,7 @@ def test_clock_value_formulas_against_exact_evaluation():
         for j in range(2**n):
             policy = clock_gray_policy(cons, j)
             values = evaluate_values(cons.mdp, policy)
-            for name, scaled in oracle.values(j).items():
+            for name, scaled in clock_values(oracle, j).items():
                 assert values[cons.index.state(name)] == t * scaled, (n, j, name)
 
 
@@ -115,7 +120,7 @@ def test_clock_output_staircase():
     for n in (2, 3):
         oracle = ClockOracle(n)
         for j in range(2**n):
-            vals = oracle.values(j)
+            vals = clock_values(oracle, j)
             if j % 2 == 0:
                 assert (vals["c0"], vals["c1"]) == (j, j + 1)
             else:
@@ -126,8 +131,8 @@ def test_prime_state_values():
     for n in (2, 3, 4):
         oracle = ClockOracle(n)
         for j in range(2**n):
-            assert oracle.values(j)["1'"] == 2**n
-            assert oracle.values(j)["2'"] == 2 ** (n - 1)
+            assert clock_values(oracle, j)["1'"] == 2**n
+            assert clock_values(oracle, j)["2'"] == 2 ** (n - 1)
 
 
 def test_check_clock_trace_counts_and_appeals():
@@ -173,7 +178,7 @@ def test_clock_auditor_flags_a_policy_or_a_value_off_the_oracle():
 
 def test_clock_auditor_reads_the_closed_forms_of_values_and_gray_code():
     # At every step of every clock up to n = 6 the auditor passes the Gray
-    # policy with the values ClockOracle.values(j) gives (times t) at the
+    # policy with the values clock_values gives at step j (times t) at the
     # states it names; the others hold a number it must not read.  A policy
     # one Gray bit off, or one value off by t, is recorded at that state.
     for n in range(1, 7):
@@ -184,7 +189,7 @@ def test_clock_auditor_reads_the_closed_forms_of_values_and_gray_code():
         for j in range(2**n):
             policy = clock_gray_policy(cons, j)
             values = [Fraction(-1, 3)] * cons.mdp.num_states
-            for name, scaled in ClockOracle(n).values(j).items():
+            for name, scaled in clock_values(ClockOracle(n), j).items():
                 values[index.state(name)] = t * scaled
             auditor.check_policy(j, policy, values)
             assert auditor.policy_failures == [], (n, j)
@@ -193,7 +198,7 @@ def test_clock_auditor_reads_the_closed_forms_of_values_and_gray_code():
                 auditor.check_policy(j, policy.with_switch(index.clock(i), off), values)
                 assert auditor.policy_failures == [f"step {j}: state {i} off the Gray-code sequence"]
                 auditor.policy_failures.clear()
-            for name in ClockOracle(n).values(j):
+            for name in clock_values(ClockOracle(n), j):
                 shifted = list(values)
                 shifted[index.state(name)] += t
                 auditor.check_policy(j, policy, shifted)
@@ -294,7 +299,7 @@ def check_final(construction: Construction, policy: Policy, phase: int) -> dict[
     mdp = construction.mdp
     index = construction.index
     values = evaluate_values(mdp, policy)
-    gains = action_appeals(mdp, policy, values)
+    gains = action_appeals(mdp, values)
 
     def settled(state: int) -> bool:
         return all(gains[aid] <= FLOOR for aid in mdp.state_actions[state])
@@ -311,7 +316,7 @@ def check_final(construction: Construction, policy: Policy, phase: int) -> dict[
                 for s in (index.o(phase, i), index.l(phase, i), index.r(phase, i))
             )
         elif kind == "or":
-            own = all(settled(s) for s in (index.o(phase, i), index.v(phase, i), index.x(phase, i)))
+            own = all(settled(s) for s in (index.o(phase, i), index.state(f"v{phase}_{i}"), index.x(phase, i)))
         else:
             own = all(settled(s) for s in (index.o(phase, i), index.a(phase, i)))
         final[i] = below and own
