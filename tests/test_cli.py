@@ -290,6 +290,10 @@ def test_non_integer_json_and_a_negative_space_are_input_errors(tmp_path, capsys
     assert run_cli("decide", "--tm", path, "--space", "-1", "--problem", "circuitvalue",
                    "--out", str(tmp_path)) == 2
     assert "space bound -1 is negative" in capsys.readouterr().err
+    # Space 0 leaves no tape cell for the head to start on.
+    assert run_cli("decide", "--tm", path, "--space", "0", "--problem", "circuitvalue",
+                   "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "input error: head starts beyond the tape\n"
 
 
 def test_construction_constants_are_fixed(tmp_path, capsys):

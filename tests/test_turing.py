@@ -4,6 +4,7 @@ import dataclasses
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dantziglab.circuit import decide_bitswitch, decide_circuitvalue, iterate, outputs
 from dantziglab.library import shuttle_machine, unary_counter_machine, writer_machine
@@ -20,7 +21,7 @@ from dantziglab.verify import audit_appeal_catalog, check_all_transitions, decod
 
 def reference_simulator(machine, input_bits, space, max_steps):
     """Independent step-by-step simulator (kept separate from the package's)."""
-    tape = list(input_bits) + [0] * (space - len(input_bits)) + [1]
+    tape = list(input_bits) + [0] * (space - len(input_bits))
     head, state = machine.head_start, machine.initial
     moves = {"L": -1, "R": 1, "S": 0}
     for _ in range(max_steps):
@@ -29,7 +30,7 @@ def reference_simulator(machine, input_bits, space, max_steps):
             return True
         state, write, move = machine.transitions[key]
         tape[head - 1] = write
-        head = min(max(head + moves[move], 1), space + 1)
+        head = min(max(head + moves[move], 1), space)
     return False
 
 
@@ -106,7 +107,7 @@ def test_equal_machines_compile_to_the_same_instance(make, space):
 
 
 def test_immediate_writer_accepts():
-    # A machine that halts on its first step makes the marker bit reachable.
+    # A machine that halts on its first step clears the halt flag.
     m = writer_machine()
     circuit, start, z = compile_machine(m, (1, 1), 3)
     assert z == 4
@@ -129,7 +130,7 @@ def test_step_circuit_tracks_reference_simulation():
     m = unary_counter_machine()
     space = 3
     circuit, start, z = compile_machine(m, (1, 1, 1), space)
-    tape = [1, 1, 1, 1]
+    tape = [1, 1, 1, 1]  # cells 1..3, then the halt flag
     head, state = m.head_start, m.initial
     moves = {"L": -1, "R": 1, "S": 0}
     cur = start
@@ -140,7 +141,7 @@ def test_step_circuit_tracks_reference_simulation():
         if key in m.transitions:
             state, write, move = m.transitions[key]
             tape[head - 1] = write
-            head = min(max(head + moves[move], 1), space + 1)
+            head = min(max(head + moves[move], 1), space)
         else:
             tape[space] = 0
         assert list(cur[: space + 1]) == tape
@@ -158,18 +159,18 @@ def encode_configuration(tape, head, state, head_w, state_w):
 @pytest.mark.parametrize("make", [writer_machine, shuttle_machine, unary_counter_machine])
 @pytest.mark.parametrize("space", [1, 2, 3])
 def test_one_compiled_step_matches_a_reference_step_on_every_configuration(make, space):
-    # Every tape of space+1 cells, every head cell and every state: the
-    # circuit's output is the configuration one machine step later.  A
-    # halted configuration keeps everything except the marker cell, which
-    # clears.
+    # Every word of the space tape cells and the halt flag, every head cell
+    # and every state: the circuit's output is the configuration one
+    # machine step later.  A halted configuration keeps everything except
+    # the flag, which clears.
     m = make()
     circuit, _, _ = compile_machine(m, (), space)
     moves = {"L": -1, "R": 1, "S": 0}
     cells = space + 1
-    head_w = max(1, (cells - 1).bit_length())
+    head_w = max(1, (space - 1).bit_length())
     state_w = circuit.n - cells - head_w
     for q, state in enumerate(m.states):
-        for head in range(cells):
+        for head in range(space):
             for word in range(2**cells):
                 tape = [word >> p & 1 for p in range(cells)]
                 before = encode_configuration(tape, head, q, head_w, state_w)
@@ -179,7 +180,7 @@ def test_one_compiled_step_matches_a_reference_step_on_every_configuration(make,
                     tape[head] = write
                     after = encode_configuration(
                         tape,
-                        min(max(head + moves[move], 0), cells - 1),
+                        min(max(head + moves[move], 0), space - 1),
                         m.states.index(next_state),
                         head_w,
                         state_w,
@@ -219,7 +220,7 @@ def test_halted_configuration_is_a_fixed_point():
 @pytest.mark.parametrize("problem", ["actionswitch", "dantzigsol"])
 def test_the_whole_chain_on_a_compiled_machine(problem):
     # Machine -> circuit -> MDP -> greedy run -> verdict, on writer at space 1
-    # (n = 4, 16 phases).  The compiled instance queries the marker cell,
+    # (n = 4, 16 phases).  The compiled instance queries the halt flag,
     # which clears on the step after the machine halts: circuitvalue (read
     # by dantzigsol) is "halts within 2^n steps", and bitswitch (read by
     # actionswitch) holds when the halt at step h leaves room for an even
@@ -245,13 +246,9 @@ def test_the_whole_chain_on_a_compiled_machine(problem):
         assert phases == [iterate(circuit, start, i) for i in range(horizon + 1)]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the compiled verdict is 'halts, or writes 0 on the marker cell': this machine clears it and runs on",
-)
 def test_verdict_ignores_a_zero_written_on_the_marker_cell():
-    # Writes 0 wherever it reads and moves right forever, so at space 1 it
-    # overwrites the marker cell (cell 2) without ever halting.
+    # Writes 0 wherever it reads and moves right forever.  At space 1 the
+    # head stays on cell 1, so the halt flag (bit 2) is never written.
     m = Machine(
         states=("a",),
         initial="a",
@@ -261,3 +258,31 @@ def test_verdict_ignores_a_zero_written_on_the_marker_cell():
     circuit, start, z = compile_machine(m, (1,), 1)
     assert simulate(m, (1,), 1, 2**circuit.n) is False
     assert decide_circuitvalue(circuit, start, z) is False
+
+
+@st.composite
+def random_machines(draw):
+    """A machine of one or two states with any transitions missing, a space of 1 or 2, and an input."""
+    states = ("a", "b")[: draw(st.integers(1, 2))]
+    transitions = {}
+    for key in ((q, s) for q in states for s in (0, 1)):
+        if draw(st.booleans()):
+            transitions[key] = (draw(st.sampled_from(states)), draw(st.integers(0, 1)), draw(st.sampled_from("LRS")))
+    space = draw(st.integers(1, 2))
+    tape = tuple(draw(st.lists(st.integers(0, 1), max_size=space)))
+    machine = Machine(states=states, initial="a", head_start=draw(st.integers(1, space)), transitions=transitions)
+    return machine, tape, space
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_machines())
+def test_random_machines_decide_what_they_simulate(example):
+    # A halted configuration stays halted, so both problems ask "does the
+    # machine halt within 2^n steps".  Each of these machines has at most
+    # 2^(n-1) configurations, so a halt comes early enough to leave room
+    # for the even iterate that bitswitch reads.
+    machine, tape, space = example
+    circuit, start, z = compile_machine(machine, tape, space)
+    halts = simulate(machine, tape, space, 2**circuit.n)
+    assert decide_circuitvalue(circuit, start, z) == halts
+    assert decide_bitswitch(circuit, start, z) == halts
