@@ -41,10 +41,11 @@ key, its floor at ``KEY_BITS`` fraction bits, so the greedy pick compares
 machine ints and reaches the Fractions only where two keys are equal.
 ``evaluate_values`` and the full ``appeals`` pass are the oracles: every
 run ends by checking its kept values and appeals against them, exactly, and
-that no fresh appeal is positive.  The watcher ``fresh_value_check`` checks
-the values of every policy a run reaches against the same oracle.  Both hand
-it the kept values as a claim: the walk still derives each value, and keeps
-a claimed entry only where it is equal, in place of a new ``Fraction``.
+that no fresh appeal is positive, or, ended early by ``until``, that none
+exceeds the last switch's.  The watcher ``fresh_value_check`` checks the
+values of every policy a run reaches against the same oracle.  Both hand it
+the kept values as a claim: the walk still derives each value, and keeps a
+claimed entry only where it is equal, in place of a new ``Fraction``.
 """
 
 from __future__ import annotations
@@ -488,10 +489,11 @@ def dantzig_step(
 @dataclass
 class PIResult:
     initial: Policy
-    policy: Policy
+    policy: Policy  # final: optimal, or, if ``until`` stopped the run, the one its last switch was picked from
     trace: list[TraceEvent]
     values: list[Fraction]  # of the final policy
     appeals: list[Fraction]  # of the final policy
+    stopped: bool = False
 
     @property
     def iterations(self) -> int:
@@ -554,6 +556,34 @@ def _crosscheck(
             )
 
 
+def _certify(mdp: Mdp, policy: Policy, values: list, gains: list, switch: int, event: TraceEvent | None = None) -> None:
+    """Raise ``CrosscheckError`` unless the final policy's kept numbers equal fresh ones, and none beats its end.
+
+    At an optimum no fresh appeal may be positive; at the policy ``event``
+    was picked from, none may exceed ``event.appeal``, the switched action's.
+    """
+    oracle = evaluate_values(mdp, policy, claimed=values)
+    _crosscheck(values, oracle, mdp.state_names, "value", switch)
+    names = [a.name for a in mdp.actions]
+    fresh = appeals(mdp, oracle)
+    _crosscheck(gains, fresh, names, "appeal", switch)
+    if event is None:
+        for name, appeal in zip(names, fresh):
+            if appeal.numerator > 0:
+                raise CrosscheckError(
+                    f"the run stopped after switch {switch}, but a fresh evaluation "
+                    f"gives {name} the positive appeal {format_rational(appeal)}"
+                )
+        return
+    top = event.appeal
+    for aid, (name, appeal) in enumerate(zip(names, fresh)):
+        if appeal > top or aid == event.new_action and appeal != top:
+            raise CrosscheckError(
+                f"switch {switch} enters {names[event.new_action]} at appeal {format_rational(top)}, "
+                f"but a fresh evaluation gives {name} the appeal {format_rational(appeal)}"
+            )
+
+
 def fresh_value_check(mdp: Mdp) -> Watcher:
     """A watcher that checks the values handed at each switch against a fresh evaluation.
 
@@ -582,8 +612,9 @@ def run_policy_iteration(
     tie: TieBreak = TieBreak(),
     budget: int,
     watchers: Iterable[Watcher] = (),
+    until: Callable[[TraceEvent], bool] | None = None,
 ) -> PIResult:
-    """Greedy single-switch policy iteration to optimality, with a full trace.
+    """Greedy single-switch policy iteration to optimality, or to the first switch ``until`` accepts.
 
     This is the only loop that switches policies.  It evaluates the start
     policy and computes every action's appeal once; after each switch it
@@ -607,6 +638,11 @@ def run_policy_iteration(
     was complete.  To check the values of every policy it reaches, attach
     ``fresh_value_check``.
 
+    ``until``, the one way to end a run early, sees each switch once the
+    watchers have and it is on the trace.  Where it returns true the run
+    ends, ``stopped``, at the policy that switch was picked from, which
+    ``_certify`` checks in place of an optimum.
+
     Each watcher sees every switch as (event, policy before the switch,
     that policy's values, its appeals); the final policy, its values and
     its appeals come back on the result.  No list handed out is changed
@@ -628,17 +664,7 @@ def run_policy_iteration(
     while True:
         step = dantzig_step(mdp, policy, pick, positive)
         if step is None:
-            oracle = evaluate_values(mdp, policy, claimed=values)
-            _crosscheck(values, oracle, mdp.state_names, "value", len(trace))
-            names = [a.name for a in mdp.actions]
-            final = appeals(mdp, oracle)
-            _crosscheck(gains, final, names, "appeal", len(trace))
-            for name, appeal in zip(names, final):
-                if appeal.numerator > 0:
-                    raise CrosscheckError(
-                        f"the run stopped after switch {len(trace)}, but a fresh evaluation "
-                        f"gives {name} the positive appeal {format_rational(appeal)}"
-                    )
+            _certify(mdp, policy, values, gains, len(trace))
             return PIResult(initial, policy, trace, values, gains)
         if len(trace) >= budget:
             raise IterationBudgetExceededError(f"no optimum within {budget} switches")
@@ -647,6 +673,9 @@ def run_policy_iteration(
         for watch in watchers:
             watch(event, policy, values, gains)
         trace.append(event)
+        if until is not None and until(event):
+            _certify(mdp, policy, values, gains, event.iteration, event)
+            return PIResult(initial, policy, trace, values, gains, stopped=True)
         policy = new_policy
         changed, stale = _switch_reach(mdp, policy, entering, event.state)
         start: list[Fraction | None] = list(values)
@@ -670,14 +699,16 @@ def run_policy_iteration(
 
 
 def decide_action_switch(mdp: Mdp, result: PIResult, action: int) -> bool:
-    """Does the greedy run handed here ever switch the given action in?"""
+    """Does the greedy run handed here (or stopped at its first entry) ever switch the given action in?"""
     if result.initial.choice[mdp.actions[action].state] == action:
         raise MdpError("starting policy already uses the queried action")
     return any(ev.new_action == action for ev in result.trace)
 
 
 def decide_dantzig_mdp_sol(mdp: Mdp, result: PIResult, action: int) -> bool:
-    """Does the optimal policy the greedy run landed on use the given action?"""
+    """Does the optimal policy the greedy run landed on use the given action?  A stopped run has none."""
+    if result.stopped:
+        raise MdpError("the run stopped before an optimum, so it has no optimal policy to read")
     return result.policy.choice[mdp.actions[action].state] == action
 
 

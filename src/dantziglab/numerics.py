@@ -64,11 +64,12 @@ def rat(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a Fraction, or a "p/q" string to an exact rational.
 
     Floats are rejected on purpose: a float in this code base is a bug.
+    The ints 0 and 1 give the shared ``ZERO`` and ``ONE``, as no Fraction changes.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        return ZERO if value == 0 else ONE if value == 1 else Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"refusing to build an exact rational from {type(value).__name__}")

@@ -664,7 +664,9 @@ def end_to_end(
     ``decide_bitswitch``.  ``dantzigsol`` runs the decision variant, the
     plain construction plus the freeze gadget scaled by the closed-form
     ``bound_w``, and asks whether its optimum keeps that action; the oracle
-    is ``decide_circuitvalue``.  The run carries the trace annotator.
+    is ``decide_circuitvalue``.  The run carries the trace annotator.  An
+    ``actionswitch`` run ends at the first switch that enters the query
+    action (``until``); only a false answer's run reaches the optimum.
 
     ``circuit_f`` implements the iterated function directly (not yet
     negated); the start string must have bit z set, since the query action
@@ -682,12 +684,14 @@ def end_to_end(
     else:
         construction = build_construction_z(negated, z, w=bound_w(derive_params(negated)))
         decide, oracle = decide_dantzig_mdp_sol, decide_circuitvalue
+    query = construction.index.action(f"o0_{z}->r0_{z}")
     run = run_policy_iteration(
         construction.mdp,
         initial_policy(construction, b_init),
         tie=tie,
         budget=budget if budget is not None else construction.budget(),
         watchers=[TraceAnnotator(construction)],
+        until=(lambda event: event.new_action == query) if decide is decide_action_switch else None,
     )
-    verdict = decide(construction.mdp, run, construction.index.action(f"o0_{z}->r0_{z}"))
+    verdict = decide(construction.mdp, run, query)
     return EndToEnd(construction, run, verdict, oracle(circuit_f, b_init, z))

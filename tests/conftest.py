@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import namedtuple
 from graphlib import CycleError, TopologicalSorter
 
 import pytest
@@ -44,13 +45,39 @@ def count_runs(patch_everywhere):
     return runs
 
 
+PlainRun = namedtuple("PlainRun", ["construction", "run"])
+
+
+def plain_run(circuit, b_init, tie=None):
+    """The plain construction of ``circuit`` and its whole annotated greedy run from ``b_init``, under ``tie`` or lowest.
+
+    Built and run as ``end_to_end`` runs the ``actionswitch`` problem, only
+    to the optimum: ``end_to_end`` stops that run at the first switch that
+    enters the query action, so the audits, the phase decoder and the tight
+    ``w`` read this run instead.
+    """
+    from dantziglab.circuit import negated_form, normalize_depths
+    from dantziglab.construction import build_construction, initial_policy
+    from dantziglab.mdp import TieBreak, run_policy_iteration
+    from dantziglab.verify import TraceAnnotator
+
+    cons = build_construction(negated_form(normalize_depths(circuit)))
+    run = run_policy_iteration(
+        cons.mdp,
+        initial_policy(cons, b_init),
+        tie=tie or TieBreak(),
+        budget=cons.budget(),
+        watchers=[TraceAnnotator(cons)],
+    )
+    return PlainRun(cons, run)
+
+
 def tight_decision_run(plain, b_init, z):
     """The decision variant at the tight scale w = the plain run's top value, and its run.
 
-    ``plain`` is the ``end_to_end`` record of the ``actionswitch`` problem
-    on the same instance; the variant is built from its negated circuit and
-    run the way ``end_to_end`` runs its own, only with this ``w`` in place
-    of ``bound_w``.
+    ``plain`` is the ``plain_run`` of the same instance; the variant is
+    built from its negated circuit and run the way ``end_to_end`` runs its
+    own, only with this ``w`` in place of ``bound_w``.
     """
     from dantziglab.construction import build_construction_z, initial_policy
     from dantziglab.mdp import run_policy_iteration

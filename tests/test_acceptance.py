@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import evaluate_gain, tight_decision_run
+from conftest import evaluate_gain, plain_run, tight_decision_run
 from dantziglab.circuit import (
     decide_bitswitch,
     decide_circuitvalue,
@@ -82,6 +82,17 @@ def e2e(name: str, problem: str, tie: str = "lowest"):
     return _E2E_CACHE[key]
 
 
+_PLAIN_CACHE: dict = {}
+
+
+def plain(name: str):
+    """The whole plain run of an instance under ``lowest``: ``end_to_end`` stops a true actionswitch run early."""
+    if name not in _PLAIN_CACHE:
+        circuit, bits, _ = INSTANCES[name]
+        _PLAIN_CACHE[name] = plain_run(circuit, bits)
+    return _PLAIN_CACHE[name]
+
+
 def ok(criterion: int, message: str) -> None:
     print(f"criterion {criterion}: PASS — {message}")
 
@@ -115,8 +126,7 @@ def test_criterion_1_clock_reproduction():
 
 
 def test_criterion_2_appeal_catalog():
-    report = e2e("rot2", "actionswitch")
-    cons, run = report.construction, report.run
+    cons, run = plain("rot2")
     audit = audit_appeal_catalog(run, cons)
     assert audit.ok, audit.failures[:5]
     seen = {}
@@ -154,7 +164,9 @@ def test_criterion_3_action_switch(name):
     assert verdict == oracle
     n = circuit.n
     expected = [iterate(circuit, bits, i) for i in range(2**n + 1)]
-    assert decode_phases(report.run, cons, bits) == expected
+    full = plain(name)
+    assert decide_action_switch(full.construction.mdp, full.run, query) == verdict
+    assert decode_phases(full.run, full.construction, bits) == expected
     elapsed = time.monotonic() - started
     assert elapsed <= 60.0
     ok(3, f"{name}: action-switch verdict {verdict} matches, phases decode ({elapsed:.1f}s)")
@@ -169,11 +181,11 @@ def test_criterion_4_dantzig_mdp_sol(name):
     assert report.verdict == report.oracle == oracle
     # The tight scale, the plain run's top value, is the reward of si' and
     # sits below the closed-form bound end_to_end scales the gadget by.
-    plain = e2e(name, "actionswitch")
-    params = plain.construction.params
-    w = max(plain.run.values)
+    full = plain(name)
+    params = full.construction.params
+    w = max(full.run.values)
     assert w == params.t * 2 ** (params.n + 1) <= bound_w(params)
-    for cons_z, run_z in ((report.construction, report.run), tight_decision_run(plain, bits, z)):
+    for cons_z, run_z in ((report.construction, report.run), tight_decision_run(full, bits, z)):
         final = run_z.policy
         target = cons_z.index.target(final.choice[cons_z.index.o(0, z)])
         encoded = 1 if target == cons_z.index.l(0, z) else 0
@@ -257,8 +269,8 @@ def test_criterion_7_zero_gain_everywhere():
     checked = 0
     for name in INSTANCES:
         circuit, bits, z = INSTANCES[name]
-        for report in (e2e(name, "actionswitch"), e2e(name, "dantzigsol")):
-            cons, run = report.construction, report.run
+        sol = e2e(name, "dantzigsol")
+        for cons, run in (plain(name), (sol.construction, sol.run)):
             for policy in (run.initial, run.policy):
                 gains = evaluate_gain(cons.mdp, policy)
                 assert all(g == 0 for g in gains)

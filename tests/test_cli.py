@@ -161,6 +161,47 @@ def test_decide_verdicts_and_exit_codes(tmp_path):
     assert exc.value.code == 2
 
 
+def test_decide_actionswitch_needs_a_budget_only_up_to_the_first_entry(tmp_path, capsys):
+    # rot2 from 11 first switches o0_1->r0_1 in at switch 62 of 232, and
+    # the run stops there: 63 switches answer true, 62 run out first.
+    argv = ["decide", "--builtin", "rot2", "--bits", "11", "--z", "1", "--problem", "actionswitch",
+            "--out", str(tmp_path)]
+    assert run_cli(*argv, "--budget", "63") == 0
+    assert capsys.readouterr().out == "actionswitch: true (agrees with the circuit oracle: true)\n"
+    assert run_cli(*argv, "--budget", "62") == 3
+    assert capsys.readouterr().err == "budget exceeded: no optimum within 62 switches\n"
+
+
+def test_a_kept_appeal_inflated_into_an_early_entry_fails_the_stop_certificate(tmp_path, monkeypatch, capsys):
+    # The first appeal computed for the query action o0_1->r0_1, in the
+    # start policy's full pass, is raised by 10^6, so the engine switches it
+    # in at switch 0.  Run on to the optimum, with only the final
+    # certificate, this command exits 0 (checked by hand): the residual
+    # check reads the re-solved states' chosen actions, whose appeals it
+    # recomputes, and the final certificate the last policy alone, so
+    # neither sees the fault.  The stop certifies the policy switch 0 was
+    # picked from, whose kept appeal of the query differs from a fresh pass.
+    original = mdp._appeal
+    inflated = []
+
+    def once(act, values):
+        appeal = original(act, values)
+        if act.name == "o0_1->r0_1" and not inflated:
+            inflated.append(appeal)
+            return appeal + 10**6
+        return appeal
+
+    monkeypatch.setattr(mdp, "_appeal", once)
+    assert run_cli("decide", "--builtin", "rot2", "--bits", "11", "--z", "1",
+                   "--problem", "actionswitch", "--out", str(tmp_path)) == 4
+    captured = capsys.readouterr()
+    assert inflated == [-2187] and captured.out == ""
+    assert captured.err == (
+        "invariant violation: after switch 0 the kept appeal of o0_1->r0_1 is 997813, "
+        "but a fresh evaluation gives -2187\n"
+    )
+
+
 @pytest.mark.parametrize(
     "problem, decide, line",
     [

@@ -1200,6 +1200,60 @@ def test_decide_action_switch_trivial():
         decide_action_switch(m, _run_from(m, good), good)
 
 
+def test_until_stops_at_the_switch_it_accepts_and_keeps_the_policy_it_was_picked_from():
+    # Two improving states; the run stops at its first switch, before the
+    # second, and hands back the start policy with its own numbers.
+    m, sink, s, bad, good = two_action_mdp()
+    u = m.add_state("u")
+    stay = m.add_action(u, {sink: ONE}, 0)
+    m.add_action(u, {sink: ONE}, 5)
+    start = make_policy(m, [0, bad, stay])
+    full = run_policy_iteration(m, start, budget=10)
+    run = run_policy_iteration(m, start, budget=10, until=lambda ev: ev.new_action == full.trace[0].new_action)
+    assert run.stopped and not full.stopped
+    assert run.trace == full.trace[:1] and len(full.trace) == 2
+    assert run.policy == start
+    assert run.values == evaluate_values(m, start) and run.appeals == appeals(m, run.values)
+
+
+def test_decide_dantzig_sol_refuses_a_stopped_run():
+    m, sink, s, bad, good = two_action_mdp()
+    run = run_policy_iteration(m, make_policy(m, [0, bad]), budget=10, until=lambda ev: True)
+    assert run.stopped and run.policy.choice[s] == bad
+    assert decide_action_switch(m, run, good) is True
+    with pytest.raises(MdpError, match="stopped before an optimum"):
+        decide_dantzig_mdp_sol(m, run, good)
+
+
+@pytest.mark.parametrize(
+    "claimed, message",
+    [
+        (None, "switch 0 enters fair at appeal 1, but a fresh evaluation gives best the appeal 2"),
+        (Fraction(2), "switch 0 enters fair at appeal 2, but a fresh evaluation gives fair the appeal 1"),
+    ],
+    ids=["not-the-largest", "wrong-event-appeal"],
+)
+def test_the_stop_certificate_rejects_a_switch_the_greedy_rule_would_not_make(monkeypatch, claimed, message):
+    # The step is made to pick the action of appeal 1 where one of appeal 2
+    # waits, or to report the wrong appeal for it.  The kept numbers are all
+    # right, so only the check against the switch's own appeal sees it.
+    m, sink = sink_mdp()
+    s = m.add_state("s")
+    start = m.add_action(s, {sink: ONE}, 0, "start")
+    fair = m.add_action(s, {sink: ONE}, 1, "fair")
+    m.add_action(s, {sink: ONE}, 2, "best")
+    policy = make_policy(m, [0, start])
+
+    def misstep(mdp, policy, pick, positive):
+        appeal = positive[fair][1] if claimed is None else claimed
+        return policy.with_switch(s, fair), TraceEvent(0, s, start, fair, appeal)
+
+    monkeypatch.setattr(mdp_module, "dantzig_step", misstep)
+    with pytest.raises(CrosscheckError) as exc:
+        run_policy_iteration(m, policy, budget=10, until=lambda ev: True)
+    assert str(exc.value) == message
+
+
 def _enumerate_optimal_policies(m, sink):
     """Exhaustive optimality set via the value equation, for tiny models."""
     best = None

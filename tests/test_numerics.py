@@ -54,6 +54,9 @@ def test_rat_accepts_int_str_fraction():
     assert rat(3) == Fraction(3)
     assert rat("7/2") == Fraction(7, 2)
     assert rat(Fraction(1, 3)) == Fraction(1, 3)
+    # The ints 0 and 1 give the shared constants; any other int a new Fraction.
+    assert rat(0) is numerics.ZERO and rat(1) is numerics.ONE
+    assert type(rat(-1)) is Fraction and rat(-1) == -1 and rat(2) is not rat(2)
 
 
 def test_rat_rejects_floats():

@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import plain_run
 from dantziglab.circuit import decide_bitswitch, decide_circuitvalue, iterate, outputs
 from dantziglab.library import shuttle_machine, unary_counter_machine, writer_machine
 from dantziglab.turing import (
@@ -238,7 +239,7 @@ def test_the_whole_chain_on_a_compiled_machine(problem):
     assert record.oracle == answer
     assert record.verdict == answer
     if problem == "actionswitch":
-        run, cons = record.run, record.construction
+        cons, run = plain_run(circuit, start)
         assert audit_appeal_catalog(run, cons).ok
         assert check_all_transitions(run, cons).ok
         phases = decode_phases(run, cons, start)

@@ -7,7 +7,7 @@ from typing import Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tight_decision_run
+from conftest import plain_run, tight_decision_run
 from dantziglab.circuit import (
     KIND_INPUT,
     Circuit,
@@ -30,13 +30,14 @@ from dantziglab.construction import (
     initial_policy,
     make_params,
 )
-from dantziglab.library import constant_zero_circuit, identity_circuit, rotation_circuit
+from dantziglab.library import BUILTIN_CIRCUITS, constant_zero_circuit, identity_circuit, rotation_circuit
 from dantziglab.lp import check_pi_simplex_equivalence
 from dantziglab.mdp import (
     Policy,
     TieBreak,
     TraceEvent,
     appeals as action_appeals,
+    decide_action_switch,
     decide_dantzig_mdp_sol,
     evaluate_values,
     make_policy,
@@ -461,9 +462,16 @@ CATALOG_ROLES = {
 
 @pytest.fixture(scope="module")
 def catalog_runs():
-    """The ``end_to_end`` records of rot2 and const0_2 from 11 at z = 1, under both problems."""
+    """The runs of rot2 and const0_2 from 11 at z = 1 under both problems.
+
+    For actionswitch it is the whole ``plain_run``, as ``end_to_end`` stops
+    its own at the query's first entry; for dantzigsol the ``end_to_end``
+    record.
+    """
     return {
-        (name, problem): end_to_end(circuit, (1, 1), 1, problem)
+        (name, problem): plain_run(circuit, (1, 1))
+        if problem == "actionswitch"
+        else end_to_end(circuit, (1, 1), 1, problem)
         for name, circuit in (("rot2", rotation_circuit(2)), ("const0_2", constant_zero_circuit(2)))
         for problem in ("actionswitch", "dantzigsol")
     }
@@ -639,7 +647,30 @@ def test_end_to_end_rotation_switches():
     sol = end_to_end(rotation_circuit(2), (1, 1), 1, "dantzigsol")
     assert sol.verdict == sol.oracle
     expected = [iterate(rotation_circuit(2), (1, 1), i) for i in range(5)]
-    assert decode_phases(switch.run, switch.construction, (1, 1)) == expected
+    full = plain_run(rotation_circuit(2), (1, 1))
+    assert decode_phases(full.run, full.construction, (1, 1)) == expected
+
+
+@pytest.mark.parametrize("tie", ["lowest", "highest", "random:7"])
+@pytest.mark.parametrize("name", ["identity1", "identity2", "not2", "rot2", "const0_2", "rot3"])
+def test_an_actionswitch_run_stops_at_the_whole_runs_first_entry(name, tie):
+    # The start string is all ones, so every z has its start bit set.  A
+    # true answer's run is the whole run's prefix through the query's first
+    # entry, event for event (iteration, actions, appeal and annotations);
+    # a false answer's run is the whole run.
+    circuit = BUILTIN_CIRCUITS[name]()
+    bits = (1,) * circuit.n
+    full = plain_run(circuit, bits, TieBreak(tie))
+    for z in range(1, circuit.n + 1):
+        record = end_to_end(circuit, bits, z, "actionswitch", tie=TieBreak(tie))
+        query = full.construction.index.action(f"o0_{z}->r0_{z}")
+        assert record.verdict == decide_action_switch(full.construction.mdp, full.run, query) == record.oracle
+        assert record.run.stopped == record.verdict
+        if record.verdict:
+            first = next(pos for pos, ev in enumerate(full.run.trace) if ev.new_action == query)
+            assert record.run.trace == full.run.trace[: first + 1], z
+        else:
+            assert record.run.trace == full.run.trace, z
 
 
 def test_end_to_end_requires_set_query_bit():
@@ -661,7 +692,7 @@ def test_end_to_end_w_bound_mode_agrees():
     circuit, bits = rotation_circuit(2), (1, 1)
     sol = end_to_end(circuit, bits, 2, "dantzigsol")
     assert sol.verdict == sol.oracle
-    assert _tight_verdict(end_to_end(circuit, bits, 2, "actionswitch"), bits, 2) == sol.verdict
+    assert _tight_verdict(plain_run(circuit, bits), bits, 2) == sol.verdict
 
 
 @pytest.mark.parametrize("circuit", [identity_circuit(2), rotation_circuit(2)], ids=["identity2", "rot2"])
@@ -678,8 +709,9 @@ def test_decide_mdp_runs_only_what_it_reads_and_agrees(circuit, count_runs):
     assert count_runs == [switch.construction.mdp, sol.construction.mdp]
     assert "b1" in sol.construction.mdp.state_names
     assert sol.verdict == sol.oracle == decide_circuitvalue(circuit, bits, 1)
-    assert decode_phases(switch.run, switch.construction, bits) == [iterate(circuit, bits, i) for i in range(5)]
-    assert _tight_verdict(switch, bits, 1) == sol.verdict
+    full = plain_run(circuit, bits)
+    assert decode_phases(full.run, full.construction, bits) == [iterate(circuit, bits, i) for i in range(5)]
+    assert _tight_verdict(full, bits, 1) == sol.verdict
 
 
 def test_end_to_end_runs_each_reduction_once_on_first_read(count_runs):
@@ -705,8 +737,9 @@ def test_end_to_end_three_bit_instance_with_true_decision():
     sol = end_to_end(circuit, (1, 1, 1), 3, "dantzigsol")
     assert switch.oracle is True and sol.oracle is True
     assert switch.verdict is True and sol.verdict is True
-    assert audit_appeal_catalog(switch.run, switch.construction).ok
-    assert check_all_transitions(switch.run, switch.construction).ok
+    full = plain_run(circuit, (1, 1, 1))
+    assert audit_appeal_catalog(full.run, full.construction).ok
+    assert check_all_transitions(full.run, full.construction).ok
 
 
 def test_end_to_end_asymmetric_three_bit_instance():
@@ -733,9 +766,10 @@ def test_end_to_end_asymmetric_three_bit_instance():
     assert switch.verdict is False and switch.oracle is False
     assert sol.verdict is False and sol.oracle is False
     expected = [iterate(circuit, (1, 0, 1), i) for i in range(9)]
-    assert decode_phases(switch.run, switch.construction, (1, 0, 1)) == expected
-    assert audit_appeal_catalog(switch.run, switch.construction).ok
-    assert check_all_transitions(switch.run, switch.construction).ok
+    full = plain_run(circuit, (1, 0, 1))
+    assert decode_phases(full.run, full.construction, (1, 0, 1)) == expected
+    assert audit_appeal_catalog(full.run, full.construction).ok
+    assert check_all_transitions(full.run, full.construction).ok
     assert audit_appeal_catalog(sol.run, sol.construction).ok
 
 
@@ -767,9 +801,10 @@ def test_end_to_end_verdicts_on_randomized_two_bit_functions():
         assert switch.verdict == switch.oracle
         assert sol.verdict == sol.oracle
         expected = [iterate(circuit, bits, i) for i in range(5)]
-        assert decode_phases(switch.run, switch.construction, bits) == expected
-        assert audit_appeal_catalog(switch.run, switch.construction).ok
-        assert check_all_transitions(switch.run, switch.construction).ok
+        full = plain_run(circuit, bits)
+        assert decode_phases(full.run, full.construction, bits) == expected
+        assert audit_appeal_catalog(full.run, full.construction).ok
+        assert check_all_transitions(full.run, full.construction).ok
         built += 1
 
 
@@ -799,15 +834,16 @@ def test_random_circuits_build_and_track_their_oracles_under_every_tie_rule(inst
     assert switch.verdict == switch.oracle
     assert sol.verdict == sol.oracle
     expected = [iterate(circuit, bits, i) for i in range(2**circuit.n + 1)]
-    assert decode_phases(switch.run, switch.construction, bits) == expected
-    assert audit_appeal_catalog(switch.run, switch.construction).ok
-    assert check_all_transitions(switch.run, switch.construction).ok
+    full = plain_run(circuit, bits, TieBreak(tie))
+    assert decode_phases(full.run, full.construction, bits) == expected
+    assert audit_appeal_catalog(full.run, full.construction).ok
+    assert check_all_transitions(full.run, full.construction).ok
     assert audit_appeal_catalog(sol.run, sol.construction).ok
     if circuit.n <= 2:
         # The LP half of the acyclic invariant: every basis the lockstep
         # meets under this tie rule has a singleton order.
-        cons = switch.construction
+        cons = full.construction
         lockstep = check_pi_simplex_equivalence(
-            cons.mdp, switch.run.initial, cons.index.si(), tie=TieBreak(tie), budget=cons.budget()
+            cons.mdp, full.run.initial, cons.index.si(), tie=TieBreak(tie), budget=cons.budget()
         )
-        assert lockstep.ok and lockstep.pivots == switch.run.iterations
+        assert lockstep.ok and lockstep.pivots == full.run.iterations
