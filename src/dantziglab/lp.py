@@ -48,8 +48,9 @@ and only the columns with a nonzero in a row where y changed get their
 reduced cost recomputed.  The basis also keeps its positive map, each
 column of positive reduced cost with its ``numerics.keyed`` selection
 key, as the engine keeps its positive appeals; a pivot re-keys only the
-columns it recomputes, and the next pivot picks the largest key and its
-ties from the map alone.
+columns it recomputes, and the next pivot picks the largest reduced cost
+and its ties from the map alone by ``numerics.greedy_top``, which compares
+ints only.  A reduced cost of 0 is the shared ``ZERO``.
 
 The pivot's arithmetic runs on int pairs.  The entering direction, a
 column's reduced cost, the ratio test and the x_B and y updates read each
@@ -93,7 +94,7 @@ from .mdp import Mdp, PIResult, Picker, Policy, TieBreak, TraceEvent, Watcher, r
 # because the benchmark's tracer test (perfbench/test_harness.py) restores
 # it by name; it goes when that test is mended.
 from .mdp import evaluate_values  # noqa: F401
-from .numerics import ONE, ZERO, SingularMatrixError, format_rational, inverse, keyed, positive_keys
+from .numerics import ONE, ZERO, Key, SingularMatrixError, format_rational, greedy_top, inverse, keyed, positive_keys
 
 
 class LpError(ValueError):
@@ -185,7 +186,7 @@ class Basis:
     x_b: list[Fraction]  # basic solution, per row position
     y: list[Fraction]  # duals, per row
     reduced: list[Fraction]  # reduced costs, per column
-    positive: dict[int, tuple[int, Fraction]]  # each column of positive reduced cost -> keyed(rc)
+    positive: dict[int, Key]  # each column of positive reduced cost -> keyed(rc)
 
     def basic_solution(self) -> list[Fraction]:
         """x_B = B^-1 · rhs: each position's entries across the inverse's columns, summed, times 1/n.
@@ -231,7 +232,7 @@ class _BasicColumns(Sequence):
 
 
 # x_B, y, the reduced costs and the positive map
-Kept = tuple[list[Fraction], list[Fraction], list[Fraction], dict[int, tuple[int, Fraction]]]
+Kept = tuple[list[Fraction], list[Fraction], list[Fraction], dict[int, Key]]
 
 
 def make_basis(
@@ -272,13 +273,13 @@ def basis_from_policy(lp: LinearProgram, policy: Policy) -> Basis:
 
 
 def _reduced_cost(lp: LinearProgram, j: int, y: Sequence[Fraction]) -> Fraction:
-    """Column j's reduced cost c_j - a_j · y against the duals y."""
+    """Column j's reduced cost c_j - a_j · y against the duals y; 0 is the shared ``ZERO``."""
     n, d = lp.objective[j].as_integer_ratio()
     for i, v in lp.columns[j].items():
         an, ad = v.as_integer_ratio()
         yn, yd = y[i].as_integer_ratio()
         n, d = _sum(n, d, -an * yn, ad * yd)
-    return Fraction(n, d)
+    return Fraction(n, d) if n else ZERO
 
 
 def dual_and_reduced_costs(lp: LinearProgram, basis: Basis) -> tuple[list[Fraction], list[Fraction]]:
@@ -310,8 +311,10 @@ def simplex_dantzig_step(
     """One largest-reduced-cost pivot, or None at optimality.
 
     It reads the basis's kept positive map and basic solution, and the next
-    basis carries its own, updated from this pivot.  The largest key of the
-    map and the columns that share it are the candidates.  ``pick`` is the
+    basis carries its own, updated from this pivot.  ``numerics.greedy_top``
+    finds the largest reduced cost and the columns that share it, the
+    candidates, comparing ints only; the step's reduced cost is the kept
+    Fraction itself.  ``pick`` is the
     tie picker (``TieBreak.picker``), made once per lockstep and applied to
     (state, action) pairs as the engine applies its own, in any order.  The
     ratio test reads only the direction's support; it must have a unique
@@ -322,10 +325,8 @@ def simplex_dantzig_step(
     actions = lp.mdp.actions
     if not basis.positive:
         return None
-    top = max(basis.positive.values())
-    best = top[1]
-    candidates = [(actions[lp.cols[j]].state, lp.cols[j]) for j, key in basis.positive.items() if key == top]
-    state, aid = pick(candidates)
+    best, columns = greedy_top(basis.positive)
+    state, aid = pick([(actions[lp.cols[j]].state, lp.cols[j]) for j in columns])
     entering = lp.col_of[aid]
 
     direction = basis.direction(entering)

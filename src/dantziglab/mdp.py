@@ -36,9 +36,10 @@ come from each action's ``solved`` equation, appeals from its
 ``lookahead``, read straight off the raw transitions: so after each
 re-solve the run checks the Bellman residual, that every re-solved state's
 chosen action has appeal exactly 0, by arithmetic the evaluation does not
-share.  Each positive appeal is kept with its ``numerics.keyed`` integer
-key, its floor at ``KEY_BITS`` fraction bits, so the greedy pick compares
-machine ints and reaches the Fractions only where two keys are equal.
+share; an appeal of 0 is the shared ``ZERO``.  Each positive appeal is
+kept with its ``numerics.keyed`` integer key, its floor at ``KEY_BITS``
+fraction bits and its lowest-terms pair, so the greedy pick
+(``numerics.greedy_top``) compares ints only, never a Fraction.
 ``evaluate_values`` and the full ``appeals`` pass are the oracles: every
 run ends by checking its kept values and appeals against them, exactly, and
 that no fresh appeal is positive, or, ended early by ``until``, that none
@@ -59,7 +60,7 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
-from .numerics import ZERO, ONE, format_rational, keyed, positive_keys, rat
+from .numerics import ZERO, ONE, Key, format_rational, greedy_top, keyed, positive_keys, rat
 
 Pair = tuple[int, int]  # an exact rational as ``(numerator, denominator)``, the denominator positive
 
@@ -378,7 +379,8 @@ def _appeal(act: Action, values: Sequence[Fraction]) -> Fraction:
     The self-loop's share of ``v(s)`` cancels, which leaves
     ``reward + sum p v(t) - leave v(s)`` with ``t != s``.  Numerators and
     denominators are combined as ints, adding numerators alone where two
-    denominators are equal, and one ``Fraction`` normalizes the result.
+    denominators are equal, and one ``Fraction`` normalizes the result; 0
+    is the shared ``ZERO``.
     """
     reward, (ln, ld), exits = act.lookahead
     vn, vd = values[act.state].as_integer_ratio()
@@ -388,7 +390,7 @@ def _appeal(act: Action, values: Sequence[Fraction]) -> Fraction:
         n, d = _add(n, d, pn * tn, pd * td)
     if reward is not None:
         n, d = _add(n, d, *reward)
-    return Fraction(n, d)
+    return Fraction(n, d) if n else ZERO
 
 
 def appeals(mdp: Mdp, values: Sequence[Fraction]) -> list[Fraction]:
@@ -463,26 +465,24 @@ def dantzig_step(
     mdp: Mdp,
     policy: Policy,
     pick: Picker,
-    positive: dict[int, tuple[int, Fraction]],
+    positive: dict[int, Key],
 ) -> tuple[Policy, TraceEvent] | None:
     """One greedy switch: the action of maximal positive appeal, or None at optimum.
 
     ``positive`` maps each action of positive appeal under the policy to
-    ``keyed(appeal)``.  Flooring keeps order, so the pairs sort exactly as
-    their appeals do: the maximum and its ties are found comparing machine
-    ints, and two appeals are compared as Fractions only where their keys
-    are equal.  The engine
-    builds the map from its one full appeal pass per run and, after each
-    switch, updates only the appeals the switch changed.  ``pick`` is the
-    run's tie picker (``TieBreak.picker``), made once per run; it picks the
-    same action whatever order the candidates come in.
+    ``keyed(appeal)``, and ``numerics.greedy_top`` finds the maximal appeal
+    and its ties comparing ints only: the floors, then the tied lowest-terms
+    pairs cross-multiplied.  The event's appeal is the kept Fraction itself.
+    The engine builds the map from its one full appeal pass per run and,
+    after each switch, updates only the appeals the switch changed.
+    ``pick`` is the run's tie picker (``TieBreak.picker``), made once per
+    run; it picks the same action whatever order the candidates come in.
     """
     if not positive:
         return None
-    top = max(positive.values())
-    candidates = [(mdp.actions[aid].state, aid) for aid, key in positive.items() if key == top]
-    state, aid = pick(candidates)
-    event = TraceEvent(0, state, policy.choice[state], aid, top[1])
+    appeal, aids = greedy_top(positive)
+    state, aid = pick([(mdp.actions[aid].state, aid) for aid in aids])
+    event = TraceEvent(0, state, policy.choice[state], aid, appeal)
     return policy.with_switch(state, aid), event
 
 
@@ -500,10 +500,14 @@ class PIResult:
         return len(self.trace)
 
     def policies(self) -> list[Policy]:
-        """Replay the trace: the policy before each switch, plus the final one."""
+        """Replay the trace: the policy before each switch, then ``policy``.
+
+        A stopped run's last switch is not made, so its replay ends at the
+        policy that switch was picked from.
+        """
         choice = list(self.initial.choice)
         replayed = [self.initial]
-        for ev in self.trace:
+        for ev in self.trace[:-1] if self.stopped else self.trace:
             choice[ev.state] = ev.new_action
             replayed.append(Policy(tuple(choice)))
         return replayed
@@ -667,7 +671,8 @@ def run_policy_iteration(
             _certify(mdp, policy, values, gains, len(trace))
             return PIResult(initial, policy, trace, values, gains)
         if len(trace) >= budget:
-            raise IterationBudgetExceededError(f"no optimum within {budget} switches")
+            goal = "optimum" if until is None else "optimum and no stop"
+            raise IterationBudgetExceededError(f"no {goal} within {budget} switches")
         new_policy, event = step
         event.iteration = len(trace)
         for watch in watchers:

@@ -3,10 +3,11 @@
 Every number handed between functions in this package is a
 ``fractions.Fraction``, compared with ``==``; inside, ``mdp``'s value walk
 and appeals and ``lp``'s pivot kernels hold the same exact rationals as
-``(numerator, denominator)`` int pairs.  Nothing is ever computed in
-floating point.  The decisive comparisons downstream separate constants
-such as 16/5 and 33/10 after division by quantities of magnitude 3^(d+6),
-so exactness is a correctness requirement, not a nicety.
+``(numerator, denominator)`` int pairs, and both greedy picks compare
+``keyed`` selection keys in ``greedy_top``, ints only.  Nothing is ever
+computed in floating point.  The decisive comparisons downstream separate
+constants such as 16/5 and 33/10 after division by quantities of magnitude
+3^(d+6), so exactness is a correctness requirement, not a nicety.
 
 A square n×n matrix is a list of n sparse rows, each a dict from column
 index to its nonzero entry.  The solver and the inverse copy each row they
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
@@ -80,24 +82,39 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-# The fraction bits a selection key keeps.  Equal keys go on to compare the
-# rationals, so no value of it changes a result.
+# The fraction bits of a selection key's floor.  The pick compares floors,
+# then the tied keys' lowest-terms pairs cross-multiplied, so no value of it
+# changes a result.
 KEY_BITS = 64
 
-
-def keyed(x: Fraction) -> tuple[int, Fraction]:
-    """``(floor(x * 2**KEY_BITS), x)``: ordered exactly as the rationals are.
-
-    Both greedy pivots, the engine's and the simplex's, take the maximum of
-    these keys, so they compare machine ints and reach the Fractions only
-    where two floors are equal.
-    """
-    return (x.numerator << KEY_BITS) // x.denominator, x
+Key = tuple[int, int, int, Fraction]  # (floor(x * 2**KEY_BITS), n, d, x) with n/d = x in lowest terms
 
 
-def positive_keys(xs: Sequence[Fraction]) -> dict[int, tuple[int, Fraction]]:
+def keyed(x: Fraction) -> Key:
+    """``(floor(x * 2**KEY_BITS), n, d, x)``, where ``(n, d)`` is ``x.as_integer_ratio()``: ``greedy_top``'s key."""
+    n, d = x.as_integer_ratio()
+    return (n << KEY_BITS) // d, n, d, x
+
+
+def positive_keys(xs: Sequence[Fraction]) -> dict[int, Key]:
     """Each index of a positive entry, mapped to the entry's ``keyed`` selection key."""
     return {i: keyed(x) for i, x in enumerate(xs) if x.numerator > 0}
+
+
+def greedy_top(keys: Mapping[int, Key]) -> tuple[Fraction, list[int]]:
+    """The largest keyed value and every index holding it, in ``keys``' order, comparing ints only.
+
+    Flooring keeps order, so the maximum carries the largest floor; among
+    the keys sharing it the largest ``(n, d)`` is found by cross-multiplying,
+    and, lowest terms making equal values equal pairs, its ties hold its pair.
+    """
+    floor = max(keys.values(), key=itemgetter(0))[0]
+    tied = [(i, key) for i, key in keys.items() if key[0] == floor]
+    _, n, d, top = tied[0][1]
+    for _, (_, kn, kd, x) in tied:
+        if kn * d > n * kd:
+            n, d, top = kn, kd, x
+    return top, [i for i, key in tied if key[1] == n and key[2] == d]
 
 
 def _coerced(row: Mapping[int, Fraction], n: int) -> SparseRow:

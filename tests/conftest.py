@@ -91,6 +91,12 @@ def tight_decision_run(plain, b_init, z):
     return cons, run
 
 
+def fraction_greedy_top(keys):
+    """``numerics.greedy_top`` by Fractions alone: the ``max`` of the keyed values, then ``==`` against it."""
+    top = max(key[-1] for key in keys.values())
+    return top, [i for i, key in keys.items() if key[-1] == top]
+
+
 def policy_graph_is_acyclic(mdp, policy) -> bool:
     """Has the policy graph no cycle apart from self-loops?  Read off the raw transitions."""
     graph = {

@@ -169,7 +169,7 @@ def test_decide_actionswitch_needs_a_budget_only_up_to_the_first_entry(tmp_path,
     assert run_cli(*argv, "--budget", "63") == 0
     assert capsys.readouterr().out == "actionswitch: true (agrees with the circuit oracle: true)\n"
     assert run_cli(*argv, "--budget", "62") == 3
-    assert capsys.readouterr().err == "budget exceeded: no optimum within 62 switches\n"
+    assert capsys.readouterr().err == "budget exceeded: no optimum and no stop within 62 switches\n"
 
 
 def test_a_kept_appeal_inflated_into_an_early_entry_fails_the_stop_certificate(tmp_path, monkeypatch, capsys):

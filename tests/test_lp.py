@@ -41,9 +41,10 @@ from dantziglab.mdp import (
     evaluate_values,
     fresh_value_check,
     make_policy,
+    parse_tiebreak,
     run_policy_iteration,
 )
-from dantziglab.numerics import inverse, positive_keys
+from dantziglab.numerics import ZERO, inverse, positive_keys
 
 ONE = Fraction(1)
 
@@ -703,6 +704,23 @@ def test_lockstep_with_seeded_ties():
             m, policy, sink, tie=TieBreak(f"random:{seed}"), budget=20
         )
         assert report.ok and report.pivots == 3
+
+
+@pytest.mark.parametrize("tie", ["lowest", "highest", "random:3"])
+def test_lockstep_passes_on_identity2_under_every_tie_rule(tie):
+    # Both greedy pivots pick with ``numerics.greedy_top``, so the simplex
+    # enters the run's action at the run's appeal at every switch; a zero
+    # reduced cost is the shared ``ZERO``, as a zero appeal is.
+    cons = build_construction(negated_form(normalize_depths(identity_circuit(2))))
+    policy = initial_policy(cons, (1, 1))
+    lockstep = Lockstep(cons.mdp, policy, cons.index.si(), tie=parse_tiebreak(tie))
+    run = run_policy_iteration(
+        cons.mdp, policy, tie=parse_tiebreak(tie), budget=cons.budget(), watchers=[lockstep]
+    )
+    report = lockstep.finish(run)
+    assert report.ok and report.pivots == run.iterations > 0
+    assert all(rc is ZERO for rc in lockstep.basis.reduced if not rc)
+    assert all(appeal is ZERO for appeal in run.appeals if not appeal)
 
 
 @st.composite

@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from conftest import evaluate_gain, planting_walk, policy_graph_is_acyclic
+from conftest import evaluate_gain, fraction_greedy_top, planting_walk, policy_graph_is_acyclic
 from hypothesis import given, settings, strategies as st
 
 from dantziglab import mdp as mdp_module
@@ -40,7 +40,7 @@ from dantziglab.mdp import (
     parse_tiebreak,
     run_policy_iteration,
 )
-from dantziglab.numerics import SingularMatrixError, format_rational, rat
+from dantziglab.numerics import ZERO, SingularMatrixError, format_rational, rat
 from dantziglab.turing import compile_machine
 
 ONE = Fraction(1)
@@ -1185,6 +1185,45 @@ def test_appeals_closer_than_the_key_resolution_still_order_exactly(tie, larger)
     else:
         assert (event.state, event.new_action) == candidates["uv".index(larger)]
     assert event.appeal == 1 + Fraction(1, 2**70)
+
+
+def _fraction_only_step(ties):
+    """``dantzig_step`` picking by Fractions alone (``fraction_greedy_top``); appends each candidate count to ``ties``."""
+
+    def step(m, policy, pick, positive):
+        if not positive:
+            return None
+        appeal, aids = fraction_greedy_top(positive)
+        ties.append(len(aids))
+        state, aid = pick([(m.actions[aid].state, aid) for aid in aids])
+        return policy.with_switch(state, aid), TraceEvent(0, state, policy.choice[state], aid, appeal)
+
+    return step
+
+
+@pytest.mark.parametrize("tie", ["lowest", "highest", "random:3"])
+@pytest.mark.parametrize("name", ["rot2", "const0_2", "clock:n=4"])
+def test_the_integer_pick_retraces_a_fraction_only_pick(name, tie, monkeypatch):
+    # ``numerics.greedy_top`` compares ints only; a run whose every pick is
+    # made by Fraction ``max`` and ``==`` instead makes the same switches at
+    # the same appeals, ties included.
+    if name == "clock:n=4":
+        m, start = _clock_start(4)
+    else:
+        cons = build_construction(negated_form(normalize_depths(BUILTIN_CIRCUITS[name]())))
+        m, start = cons.mdp, initial_policy(cons, (1, 1))
+
+    def trace():
+        run = run_policy_iteration(m, start, tie=parse_tiebreak(tie), budget=10_000)
+        return [(ev.iteration, ev.state, ev.old_action, ev.new_action, ev.appeal) for ev in run.trace], run
+
+    ints, run = trace()
+    ties = []
+    monkeypatch.setattr(mdp_module, "dantzig_step", _fraction_only_step(ties))
+    fractions, _ = trace()
+    assert ints == fractions and len(ties) == len(ints)
+    assert max(ties) > 1 or name == "clock:n=4"  # the clock's greedy switch is unique at every step
+    assert all(appeal is ZERO for appeal in run.appeals if not appeal)
 
 
 def _run_from(m, start):

@@ -4,14 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import fraction_greedy_top
 from hypothesis import assume, given, settings, strategies as st
 
 from dantziglab import numerics
 from dantziglab.cli import main
 from dantziglab.numerics import (
+    KEY_BITS,
     SingularMatrixError,
     format_rational,
+    greedy_top,
     inverse,
+    keyed,
     rat,
     solve_linear_system,
 )
@@ -67,6 +71,74 @@ def test_rat_rejects_floats():
 def test_format_round_trip():
     for q in (Fraction(3), Fraction(-7, 2), Fraction(0)):
         assert rat(format_rational(q)) == q
+
+
+TINY = Fraction(1, 2**80)  # far below a key's floor resolution of 2^-KEY_BITS
+
+
+class Opaque(Fraction):
+    """A Fraction that refuses to be compared: a pick that compares one raises."""
+
+    def _refuse(self, other):
+        raise AssertionError("greedy_top compared a Fraction")
+
+    __eq__ = __lt__ = __gt__ = __le__ = __ge__ = _refuse
+
+
+@st.composite
+def keyed_values(draw):
+    """Positive values under distinct, unsorted indices, with near and exact repeats.
+
+    Besides fresh values, an entry may repeat an earlier one as the same
+    object or as a new, equal object, or sit 2^-80 above or below it: close
+    enough that both usually share a floor.
+    """
+    fresh = st.fractions(min_value=Fraction(1, 10**6), max_value=10**4, max_denominator=10**6)
+    values = [draw(fresh)]
+    for _ in range(draw(st.integers(0, 12))):
+        x = draw(st.sampled_from(values))
+        kind = draw(st.sampled_from(["same", "equal", "above", "below", "fresh"]))
+        if kind == "equal":
+            x = Fraction(x.numerator, x.denominator)
+        elif kind == "above" or kind == "below" and x > TINY:
+            x = x + TINY if kind == "above" else x - TINY
+        elif kind == "fresh":
+            x = draw(fresh)
+        values.append(x)
+    indices = draw(st.lists(st.integers(0, 10**6), min_size=len(values), max_size=len(values), unique=True))
+    return dict(zip(indices, values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_values())
+def test_greedy_top_is_the_fraction_maximum_and_every_index_equal_to_it(values):
+    keys = {i: keyed(x) for i, x in values.items()}
+    top, indices = greedy_top(keys)
+    expected_top, expected = fraction_greedy_top(keys)
+    assert top == expected_top and any(top is x for x in values.values())
+    assert indices == expected  # in the map's own order
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyed_values())
+def test_greedy_top_compares_no_fraction(values):
+    opaque = {i: Opaque(x.numerator, x.denominator) for i, x in values.items()}
+    top, indices = greedy_top({i: keyed(x) for i, x in opaque.items()})
+    expected_top, expected = fraction_greedy_top({i: keyed(x) for i, x in values.items()})
+    assert type(top) is Opaque and top.as_integer_ratio() == expected_top.as_integer_ratio()
+    assert indices == expected
+
+
+def test_greedy_top_orders_values_that_share_a_floor():
+    x = Fraction(7, 3)
+    above, equal = x + TINY, Fraction(14, 6)
+    assert keyed(x)[0] == keyed(above)[0] == ((7 << KEY_BITS) // 3)
+    assert keyed(equal)[1:3] == (7, 3) and equal is not x
+    keys = {5: keyed(x), 2: keyed(above), 9: keyed(equal)}
+    assert greedy_top(keys) == (above, [2])
+    del keys[2]
+    top, indices = greedy_top(keys)
+    assert top is x and indices == [5, 9]
 
 
 def test_solve_identity():

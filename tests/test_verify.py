@@ -651,6 +651,17 @@ def test_end_to_end_rotation_switches():
     assert decode_phases(full.run, full.construction, (1, 1)) == expected
 
 
+def test_a_stopped_runs_replay_ends_at_the_policy_its_last_switch_was_picked_from():
+    # The stopping switch is on the trace but is not made: the replay gives
+    # the policy before each switch, the last of them the run's ``policy``.
+    run = end_to_end(rotation_circuit(2), (1, 1), 1, "actionswitch").run
+    policies = run.policies()
+    assert run.stopped and len(policies) == run.iterations
+    assert policies[-1] == run.policy
+    full = plain_run(rotation_circuit(2), (1, 1))
+    assert policies == full.run.policies()[: run.iterations]
+
+
 @pytest.mark.parametrize("tie", ["lowest", "highest", "random:7"])
 @pytest.mark.parametrize("name", ["identity1", "identity2", "not2", "rot2", "const0_2", "rot3"])
 def test_an_actionswitch_run_stops_at_the_whole_runs_first_entry(name, tie):
