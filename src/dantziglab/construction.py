@@ -33,6 +33,7 @@ at 1 - 1/(2i) instead and exists for comparison runs only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -459,6 +460,11 @@ class Construction:
     circuit: Circuit | None = None
     z: int | None = None
     w: Fraction | None = None
+
+    @cached_property
+    def phase_reads(self) -> tuple[int, int, int, int]:
+        """The states c1 and c0 and the phase gap t as an int pair, looked up once for every phase reading."""
+        return (self.index.c(1), self.index.c(0), *self.params.t.as_integer_ratio())
 
     def budget(self) -> int:
         """Iteration cap: ten times the expected phase count (2^n) times the state count."""

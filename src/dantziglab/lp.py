@@ -58,8 +58,10 @@ operand's ``as_integer_ratio()``, add and multiply numerators and
 denominators as ints (numerators alone where two denominators are equal)
 and build one normalizing ``Fraction`` per result, so every number handed
 on is a Fraction.  The ratio test compares x_r/d_r by cross-multiplying,
-its minimizer and tie check exact, and builds θ once.  These kernels are
-the LP side's own and share no helper with the engine it audits.
+its minimizer and tie check exact, and builds θ once.  The from-scratch
+oracle (x_B, y and B⁻¹·B = I) runs on int pairs too, and still builds
+one Fraction per entry of x_B and y, none for the check.  These kernels
+are the LP side's own and share no helper with the engine it audits.
 
 The lockstep compares each vector only where it moved.  It keeps tuple
 snapshots of both sides of each comparison from the last time it passed,
@@ -191,31 +193,40 @@ class Basis:
     def basic_solution(self) -> list[Fraction]:
         """x_B = B^-1 · rhs: each position's entries across the inverse's columns, summed, times 1/n.
 
-        The right-hand side is uniformly 1/n, as ``mdp_to_primal`` builds it.
+        The right-hand side is uniformly 1/n, as ``mdp_to_primal`` builds it.  The sums are int pairs.
         """
-        sums = [ZERO] * len(self.cols)
+        sums = [(0, 1)] * len(self.cols)
         for column in self.inv_cols:
             for pos, v in column.items():
-                sums[pos] += v
-        share = self.lp.rhs[0]
-        return [share * v for v in sums]
+                sums[pos] = _sum(*sums[pos], *v.as_integer_ratio())
+        sn, sd = self.lp.rhs[0].as_integer_ratio()
+        return [Fraction(n * sn, d * sd) for n, d in sums]
 
     def inverts(self) -> bool:
-        """Bᵀ·X = I exactly: B^-1 maps the basic column at each position p to e_p, and to nothing else."""
-        return all(self.direction(j) == {p: 1} for p, j in enumerate(self.cols))
+        """Bᵀ·X = I exactly: B^-1 · a_j, as int pairs, is e_p for the basic column j at each position p."""
+        for p, j in enumerate(self.cols):
+            pairs = self._combined(j)
+            n, d = pairs.pop(p, (0, 1))
+            if n != d or any(other for other, _ in pairs.values()):
+                return False
+        return True
 
     def direction(self, col: int) -> dict[int, Fraction]:
         """The entering direction B^-1 · a_col over its support: the inverse's columns at a_col's rows, combined.
 
         An entry that cancels to 0 is left out.
         """
+        return {pos: Fraction(n, d) for pos, (n, d) in self._combined(col).items() if n}
+
+    def _combined(self, col: int) -> dict[int, tuple[int, int]]:
+        """B^-1 · a_col as unreduced int pairs, one per position any of the combined columns holds."""
         out: dict[int, tuple[int, int]] = {}
         for i, a in self.lp.columns[col].items():
             an, ad = a.as_integer_ratio()
             for pos, v in self.inv_cols[i].items():
                 n, d = v.as_integer_ratio()
                 out[pos] = _sum(*out[pos], n * an, d * ad) if pos in out else (n * an, d * ad)
-        return {pos: Fraction(n, d) for pos, (n, d) in out.items() if n}
+        return out
 
 
 class _BasicColumns(Sequence):
@@ -283,10 +294,18 @@ def _reduced_cost(lp: LinearProgram, j: int, y: Sequence[Fraction]) -> Fraction:
 
 
 def dual_and_reduced_costs(lp: LinearProgram, basis: Basis) -> tuple[list[Fraction], list[Fraction]]:
-    """Dual solution y (per row) and reduced costs (per column) of the basis, from scratch."""
+    """Dual solution y (per row) and reduced costs (per column) of the basis, from scratch, on int pairs."""
     # y = B^-T · c_B: y[i] is column i of B^-1 against the basic objective.
-    c_b = [lp.objective[j] for j in basis.cols]
-    y = [sum((c_b[p] * v for p, v in column.items() if c_b[p]), ZERO) for column in basis.inv_cols]
+    c_b = [lp.objective[j].as_integer_ratio() for j in basis.cols]
+    y = []
+    for column in basis.inv_cols:
+        n, d = 0, 1
+        for p, v in column.items():
+            cn, cd = c_b[p]
+            if cn:
+                vn, vd = v.as_integer_ratio()
+                n, d = _sum(n, d, cn * vn, cd * vd)
+        y.append(Fraction(n, d) if n else ZERO)
     return y, [_reduced_cost(lp, j, y) for j in range(lp.num_cols)]
 
 

@@ -228,9 +228,9 @@ def check_clock_trace(result: PIResult, auditor: ClockAuditor) -> Report:
 
 def phase_from_values(construction: Construction, values: Sequence[Fraction]) -> int:
     """0 when c1 leads c0 by the phase gap, 1 the other way around: int pairs, cross-multiplied."""
-    an, ad = values[construction.index.c(1)].as_integer_ratio()
-    bn, bd = values[construction.index.c(0)].as_integer_ratio()
-    tn, td = construction.params.t.as_integer_ratio()
+    c1, c0, tn, td = construction.phase_reads
+    an, ad = values[c1].as_integer_ratio()
+    bn, bd = values[c0].as_integer_ratio()
     gn, gd = an * bd - bn * ad, ad * bd
     if gn * td == tn * gd:
         return 0

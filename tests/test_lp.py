@@ -887,6 +887,143 @@ def test_pivot_kernel_updates_match_fraction_arithmetic(case, data):
     assert new.positive == positive_keys(new.reduced)
 
 
+def textbook_oracle(lp, basis, images=None):
+    """x_B, y and whether B^-1·B = I, from the basis's inverse columns in Fraction operators alone.
+
+    x_B[pos] = Σ_i B^-1[pos][i]·rhs[i], y[i] = Σ_p c_B[p]·B^-1[p][i], and B^-1·a_j is
+    Σ_i a_j[i]·(column i of B^-1), which must be e_p for the basic column j at position p.
+    ``images`` keeps each B^-1·a_j by j and the inverse column objects it read, for
+    bases that share columns and are all kept alive, so the ids stay theirs.
+    """
+    x_b = [Fraction(0)] * lp.num_rows
+    for i, column in enumerate(basis.inv_cols):
+        for pos, v in column.items():
+            x_b[pos] += v * lp.rhs[i]
+    y = [sum((lp.objective[basis.cols[p]] * v for p, v in column.items()), Fraction(0)) for column in basis.inv_cols]
+
+    images = {} if images is None else images
+
+    def image(j):
+        key = (j, *(id(basis.inv_cols[i]) for i in lp.columns[j]))
+        if key not in images:
+            out = {}
+            for i, a in lp.columns[j].items():
+                for pos, v in basis.inv_cols[i].items():
+                    out[pos] = out.get(pos, 0) + a * v
+            images[key] = {pos: v for pos, v in out.items() if v}
+        return images[key]
+
+    return x_b, y, all(image(j) == {p: 1} for p, j in enumerate(basis.cols))
+
+
+def assert_oracle_kernels_match_fraction_arithmetic(lp, basis, images=None):
+    """The int-pair oracle equals ``textbook_oracle``, every number it hands out a Fraction; returns that reference."""
+    x_b, y, inverts = expected = textbook_oracle(lp, basis, images)
+    fresh = basis.basic_solution(), dual_and_reduced_costs(lp, basis)[0]
+    assert fresh == (x_b, y) and basis.inverts() is inverts
+    assert all(type(v) is Fraction for v in (*fresh[0], *fresh[1]))
+    return expected
+
+
+class Inert(Fraction):
+    """A Fraction that refuses every arithmetic operator and comparison: a kernel that applies one raises."""
+
+    def _refuse(self, *other):
+        raise AssertionError("an int-pair kernel applied a Fraction operator")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __truediv__ = __rtruediv__ = _refuse
+    __neg__ = __bool__ = __eq__ = __lt__ = __gt__ = __le__ = __ge__ = _refuse
+
+
+def inert_copy(lp, basis):
+    """The basis, over a copy of its LP, with every inverse entry, cost, coefficient and right-hand side ``Inert``."""
+    inert = replace(
+        lp,
+        objective=[Inert(c) for c in lp.objective],
+        columns=[{i: Inert(a) for i, a in column.items()} for column in lp.columns],
+        rhs=[Inert(v) for v in lp.rhs],
+    )
+    return inert, replace(basis, lp=inert, inv_cols=[{p: Inert(v) for p, v in c.items()} for c in basis.inv_cols])
+
+
+@settings(max_examples=80, deadline=None)
+@given(big_funnel_bases(), st.data())
+def test_oracle_kernels_match_fraction_arithmetic(case, data):
+    # The from-scratch oracle's int-pair kernels, on the basis's own inverse
+    # and on drawn sparse columns with denominators up to 2^70: each drawn
+    # column is the true one with entries nudged, dropped or added, or a
+    # random one, so B^-1·B = I holds on some draws and fails on others.
+    # On an ``Inert`` copy the kernels give the same results, so they read
+    # each number's int pair and apply no Fraction operator.
+    _, lp, basis = case
+    assert assert_oracle_kernels_match_fraction_arithmetic(lp, basis)[2]
+    inert_lp, inert = inert_copy(lp, basis)
+    assert (inert.basic_solution(), dual_and_reduced_costs(inert_lp, inert), inert.inverts()) == (
+        basis.basic_solution(),
+        dual_and_reduced_costs(lp, basis),
+        True,
+    )
+    positions = st.integers(0, lp.num_rows - 1)
+    inv_cols = []
+    for column in basis.inv_cols:
+        kind = data.draw(st.sampled_from(["same", "nudged", "dropped", "added", "random"]))
+        column = dict(column)
+        if kind == "nudged":
+            pos = data.draw(st.sampled_from(sorted(column)))
+            column[pos] += data.draw(big_rationals().filter(bool))
+        elif kind == "dropped":
+            column.pop(data.draw(st.sampled_from(sorted(column))))
+        elif kind == "added":
+            column[data.draw(positions)] = data.draw(big_rationals().filter(bool))
+        elif kind == "random":
+            column = data.draw(st.dictionaries(positions, big_rationals().filter(bool), max_size=lp.num_rows))
+        inv_cols.append(column)
+    assert_oracle_kernels_match_fraction_arithmetic(lp, replace(basis, inv_cols=inv_cols))
+
+
+@pytest.mark.parametrize("name", ["identity2", "rot2"])
+def test_oracle_kernels_match_fraction_arithmetic_on_every_lockstep_basis(monkeypatch, name):
+    circuit = {"identity2": identity_circuit(2), "rot2": rotation_circuit(2)}[name]
+    report, visited = _recording_lockstep(monkeypatch, circuit, (1, 1))
+    assert report.ok and len(visited) == report.pivots + 1
+    images = {}
+    for lp, basis in visited:
+        assert assert_oracle_kernels_match_fraction_arithmetic(lp, basis, images) == (basis.x_b, basis.y, True)
+
+
+def test_a_nudged_final_inverse_entry_fails_the_final_oracle(tmp_path, monkeypatch):
+    # One entry of identity2's final inverse moves by 2^-80.  Every
+    # comparison with the run passes, and only the final oracle reads the
+    # inverse again: B^-1·B = I fails there, so the last iteration diverges.
+    import dantziglab.lp as lp_module
+
+    original = lp_module.Lockstep.finish
+    nudged = []
+
+    def nudging(self, result):
+        basis = self.basis
+        i = max(range(len(basis.inv_cols)), key=lambda i: len(basis.inv_cols[i]))
+        column = dict(basis.inv_cols[i])
+        pos = max(column)
+        column[pos] += Fraction(1, 2**80)
+        basis.inv_cols[i] = column
+        nudged.append(basis.inverts())
+        return original(self, result)
+
+    monkeypatch.setattr(lp_module.Lockstep, "finish", nudging)
+    cons = build_construction(negated_form(normalize_depths(identity_circuit(2))))
+    report = check_pi_simplex_equivalence(
+        cons.mdp, initial_policy(cons, (1, 1)), cons.index.si(), budget=cons.budget()
+    )
+    assert nudged == [False]
+    assert report.pivots == 133 and report.ok is False and report.first_divergence == 133
+    assert all(e["ok"] for e in report.iterations[:133])
+    final = report.iterations[133]
+    assert final["basis_match"] and final["dual_match"] and final["reduced_cost_match"] and final["same_entering"]
+    argv = ["verify", "--builtin", "identity2", "--bits", "11", "--which", "equivalence"]
+    assert main([*argv, "--out", str(tmp_path)]) == 4
+
+
 def test_lp_export_has_no_decimals():
     cons = build_clock(2)
     lp = mdp_to_primal(cons.mdp, cons.index.si())
