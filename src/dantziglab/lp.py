@@ -166,12 +166,11 @@ def mdp_to_primal(mdp: Mdp, sink: int) -> LinearProgram:
     columns = []
     for aid in cols:
         act = mdp.actions[aid]
-        column: dict[int, Fraction] = {row_of[act.state]: ONE}
+        own = act.state
+        column: dict[int, Fraction] = {row_of[own]: ONE}
         for target, p in act.transitions.items():
-            if target == sink:
-                continue
-            i = row_of[target]
-            column[i] = column.get(i, ZERO) - p
+            if target != sink:
+                column[row_of[target]] = ONE - p if target == own else -p
         columns.append({i: v for i, v in column.items() if v})
         objective.append(act.reward)
     n = len(rows)

@@ -109,8 +109,20 @@ class ClockOracle:
         """The clock state switched when leaving the j-th policy."""
         return self.f(least_significant_zero(j))
 
-    def switch_appeal(self, i: int) -> Fraction:
-        return HALF - Fraction(1, 4 * i)
+    @cached_property
+    def switch_appeals(self) -> tuple[Fraction | None, ...]:
+        """Entry i is clock state i's switch appeal, 1/2 - 1/(4i); entry 0 names no state."""
+        return (None, *(HALF - Fraction(1, 4 * i) for i in range(1, self.n + 1)))
+
+    def appeal_failures(self, i: int, appeal: Fraction) -> list[str]:
+        """Clock state i's switch at ``appeal``: no line at its switch appeal, else one, and one more off [1/4, 1/2)."""
+        expected = self.switch_appeals[i]
+        if appeal == expected:
+            return []
+        failures = [f"appeal {appeal} != {expected}"]
+        if not Fraction(1, 4) <= appeal < HALF:
+            failures.append(f"appeal {appeal} outside [1/4, 1/2)")
+        return failures
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -147,9 +159,6 @@ class ClockAuditor:
         ]
         self.value_states = [(name, index.state(name)) for name in self.oracle.names]
         self.t = construction.params.t.as_integer_ratio()
-        # Each clock state's switch appeal, and whether it lies in [1/4, 1/2).
-        appeals = {i: self.oracle.switch_appeal(i) for i in range(1, n + 1)}
-        self.expected_appeals = {i: (a, Fraction(1, 4) <= a < HALF) for i, a in appeals.items()}
         self.policy_failures: list[str] = []
         self.switch_failures: list[str] = []
         self.band_failures: list[str] = []
@@ -168,12 +177,8 @@ class ClockAuditor:
             self.switch_failures.append(
                 f"step {j}: switched state {info.i}, expected {self.oracle.flip_position(j)}"
             )
-        expected_appeal, in_band = self.expected_appeals[info.i]
-        if event.appeal != expected_appeal:
-            self.band_failures.append(f"step {j}: appeal {event.appeal} != {expected_appeal}")
-            in_band = Fraction(1, 4) <= event.appeal < HALF
-        if not in_band:
-            self.band_failures.append(f"step {j}: appeal {event.appeal} outside [1/4, 1/2)")
+        for message in self.oracle.appeal_failures(info.i, event.appeal):
+            self.band_failures.append(f"step {j}: {message}")
 
     def check_policy(self, j: int, policy: Policy, values: Sequence[Fraction]) -> None:
         """The j-th policy and its values; steps past the last Gray word go unchecked."""
@@ -283,15 +288,16 @@ def classify_event(construction: Construction, event: TraceEvent, phase: int) ->
     j, gate = info.copy, info.gate
     extra = {"copy": j, "gate": gate, "depth": circuit.depth(gate)}
     own_side = j == phase
+    to_other_clock = tinfo.kind == "c" and tinfo.i == 1 - phase
 
     if kind == "l":
-        if tinfo.kind == "c" and tinfo.i == 1 - phase:
+        if to_other_clock:
             return ("s3a" if own_side else "s1"), extra
         if tinfo.kind == "b":
             return "freeze", extra
         return "unexpected", extra
     if kind == "r":
-        if tinfo.kind == "c" and tinfo.i == 1 - phase and not own_side:
+        if to_other_clock and not own_side:
             return "s2", extra
         if tinfo.kind == "o" and own_side:
             return "s4a", extra
@@ -316,11 +322,11 @@ def classify_event(construction: Construction, event: TraceEvent, phase: int) ->
     if kind == "v":
         return ("or-pick" if own_side else "stale"), extra
     if kind == "a":
-        if tinfo.kind == "c" and tinfo.i == 1 - phase:
+        if to_other_clock:
             return ("not-arm" if own_side else "s4b"), extra
         return "unexpected", extra
     if kind == "x":
-        if tinfo.kind == "c" and tinfo.i == 1 - phase:
+        if to_other_clock:
             return "s4c", extra
         return "unexpected", extra
     return "unexpected", extra
@@ -333,19 +339,30 @@ def classify_event(construction: Construction, event: TraceEvent, phase: int) ->
 def audit_appeal_catalog(result: PIResult, construction: Construction) -> Report:
     """Assert every switch fired at the exactly-known appeal for its role.
 
-    Scripted transition switches have pinned values (17/5, 16/5..33/10,
-    8/5, 19/20, 9/10) or pinned two-sided bands; circuit evaluation and
+    Scripted transition switches fire at the one value ``exact`` gives
+    their role, or inside the closed band ``bands`` gives it; a clock
+    switch fires at its ``ClockOracle`` appeal.  Circuit evaluation and
     copying always runs at or above 7/2; nothing ever switches at appeal
     exactly 1; residual end-game switches stay below the ``MAGIC`` ceiling.
     """
     params = construction.params
     failures: list[str] = []
     counts: dict[str, int] = {}
-    hookup_lo, hookup_hi = params.stage4_hookup_band()
-    s2_values = {
-        Fraction(16, 5),
-        params.p6 * (3 * params.t / 2 - params.low[params.d_c]),
+    clock = ClockOracle(params.n)
+    exact = {
+        "s1": Fraction(17, 5),
+        "s3a": Fraction(8, 5),
+        "s3b": params.stage3_rehome_appeal(),
+        "s4b": Fraction(19, 20),
+        "s4c": Fraction(9, 10),
+        "copy": Fraction(9, 2),
+        "copy-echo": Fraction(9, 2),
+        "not-write": Fraction(4),
+        "residual": params.residual_rehome_appeal(),
+        "freeze-arm": Fraction(1, 5),
     }
+    bands = {"s2": (Fraction(16, 5), RJPRIME), "s4a": params.stage4_hookup_band()}
+    s2_values = {Fraction(16, 5), params.p6 * (3 * params.t / 2 - params.low[params.d_c])}
 
     def fail(ev: TraceEvent, message: str) -> None:
         name = construction.mdp.state_names[ev.state]
@@ -365,50 +382,24 @@ def audit_appeal_catalog(result: PIResult, construction: Construction) -> Report
             fail(ev, "switched at appeal exactly 1")
         if not first_s1_seen and role not in ("clock", "s1") and appeal < FLOOR:
             fail(ev, f"appeal {appeal} below 7/2 during evaluation/copy work")
+        if role == "residual" and appeal >= MAGIC:
+            fail(ev, f"appeal {appeal} not below the residual ceiling {MAGIC}")
         if frozen:
             # Once the decision gadget fires, the tail is cleanup around the
             # now-huge escape values; only the floor and ceilings still apply.
-            if role == "residual":
-                if appeal >= MAGIC:
-                    fail(ev, f"appeal {appeal} not below the residual ceiling {MAGIC}")
-            elif appeal < FLOOR:
+            if role != "residual" and appeal < FLOOR:
                 fail(ev, f"post-freeze cleanup at appeal {appeal} below 7/2")
             continue
         if role == "clock":
-            expected = ClockOracle(params.n).switch_appeal(ev.annotations["i"])
-            if appeal != expected:
-                fail(ev, f"clock appeal {appeal} != {expected}")
-            if not Fraction(1, 4) <= appeal < HALF:
-                fail(ev, f"clock appeal {appeal} outside [1/4, 1/2)")
+            for message in clock.appeal_failures(ev.annotations["i"], appeal):
+                fail(ev, message)
             first_s1_seen = False  # a new phase's work begins
             arming_floor = None
         elif role == "s1":
             first_s1_seen = True
-            if appeal != Fraction(17, 5):
-                fail(ev, f"appeal {appeal} != 17/5")
         elif role == "s2":
             if appeal not in s2_values:
                 fail(ev, f"appeal {appeal} not an expected detach value")
-            if not Fraction(16, 5) <= appeal <= RJPRIME:
-                fail(ev, f"appeal {appeal} outside [16/5, {RJPRIME}]")
-        elif role == "s3a":
-            if appeal != Fraction(8, 5):
-                fail(ev, f"appeal {appeal} != 8/5")
-        elif role == "s3b":
-            if appeal != params.stage3_rehome_appeal():
-                fail(ev, f"appeal {appeal} != re-homing value")
-        elif role == "s4a":
-            if not hookup_lo <= appeal <= hookup_hi:
-                fail(ev, f"appeal {appeal} outside hookup band [{hookup_lo}, {hookup_hi}]")
-        elif role == "s4b":
-            if appeal != Fraction(19, 20):
-                fail(ev, f"appeal {appeal} != 19/20")
-        elif role == "s4c":
-            if appeal != Fraction(9, 10):
-                fail(ev, f"appeal {appeal} != 9/10")
-        elif role in ("copy", "copy-echo"):
-            if appeal != Fraction(9, 2):
-                fail(ev, f"appeal {appeal} != 9/2")
         elif role == "not-arm":
             expected = FLOOR + Fraction(1, 2 * ev.annotations["depth"])
             if appeal != expected:
@@ -416,26 +407,21 @@ def audit_appeal_catalog(result: PIResult, construction: Construction) -> Report
             if arming_floor is not None and appeal > arming_floor:
                 fail(ev, "arming switches out of depth order")
             arming_floor = appeal
-        elif role == "not-write":
-            if appeal != 4:
-                fail(ev, f"appeal {appeal} != 4")
         elif role in ("or-open", "or-shelf", "or-pick", "not-track", "stale"):
             if appeal < FLOOR:
                 fail(ev, f"appeal {appeal} below 7/2")
-        elif role == "residual":
-            if appeal >= MAGIC:
-                fail(ev, f"appeal {appeal} not below the residual ceiling {MAGIC}")
-            if appeal != params.residual_rehome_appeal():
-                fail(ev, f"appeal {appeal} != residual re-homing value")
-        elif role == "freeze-arm":
-            if appeal != Fraction(1, 5):
-                fail(ev, f"appeal {appeal} != 1/5")
         elif role == "freeze":
             frozen = True
             if construction.w is None or appeal <= params.t:
                 fail(ev, "freeze switch does not dominate the phase gap")
-        else:
+        elif role not in exact and role not in bands:
             fail(ev, f"unclassified switch (role {role})")
+        if role in exact and appeal != exact[role]:
+            fail(ev, f"appeal {appeal} != {exact[role]}")
+        if role in bands:
+            lo, hi = bands[role]
+            if not lo <= appeal <= hi:
+                fail(ev, f"appeal {appeal} outside [{lo}, {hi}]")
     return Report("catalog", not failures, failures, {"counts": dict(sorted(counts.items()))})
 
 
@@ -542,16 +528,15 @@ def _transition_failures(construction: Construction, segment: Segment, before: P
         if seen != expected:
             failures.append(f"class {role}: {seen} events, expected {expected}")
 
-    ordered = ["s1", "s2", "s3a", "s3b"]
     previous_last = -1
-    for role in ordered:
+    for role in STAGE_ORDER[:4]:
         if role not in positions:
             continue
         first, last = min(positions[role]), max(positions[role])
         if first <= previous_last:
             failures.append(f"class {role} starts before the previous class completes")
         previous_last = last
-    finishing = [p for role in ("s4a", "s4b", "s4c") for p in positions.get(role, [])]
+    finishing = [p for role in STAGE_ORDER[4:] for p in positions.get(role, [])]
     if finishing and previous_last >= min(finishing):
         failures.append("hookup/detach work starts before re-homing completes")
     clock_pos = positions.get("clock", [segment[-1][0]])[0]

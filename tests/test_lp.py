@@ -10,12 +10,15 @@ from hypothesis import assume, given, settings, strategies as st
 from dantziglab.circuit import negated_form, normalize_depths
 from dantziglab.cli import main
 from dantziglab.construction import (
+    bound_w,
     build_clock,
     build_construction,
+    build_construction_z,
     clock_initial_policy,
+    derive_params,
     initial_policy,
 )
-from dantziglab.library import identity_circuit, rotation_circuit
+from dantziglab.library import constant_zero_circuit, identity_circuit, rotation_circuit, writer_machine
 from dantziglab.lp import (
     Lockstep,
     LpError,
@@ -45,6 +48,7 @@ from dantziglab.mdp import (
     run_policy_iteration,
 )
 from dantziglab.numerics import ZERO, inverse, positive_keys
+from dantziglab.turing import compile_machine
 
 ONE = Fraction(1)
 
@@ -112,6 +116,47 @@ def test_construction_primal_dimensions():
     assert lp.num_rows == cons.mdp.num_states - 1
     sink_actions = len(cons.mdp.state_actions[cons.index.si()])
     assert lp.num_cols == cons.mdp.num_actions - sink_actions
+
+
+def _plain_and_decision(circuit, z):
+    negated = negated_form(normalize_depths(circuit))
+    return [build_construction(negated), build_construction_z(negated, z, w=bound_w(derive_params(negated)))]
+
+
+def _writer_plain_and_decision():
+    circuit, _, z = compile_machine(writer_machine(), (), 1)
+    return _plain_and_decision(circuit, z)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda circuit=circuit: _plain_and_decision(circuit, 1), id=name)
+        for name, circuit in (
+            ("identity2", identity_circuit(2)),
+            ("const0_2", constant_zero_circuit(2)),
+            ("rot2", rotation_circuit(2)),
+            ("rot3", rotation_circuit(3)),
+        )
+    ]
+    + [pytest.param(lambda: [build_clock(n) for n in range(1, 6)], id="clock1-5")]
+    + [pytest.param(_writer_plain_and_decision, id="writer")],
+)
+def test_every_primal_column_is_its_own_row_minus_its_transitions_off_the_sink(make):
+    # Column of action a at state s: e_s - sum over targets t != sink of p(t) * e_t,
+    # summed here with Fraction operators; entries that cancel to 0 are left out.
+    for cons in make():
+        sink = cons.index.si()
+        lp = mdp_to_primal(cons.mdp, sink)
+        assert lp.cols == [aid for s in lp.rows for aid in cons.mdp.state_actions[s]]
+        for j, aid in enumerate(lp.cols):
+            act = cons.mdp.actions[aid]
+            expected = {lp.row_of[act.state]: Fraction(1)}
+            for target, p in act.transitions.items():
+                if target != sink:
+                    row = lp.row_of[target]
+                    expected[row] = expected.get(row, Fraction(0)) - p
+            assert lp.columns[j] == {i: v for i, v in expected.items() if v != 0}, act.name
 
 
 def test_initial_basis_is_feasible_and_triangular():

@@ -23,6 +23,7 @@ from dantziglab.circuit import (
 )
 from dantziglab.construction import (
     MAGIC,
+    RJPRIME,
     Construction,
     build_clock,
     build_construction,
@@ -263,6 +264,41 @@ def test_clock_auditor_tests_the_band_on_the_switch_appeal_it_is_handed(appeal, 
     assert auditor.policy_failures == auditor.switch_failures == []
 
 
+def test_clock_oracle_gives_no_line_at_the_switch_appeal_and_one_per_miss_otherwise():
+    oracle = ClockOracle(3)
+    assert oracle.switch_appeals[1:] == (Fraction(1, 4), Fraction(3, 8), Fraction(5, 12))
+    assert oracle.appeal_failures(3, Fraction(5, 12)) == []
+    assert oracle.appeal_failures(3, Fraction(1, 3)) == ["appeal 1/3 != 5/12"]
+    assert oracle.appeal_failures(1, Fraction(1, 2)) == ["appeal 1/2 != 1/4", "appeal 1/2 outside [1/4, 1/2)"]
+
+
+@pytest.mark.parametrize("appeal", [Fraction(1, 3), Fraction(3, 4)])
+def test_clock_auditor_and_catalog_name_a_wrong_clock_appeal_in_the_same_words(catalog_runs, appeal):
+    # rot2's first clock switch, at state i, is handed a wrong appeal; so is
+    # the standalone clock's first switch of state i.  Past each auditor's
+    # own prefix, both print the same lines.
+    e = catalog_runs["rot2", "actionswitch"]
+    trace = list(e.run.trace)
+    pos = [ev.annotations["role"] for ev in trace].index("clock")
+    ev = trace[pos] = dataclasses.replace(trace[pos], appeal=appeal)
+    report = audit_appeal_catalog(dataclasses.replace(e.run, trace=trace), e.construction)
+    prefix = f"event {ev.iteration} ({e.construction.mdp.state_names[ev.state]}, clock): "
+    catalog_lines = [f.removeprefix(prefix) for f in report.failures if f.startswith(prefix)]
+
+    n, i = e.construction.params.n, ev.annotations["i"]
+    cons = build_clock(n)
+    auditor = ClockAuditor(cons)
+    j = 2 ** (n - i) - 1  # the first step whose clock switch is at state i
+    assert ClockOracle(n).flip_position(j) == i
+    policy = clock_gray_policy(cons, j)
+    sid = cons.index.clock(i)
+    event = TraceEvent(j, sid, policy.choice[sid], clock_gray_policy(cons, j + 1).choice[sid], appeal)
+    auditor(event, policy, evaluate_values(cons.mdp, policy), [])
+    assert auditor.policy_failures == auditor.switch_failures == []
+    assert [f.removeprefix(f"step {j}: ") for f in auditor.band_failures] == catalog_lines
+    assert len(catalog_lines) == (1 if appeal < Fraction(1, 2) else 2)
+
+
 # ---------------------------------------------------------------------------
 # Structural predicates on the full machine
 
@@ -480,6 +516,8 @@ def catalog_runs():
 def test_catalog_names_the_event_whose_appeal_is_off_for_every_role(catalog_runs):
     # On rot2 and const0_2, under both problems, the first event of each
     # role in turn is given appeal 0; the catalog must fail and name it.
+    # A role with one exact appeal or one closed band fails with that
+    # value's or that band's line.
     seen = set()
     for circuit in ("rot2", "const0_2"):
         for problem in ("actionswitch", "dantzigsol"):
@@ -495,6 +533,32 @@ def test_catalog_names_the_event_whose_appeal_is_off_for_every_role(catalog_runs
                 named = f"event {trace[pos].iteration} ("
                 assert not report.ok and any(f.startswith(named) for f in report.failures), (problem, role)
             seen |= first.keys()
+            params = e.construction.params
+            exact = {
+                "s1": Fraction(17, 5),
+                "s3a": Fraction(8, 5),
+                "s3b": params.stage3_rehome_appeal(),
+                "s4b": Fraction(19, 20),
+                "s4c": Fraction(9, 10),
+                "copy": Fraction(9, 2),
+                "copy-echo": Fraction(9, 2),
+                "not-write": Fraction(4),
+                "residual": params.residual_rehome_appeal(),
+                "freeze-arm": Fraction(1, 5),
+            }
+            bands = {"s2": (Fraction(16, 5), RJPRIME), "s4a": params.stage4_hookup_band()}
+            lines = {role: f"appeal 0 != {v}" for role, v in exact.items()}
+            lines |= {role: f"appeal 0 outside [{lo}, {hi}]" for role, (lo, hi) in bands.items()}
+            frozen_from = first.get("freeze", len(e.run.trace))
+            for role, line in lines.items():
+                # The role's first event before the freeze, or else the first copy
+                # event relabeled with it (no run here has copy-echo before the freeze).
+                pos = first[role] if first.get(role, frozen_from) < frozen_from else first["copy"]
+                trace = list(e.run.trace)
+                ev = trace[pos] = dataclasses.replace(_relabeled(role)(trace[pos]), appeal=Fraction(0))
+                report = audit_appeal_catalog(dataclasses.replace(e.run, trace=trace), e.construction)
+                name = e.construction.mdp.state_names[ev.state]
+                assert f"event {ev.iteration} ({name}, {role}): {line}" in report.failures, (circuit, problem, role)
     assert seen == CATALOG_ROLES
 
 
@@ -531,18 +595,20 @@ def test_catalog_names_the_event_each_check_rejects(catalog_runs, problem, role,
     assert f"event {ev.iteration} ({name}, {ev.annotations.get('role')}): {message}" in report.failures
 
 
-def test_transitions_flag_a_class_that_starts_before_the_previous_completes(rot2_run):
-    # Swap the last s1 event and the first s2 event of the first boundary.
+@pytest.mark.parametrize("earlier, later", [("s1", "s2"), ("s2", "s3a"), ("s3a", "s3b")])
+def test_transitions_flag_a_class_that_starts_before_the_previous_completes(rot2_run, earlier, later):
+    # In the phase where the later class first fires, swap the last event of
+    # the earlier class and the first event of the later one.
     cons, _, result = rot2_run
     roles = [ev.annotations["role"] for ev in result.trace]
-    clock = roles.index("clock")
-    last_s1 = max(pos for pos in range(clock) if roles[pos] == "s1")
-    first_s2 = roles.index("s2")
-    assert last_s1 < first_s2 < clock
+    first_later = roles.index(later)
+    boundary = roles[:first_later].count("clock") + 1
+    last_earlier = max(pos for pos in range(first_later) if roles[pos] == earlier)
+    assert "clock" not in roles[last_earlier:first_later]
     trace = list(result.trace)
-    trace[last_s1], trace[first_s2] = trace[first_s2], trace[last_s1]
+    trace[last_earlier], trace[first_later] = trace[first_later], trace[last_earlier]
     report = check_all_transitions(dataclasses.replace(result, trace=trace), cons)
-    assert report.failures == ["boundary 1: class s2 starts before the previous class completes"]
+    assert report.failures == [f"boundary {boundary}: class {later} starts before the previous class completes"]
 
 
 def _first_phase(result):
